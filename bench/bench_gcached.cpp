@@ -1,26 +1,19 @@
 // Concurrent gcached runtime scaling: closed-loop throughput and latency
-// percentiles across a (fill mode) x shard-count x thread-count grid.
+// percentiles across a shard-count x thread-count grid.
 //
 // Each grid cell builds a fresh ShardedCache and replays the same Zipf
 // workload through N closed-loop client threads (bench/loadgen). Misses pay
-// a simulated backend fill (--fill-us); WHERE that fill is paid is the
-// point of the grid's mode axis:
-//
-//   sync   the legacy path — the fill sleeps while holding the shard
-//          exclusively, so every fill serializes everything behind that
-//          shard's lock. Shard count is the only source of overlap.
-//   async  the MSHR path — the fill sleeps with no lock held; concurrent
-//          accesses to the same shard proceed, accesses to the in-flight
-//          block coalesce as delayed hits. Fills overlap even within one
-//          shard, which is why the async/sync ratio at a fixed
-//          (shards, threads) cell is the headline number.
+// a simulated backend fill (--fill-us) on the MSHR path: the fill sleeps
+// with no lock held, concurrent accesses to the same shard proceed, and
+// accesses to the in-flight block coalesce as delayed hits. Fills therefore
+// overlap across shards AND within one shard.
 //
 // Ratios keep the scaling signal machine-independent — the CI perf-smoke
-// gates assert sync (8 shards, 4 threads) >= 2x sync (1, 1), and async >=
-// 2x sync at (8 shards, 8 threads), never an absolute number. Alongside
-// throughput, each cell reports AMAT (average memory access time charged
-// to fills: (misses*fill + delayed-hit waits) / accesses) and the
-// delayed-hit counters, which only the async mode can make non-zero.
+// gates assert (8 shards, 4 threads) >= 2x (1, 1) and (1 shard, 8 threads)
+// >= 2x (1, 1), never an absolute number; the second is MSHR overlap inside
+// a single shard. Alongside throughput, each cell reports AMAT (average
+// memory access time charged to fills: (misses*fill + delayed-hit waits) /
+// accesses) and the delayed-hit counters.
 //
 // Output: aligned table, optional CSV, and BENCH_gcached.json with the full
 // grid plus git_commit/machine provenance stamps (see bench_common.hpp).
@@ -30,6 +23,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -54,10 +48,7 @@ struct Options {
   std::vector<std::size_t> threads;  // empty = default grid
   std::uint64_t ops = 0;             // 0 = default per-cell op count
   double fill_us = 50.0;
-  /// Which fill-mode rows to run: "sync", "async", or "both" (default —
-  /// the async/sync headline ratio needs both sides of every cell).
-  std::string fill_mode = "both";
-  std::size_t mshrs = 8;  ///< MSHR registers per shard (async mode)
+  std::size_t mshrs = 8;  ///< MSHR registers per shard
   std::uint64_t seed = 1;
   /// Attach a live gcmon monitor (atlas + snapshot thread) to every cell —
   /// the configuration the CI overhead gate measures against a plain run.
@@ -101,14 +92,6 @@ Options parse(int argc, char** argv) {
       opts.ops = std::stoull(argv[++a]);
     } else if (arg == "--fill-us" && a + 1 < argc) {
       opts.fill_us = std::stod(argv[++a]);
-    } else if (arg == "--fill-mode" && a + 1 < argc) {
-      opts.fill_mode = argv[++a];
-      if (opts.fill_mode != "sync" && opts.fill_mode != "async" &&
-          opts.fill_mode != "both") {
-        std::cerr << "--fill-mode must be sync, async, or both (got "
-                  << opts.fill_mode << ")\n";
-        std::exit(2);
-      }
     } else if (arg == "--mshrs" && a + 1 < argc) {
       opts.mshrs = static_cast<std::size_t>(std::stoull(argv[++a]));
     } else if (arg == "--seed" && a + 1 < argc) {
@@ -128,7 +111,7 @@ Options parse(int argc, char** argv) {
                 << " [--csv DIR] [--json PATH] [--compare OLD.json]"
                 << " [--quick] [--policy SPEC] [--shards S[,S...]]"
                 << " [--threads N[,N...]] [--ops N] [--fill-us F]"
-                << " [--fill-mode sync|async|both] [--mshrs N]"
+                << " [--mshrs N]"
                 << " [--seed S] [--mon] [--mon-interval-ms M] [--perf]\n";
       std::exit(0);
     } else {
@@ -139,8 +122,8 @@ Options parse(int argc, char** argv) {
   if (opts.shards.empty())
     opts.shards = opts.quick ? std::vector<std::size_t>{1, 2, 8}
                              : std::vector<std::size_t>{1, 2, 8, 32};
-  // Quick threads include 8 so the CI async-vs-sync gate cell
-  // (8 shards, 8 threads) exists even under --quick.
+  // Quick threads include 8 so the CI in-shard overlap gate cell
+  // (1 shard, 8 threads) exists even under --quick.
   if (opts.threads.empty())
     opts.threads = opts.quick ? std::vector<std::size_t>{1, 4, 8}
                               : std::vector<std::size_t>{1, 2, 4, 8};
@@ -149,7 +132,6 @@ Options parse(int argc, char** argv) {
 }
 
 struct GridCell {
-  std::string mode;  // "sync" | "async"
   std::size_t shards = 0;
   std::size_t threads = 0;
   gcached::LoadResult load;
@@ -157,7 +139,6 @@ struct GridCell {
 
 /// An old BENCH_gcached.json cell, reloaded for `--compare`.
 struct OldCell {
-  std::string mode;  // cells that predate the mode axis load as "sync"
   std::size_t shards = 0;
   std::size_t threads = 0;
   double ops_per_sec = 0.0;
@@ -185,12 +166,12 @@ OldJson read_old_json(const std::string& path) {
     const auto shards = json_line_number(line, "shards");
     const auto threads = json_line_number(line, "threads");
     const auto ops = json_line_number(line, "ops_per_sec");
-    if (shards && threads && ops) {
-      // Baselines written before the fill-mode axis only ever ran the
-      // synchronous path, so an absent tag means "sync", not "unknown".
-      const auto mode = json_line_string(line, "fill_mode");
-      old.cells.push_back({mode ? *mode : std::string("sync"),
-                           static_cast<std::size_t>(*shards),
+    // Older grids tag each cell with a fill_mode and carry rows that held
+    // the shard across the fill; only their "async" rows measured the
+    // MSHR path this bench runs. Untagged cells are this bench's own.
+    const auto mode = json_line_string(line, "fill_mode");
+    if (shards && threads && ops && (!mode || *mode == "async")) {
+      old.cells.push_back({static_cast<std::size_t>(*shards),
                            static_cast<std::size_t>(*threads), *ops});
     }
   }
@@ -198,30 +179,29 @@ OldJson read_old_json(const std::string& path) {
   return old;
 }
 
-const OldCell* find_old(const std::vector<OldCell>& old,
-                        const std::string& mode, std::size_t shards,
-                        std::size_t threads) {
-  for (const OldCell& c : old)
-    if (c.mode == mode && c.shards == shards && c.threads == threads)
-      return &c;
+template <typename Cell>
+const Cell* find_cell(const std::vector<Cell>& cells, std::size_t shards,
+                      std::size_t threads) {
+  for (const Cell& c : cells)
+    if (c.shards == shards && c.threads == threads) return &c;
   return nullptr;
 }
 
 /// Per-cell throughput delta against a previous run, keyed on
-/// (fill_mode, shards, threads) — visible without hand-diffing two JSON
-/// files. Cells the baseline lacks (e.g. async rows against a pre-MSHR
-/// baseline) print as "new" rather than faking a ratio.
+/// (shards, threads) — visible without hand-diffing two JSON files. Cells
+/// the baseline lacks (e.g. against a pre-MSHR baseline) print as "new"
+/// rather than faking a ratio.
 void print_compare(const std::string& path, const std::vector<OldCell>& old,
                    const std::vector<GridCell>& cells) {
   std::cout << "\nthroughput delta vs " << path << "\n";
-  std::cout << "  " << std::right << std::setw(6) << "mode" << std::setw(7)
-            << "shards" << std::setw(8) << "threads" << std::setw(14)
+  std::cout << "  " << std::right << std::setw(7) << "shards"
+            << std::setw(8) << "threads" << std::setw(14)
             << "old_ops_s" << std::setw(14) << "new_ops_s" << std::setw(10)
             << "ratio" << "\n";
   for (const GridCell& cell : cells) {
-    const OldCell* prev = find_old(old, cell.mode, cell.shards, cell.threads);
-    std::cout << "  " << std::setw(6) << cell.mode << std::setw(7)
-              << cell.shards << std::setw(8) << cell.threads;
+    const OldCell* prev = find_cell(old, cell.shards, cell.threads);
+    std::cout << "  " << std::setw(7) << cell.shards << std::setw(8)
+              << cell.threads;
     if (prev == nullptr) {
       std::cout << std::setw(14) << "-" << std::setw(14)
                 << fmti(static_cast<std::uint64_t>(cell.load.ops_per_sec))
@@ -261,7 +241,7 @@ void write_json(const Options& opts, const Workload& workload,
       static_cast<std::uint64_t>(opts.fill_us * 1000.0);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const GridCell& c = cells[i];
-    out << "    {\"fill_mode\": \"" << c.mode << "\", \"shards\": " << c.shards
+    out << "    {\"shards\": " << c.shards
         << ", \"threads\": " << c.threads
         << ", \"ops\": " << c.load.ops << ", \"seconds\": " << c.load.seconds
         << ", \"ops_per_sec\": " << c.load.ops_per_sec
@@ -274,8 +254,7 @@ void write_json(const Options& opts, const Workload& workload,
         << ", \"free_delayed_hits\": " << c.load.stats.free_delayed_hits
         << ", \"delayed_hit_wait_ns\": " << c.load.stats.delayed_hit_wait_ns
         << ", \"lock_contended\": " << c.load.lock_contended
-        << ", \"backoff_rounds\": " << c.load.backoff_rounds
-        << ", \"backoff_ns\": " << c.load.backoff_ns;
+        << ", \"backoff_rounds\": " << c.load.backoff_rounds;
     // perf_valid is always emitted so readers can distinguish "counters
     // read zero" from "perf_event_open unavailable on this machine".
     out << ", \"perf_valid\": " << (c.load.perf.valid ? "true" : "false");
@@ -285,22 +264,13 @@ void write_json(const Options& opts, const Workload& workload,
           << ", \"llc_misses\": " << c.load.perf.llc_misses
           << ", \"context_switches\": " << c.load.perf.context_switches;
     }
-    if (const OldCell* prev = find_old(old, c.mode, c.shards, c.threads)) {
+    if (const OldCell* prev = find_cell(old, c.shards, c.threads)) {
       out << ", \"baseline_ops_per_sec\": " << prev->ops_per_sec
           << ", \"vs_baseline\": " << c.load.ops_per_sec / prev->ops_per_sec;
     }
     out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-}
-
-const GridCell* find_cell(const std::vector<GridCell>& cells,
-                          const std::string& mode, std::size_t shards,
-                          std::size_t threads) {
-  for (const GridCell& c : cells)
-    if (c.mode == mode && c.shards == shards && c.threads == threads)
-      return &c;
-  return nullptr;
 }
 
 int run(int argc, char** argv) {
@@ -330,83 +300,68 @@ int run(int argc, char** argv) {
   TableSink table(table_opts, "gcached closed-loop scaling (" + opts.policy +
                                   ", fill " + fmt(opts.fill_us, 1) + "us)",
                   "gcached",
-                  {"mode", "shards", "threads", "ops_s", "p50_us", "p99_us",
+                  {"shards", "threads", "ops_s", "p50_us", "p99_us",
                    "amat_us", "delayed", "contended"});
 
-  std::vector<std::string> modes;
-  if (opts.fill_mode == "both")
-    modes = {"sync", "async"};
-  else
-    modes = {opts.fill_mode};
-
   std::vector<GridCell> cells;
-  for (const std::string& mode : modes) {
-    for (std::size_t shards : opts.shards) {
-      if (!cells.empty()) table.add_separator();
-      for (std::size_t threads : opts.threads) {
-        cfg.num_shards = shards;
-        cfg.fill_mode = mode == "async" ? gcached::FillMode::kAsync
-                                        : gcached::FillMode::kSync;
-        const auto cache =
-            gcached::make_concurrent_cache(opts.policy, workload.map, cfg);
-        gcached::LoadSpec spec;
-        spec.threads = threads;
-        spec.total_ops = opts.ops;
-        spec.seed = opts.seed;
-        spec.perf = opts.perf;
-        // --mon reproduces the CI overhead-gate configuration: a live atlas
-        // receiving every access's counters plus a background snapshot thread
-        // harvesting on a tight interval, with no file exporters in the loop.
-        std::optional<obs::ShardAtlas> atlas;
-        std::optional<obs::Monitor> monitor;
-        if (opts.mon) {
-          atlas.emplace(shards);
-          obs::MonitorConfig mcfg;
-          mcfg.interval = std::chrono::milliseconds(opts.mon_interval_ms);
-          monitor.emplace(mcfg);
-          monitor->attach_atlas(&*atlas);
-          cache->attach_atlas(&*atlas);
-          monitor->start();
-          spec.monitor = &*monitor;
-        }
-        GridCell cell;
-        cell.mode = mode;
-        cell.shards = shards;
-        cell.threads = threads;
-        cell.load = run_load(*cache, workload.trace,
-                             workload.trace.block_ids(), spec);
-        if (monitor) {
-          monitor->stop();
-          cache->attach_atlas(nullptr);
-        }
-        table.add_row(
-            {mode, fmti(shards), fmti(threads),
-             fmti(static_cast<std::uint64_t>(cell.load.ops_per_sec)),
-             fmt(cell.load.p50_us, 1), fmt(cell.load.p99_us, 1),
-             fmt(cell.load.stats.amat_ns(cfg.fill_latency_ns) * 1e-3, 1),
-             fmti(cell.load.stats.delayed_hits),
-             fmti(cell.load.lock_contended)});
-        cells.push_back(cell);
+  for (std::size_t shards : opts.shards) {
+    if (!cells.empty()) table.add_separator();
+    for (std::size_t threads : opts.threads) {
+      cfg.num_shards = shards;
+      const auto cache =
+          gcached::make_concurrent_cache(opts.policy, workload.map, cfg);
+      gcached::LoadSpec spec;
+      spec.threads = threads;
+      spec.total_ops = opts.ops;
+      spec.seed = opts.seed;
+      spec.perf = opts.perf;
+      // --mon reproduces the CI overhead-gate configuration: a live atlas
+      // receiving every access's counters plus a background snapshot thread
+      // harvesting on a tight interval, with no file exporters in the loop.
+      std::optional<obs::ShardAtlas> atlas;
+      std::optional<obs::Monitor> monitor;
+      if (opts.mon) {
+        atlas.emplace(shards);
+        obs::MonitorConfig mcfg;
+        mcfg.interval = std::chrono::milliseconds(opts.mon_interval_ms);
+        monitor.emplace(mcfg);
+        monitor->attach_atlas(&*atlas);
+        cache->attach_atlas(&*atlas);
+        monitor->start();
+        spec.monitor = &*monitor;
       }
+      GridCell cell;
+      cell.shards = shards;
+      cell.threads = threads;
+      cell.load =
+          run_load(*cache, workload.trace, workload.trace.block_ids(), spec);
+      if (monitor) {
+        monitor->stop();
+        cache->attach_atlas(nullptr);
+      }
+      table.add_row(
+          {fmti(shards), fmti(threads),
+           fmti(static_cast<std::uint64_t>(cell.load.ops_per_sec)),
+           fmt(cell.load.p50_us, 1), fmt(cell.load.p99_us, 1),
+           fmt(cell.load.stats.amat_ns(cfg.fill_latency_ns) * 1e-3, 1),
+           fmti(cell.load.stats.delayed_hits),
+           fmti(cell.load.lock_contended)});
+      cells.push_back(cell);
     }
   }
   table.flush();
 
   // Headline ratios — the pairs the CI perf-smoke gates check. Both are
   // within-machine ratios, so absolute speed never gates.
-  const GridCell* base = find_cell(cells, "sync", 1, 1);
-  const GridCell* scaled = find_cell(cells, "sync", 8, 4);
-  if (base != nullptr && scaled != nullptr) {
-    std::cout << "sync scaling (8 shards, 4 threads) vs (1 shard, 1 thread): "
-              << fmtr(scaled->load.ops_per_sec / base->load.ops_per_sec)
-              << "x\n";
-  }
-  const GridCell* sync88 = find_cell(cells, "sync", 8, 8);
-  const GridCell* async88 = find_cell(cells, "async", 8, 8);
-  if (sync88 != nullptr && async88 != nullptr) {
-    std::cout << "async vs sync at (8 shards, 8 threads): "
-              << fmtr(async88->load.ops_per_sec / sync88->load.ops_per_sec)
-              << "x\n";
+  const GridCell* base = find_cell(cells, 1, 1);
+  for (const auto& [shards, threads] :
+       {std::pair<std::size_t, std::size_t>{8, 4}, {1, 8}}) {
+    const GridCell* scaled = find_cell(cells, shards, threads);
+    if (base != nullptr && scaled != nullptr)
+      std::cout << "scaling (" << shards << " shard(s), " << threads
+                << " threads) vs (1 shard, 1 thread): "
+                << fmtr(scaled->load.ops_per_sec / base->load.ops_per_sec)
+                << "x\n";
   }
 
   OldJson old;

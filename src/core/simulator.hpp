@@ -204,7 +204,7 @@ template <typename Policy>
 inline void fast_finalize(const CacheContents& cache, SimStats& stats,
                           std::uint64_t num_accesses) {
   stats.accesses = num_accesses;
-  // delayed_hits is only ever non-zero for the gcached async fill path
+  // delayed_hits is only ever non-zero for the gcached MSHR fill path
   // (src/gcached/sharded_cache.hpp), which reuses this finalizer; the
   // sequential engines keep it at zero, so `hits = accesses - misses` holds
   // there unchanged.

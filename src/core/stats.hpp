@@ -23,9 +23,9 @@ struct SimStats {
   std::uint64_t evictions = 0;
   std::uint64_t wasted_sideloads = 0;
   /// Accesses served by a fill already in flight (MSHR coalescing in the
-  /// gcached async runtime): neither a hit (the item was not resident at
-  /// access time) nor a miss (no new block load was issued). Always zero in
-  /// the sequential engines and in sync fill mode. Conservation law:
+  /// gcached runtime): neither a hit (the item was not resident at access
+  /// time) nor a miss (no new block load was issued). Always zero in the
+  /// sequential engines and with no fill latency. Conservation law:
   /// hits + misses + delayed_hits == accesses.
   std::uint64_t delayed_hits = 0;
   /// Subset of delayed_hits whose item the pending fill *sideloaded* — the

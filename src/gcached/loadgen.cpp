@@ -16,8 +16,8 @@ namespace gcaching::gcached {
 
 namespace {
 
-/// Every timed wait in a client thread — backend fills, backoff naps,
-/// open-loop arrival sleeps — is tens of microseconds, but Linux pads
+/// Every timed wait in a client thread — backend fills and open-loop
+/// arrival sleeps — is tens of microseconds, but Linux pads
 /// timer expirations by the thread's timer slack (default 50us), so a
 /// 50us fill actually sleeps 100-200us and every measured latency and
 /// throughput number inherits the padding. Tighten the slack to 1us on
@@ -50,14 +50,13 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
     ClientContext ctx;
     obs::HdrHistogram hist;  // wait-free per-thread latency table
     obs::PerfTotals perf;
-    explicit Client(std::uint64_t seed) : ctx(seed) {}
   };
   // unique_ptr elements: HdrHistogram holds atomics, so Client is neither
   // copyable nor movable and cannot live in the vector directly.
   std::vector<std::unique_ptr<Client>> clients;
   clients.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t)
-    clients.push_back(std::make_unique<Client>(spec.seed + t));
+    clients.push_back(std::make_unique<Client>());
 
   if (spec.monitor != nullptr)
     for (const std::unique_ptr<Client>& c : clients)
@@ -81,10 +80,7 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
     const double rate_t =
         spec.rate_ops_per_sec * static_cast<double>(ops_t) /
         static_cast<double>(total_ops);
-    // Arrival schedule RNG: deterministic per (seed, thread), deliberately
-    // decorrelated from the backoff-jitter stream in ClientContext (which
-    // xors a different constant) so arrival times never entangle with
-    // backoff draws.
+    // Arrival schedule RNG: deterministic per (seed, thread).
     const SplitMix64 arrivals_rng(spec.seed * 0x9e3779b97f4a7c15ULL + t);
     pool.submit([&cache, &client, &accesses, block_ids, n, threads, t, ops_t,
                  perf, arrival, rate_t, arrivals_rng] {
@@ -132,7 +128,6 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
     result.lock_acquisitions += client->ctx.lock_acquisitions;
     result.lock_contended += client->ctx.lock_contended;
     result.backoff_rounds += client->ctx.backoff_rounds;
-    result.backoff_ns += client->ctx.backoff_ns;
     if (spec.perf) result.perf += client->perf;
   }
   GC_CHECK(merged.count() == total_ops,
@@ -160,7 +155,6 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
   GC_OBS_COUNT("gcached.lock_acquisitions", result.lock_acquisitions);
   GC_OBS_COUNT("gcached.lock_contended", result.lock_contended);
   GC_OBS_COUNT("gcached.backoff_rounds", result.backoff_rounds);
-  GC_OBS_COUNT("gcached.backoff_ns", result.backoff_ns);
   return result;
 }
 

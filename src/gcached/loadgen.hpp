@@ -74,7 +74,7 @@ struct LoadSpec {
   /// trace. More than one trace length wraps around (per-thread strides
   /// restart at their offset).
   std::uint64_t total_ops = 0;
-  /// Base seed for the per-thread backoff-jitter RNGs.
+  /// Base seed of the per-thread Poisson arrival schedules.
   std::uint64_t seed = 1;
   Arrival arrival = Arrival::kClosed;
   /// Aggregate offered rate for Arrival::kPoisson, split across threads in
@@ -113,10 +113,13 @@ struct LoadResult {
   double max_us = 0.0;
   /// Aggregate cache statistics (collect_stats after quiescing).
   SimStats stats;
-  /// Summed ClientContext contention counters.
+  /// Summed ClientContext contention counters; `backoff_rounds` counts the
+  /// yields between failed try_locks.
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t lock_contended = 0;
   std::uint64_t backoff_rounds = 0;
+  /// Always 0: contended acquisitions yield, they never sleep. Kept so
+  /// readers of the old field still compile.
   std::uint64_t backoff_ns = 0;
   /// Summed per-thread hardware counters; `perf.valid` is false unless
   /// LoadSpec::perf was set AND every thread's counters opened.

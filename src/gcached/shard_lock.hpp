@@ -1,18 +1,20 @@
 // The sanctioned per-shard lock of the gcached runtime.
 //
-// Every gcached shard is guarded by one `ShardLock` (a std::shared_mutex
-// wrapper). This file is the ONLY place per-access code may touch a raw
-// mutex: gclint's `hot-region-raw-lock` rule bans mutex/lock_guard tokens
-// inside GC_HOT_REGION blocks everywhere else, so all per-access locking is
-// forced through these helpers and automatically inherits
+// Every gcached shard is guarded by one `ShardLock` (a std::mutex wrapper).
+// This file is the ONLY place per-access code may touch a raw mutex:
+// gclint's `hot-region-raw-lock` rule bans mutex/lock_guard tokens inside
+// GC_HOT_REGION blocks everywhere else, so all per-access locking is forced
+// through `ShardGuard` and automatically inherits
 //
 //   * try-lock first — the uncontended path is one atomic RMW, no syscall;
-//   * randomized exponential backoff on contention — a few yields, then
-//     jittered sleeps whose cap doubles per round (the jitter decorrelates
-//     threads that collided once so they do not collide forever);
-//   * contention telemetry — acquisitions / contended acquisitions / backoff
-//     rounds are counted into the caller's ClientContext, cheap per-thread
-//     plain counters that the load generator aggregates and emits through
+//   * yield-and-retry on contention — no thread ever sleeps while holding a
+//     shard, so holds last a cache transition (tens of ns) and a yield is
+//     the right wait. A blocking lock() parks the loser in the kernel
+//     instead, and the futex wake-up costs more than the hold it waited
+//     for (docs/CONCURRENCY.md has the measurement);
+//   * contention telemetry — acquisitions / contended acquisitions / yields
+//     are counted into the caller's ClientContext, cheap per-thread plain
+//     counters that the load generator aggregates and emits through
 //     GC_OBS_COUNT at collect time (never per operation).
 //
 // It is also the sanctioned *blocking* home: gclint's lock-discipline rule is
@@ -20,10 +22,10 @@
 // suppressible with GCLINT-ALLOW), so every primitive that parks a thread —
 // the simulated backend fill sleep (`backend_fill`) and the MSHR fill-gate
 // wait/notify pair (`FillGate`) — lives here, callable only with no guard
-// held. The gate's wait helper is likewise the only place the async fill
-// path may read a clock (this file and gcmon are the clock homes): the
-// delayed-hit queuing cost is measured inside `FillGate::await_past`, never
-// in the access transition itself.
+// held. The gate's wait helper is likewise the only place the fill path may
+// read a clock (this file and gcmon are the clock homes): the delayed-hit
+// queuing cost is measured inside `FillGate::await_past`, never in the
+// access transition itself.
 //
 // See docs/CONCURRENCY.md for the full locking discipline.
 #pragma once
@@ -33,49 +35,22 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 #include "util/contracts.hpp"
-#include "util/rng.hpp"
 
 namespace gcaching::gcached {
 
-/// Backoff schedule for contended shard acquisitions. The defaults are tuned
-/// for "short critical section, occasionally held across a simulated fill":
-/// yields resolve sub-microsecond collisions without burning CPU (important
-/// on oversubscribed hosts), and the sleep cap bounds the retry storm when a
-/// fill holds the shard for tens of microseconds.
-struct BackoffConfig {
-  /// try_lock failures answered with std::this_thread::yield() before the
-  /// schedule escalates to sleeping.
-  std::uint32_t yield_rounds = 4;
-  /// First sleep duration; must be a power of two (the jitter is drawn with
-  /// a mask). Doubles every round after the yields.
-  std::uint64_t base_sleep_ns = 256;
-  /// Number of doublings before the sleep cap stops growing
-  /// (256ns << 8 = 65us max with the defaults).
-  std::uint32_t max_sleep_doublings = 8;
-};
-
-/// Per-client-thread state: the jitter RNG (SplitMix64, seeded per thread so
-/// backoff stays deterministic given a seed and schedule-independent in
-/// distribution) plus the contention counters this thread accumulated.
-/// Never shared between threads — that is what makes the counters free.
+/// Per-client-thread contention counters. Never shared between threads —
+/// that is what makes them free.
 struct ClientContext {
-  explicit ClientContext(std::uint64_t seed = 0)
-      : rng(seed ^ 0x9e3779b97f4a7c15ULL) {}
-
-  SplitMix64 rng;
-  std::uint64_t lock_acquisitions = 0;  ///< total lock/lock_shared calls
+  std::uint64_t lock_acquisitions = 0;  ///< total lock() calls
   std::uint64_t lock_contended = 0;     ///< calls whose first try_lock failed
-  std::uint64_t backoff_rounds = 0;     ///< yields + sleeps across all calls
-  std::uint64_t backoff_ns = 0;         ///< requested sleep ns across rounds
+  std::uint64_t backoff_rounds = 0;     ///< failed retries, one yield each
 };
 
-/// One shard's lock. Exclusive mode for the single writer of a shard
-/// (access transitions), shared mode for read-only probes (residency
-/// queries, stats snapshots of a quiesced runtime take exclusive anyway).
+/// One shard's lock, always taken exclusively: every shard access is a
+/// cache transition by the shard's single writer.
 class ShardLock {
  public:
   ShardLock() = default;
@@ -83,73 +58,29 @@ class ShardLock {
   ShardLock& operator=(const ShardLock&) = delete;
 
   GC_HOT_REGION_BEGIN(shard_lock_acquire)
-  void lock(ClientContext& ctx, const BackoffConfig& cfg) {
+  void lock(ClientContext& ctx) {
     ++ctx.lock_acquisitions;
     if (mu_.try_lock()) return;
     ++ctx.lock_contended;
-    for (std::uint32_t round = 1;; ++round) {
+    do {
       ++ctx.backoff_rounds;
-      backoff(ctx, cfg, round);
-      if (mu_.try_lock()) return;
-    }
-  }
-
-  void lock_shared(ClientContext& ctx, const BackoffConfig& cfg) {
-    ++ctx.lock_acquisitions;
-    if (mu_.try_lock_shared()) return;
-    ++ctx.lock_contended;
-    for (std::uint32_t round = 1;; ++round) {
-      ++ctx.backoff_rounds;
-      backoff(ctx, cfg, round);
-      if (mu_.try_lock_shared()) return;
-    }
+      std::this_thread::yield();
+    } while (!mu_.try_lock());
   }
 
   void unlock() { mu_.unlock(); }
-  void unlock_shared() { mu_.unlock_shared(); }
   GC_HOT_REGION_END(shard_lock_acquire)
 
  private:
-  GC_HOT_REGION_BEGIN(shard_lock_backoff)
-  /// One backoff round: yield while round <= yield_rounds, then sleep a
-  /// jittered duration in [base, base + cap) where cap doubles per sleeping
-  /// round up to base << max_sleep_doublings. The mask draw is exact because
-  /// base_sleep_ns is a power of two (checked at runtime construction by
-  /// the runtime, cheaply re-checked here in contract builds).
-  static void backoff(ClientContext& ctx, const BackoffConfig& cfg,
-                      std::uint32_t round) {
-    if (round <= cfg.yield_rounds) {
-      std::this_thread::yield();
-      return;
-    }
-    GC_HOT_REQUIRE((cfg.base_sleep_ns & (cfg.base_sleep_ns - 1)) == 0 &&
-                       cfg.base_sleep_ns > 0,
-                   "base_sleep_ns must be a power of two");
-    const std::uint32_t doublings =
-        round - cfg.yield_rounds < cfg.max_sleep_doublings
-            ? round - cfg.yield_rounds
-            : cfg.max_sleep_doublings;
-    const std::uint64_t cap = cfg.base_sleep_ns << doublings;
-    const std::uint64_t jitter = ctx.rng() & (cap - 1);
-    // Requested (not measured) duration: reading a clock here would tax the
-    // contention path it instruments — and trip gclint's
-    // hot-region-raw-clock rule, which allowlists only this file and gcmon.
-    ctx.backoff_ns += cfg.base_sleep_ns + jitter;
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(cfg.base_sleep_ns + jitter));
-  }
-  GC_HOT_REGION_END(shard_lock_backoff)
-
-  std::shared_mutex mu_;
+  std::mutex mu_;
 };
 
 /// RAII exclusive acquisition — the only way gcached hot paths take a shard.
 class ShardGuard {
  public:
   GC_HOT_REGION_BEGIN(shard_guard)
-  ShardGuard(ShardLock& lock, ClientContext& ctx, const BackoffConfig& cfg)
-      : lock_(lock) {
-    lock_.lock(ctx, cfg);
+  ShardGuard(ShardLock& lock, ClientContext& ctx) : lock_(lock) {
+    lock_.lock(ctx);
   }
   ~ShardGuard() { lock_.unlock(); }
   GC_HOT_REGION_END(shard_guard)
@@ -161,11 +92,11 @@ class ShardGuard {
   ShardLock& lock_;
 };
 
-/// The simulated backend fill, slept with NO shard guard held (the async
-/// fill path's unlocked window; the sync compat path calls it as its whole
-/// fill too). Centralized here because this file is the one blocking home
-/// the lock-discipline rule recognises — a sleep token anywhere else in a
-/// gcached hot path is a lint error, with no ALLOW escape.
+/// The simulated backend fill, slept with NO shard guard held (the fill
+/// path's unlocked window). Centralized here because this file is the one
+/// blocking home the lock-discipline rule recognises — a sleep token
+/// anywhere else in a gcached hot path is a lint error, with no ALLOW
+/// escape.
 GC_HOT_REGION_BEGIN(backend_fill)
 inline void backend_fill(std::uint64_t fill_latency_ns) {
   if (fill_latency_ns == 0) return;
@@ -239,25 +170,6 @@ class FillGate {
   std::mutex mu_;
   std::condition_variable cv_;
   std::atomic<std::uint64_t> epoch_{0};
-};
-
-/// RAII shared acquisition, for read-only shard probes.
-class SharedShardGuard {
- public:
-  GC_HOT_REGION_BEGIN(shared_shard_guard)
-  SharedShardGuard(ShardLock& lock, ClientContext& ctx,
-                   const BackoffConfig& cfg)
-      : lock_(lock) {
-    lock_.lock_shared(ctx, cfg);
-  }
-  ~SharedShardGuard() { lock_.unlock_shared(); }
-  GC_HOT_REGION_END(shared_shard_guard)
-
-  SharedShardGuard(const SharedShardGuard&) = delete;
-  SharedShardGuard& operator=(const SharedShardGuard&) = delete;
-
- private:
-  ShardLock& lock_;
 };
 
 }  // namespace gcaching::gcached

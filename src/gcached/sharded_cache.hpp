@@ -27,26 +27,19 @@
 // from a fully-associative one. See docs/CONCURRENCY.md.
 //
 // Misses may be charged a simulated backend fill latency
-// (`GcachedConfig::fill_latency_ns`). Two fill modes:
-//
-//   * `FillMode::kAsync` (default) — the MSHR path. The missing thread
-//     registers an in-flight entry for the block in its shard's MshrTable
-//     (gcached/mshr.hpp), RELEASES the shard lock, sleeps the fill
-//     unlocked (shard_lock.hpp's `backend_fill`), then re-acquires to
-//     commit the load/sideloads and wake coalesced waiters. A concurrent
-//     access that misses on an in-flight block parks on the entry's
-//     FillGate instead of issuing a second fill and is charged a *delayed
-//     hit* (queuing cost = measured remaining fill time); when the fill
-//     sideloaded the waiter's item, the commit-time hit taxonomy classifies
-//     it a *free* delayed hit. Fills to distinct blocks of ONE shard now
-//     overlap (up to `mshr_entries` of them), so fill-bound cells scale
-//     with offered concurrency, not just with the shard count.
-//
-//   * `FillMode::kSync` — the compat/differential mode: the fill is slept
-//     while HOLDING the shard, the shard's single writer blocked on the
-//     backend, clients of that shard backing off in ShardLock. This is the
-//     regime where sharding alone buys fill overlap; kept as the baseline
-//     the async gate in CI compares against.
+// (`GcachedConfig::fill_latency_ns`), slept on the MSHR path: the missing
+// thread registers an in-flight entry for the block in its shard's
+// MshrTable (gcached/mshr.hpp), RELEASES the shard lock, sleeps the fill
+// unlocked (shard_lock.hpp's `backend_fill`), then re-acquires to commit
+// the load/sideloads and wake coalesced waiters. A concurrent access that
+// misses on an in-flight block parks on the entry's FillGate instead of
+// issuing a second fill and is charged a *delayed hit* (queuing cost =
+// measured remaining fill time); when the fill sideloaded the waiter's
+// item, the commit-time hit taxonomy classifies it a *free* delayed hit.
+// Fills to distinct blocks of ONE shard overlap (up to `mshr_entries` of
+// them), so fill-bound cells scale with offered concurrency, not just with
+// the shard count. With no fill latency nothing is ever in flight: a miss
+// claims and commits its fill in the same hold that classified it.
 //
 // docs/CONCURRENCY.md ("Asynchronous fills and the MSHR table") documents
 // the lock hand-off protocol and the delayed-hit accounting.
@@ -109,9 +102,10 @@ inline std::size_t shard_capacity_share(std::size_t capacity,
   return capacity / num_shards + (s < capacity % num_shards ? 1 : 0);
 }
 
-/// How a miss's simulated backend fill is slept (see file comment).
+/// How a miss's simulated backend fill is slept. The MSHR path is the only
+/// one; the enum and `GcachedConfig::fill_mode` stay so existing callers
+/// that name it keep compiling.
 enum class FillMode {
-  kSync,   ///< fill slept holding the shard (compat/differential baseline)
   kAsync,  ///< MSHR path: lock released across the fill, misses coalesce
 };
 
@@ -119,16 +113,13 @@ struct GcachedConfig {
   std::size_t num_shards = 1;
   std::size_t capacity = 0;
   /// Simulated backend fill charged on every miss. 0 = pure in-memory
-  /// transitions (the differential-test configuration; both fill modes
-  /// then run the identical lock-held transition sequence).
+  /// transitions (the differential-test configuration).
   std::uint64_t fill_latency_ns = 0;
-  FillMode fill_mode = FillMode::kAsync;
+  FillMode fill_mode = FillMode::kAsync;  ///< unread: one fill path
   /// Per-shard MSHR entries: max concurrently in-flight block fills per
-  /// shard in async mode. A miss arriving with every register busy falls
-  /// back to an unqueued (non-coalescible) fill rather than waiting for a
-  /// register.
+  /// shard. A miss arriving with every register busy falls back to an
+  /// unqueued (non-coalescible) fill rather than waiting for a register.
   std::size_t mshr_entries = 8;
-  BackoffConfig backoff;
 };
 
 /// Type-erased runtime handle (the template below is the only
@@ -146,9 +137,6 @@ class ConcurrentCache {
   /// stat updates for `item`, under its shard's exclusive lock. `block`
   /// must be `item`'s block id (precomputed, as in the fast engines).
   virtual void access(ClientContext& ctx, ItemId item, BlockId block) = 0;
-
-  /// Read-only residency probe under the shard's shared lock.
-  virtual bool contains(ClientContext& ctx, ItemId item, BlockId block) = 0;
 
   /// Aggregate SimStats across shards. Takes every shard lock; the result
   /// is exact when the runtime is quiesced (no in-flight clients) and a
@@ -188,10 +176,6 @@ class ShardedCache final : public ConcurrentCache {
     GC_REQUIRE(cfg_.num_shards >= 1, "gcached needs at least one shard");
     GC_REQUIRE(cfg_.capacity >= cfg_.num_shards,
                "gcached needs at least one item of capacity per shard");
-    GC_REQUIRE((cfg_.backoff.base_sleep_ns &
-                (cfg_.backoff.base_sleep_ns - 1)) == 0 &&
-                   cfg_.backoff.base_sleep_ns > 0,
-               "backoff base_sleep_ns must be a power of two");
     GC_REQUIRE(cfg_.mshr_entries >= 1,
                "gcached needs at least one MSHR entry per shard");
     shards_.reserve(cfg_.num_shards);
@@ -208,23 +192,83 @@ class ShardedCache final : public ConcurrentCache {
   }
 
   GC_HOT_REGION_BEGIN(gcached_access)
+  /// The one access path. Per iteration, one exclusive hold classifies the
+  /// access. A hit, or any miss when fills are free, is the exact
+  /// fast_step transition inside that hold. A miss with a fill either
+  /// coalesces onto the block's in-flight fill (parks on its FillGate, then
+  /// re-classifies) or owns a fill: it claims an MSHR register — or, with
+  /// every register busy, takes an unqueued fill — sleeps the fill
+  /// UNLOCKED and re-acquires to commit. No thread ever sleeps while
+  /// holding the shard. docs/CONCURRENCY.md documents the protocol;
+  /// tests/test_gcached.cpp pins coalescing, conservation, and the
+  /// free-delayed-hit taxonomy.
   void access(ClientContext& ctx, ItemId item, BlockId block) override {
     const std::size_t si = shard_of_block(block, shards_.size());
     Shard& shard = *shards_[si];
-    // fill_latency == 0 always takes the sync path: the transitions are
-    // lock-held and identical in both modes, so the async machinery would
-    // only add probes — and the differential anchor gets one code path.
-    if (cfg_.fill_mode == FillMode::kAsync && cfg_.fill_latency_ns != 0) {
-      access_async(ctx, shard, si, item, block);
-    } else {
-      access_sync(ctx, shard, si, item, block);
+    GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
+    std::uint64_t waited_ns = 0;
+    for (;;) {
+      FillGate* wait_gate = nullptr;
+      std::uint64_t wait_epoch = 0;
+      Mshr* fill_entry = nullptr;
+      {
+        ShardHold hold(shard, ctx, mon, si);
+        if (cfg_.fill_latency_ns == 0) {
+          // A free fill is never in flight, so a miss claims and commits
+          // it right here: the exact fast_step transition, hit or miss.
+          step(shard, mon, si, item, block);
+          return;
+        }
+        if (shard.cache.contains(item)) {
+          if (waited_ns == 0) {
+            // Plain hit: the exact fast_step hit arm (its own contains
+            // probe re-confirms under the same hold).
+            step(shard, mon, si, item, block);
+            return;
+          }
+          // Resident after a wait: a DELAYED hit — the access was served by
+          // a fill already in flight when it arrived. Not a hit (the item
+          // was absent at access time), not a miss (no fill was issued).
+          // The hit taxonomy doubles as the free-delayed-hit classifier:
+          // kSpatial means the waiter's item was only ever *sideloaded* by
+          // the pending fill — spatial locality paid for the wait.
+          commit_delayed_hit(shard, mon, si, item, waited_ns);
+          return;
+        }
+        // Miss. Coalesce onto an in-flight fill of this block if there is
+        // one; otherwise claim an MSHR register; when every register is
+        // busy, fall back to an unqueued fill (fill_entry stays null —
+        // never wait for a register while holding the shard).
+        if (Mshr* inflight = shard.mshr.find(block)) {
+          ++inflight->coalesced;
+          wait_gate = &inflight->gate;
+          wait_epoch = wait_gate->epoch();
+          if (GC_MON_ATTACHED(mon)) {
+            GC_MON_SHARD_ADD(mon, si, coalesced, 1);
+          }
+        } else if ((fill_entry = shard.mshr.claim(block)) != nullptr) {
+          if (GC_MON_ATTACHED(mon)) {
+            GC_MON_SHARD_SET(mon, si, mshr_inflight, shard.mshr.inflight());
+          }
+        }
+      }  // shard released — nothing below blocks while holding it.
+      if (wait_gate != nullptr) {
+        // If the commit already happened, the epoch has moved and this
+        // returns immediately (see FillGate). Re-classify after the wake:
+        // the usual outcome is the delayed-hit branch above, but the item
+        // may not have been sideloaded (item policies never sideload) or
+        // may already be evicted again — then the loop simply retries as a
+        // fresh access, fill included.
+        waited_ns += wait_gate->await_past(wait_epoch);
+        continue;
+      }
+      // This thread owns the fill: sleep it with no lock held, then
+      // re-acquire to commit. Other threads hit/miss/fill this shard's
+      // OTHER blocks during the sleep — that overlap is the whole point.
+      backend_fill(cfg_.fill_latency_ns);
+      commit_fill(ctx, shard, mon, si, item, block, fill_entry);
+      return;
     }
-  }
-
-  bool contains(ClientContext& ctx, ItemId item, BlockId block) override {
-    Shard& shard = *shards_[shard_of_block(block, shards_.size())];
-    SharedShardGuard guard(shard.lock, ctx, cfg_.backoff);
-    return shard.cache.contains(item);
   }
   GC_HOT_REGION_END(gcached_access)
 
@@ -235,7 +279,7 @@ class ShardedCache final : public ConcurrentCache {
     SimStats total;
     for (const std::unique_ptr<Shard>& shard : shards_) {
       ClientContext ctx;
-      ShardGuard guard(shard->lock, ctx, cfg_.backoff);
+      ShardGuard guard(shard->lock, ctx);
       SimStats snapshot = shard->partial;
       detail::fast_finalize<Policy>(shard->cache, snapshot, shard->accesses);
       total += snapshot;
@@ -254,7 +298,7 @@ class ShardedCache final : public ConcurrentCache {
   std::size_t shard_occupancy(std::size_t s) override {
     GC_REQUIRE(s < shards_.size(), "shard index out of range");
     ClientContext ctx;
-    ShardGuard guard(shards_[s]->lock, ctx, cfg_.backoff);
+    ShardGuard guard(shards_[s]->lock, ctx);
     return shards_[s]->cache.occupancy();
   }
 
@@ -283,52 +327,55 @@ class ShardedCache final : public ConcurrentCache {
         : cache(map, capacity), policy(make()), mshr(mshrs) {}
   };
 
-  /// Single-writer-per-shard invariant, RAII form for the multi-hold async
-  /// path: the exclusive lock makes the flag race-free, so a firing check
-  /// means a lock-discipline bug (an access path that skipped ShardGuard),
-  /// not a data race. Compiles to nothing under GC_FAST_SIM.
-  struct WriterScope {
-    Shard& shard;
-    GC_HOT_REGION_BEGIN(gcached_writer_scope)
-    explicit WriterScope(Shard& s) : shard(s) {
-      GC_HOT_CHECK(!shard.writer_active,
+  GC_HOT_REGION_BEGIN(gcached_hold)
+  /// One exclusive hold of a shard: takes the lock, checks the
+  /// single-writer-per-shard invariant, and publishes what acquiring the
+  /// lock cost this client (one acquisition, its failed try_locks) to an
+  /// attached atlas — while still holding the shard, as the atlas's
+  /// single-writer publish requires. The invariant check compiles out under
+  /// GC_FAST_SIM and the publish under GCACHING_OBS=OFF; `Mon` is whatever
+  /// GC_MON_ATLAS declared. The exclusive lock makes the writer flag
+  /// race-free, so a firing check means a lock-discipline bug (an access
+  /// path that skipped the ShardHold), not a data race.
+  template <typename Mon>
+  class ShardHold {
+   public:
+    ShardHold(Shard& shard, ClientContext& ctx, [[maybe_unused]] Mon mon,
+              [[maybe_unused]] std::size_t si)
+        : shard_(shard),
+          rounds_before_(ctx.backoff_rounds),
+          guard_(shard.lock, ctx) {
+      GC_HOT_CHECK(!shard_.writer_active,
                    "single-writer-per-shard invariant violated");
-      if constexpr (kHotChecksEnabled) shard.writer_active = true;
+      if constexpr (kHotChecksEnabled) shard_.writer_active = true;
+      if (GC_MON_ATTACHED(mon)) {
+        GC_MON_SHARD_ADD(mon, si, lock_acquisitions, 1);
+        GC_MON_SHARD_ADD(mon, si, trylock_failures,
+                         ctx.backoff_rounds - rounds_before_);
+      }
     }
-    ~WriterScope() {
-      if constexpr (kHotChecksEnabled) shard.writer_active = false;
+    ~ShardHold() {
+      if constexpr (kHotChecksEnabled) shard_.writer_active = false;
     }
-    GC_HOT_REGION_END(gcached_writer_scope)
-    WriterScope(const WriterScope&) = delete;
-    WriterScope& operator=(const WriterScope&) = delete;
+    ShardHold(const ShardHold&) = delete;
+    ShardHold& operator=(const ShardHold&) = delete;
+
+   private:
+    Shard& shard_;
+    [[maybe_unused]] const std::uint64_t rounds_before_;  ///< gcmon only
+    ShardGuard guard_;
   };
 
-  GC_HOT_REGION_BEGIN(gcached_access_sync)
-  /// The legacy lock-held transition: classify + transition + (for sync
-  /// mode) sleep the fill while still holding the shard. Also the shared
-  /// zero-latency path of both modes.
-  void access_sync(ClientContext& ctx, Shard& shard,
-                   [[maybe_unused]] std::size_t si, ItemId item,
-                   BlockId block) {
-    // Monitoring publishes are deltas of state we already maintain (partial
-    // SimStats, ClientContext counters) pushed into per-shard relaxed
-    // atomics — one predictable branch when no atlas is attached, zero code
-    // under GCACHING_OBS=OFF (GC_MON_ATTACHED is then compile-time false).
-    GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
-    [[maybe_unused]] std::uint64_t mon_acq = 0, mon_try = 0, mon_boff = 0;
-    if (GC_MON_ATTACHED(mon)) {
-      mon_acq = ctx.lock_acquisitions;
-      mon_try = ctx.backoff_rounds;  // == failed try_locks, see shard_lock
-      mon_boff = ctx.backoff_ns;
-    }
-    ShardGuard guard(shard.lock, ctx, cfg_.backoff);
-    WriterScope writer(shard);
-    // fast_step maintains only the non-derivable counters (misses, spatial
-    // hits); hits are 1 - miss per access, and sideloads accumulate in
-    // CacheContents — delta those sources directly.
+  /// The fast_step transition of one access plus its gcmon publishes. Must
+  /// run inside a ShardHold. fast_step maintains only the non-derivable
+  /// counters (misses, spatial hits); hits are 1 - miss per access, and
+  /// sideloads accumulate in CacheContents — the publishes delta those.
+  template <typename Mon>
+  void step(Shard& shard, [[maybe_unused]] Mon mon,
+            [[maybe_unused]] std::size_t si, ItemId item, BlockId block) {
     [[maybe_unused]] const std::uint64_t sideloads_before =
         shard.cache.sideloads();
-    const std::uint64_t misses_before = shard.partial.misses;
+    [[maybe_unused]] const std::uint64_t misses_before = shard.partial.misses;
     detail::fast_step(shard.cache, shard.policy, shard.partial, item, block);
     ++shard.accesses;
     if (GC_MON_ATTACHED(mon)) {
@@ -338,159 +385,28 @@ class ShardedCache final : public ConcurrentCache {
       GC_MON_SHARD_ADD(mon, si, misses, miss_delta);
       GC_MON_SHARD_ADD(mon, si, sideloads,
                        shard.cache.sideloads() - sideloads_before);
-      GC_MON_SHARD_ADD(mon, si, lock_acquisitions,
-                       ctx.lock_acquisitions - mon_acq);
-      GC_MON_SHARD_ADD(mon, si, trylock_failures,
-                       ctx.backoff_rounds - mon_try);
-      GC_MON_SHARD_ADD(mon, si, backoff_ns, ctx.backoff_ns - mon_boff);
       GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
     }
-    if (cfg_.fill_latency_ns != 0 && shard.partial.misses != misses_before) {
-      // Synchronous fill: the shard stays held (its writer is blocked on
-      // the backend), threads on other shards keep going. Slept inside the
-      // guard on purpose — this compat mode IS the serialization baseline
-      // the async gate in CI compares against. The sleep itself lives in
-      // shard_lock.hpp (`backend_fill`), the one blocking home the
-      // unconditional lock-discipline rule recognises.
-      backend_fill(cfg_.fill_latency_ns);
-    }
-  }
-  GC_HOT_REGION_END(gcached_access_sync)
-
-  GC_HOT_REGION_BEGIN(gcached_access_async)
-  /// The MSHR fill path: no thread ever sleeps while holding the shard.
-  /// Per iteration, one exclusive hold classifies the access; a miss either
-  /// registers an in-flight fill (then sleeps UNLOCKED and re-acquires to
-  /// commit) or coalesces onto an existing one (then parks on its FillGate
-  /// and re-classifies after the wake). docs/CONCURRENCY.md documents the
-  /// protocol; tests/test_gcached.cpp pins coalescing, conservation, and
-  /// the free-delayed-hit taxonomy.
-  void access_async(ClientContext& ctx, Shard& shard,
-                    [[maybe_unused]] std::size_t si, ItemId item,
-                    BlockId block) {
-    GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
-    std::uint64_t waited_ns = 0;
-    for (;;) {
-      FillGate* wait_gate = nullptr;
-      std::uint64_t wait_epoch = 0;
-      Mshr* fill_entry = nullptr;
-      bool unqueued_fill = false;
-      {
-        [[maybe_unused]] std::uint64_t mon_acq = 0, mon_try = 0, mon_boff = 0;
-        if (GC_MON_ATTACHED(mon)) {
-          mon_acq = ctx.lock_acquisitions;
-          mon_try = ctx.backoff_rounds;
-          mon_boff = ctx.backoff_ns;
-        }
-        ShardGuard guard(shard.lock, ctx, cfg_.backoff);
-        WriterScope writer(shard);
-        if (GC_MON_ATTACHED(mon)) {
-          GC_MON_SHARD_ADD(mon, si, lock_acquisitions,
-                           ctx.lock_acquisitions - mon_acq);
-          GC_MON_SHARD_ADD(mon, si, trylock_failures,
-                           ctx.backoff_rounds - mon_try);
-          GC_MON_SHARD_ADD(mon, si, backoff_ns, ctx.backoff_ns - mon_boff);
-        }
-        if (shard.cache.contains(item)) {
-          if (waited_ns == 0) {
-            // Plain hit: the exact fast_step hit arm (its own contains
-            // probe re-confirms under the same hold).
-            detail::fast_step(shard.cache, shard.policy, shard.partial, item,
-                              block);
-            ++shard.accesses;
-            if (GC_MON_ATTACHED(mon)) {
-              GC_MON_SHARD_ADD(mon, si, hits, 1);
-              GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
-            }
-            return;
-          }
-          // Resident after a wait: a DELAYED hit — the access was served by
-          // a fill already in flight when it arrived. Not a hit (the item
-          // was absent at access time), not a miss (no fill was issued).
-          // The hit taxonomy doubles as the free-delayed-hit classifier:
-          // kSpatial means the waiter's item was only ever *sideloaded* by
-          // the pending fill — spatial locality paid for the wait.
-          commit_delayed_hit(shard, item, waited_ns);
-          ++shard.accesses;
-          if (GC_MON_ATTACHED(mon)) {
-            GC_MON_SHARD_ADD(mon, si, delayed_hits, 1);
-            GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
-          }
-          return;
-        }
-        // Miss. Coalesce onto an in-flight fill of this block if there is
-        // one; otherwise claim an MSHR register; when every register is
-        // busy, fall back to an unqueued fill (never wait for a register
-        // while holding the shard).
-        if (Mshr* inflight = shard.mshr.find(block)) {
-          ++inflight->coalesced;
-          wait_gate = &inflight->gate;
-          wait_epoch = wait_gate->epoch();
-          if (GC_MON_ATTACHED(mon)) {
-            GC_MON_SHARD_ADD(mon, si, coalesced, 1);
-          }
-        } else if ((fill_entry = shard.mshr.claim(block)) != nullptr) {
-          if (GC_MON_ATTACHED(mon)) {
-            GC_MON_SHARD_SET(mon, si, mshr_inflight, shard.mshr.inflight());
-          }
-        } else {
-          unqueued_fill = true;
-        }
-      }  // shard released — nothing below blocks while holding it.
-      if (wait_gate != nullptr) {
-        // If the commit already happened, the epoch has moved and this
-        // returns immediately (see FillGate). Re-classify after the wake:
-        // the usual outcome is the delayed-hit branch above, but the item
-        // may not have been sideloaded (item policies never sideload) or
-        // may already be evicted again — then the loop simply retries as a
-        // fresh access, fill included.
-        waited_ns += wait_gate->await_past(wait_epoch);
-        continue;
-      }
-      // This thread owns the fill: sleep it with no lock held, then
-      // re-acquire to commit. Other threads hit/miss/fill this shard's
-      // OTHER blocks during the sleep — that overlap is the whole point.
-      backend_fill(cfg_.fill_latency_ns);
-      commit_fill(ctx, shard, si, item, block, fill_entry, unqueued_fill);
-      return;
-    }
   }
 
-  /// Commit of a fill this thread slept. Re-acquires the shard; the
-  /// residency RE-CHECK is load-bearing: an unqueued (MSHR-overflow) fill
-  /// of the same block may have committed our item during the unlocked
-  /// window, and `begin_miss` on a resident item is a contract violation —
-  /// the access then lands as a delayed hit that waited the full fill.
-  void commit_fill(ClientContext& ctx, Shard& shard,
-                   [[maybe_unused]] std::size_t si, ItemId item, BlockId block,
-                   Mshr* fill_entry, [[maybe_unused]] bool unqueued_fill) {
-    GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
-    [[maybe_unused]] std::uint64_t mon_acq = 0, mon_try = 0, mon_boff = 0;
-    if (GC_MON_ATTACHED(mon)) {
-      mon_acq = ctx.lock_acquisitions;
-      mon_try = ctx.backoff_rounds;
-      mon_boff = ctx.backoff_ns;
-    }
-    ShardGuard guard(shard.lock, ctx, cfg_.backoff);
-    WriterScope writer(shard);
-    [[maybe_unused]] const std::uint64_t sideloads_before =
-        shard.cache.sideloads();
+  /// Commit of a fill this thread slept; `fill_entry` is its MSHR register,
+  /// or null for an unqueued fill. Re-acquires the shard; the residency
+  /// RE-CHECK is load-bearing: an unqueued (MSHR-overflow) fill of the same
+  /// block may have committed our item during the unlocked window, and
+  /// `begin_miss` on a resident item is a contract violation — the access
+  /// then lands as a delayed hit that waited the full fill.
+  template <typename Mon>
+  void commit_fill(ClientContext& ctx, Shard& shard, Mon mon, std::size_t si,
+                   ItemId item, BlockId block, Mshr* fill_entry) {
+    ShardHold hold(shard, ctx, mon, si);
     if (!shard.cache.contains(item)) {
       // fast_step re-probes residency under this same hold and takes its
       // miss arm: begin_miss/on_miss/end_miss, the exact sequential
       // transition, now merely time-shifted to the fill's completion.
-      detail::fast_step(shard.cache, shard.policy, shard.partial, item,
-                        block);
-      if (GC_MON_ATTACHED(mon)) {
-        GC_MON_SHARD_ADD(mon, si, misses, 1);
-      }
+      step(shard, mon, si, item, block);
     } else {
-      commit_delayed_hit(shard, item, cfg_.fill_latency_ns);
-      if (GC_MON_ATTACHED(mon)) {
-        GC_MON_SHARD_ADD(mon, si, delayed_hits, 1);
-      }
+      commit_delayed_hit(shard, mon, si, item, cfg_.fill_latency_ns);
     }
-    ++shard.accesses;
     if (fill_entry != nullptr) {
       // Release the register and wake every coalesced waiter. Both happen
       // under this same hold, so a recycled entry can never be observed
@@ -498,27 +414,22 @@ class ShardedCache final : public ConcurrentCache {
       FillGate& gate = fill_entry->gate;
       shard.mshr.release(fill_entry);
       gate.advance();
-    }
-    if (GC_MON_ATTACHED(mon)) {
-      GC_MON_SHARD_ADD(mon, si, sideloads,
-                       shard.cache.sideloads() - sideloads_before);
-      GC_MON_SHARD_ADD(mon, si, lock_acquisitions,
-                       ctx.lock_acquisitions - mon_acq);
-      GC_MON_SHARD_ADD(mon, si, trylock_failures,
-                       ctx.backoff_rounds - mon_try);
-      GC_MON_SHARD_ADD(mon, si, backoff_ns, ctx.backoff_ns - mon_boff);
-      GC_MON_SHARD_SET(mon, si, mshr_inflight, shard.mshr.inflight());
-      GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
+      if (GC_MON_ATTACHED(mon)) {
+        GC_MON_SHARD_SET(mon, si, mshr_inflight, shard.mshr.inflight());
+      }
     }
   }
 
   /// The delayed-hit transition, shared by the waiter-wake and double-fill
-  /// paths. Must run under the shard's exclusive lock. Mirrors fast_step's
-  /// hit arm for the cache/policy transition, but charges the dedicated
-  /// delayed-hit counters instead of the hit taxonomy: delayed hits are
-  /// excluded from hits (and thus from temporal/spatial) by
-  /// `fast_finalize`'s `hits = accesses - misses - delayed_hits`.
-  void commit_delayed_hit(Shard& shard, ItemId item, std::uint64_t wait_ns) {
+  /// paths. Must run inside a ShardHold. Mirrors fast_step's hit arm for
+  /// the cache/policy transition, but charges the dedicated delayed-hit
+  /// counters instead of the hit taxonomy: delayed hits are excluded from
+  /// hits (and thus from temporal/spatial) by `fast_finalize`'s
+  /// `hits = accesses - misses - delayed_hits`.
+  template <typename Mon>
+  void commit_delayed_hit(Shard& shard, [[maybe_unused]] Mon mon,
+                          [[maybe_unused]] std::size_t si, ItemId item,
+                          std::uint64_t wait_ns) {
     HitKind kind = HitKind::kTemporal;
     if constexpr (detail::kRequestedOnly<Policy>) {
       // Requested-loads-only policies never sideload, so a resident waiter
@@ -531,8 +442,13 @@ class ShardedCache final : public ConcurrentCache {
     ++shard.partial.delayed_hits;
     if (kind == HitKind::kSpatial) ++shard.partial.free_delayed_hits;
     shard.partial.delayed_hit_wait_ns += wait_ns;
+    ++shard.accesses;
+    if (GC_MON_ATTACHED(mon)) {
+      GC_MON_SHARD_ADD(mon, si, delayed_hits, 1);
+      GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
+    }
   }
-  GC_HOT_REGION_END(gcached_access_async)
+  GC_HOT_REGION_END(gcached_hold)
 
   std::shared_ptr<const BlockMap> map_;
   GcachedConfig cfg_;

@@ -205,9 +205,6 @@ std::string Monitor::prometheus_text(const Snapshot& snap) const {
   family(os, snap, "gcached_shard_trylock_failures_total", "counter",
          "Failed try-lock attempts (contention events).",
          &ShardValues::trylock_failures);
-  family(os, snap, "gcached_shard_backoff_nanoseconds_total", "counter",
-         "Cumulative nanoseconds slept in lock backoff.",
-         &ShardValues::backoff_ns);
   family(os, snap, "gcached_shard_residency_items", "gauge",
          "Items currently resident in this shard's cache.",
          &ShardValues::residency);
@@ -243,7 +240,6 @@ void json_shard(std::ostringstream& os, const ShardValues& v) {
      << ", \"coalesced\": " << v.coalesced
      << ", \"lock_acquisitions\": " << v.lock_acquisitions
      << ", \"trylock_failures\": " << v.trylock_failures
-     << ", \"backoff_ns\": " << v.backoff_ns
      << ", \"residency\": " << v.residency
      << ", \"mshr_inflight\": " << v.mshr_inflight << '}';
 }

@@ -45,8 +45,8 @@ struct alignas(64) ShardCounters {
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> sideloads{0};
-  /// Accesses served by an in-flight fill (async fill mode): neither a hit
-  /// nor a miss. hits + misses + delayed_hits counts every access.
+  /// Accesses served by an in-flight fill: neither a hit nor a miss.
+  /// hits + misses + delayed_hits counts every access.
   std::atomic<std::uint64_t> delayed_hits{0};
   /// Waiters that coalesced onto an in-flight MSHR entry. Registered at
   /// park time, so it can momentarily lead delayed_hits (a parked waiter
@@ -54,11 +54,9 @@ struct alignas(64) ShardCounters {
   std::atomic<std::uint64_t> coalesced{0};
   std::atomic<std::uint64_t> lock_acquisitions{0};
   std::atomic<std::uint64_t> trylock_failures{0};
-  std::atomic<std::uint64_t> backoff_ns{0};
   /// Gauge, not counter: last-published occupancy of the shard's cache.
   std::atomic<std::uint64_t> residency{0};
-  /// Gauge: last-published count of in-flight fills in the shard's MSHR
-  /// table (0 in sync fill mode).
+  /// Gauge: last-published count of in-flight fills in the shard's MSHR table.
   std::atomic<std::uint64_t> mshr_inflight{0};
 };
 
@@ -72,7 +70,6 @@ struct ShardValues {
   std::uint64_t coalesced = 0;
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t trylock_failures = 0;
-  std::uint64_t backoff_ns = 0;
   std::uint64_t residency = 0;
   std::uint64_t mshr_inflight = 0;
 
@@ -84,7 +81,6 @@ struct ShardValues {
                        a.coalesced - b.coalesced,
                        a.lock_acquisitions - b.lock_acquisitions,
                        a.trylock_failures - b.trylock_failures,
-                       a.backoff_ns - b.backoff_ns,
                        a.residency,        // gauges don't difference
                        a.mshr_inflight};   // gauges don't difference
   }
@@ -96,7 +92,6 @@ struct ShardValues {
     coalesced += o.coalesced;
     lock_acquisitions += o.lock_acquisitions;
     trylock_failures += o.trylock_failures;
-    backoff_ns += o.backoff_ns;
     residency += o.residency;
     mshr_inflight += o.mshr_inflight;
     return *this;
@@ -132,7 +127,6 @@ class ShardAtlas {
     v.coalesced = c.coalesced.load(std::memory_order_relaxed);
     v.lock_acquisitions = c.lock_acquisitions.load(std::memory_order_relaxed);
     v.trylock_failures = c.trylock_failures.load(std::memory_order_relaxed);
-    v.backoff_ns = c.backoff_ns.load(std::memory_order_relaxed);
     v.residency = c.residency.load(std::memory_order_relaxed);
     v.mshr_inflight = c.mshr_inflight.load(std::memory_order_relaxed);
     return v;

@@ -241,13 +241,13 @@ TEST(GclintHotRegion, ShardLockHomeAndHelpersAreLegal) {
   const std::vector<SourceFile> files = {
       {"src/gcached/shard_lock.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(shard_lock_acquire)
-class ShardLock { std::shared_mutex mu_; };
+class ShardLock { std::mutex mu_; };
 GC_HOT_REGION_END(shard_lock_acquire)
 )cpp"},
       {"src/gcached/sharded_cache.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(gcached_access)
-inline void access(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void access(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   int mutex_free_count = 0;
   (void)mutex_free_count;
 }
@@ -304,8 +304,8 @@ GC_HOT_REGION_END(per_access)
 }
 
 TEST(GclintHotRegion, ClockHomesAreExempt) {
-  // gcmon (whose job is timestamping) and shard_lock.hpp (backoff deadline)
-  // are the sanctioned homes for clock reads.
+  // gcmon (whose job is timestamping) and shard_lock.hpp (the fill gate's
+  // wait measurement) are the sanctioned homes for clock reads.
   const std::vector<SourceFile> files = {
       {"src/obs/gcmon.cpp", R"cpp(
 GC_HOT_REGION_BEGIN(harvest)
@@ -313,9 +313,9 @@ inline long stamp() { return std::chrono::steady_clock::now().count(); }
 GC_HOT_REGION_END(harvest)
 )cpp"},
       {"src/gcached/shard_lock.hpp", R"cpp(
-GC_HOT_REGION_BEGIN(shard_lock_backoff)
-inline long deadline() { return std::chrono::steady_clock::now().count(); }
-GC_HOT_REGION_END(shard_lock_backoff)
+GC_HOT_REGION_BEGIN(fill_gate)
+inline long waited() { return std::chrono::steady_clock::now().count(); }
+GC_HOT_REGION_END(fill_gate)
 )cpp"}};
   EXPECT_TRUE(
       findings_for_rule(gclint::lint(files), "hot-region-raw-clock").empty());
@@ -548,7 +548,7 @@ GC_HOT_REGION_END(per_access)
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].line, 4u);
   EXPECT_NE(hits[0].message.find("sleep_for"), std::string::npos);
-  EXPECT_NE(hits[0].message.find("backoff"), std::string::npos);
+  EXPECT_NE(hits[0].message.find("shard_lock.hpp"), std::string::npos);
   EXPECT_EQ(hits[1].line, 5u);
   EXPECT_NE(hits[1].message.find("yield"), std::string::npos);
 }
@@ -570,10 +570,11 @@ GC_HOT_REGION_END(gcached_access)
 }
 
 TEST(GclintBlocking, ShardLockHomeBackoffIsExempt) {
-  // The randomized-backoff sleeps ARE shard_lock.hpp's job.
+  // The lock's yield-and-retry and the backend fill sleep ARE
+  // shard_lock.hpp's job.
   const std::vector<SourceFile> files = {{"src/gcached/shard_lock.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(shard_lock_acquire)
-inline void backoff() {
+inline void retry() {
   std::this_thread::sleep_for(std::chrono::nanoseconds(64));
   std::this_thread::yield();
 }
@@ -596,13 +597,11 @@ inline void settle() {
 // ---- lock-discipline --------------------------------------------------------
 
 TEST(GclintLockDiscipline, SleepUnderShardGuardIsFlagged) {
-  // The planted fixture the issue requires: a synchronous backend fill slept
-  // while the shard guard is live (the sharded_cache.hpp pattern, minus its
-  // sanctioning ALLOW).
+  // A backend fill slept while the shard guard is live.
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
 namespace g {
-inline void access(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void access(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   std::this_thread::sleep_for(std::chrono::nanoseconds(100));
 }
 }
@@ -617,10 +616,10 @@ inline void access(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
 
 TEST(GclintLockDiscipline, SecondGuardIsDeadlockRisk) {
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
-inline void transfer(Shard& a, Shard& b, ClientContext& ctx,
-                     BackoffConfig cfg) {
-  ShardGuard ga(a.lock, ctx, cfg);
-  ShardGuard gb(b.lock, ctx, cfg);
+inline void transfer(Shard& a, Shard& b,
+                     ClientContext& ctx) {
+  ShardGuard ga(a.lock, ctx);
+  ShardGuard gb(b.lock, ctx);
 }
 )cpp"}};
   const auto hits = findings_for_rule(gclint::lint(files), "lock-discipline");
@@ -632,8 +631,8 @@ inline void transfer(Shard& a, Shard& b, ClientContext& ctx,
 
 TEST(GclintLockDiscipline, AllocationAndGrowthUnderGuardAreFlagged) {
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
-inline void fill(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void fill(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   shard.items.push_back(1);
   auto p = std::make_unique<int>(2);
 }
@@ -649,9 +648,10 @@ inline void fill(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
 }
 
 TEST(GclintLockDiscipline, FileIoUnderGuardIsFlagged) {
+  // sharded_cache.hpp's ShardHold wraps a ShardGuard and is tracked as one.
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
-inline void dump(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  SharedShardGuard guard(shard.lock, ctx, cfg);
+inline void dump(Shard& shard, ClientContext& ctx) {
+  ShardHold hold(shard, ctx, mon, 0);
   std::ofstream out(shard.path);
 }
 )cpp"}};
@@ -666,9 +666,9 @@ TEST(GclintLockDiscipline, GuardDiesAtItsClosingBrace) {
   // dies at the loop's closing brace, so blocking work after the loop is
   // legal, and a free function named like a growth member is not growth.
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
-inline void collect(Shards& shards, ClientContext& ctx, BackoffConfig cfg) {
+inline void collect(Shards& shards, ClientContext& ctx) {
   for (auto& shard : shards) {
-    ShardGuard guard(shard.lock, ctx, cfg);
+    ShardGuard guard(shard.lock, ctx);
     shard.apply();
     insert(1);
   }
@@ -680,8 +680,8 @@ inline void collect(Shards& shards, ClientContext& ctx, BackoffConfig cfg) {
 
 TEST(GclintLockDiscipline, LockHomeAndTestsAreExempt) {
   const char* kGuardThenSleep = R"cpp(
-inline void acquire(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void acquire(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   std::this_thread::sleep_for(std::chrono::nanoseconds(64));
 }
 )cpp";
@@ -889,8 +889,8 @@ TEST(GclintAllowHygiene, LockDisciplineCannotBeAllowed) {
   // it and allow-hygiene flags the annotation as ineffective.
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(gcached_access)
-inline void access(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void access(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   // GCLINT-ALLOW(lock-discipline, hot-region-blocking): simulated fill
   std::this_thread::sleep_for(std::chrono::nanoseconds(1));
 }

@@ -274,14 +274,14 @@ TEST(ShardAtlas, RelaxedReadsSeeEveryPublishedCounter) {
 TEST(ShardAtlas, DifferenceSubtractsCountersButCarriesGauges) {
   ShardValues now, before;
   now.hits = 10;
-  now.backoff_ns = 500;
+  now.trylock_failures = 500;
   now.residency = 64;
   before.hits = 4;
-  before.backoff_ns = 100;
+  before.trylock_failures = 100;
   before.residency = 99;  // stale gauge must NOT difference
   const ShardValues d = now - before;
   EXPECT_EQ(d.hits, 6u);
-  EXPECT_EQ(d.backoff_ns, 400u);
+  EXPECT_EQ(d.trylock_failures, 400u);
   EXPECT_EQ(d.residency, 64u);  // gauge: current value, not now-before
 }
 
@@ -363,7 +363,8 @@ TEST(GcmonMonitor, BackgroundThreadHarvestsAndStopTakesFinalSnapshot) {
 TEST(GcmonExport, PrometheusTextRoundTripsTheValidator) {
   ShardAtlas atlas(2);
   atlas.shard(0).hits.fetch_add(11, std::memory_order_relaxed);
-  atlas.shard(1).backoff_ns.fetch_add(12'345, std::memory_order_relaxed);
+  atlas.shard(1).trylock_failures.fetch_add(12'345,
+                                           std::memory_order_relaxed);
   HdrHistogram h;
   h.record(5'000);
   Monitor mon;
@@ -374,7 +375,7 @@ TEST(GcmonExport, PrometheusTextRoundTripsTheValidator) {
   EXPECT_EQ(obs::validate_prometheus_text(text), "");
   EXPECT_NE(text.find("gcached_shard_hits_total{shard=\"0\"} 11"),
             std::string::npos);
-  EXPECT_NE(text.find("gcached_shard_backoff_nanoseconds_total{shard=\"1\"} "
+  EXPECT_NE(text.find("gcached_shard_trylock_failures_total{shard=\"1\"} "
                       "12345"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE gcached_shard_residency_items gauge"),
@@ -523,7 +524,6 @@ TEST(GcmonDifferential, AttachedMonitorNeverPerturbsTheRun) {
   EXPECT_EQ(totals.misses, expected.misses);
   EXPECT_EQ(totals.lock_acquisitions, res.lock_acquisitions);
   EXPECT_EQ(totals.trylock_failures, 0u);
-  EXPECT_EQ(totals.backoff_ns, 0u);
   // The final harvest (taken by run_load after quiesce) saw the totals and
   // a complete latency summary.
   const std::vector<Snapshot> ring = mon.snapshots();

@@ -44,9 +44,8 @@ void add(std::vector<Finding>& out, const FileModel& m, std::size_t line,
 
 const std::set<std::string>& raw_lock_tokens() {
   // Raw synchronization primitives banned from hot regions: per-access
-  // locking must go through the gcached shard-lock helpers (ShardGuard /
-  // SharedShardGuard), which bundle try-lock-first, randomized backoff and
-  // contention telemetry. shard_lock.hpp itself is the sanctioned home.
+  // locking must go through the gcached shard-lock helper (ShardGuard),
+  // which bundles try-lock-first, yield-and-retry and contention telemetry. shard_lock.hpp itself is the sanctioned home.
   static const std::set<std::string> kTokens = {
       "mutex",        "shared_mutex",       "recursive_mutex",
       "timed_mutex",  "shared_timed_mutex", "lock_guard",
@@ -71,7 +70,7 @@ const std::set<std::string>& raw_clock_tokens() {
 
 const std::set<std::string>& blocking_calls() {
   // Scheduling / parking primitives: these block the calling thread (or wake
-  // others), which per-access code must never do outside the backoff helper.
+  // others), which per-access code must never do outside shard_lock.hpp.
   static const std::set<std::string> kTokens = {
       "sleep_for", "sleep_until", "yield",      "wait",
       "wait_for",  "wait_until",  "notify_one", "notify_all"};
@@ -128,8 +127,8 @@ bool is_lock_home(const FileModel& m) {
 
 bool is_clock_home(const FileModel& m) {
   // Sanctioned homes for time reads: the gcmon monitor (whose whole job is
-  // timestamping snapshots) and shard_lock.hpp (whose backoff helper may
-  // need a deadline clock).
+  // timestamping snapshots) and shard_lock.hpp (whose FillGate measures
+  // the delayed-hit wait).
   return ends_with_path(m.file->path, "src/obs/gcmon.hpp") ||
          ends_with_path(m.file->path, "src/obs/gcmon.cpp") ||
          ends_with_path(m.file->path, "src/gcached/shard_lock.hpp");
@@ -220,7 +219,7 @@ void check_hot_region_content(const FileModel& m, std::vector<Finding>& out) {
             "'" + t.text + "' inside hot region '" + r->label +
                 "' — per-access locking must go through the shard-lock "
                 "helpers in src/gcached/shard_lock.hpp (try-lock + "
-                "randomized backoff + contention telemetry)");
+                "yield-and-retry + contention telemetry)");
       }
       if (blocking_calls().count(t.text) > 0 && is_call_at(m.tokens, i) &&
           t.line != last_blocking_line) {
@@ -228,7 +227,7 @@ void check_hot_region_content(const FileModel& m, std::vector<Finding>& out) {
         add(out, m, t.line, kBlocking,
             "'" + t.text + "' inside hot region '" + r->label +
                 "' — per-access code must not sleep, park, or wake threads; "
-                "scheduling belongs to the shard_lock.hpp backoff helper");
+                "scheduling belongs to the shard_lock.hpp helpers");
       }
     }
   }
@@ -279,7 +278,7 @@ void check_lock_discipline(const FileModel& m, std::vector<Finding>& out) {
         continue;
       }
       if (t.kind != Tok::kIdent) continue;
-      if (t.text == "ShardGuard" || t.text == "SharedShardGuard") {
+      if (t.text == "ShardGuard" || t.text == "ShardHold") {
         const std::size_t j = next_code(m.tokens, i);
         if (j == std::string::npos || m.tokens[j].kind != Tok::kIdent)
           continue;  // type mention, not a named guard declaration
@@ -896,7 +895,7 @@ const std::vector<RuleInfo>& rule_catalog() {
        "variants) inside a hot region outside gcmon and shard_lock.hpp; "
        "timing belongs to the monitoring layer."},
       {"lock-discipline",
-       "While a ShardGuard/SharedShardGuard is live: no blocking calls, no "
+       "While a ShardGuard/ShardHold is live: no blocking calls, no "
        "file I/O, no allocation or container growth, no second shard guard "
        "(deadlock risk). Non-suppressible — no blocking under a guard, "
        "period; fills go through the MSHR release/re-acquire protocol."},

@@ -22,15 +22,14 @@
 //   hot-region-raw-lock       No raw std::mutex / shared_mutex / lock_guard /
 //                             unique_lock / condition_variable (etc.) inside
 //                             a hot region — per-access locking must go
-//                             through the gcached shard-lock helpers
-//                             (ShardGuard / SharedShardGuard).
-//                             src/gcached/shard_lock.hpp is the sanctioned
-//                             home and the one exempt file.
+//                             through the gcached shard-lock helper
+//                             (ShardGuard). src/gcached/shard_lock.hpp is
+//                             the sanctioned home and the one exempt file.
 //   hot-region-blocking       No bare std::this_thread::sleep_for/sleep_until/
 //                             yield and no std::atomic<> wait/notify_one/
 //                             notify_all inside a hot region outside
 //                             shard_lock.hpp — scheduling belongs to the
-//                             backoff helper, not to per-access code.
+//                             shard-lock helpers, not to per-access code.
 //   hot-region-raw-clock      No clock or cycle-counter reads (steady_clock /
 //                             system_clock / high_resolution_clock /
 //                             clock_gettime / gettimeofday / rdtsc variants)
@@ -40,14 +39,15 @@
 //                             monitoring layer; src/obs/gcmon.{hpp,cpp} and
 //                             shard_lock.hpp are the sanctioned homes.
 //   lock-discipline           Intra-procedural guard-lifetime dataflow: while
-//                             a ShardGuard / SharedShardGuard is live, no
+//                             a ShardGuard (or sharded_cache.hpp's
+//                             ShardHold, which wraps one) is live, no
 //                             blocking call (sleep/wait/notify), no file I/O,
 //                             no allocation (new / malloc family /
 //                             make_unique / make_shared) or container growth
 //                             (push_back / insert / resize / ...), and no
 //                             second shard guard (lock-ordering is undefined
 //                             across shards → deadlock risk). shard_lock.hpp
-//                             itself (the backoff sleeps) is exempt.
+//                             itself (the fill sleep and gate) is exempt.
 //   hot-region-transitive     The allocation / throw / raw-obs / raw-lock
 //                             bans follow the call graph: a function
 //                             *reachable from* a hot-region call site must

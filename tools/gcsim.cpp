@@ -7,7 +7,7 @@
 //                   [--threads T] [--csv FILE] [--obs DIR] [--progress]
 //   gcsim gcached   --workload FILE --capacity N [--policy SPEC]
 //                   [--shards S] [--threads N] [--ops N] [--fill-us F]
-//                   [--fill-mode sync|async] [--mshrs N]
+//                   [--mshrs N]
 //                   [--arrival closed|poisson] [--rate OPS]
 //                   [--metrics-out FILE] [--mon-jsonl FILE] [--perf]
 //   gcsim profile   --workload FILE [--windows N1,N2,..]
@@ -17,6 +17,8 @@
 //   gcsim bounds    --k N --h N --B N [--i N --b N]
 //
 // Everything the library can do, scriptable. Run `gcsim help` for details.
+// An option the subcommand never reads is an error (exit 2), so a typo or
+// a stale flag never runs silently with the defaults.
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -63,7 +66,10 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Tiny argument parser: --key value pairs, repeated keys accumulate. A few
-// keys are bare flags that consume no value.
+// keys are bare flags that consume no value. Every lookup marks its key as
+// read, so reject_unread() can name the options a subcommand ignored; a
+// lookup of a new key after that check is a bug in the subcommand (its
+// option would have been refused) and aborts.
 // ---------------------------------------------------------------------------
 
 class Args {
@@ -88,10 +94,14 @@ class Args {
     }
   }
 
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
+  bool has(const std::string& key) const {
+    mark_read(key);
+    return values_.count(key) > 0;
+  }
 
   std::string get(const std::string& key,
                   std::optional<std::string> fallback = {}) const {
+    mark_read(key);
     const auto it = values_.find(key);
     if (it != values_.end()) return it->second.back();
     if (fallback) return *fallback;
@@ -100,6 +110,7 @@ class Args {
   }
 
   std::vector<std::string> get_all(const std::string& key) const {
+    mark_read(key);
     const auto it = values_.find(key);
     return it == values_.end() ? std::vector<std::string>{} : it->second;
   }
@@ -134,12 +145,37 @@ class Args {
     return std::stod(get(key));
   }
 
+  /// Exits 2 naming the first given option that no lookup has read yet.
+  /// Subcommands call this once they have read every option they use and
+  /// before they do any work.
+  void reject_unread(const std::string& cmd) const {
+    checked_ = true;
+    for (const auto& entry : values_) {
+      if (read_.count(entry.first) == 0) {
+        std::cerr << "gcsim " << cmd << ": unknown or unused option --"
+                  << entry.first << " (see `gcsim help`)\n";
+        std::exit(2);
+      }
+    }
+  }
+
  private:
+  void mark_read(const std::string& key) const {
+    if (checked_ && read_.count(key) == 0) {
+      std::cerr << "gcsim: internal error: option --" << key
+                << " looked up after the unused-option check\n";
+      std::abort();
+    }
+    read_.insert(key);
+  }
+
   static bool is_flag(const std::string& key) {
     return key == "progress" || key == "trace-bin" || key == "perf";
   }
 
   std::map<std::string, std::vector<std::string>> values_;
+  mutable std::set<std::string> read_;
+  mutable bool checked_ = false;
 };
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -296,7 +332,9 @@ int cmd_generate(const Args& args) {
   const std::string out = args.get("out");
   // `--trace-bin` writes the compact binary gctrace format (uniform
   // partitions only; ~10x smaller and mmap-streamable) instead of text.
-  if (args.has("trace-bin"))
+  const bool trace_bin = args.has("trace-bin");
+  args.reject_unread("generate");
+  if (trace_bin)
     save_trace_bin_file(out, w);
   else
     save_workload_file(out, w);
@@ -331,7 +369,9 @@ int cmd_simulate(const Args& args) {
   if (fast) w.trace.precompute_block_ids(*w.map);
   auto specs = args.get_all("policy");
   if (specs.empty()) specs = {"item-lru", "block-lru", "iblp"};
+  const std::uint64_t obs_window = args.get_u64("obs-window", 0);
   require_obs_build(args);
+  args.reject_unread("simulate");
   std::optional<ObsSinks> sinks;
   if (args.has("obs")) sinks.emplace(args.get("obs"));
   std::cout << "workload: " << w.name << " (" << w.trace.size()
@@ -345,7 +385,7 @@ int cmd_simulate(const Args& args) {
     if (sinks) {
       // Windowed per-policy timeline: attach to this thread for the run,
       // then write one CSV + JSON-lines pair per policy spec.
-      obs::StatsTimeline timeline(args.get_u64("obs-window", 0));
+      obs::StatsTimeline timeline(obs_window);
       {
         const obs::TimelineScope scope(timeline);
         s = fast ? simulate_fast_spec(spec, w, capacity)
@@ -440,11 +480,14 @@ int cmd_sweep(const Args& args) {
     std::cerr << "unknown --batch " << batch << " (on|off)\n";
     std::exit(2);
   }
+  const std::string csv_path = args.get("csv", std::string());
+  const bool progress = args.has("progress");
   require_obs_build(args);
+  args.reject_unread("sweep");
   std::optional<ObsSinks> sinks;
   if (args.has("obs")) sinks.emplace(args.get("obs"));
   std::shared_ptr<ProgressPrinter> printer;
-  if (args.has("progress")) {
+  if (progress) {
     printer = std::make_shared<ProgressPrinter>();
     spec.progress = [printer](std::size_t done, std::size_t total) {
       printer->report(done, total);
@@ -455,10 +498,10 @@ int cmd_sweep(const Args& args) {
   TextTable table({"workload", "policy", "capacity", "misses", "miss rate",
                    "spatial share"});
   std::optional<CsvWriter> csv;
-  if (args.has("csv"))
-    csv.emplace(args.get("csv"), std::vector<std::string>{
-                                     "workload", "policy", "capacity",
-                                     "misses", "miss_rate", "spatial_share"});
+  if (!csv_path.empty())
+    csv.emplace(csv_path, std::vector<std::string>{
+                              "workload", "policy", "capacity", "misses",
+                              "miss_rate", "spatial_share"});
   for (const auto& cell : cells) {
     const std::vector<std::string> row = {
         workloads[cell.workload_index].name,
@@ -475,49 +518,28 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_gcached(const Args& args) {
-  Workload w = load_any_workload(args.get("workload"));
-  w.trace.precompute_block_ids(*w.map);
-
+  const std::string workload_path = args.get("workload");
   const long long shards = args.get_i64("shards", 1);
   const long long threads = args.get_i64("threads", 1);
-  const std::string bad = gcached::validate_gcached_request(shards, threads);
-  if (!bad.empty()) {
-    std::cerr << "gcached: " << bad << "\n";
-    return 2;
-  }
-
   gcached::GcachedConfig cfg;
   cfg.capacity = args.get_u64("capacity");
-  cfg.num_shards = static_cast<std::size_t>(shards);
   cfg.fill_latency_ns =
       static_cast<std::uint64_t>(args.get_f64("fill-us", 0.0) * 1000.0);
-  // --fill-mode async (default) sleeps fills on the MSHR path with the
-  // shard released; sync restores the legacy hold-the-lock fill.
-  const std::string fill_mode = args.get("fill-mode", std::string("async"));
-  if (fill_mode == "async") {
-    cfg.fill_mode = gcached::FillMode::kAsync;
-  } else if (fill_mode == "sync") {
-    cfg.fill_mode = gcached::FillMode::kSync;
-  } else {
-    std::cerr << "unknown --fill-mode " << fill_mode << " (sync|async)\n";
-    return 2;
-  }
   cfg.mshr_entries =
       static_cast<std::size_t>(args.get_u64("mshrs", cfg.mshr_entries));
   const std::string spec = args.get("policy", std::string("item-lru"));
-  const auto cache = gcached::make_concurrent_cache(spec, w.map, cfg);
 
   gcached::LoadSpec load;
-  load.threads = static_cast<std::size_t>(threads);
   load.total_ops = args.get_u64("ops", 0);  // 0 = one trace pass
   load.seed = args.get_u64("seed", 1);
   load.perf = args.has("perf");
   // --arrival poisson switches the clients open-loop at --rate ops/sec
   // aggregate (latency then includes queuing delay; see loadgen.hpp).
   const std::string arrival = args.get("arrival", std::string("closed"));
+  const double rate = args.get_f64("rate", 0.0);
   if (arrival == "poisson") {
     load.arrival = gcached::Arrival::kPoisson;
-    load.rate_ops_per_sec = args.get_f64("rate", 0.0);
+    load.rate_ops_per_sec = rate;
     if (load.rate_ops_per_sec <= 0.0) {
       std::cerr << "--arrival poisson needs --rate OPS_PER_SEC > 0\n";
       return 2;
@@ -527,32 +549,43 @@ int cmd_gcached(const Args& args) {
     return 2;
   }
 
-  require_obs_build(args);
-  std::optional<ObsSinks> sinks;
-  if (args.has("obs")) sinks.emplace(args.get("obs"));
-
   // Live monitoring (gcmon): --metrics-out FILE rewrites a Prometheus text
   // exposition atomically every --mon-interval-ms; --mon-jsonl FILE appends
   // one snapshot object per harvest. Like --obs, rejected loudly in builds
   // whose GC_MON_* publishes are compiled out — an all-zero exposition
   // would read as "no traffic".
+  obs::MonitorConfig mcfg;
+  mcfg.interval =
+      std::chrono::milliseconds(args.get_u64("mon-interval-ms", 50));
+  mcfg.ring_capacity = static_cast<std::size_t>(args.get_u64("mon-ring", 256));
+  mcfg.prometheus_path = args.get("metrics-out", std::string());
+  mcfg.jsonl_path = args.get("mon-jsonl", std::string());
   const bool want_mon = args.has("metrics-out") || args.has("mon-jsonl");
+  require_obs_build(args);
+  args.reject_unread("gcached");
   if (want_mon && !obs::kObsEnabled) {
     std::cerr << "--metrics-out / --mon-jsonl require a build with "
                  "GCACHING_OBS=ON (the default and `obs` presets; the "
                  "`fast` preset compiles the shard counters out)\n";
     return 2;
   }
+  const std::string bad = gcached::validate_gcached_request(shards, threads);
+  if (!bad.empty()) {
+    std::cerr << "gcached: " << bad << "\n";
+    return 2;
+  }
+  cfg.num_shards = static_cast<std::size_t>(shards);
+  load.threads = static_cast<std::size_t>(threads);
+
+  Workload w = load_any_workload(workload_path);
+  w.trace.precompute_block_ids(*w.map);
+  const auto cache = gcached::make_concurrent_cache(spec, w.map, cfg);
+
+  std::optional<ObsSinks> sinks;
+  if (args.has("obs")) sinks.emplace(args.get("obs"));
   std::optional<obs::ShardAtlas> atlas;
   std::optional<obs::Monitor> monitor;
   if (want_mon) {
-    obs::MonitorConfig mcfg;
-    mcfg.interval =
-        std::chrono::milliseconds(args.get_u64("mon-interval-ms", 50));
-    mcfg.ring_capacity =
-        static_cast<std::size_t>(args.get_u64("mon-ring", 256));
-    mcfg.prometheus_path = args.get("metrics-out", std::string());
-    mcfg.jsonl_path = args.get("mon-jsonl", std::string());
     atlas.emplace(cfg.num_shards);
     monitor.emplace(mcfg);
     monitor->attach_atlas(&*atlas);
@@ -611,7 +644,6 @@ int cmd_gcached(const Args& args) {
   table.add_row({"lock acquisitions", TextTable::fmt_int(res.lock_acquisitions)});
   table.add_row({"lock contended", TextTable::fmt_int(res.lock_contended)});
   table.add_row({"backoff rounds", TextTable::fmt_int(res.backoff_rounds)});
-  table.add_row({"backoff ns", TextTable::fmt_int(res.backoff_ns)});
   if (res.perf.valid) {
     table.add_row({"cycles", TextTable::fmt_int(res.perf.cycles)});
     table.add_row({"instructions", TextTable::fmt_int(res.perf.instructions)});
@@ -633,6 +665,7 @@ int cmd_profile(const Args& args) {
   const Workload w = load_workload_file(args.get("workload"));
   std::vector<std::size_t> windows;
   if (args.has("windows")) windows = split_sizes(args.get("windows"));
+  args.reject_unread("profile");
   const auto prof = locality::compute_profile(w, windows);
   TextTable table({"window n", "f(n)", "g(n)", "f/g", "f concave-fit"});
   const auto maj = locality::concave_majorant(prof.window_lengths,
@@ -679,6 +712,7 @@ int cmd_mrc(const Args& args) {
          s <= std::min<std::size_t>(w.map->num_items(), 1 << 16); s *= 2)
       sizes.push_back(s);
   }
+  args.reject_unread("mrc");
   const auto item_curve = locality::lru_mrc(w, sizes);
   const auto block_curve = locality::block_lru_mrc(w, sizes);
   TextTable table({"size (items)", "item-LRU miss ratio",
@@ -700,6 +734,8 @@ int cmd_adversary(const Args& args) {
   opts.B = args.get_u64("B");
   opts.phases = args.get_u64("phases", 16);
   const std::string spec = args.get("policy");
+  const std::string save = args.get("save", std::string());
+  args.reject_unread("adversary");
   auto policy = make_policy(spec, opts.k);
 
   traces::AdversaryResult res;
@@ -722,9 +758,9 @@ int cmd_adversary(const Args& args) {
             << TextTable::fmt_ratio(res.steady_ratio()) << "\n";
   if (type == "general")
     std::cout << "  observed a: " << res.max_observed_a << "\n";
-  if (args.has("save")) {
-    save_workload_file(args.get("save"), res.workload);
-    std::cout << "  captured trace written to " << args.get("save") << "\n";
+  if (!save.empty()) {
+    save_workload_file(save, res.workload);
+    std::cout << "  captured trace written to " << save << "\n";
   }
   return 0;
 }
@@ -738,10 +774,12 @@ int cmd_import(const Args& args) {
   fmt.has_size = args.get_u64("has_size", 1) != 0;
   fmt.item_bytes = args.get_u64("item_bytes", 64);
   fmt.block_items = args.get_u64("B", 32);
-  const Workload w =
-      traces::load_address_trace_file(args.get("in"), fmt);
-  save_workload_file(args.get("out"), w);
-  std::cout << "imported " << args.get("in") << " -> " << args.get("out")
+  const std::string in = args.get("in");
+  const std::string out = args.get("out");
+  args.reject_unread("import");
+  const Workload w = traces::load_address_trace_file(in, fmt);
+  save_workload_file(out, w);
+  std::cout << "imported " << in << " -> " << out
             << ": " << w.name << " (" << w.trace.size() << " accesses, "
             << w.map->num_blocks() << " blocks)\n";
   return 0;
@@ -752,20 +790,22 @@ int cmd_layout(const Args& args) {
   const std::size_t B =
       args.get_u64("B", w.map->max_block_size());
   const std::string kind = args.get("kind", std::string("affinity"));
+  const std::uint64_t window = args.get_u64("window", 2);
+  const std::uint64_t seed = args.get_u64("seed", 1);
+  const std::string out_path = args.get("out");
+  args.reject_unread("layout");
   std::shared_ptr<BlockMap> map;
   if (kind == "affinity") {
-    map = traces::affinity_layout(w.trace, w.map->num_items(), B,
-                                  args.get_u64("window", 2));
+    map = traces::affinity_layout(w.trace, w.map->num_items(), B, window);
   } else if (kind == "random") {
-    map = traces::random_layout(w.map->num_items(), B,
-                                args.get_u64("seed", 1));
+    map = traces::random_layout(w.map->num_items(), B, seed);
   } else {
     std::cerr << "unknown --kind " << kind << " (affinity|random)\n";
     return 2;
   }
   const Workload out = traces::with_layout(w, map, kind + " layout");
-  save_workload_file(args.get("out"), out);
-  std::cout << "wrote " << args.get("out") << ": " << out.name << " ("
+  save_workload_file(out_path, out);
+  std::cout << "wrote " << out_path << ": " << out.name << " ("
             << out.map->num_blocks() << " blocks, B = "
             << out.map->max_block_size() << ")\n";
   return 0;
@@ -799,8 +839,9 @@ int cmd_hierarchy(const Args& args) {
     cfg.miss_penalty = std::stod(parts[4]);
     levels.push_back(std::move(cfg));
   }
-  hierarchy::HierarchySimulator hs(levels,
-                                   args.get_f64("probe_cost", 1.0));
+  const double probe_cost = args.get_f64("probe_cost", 1.0);
+  args.reject_unread("hierarchy");
+  hierarchy::HierarchySimulator hs(levels, probe_cost);
   hs.run(w.trace);
   TextTable table({"level", "accesses", "hits", "hit share", "misses"});
   for (std::size_t l = 0; l < hs.num_levels(); ++l) {
@@ -818,6 +859,8 @@ int cmd_hierarchy(const Args& args) {
 int cmd_opt(const Args& args) {
   const Workload w = load_workload_file(args.get("workload"));
   const std::size_t capacity = args.get_u64("capacity");
+  const bool exact_opt = args.has("exact") && args.get("exact") != "0";
+  args.reject_unread("opt");
   const std::uint64_t lower =
       opt_lower_bound(*w.map, w.trace, capacity);
   const auto upper = opt_portfolio_upper(*w.map, w.trace, capacity);
@@ -826,7 +869,7 @@ int cmd_opt(const Args& args) {
             << "  OPT lower bound (certified): " << lower << "\n"
             << "  OPT upper bound (portfolio): " << upper.misses << "  ["
             << upper.best_policy << "]\n";
-  if (args.has("exact") && args.get("exact") != "0") {
+  if (exact_opt) {
     const auto exact = exact_offline_opt(*w.map, w.trace, capacity);
     std::cout << "  OPT exact: " << exact.cost << "  ("
               << exact.states_expanded << " states)\n";
@@ -838,6 +881,10 @@ int cmd_bounds(const Args& args) {
   const double k = args.get_f64("k");
   const double h = args.get_f64("h");
   const double B = args.get_f64("B");
+  const bool given_split = args.has("i") || args.has("b");
+  const double i = args.get_f64("i", k / 2);
+  const double b = args.get_f64("b", k - i);
+  args.reject_unread("bounds");
   TextTable table({"bound", "value"});
   auto add = [&](const std::string& name, double v) {
     table.add_row({name, TextTable::fmt_ratio(v)});
@@ -851,9 +898,7 @@ int cmd_bounds(const Args& args) {
   add("IBLP upper, optimal split (Sec 5.3)", part.ratio);
   add("  optimal i", part.item_layer);
   add("  optimal b", part.block_layer);
-  if (args.has("i") || args.has("b")) {
-    const double i = args.get_f64("i", k / 2);
-    const double b = args.get_f64("b", k - i);
+  if (given_split) {
     add("IBLP upper at given split (Thm 7)",
         bounds::iblp_upper(i, b, h, B));
     add("  numeric LP re-solve", bounds::iblp_upper_numeric(i, b, h, B));
@@ -865,6 +910,8 @@ int cmd_bounds(const Args& args) {
 int cmd_help() {
   std::cout <<
       R"(gcsim — Granularity-Change Caching simulator
+
+An option the subcommand does not use is an error (exit 2).
 
 subcommands:
   generate   synthesize a workload and write it to a gcworkload file
@@ -890,8 +937,8 @@ subcommands:
   gcached    replay a workload through the concurrent sharded runtime with
              closed-loop or poisson client threads — see docs/CONCURRENCY.md
              --workload FILE --capacity N [--policy SPEC] [--shards S]
-             [--threads N] [--ops N] [--fill-us F] [--fill-mode sync|async]
-             [--mshrs N] [--arrival closed|poisson] [--rate OPS] [--seed S]
+             [--threads N] [--ops N] [--fill-us F] [--mshrs N]
+             [--arrival closed|poisson] [--rate OPS] [--seed S]
              [--obs DIR] [--metrics-out FILE] [--mon-jsonl FILE]
              [--mon-interval-ms M] [--mon-ring N] [--perf]
              live monitoring (gcmon): --metrics-out rewrites a Prometheus
