@@ -113,7 +113,7 @@ int run(int argc, char** argv) {
         const auto t0 = std::chrono::steady_clock::now();
         s = simulate_fast_spec(spec, w, capacity);
         m.best_s = std::min(m.best_s, seconds_since(t0));
-        windows = timeline.num_lanes() > 0 ? timeline.windows(0).size() : 0;
+        windows = timeline.windows().size();
       }
       if (rep == 0) {
         m.stats = s;

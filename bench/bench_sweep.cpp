@@ -1,20 +1,20 @@
-// Sweep-engine modes: per-cell vs capacity-batched vs stack-column.
+// Sweep-engine modes: per-cell vs stack-column vs the run_sweep scheduler.
 //
 // Two measurements, both asserting bit-identical SimStats before reporting:
 //
 //   * column — one (workload, policy) row over a geometric capacity column,
-//     timed three ways: per-cell `simulate_fast_spec` (one trace pass per
-//     capacity), the lane-batched `simulate_column_spec` with the stack
-//     path disabled (ONE trace pass, one cache lane per capacity), and the
-//     full dispatcher (stack policies collapse into a single stack-distance
-//     pass). The acceptance headline is the stack path's speedup over
-//     per-cell on the >= 16-capacity item-lru column.
-//   * grid — a mixed-cost policy grid through `run_sweep`, batch off
-//     (per-cell cells in static chunks) vs batch on (whole rows, scheduled
+//     timed two ways: per-cell `simulate_fast_spec` (one trace pass per
+//     capacity) and `simulate_column_spec`, whose stack policies collapse
+//     into a single stack-distance pass. The acceptance headline is the
+//     stack path's speedup over per-cell on the >= 16-capacity item-lru
+//     column.
+//   * grid — a mixed-cost policy grid: a static-chunk
+//     `ThreadPool::parallel_for` over per-cell `simulate_fast_spec` (the
+//     baseline) vs `run_sweep` (stack rows and single cells, scheduled
 //     longest-estimated-first via estimated_sim_cost).
 //
-// Note: in checking builds the stack path re-runs the lane engine as a
-// cross-check, so its timings only mean something under GC_FAST_SIM (the
+// Note: in checking builds the stack path re-runs per-cell simulate_fast as
+// a cross-check, so its timings only mean something under GC_FAST_SIM (the
 // `fast` preset); the JSON records which configuration ran. Output:
 // aligned tables, optional CSV, and BENCH_sweep.json. See docs/PERF.md.
 #include <algorithm>
@@ -91,31 +91,29 @@ struct ColumnResult {
   std::size_t accesses = 0;
   std::size_t num_capacities = 0;
   double per_cell_s = 0.0;
-  double lane_s = 0.0;
-  double stack_s = 0.0;  // 0 when the spec has no stack path
-  bool has_stack = false;
+  double stack_s = 0.0;
 };
 
-/// Times the three column evaluations of one row and checks identity.
+/// Times per-cell runs against the stack pass of one row and checks
+/// identity.
 ColumnResult bench_column(const Options& opts, const std::string& spec,
                           const std::string& workload_name, const Workload& w,
-                          const std::vector<std::size_t>& capacities,
-                          bool has_stack) {
+                          const std::vector<std::size_t>& capacities) {
   const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
   const std::span<const BlockId> ids_span(ids);
+  GC_REQUIRE(stack_column_eligible(spec, *w.map),
+             spec + " has no stack pass on " + workload_name);
 
   ColumnResult r;
   r.workload = workload_name;
   r.policy = spec;
   r.accesses = w.trace.size();
   r.num_capacities = capacities.size();
-  r.has_stack = has_stack;
   r.per_cell_s = 1e300;
-  r.lane_s = 1e300;
   r.stack_s = 1e300;
 
   std::vector<SimStats> per_cell(capacities.size());
-  std::vector<SimStats> lanes, stack;
+  std::vector<SimStats> stack;
   for (int rep = 0; rep < opts.repeats; ++rep) {
     {
       const auto t0 = std::chrono::steady_clock::now();
@@ -126,20 +124,11 @@ ColumnResult bench_column(const Options& opts, const std::string& spec,
     }
     {
       const auto t0 = std::chrono::steady_clock::now();
-      lanes = simulate_column_spec(spec, *w.map, w.trace, ids_span, capacities,
-                                   /*allow_stack=*/false);
-      r.lane_s = std::min(r.lane_s, seconds_since(t0));
-    }
-    if (has_stack) {
-      const auto t0 = std::chrono::steady_clock::now();
-      stack = simulate_column_spec(spec, *w.map, w.trace, ids_span, capacities,
-                                   /*allow_stack=*/true);
+      stack = simulate_column_spec(spec, *w.map, w.trace, ids_span, capacities);
       r.stack_s = std::min(r.stack_s, seconds_since(t0));
     }
   }
-  require_identical(per_cell, lanes, spec + " per-cell vs lanes");
-  if (has_stack) require_identical(per_cell, stack, spec + " per-cell vs stack");
-  if (!has_stack) r.stack_s = 0.0;
+  require_identical(per_cell, stack, spec + " per-cell vs stack");
   return r;
 }
 
@@ -150,6 +139,28 @@ struct GridResult {
   double per_cell_s = 0.0;
   double batched_s = 0.0;
 };
+
+/// The baseline grid: block ids resolved per workload, then one
+/// simulate_fast_spec per cell in the pool's static index chunks, in
+/// run_sweep's row-major cell order.
+std::vector<SimStats> static_chunk_grid(
+    ThreadPool& pool, const std::vector<Workload>& ws,
+    const std::vector<std::string>& policies,
+    const std::vector<std::size_t>& capacities) {
+  std::vector<std::vector<BlockId>> ids(ws.size());
+  pool.parallel_for(ws.size(), [&](std::size_t w) {
+    ids[w] = compute_block_ids(*ws[w].map, ws[w].trace);
+  });
+  const std::size_t np = policies.size();
+  const std::size_t nc = capacities.size();
+  std::vector<SimStats> stats(ws.size() * np * nc);
+  pool.parallel_for(stats.size(), [&](std::size_t i) {
+    const Workload& w = ws[i / (np * nc)];
+    stats[i] = simulate_fast_spec(policies[i / nc % np], *w.map, w.trace,
+                                  ids[i / (np * nc)], capacities[i % nc]);
+  });
+  return stats;
+}
 
 GridResult bench_grid(const Options& opts, const std::vector<Workload>& ws,
                       const std::vector<std::string>& policies,
@@ -164,20 +175,21 @@ GridResult bench_grid(const Options& opts, const std::vector<Workload>& ws,
   r.cells = ws.size() * policies.size() * capacities.size();
   for (const Workload& w : ws)
     r.total_accesses += w.trace.size() * policies.size() * capacities.size();
-  r.threads = ThreadPool(opts.threads).num_threads();
   r.per_cell_s = 1e300;
   r.batched_s = 1e300;
 
-  std::vector<sim::SweepCell> baseline, batched;
+  std::vector<SimStats> baseline;
+  std::vector<sim::SweepCell> batched;
   for (int rep = 0; rep < opts.repeats; ++rep) {
     {
-      spec.batch_columns = false;
+      // The pool's start-up is inside the timing, as it is in run_sweep.
       const auto t0 = std::chrono::steady_clock::now();
-      baseline = sim::run_sweep(spec);
+      ThreadPool pool(opts.threads);
+      r.threads = pool.num_threads();
+      baseline = static_chunk_grid(pool, ws, policies, capacities);
       r.per_cell_s = std::min(r.per_cell_s, seconds_since(t0));
     }
     {
-      spec.batch_columns = true;
       const auto t0 = std::chrono::steady_clock::now();
       batched = sim::run_sweep(spec);
       r.batched_s = std::min(r.batched_s, seconds_since(t0));
@@ -185,8 +197,8 @@ GridResult bench_grid(const Options& opts, const std::vector<Workload>& ws,
   }
   GC_REQUIRE(baseline.size() == batched.size(), "grid size mismatch");
   for (std::size_t i = 0; i < baseline.size(); ++i)
-    GC_REQUIRE(baseline[i].stats == batched[i].stats &&
-                   baseline[i].capacity == batched[i].capacity,
+    GC_REQUIRE(baseline[i] == batched[i].stats &&
+                   capacities[i % capacities.size()] == batched[i].capacity,
                "grid cell mismatch at " + std::to_string(i));
   return r;
 }
@@ -208,12 +220,9 @@ void write_json(const Options& opts, const std::vector<ColumnResult>& columns,
         << c.policy << "\", \"accesses\": " << c.accesses
         << ", \"num_capacities\": " << c.num_capacities
         << ", \"per_cell_seconds\": " << c.per_cell_s
-        << ", \"lane_seconds\": " << c.lane_s
-        << ", \"lane_speedup\": " << c.per_cell_s / c.lane_s;
-    if (c.has_stack)
-      out << ", \"stack_seconds\": " << c.stack_s
-          << ", \"stack_speedup\": " << c.per_cell_s / c.stack_s;
-    out << ", \"identical\": true}" << (i + 1 < columns.size() ? "," : "")
+        << ", \"stack_seconds\": " << c.stack_s
+        << ", \"stack_speedup\": " << c.per_cell_s / c.stack_s
+        << ", \"identical\": true}" << (i + 1 < columns.size() ? "," : "")
         << "\n";
   }
   out << "  ],\n"
@@ -248,34 +257,21 @@ int run(int argc, char** argv) {
   TableSink column_table(
       table_opts, "Capacity-column modes (seconds, min of repeats)",
       "sweep_columns",
-      {"workload", "policy", "caps", "per_cell_s", "lane_s", "lane_x",
-       "stack_s", "stack_x"});
+      {"workload", "policy", "caps", "per_cell_s", "stack_s", "stack_x"});
   std::vector<ColumnResult> columns;
-  // item-lru and block-lru have stack-distance columns; item-lfu is the
-  // slowest lane-only policy and shows what pass-sharing alone buys.
-  struct ColumnCase {
-    std::string spec;
-    bool has_stack;
-    const std::vector<std::size_t>* caps;
-  };
-  for (const auto& [spec, has_stack, caps] : std::vector<ColumnCase>{
-           {"item-lru", true, &caps16},
-           {"item-lru", true, &caps64},
-           {"block-lru", true, &caps16},
-           {"block-lru", true, &caps64},
-           {"item-lfu", false, &caps16}}) {
-    const ColumnResult r =
-        bench_column(opts, spec, "zipf", zipf, *caps, has_stack);
-    column_table.add_row(
-        {r.workload, r.policy, fmti(r.num_capacities), fmt(r.per_cell_s, 4),
-         fmt(r.lane_s, 4), fmtr(r.per_cell_s / r.lane_s),
-         r.has_stack ? fmt(r.stack_s, 4) : "-",
-         r.has_stack ? fmtr(r.per_cell_s / r.stack_s) : "-"});
-    columns.push_back(r);
-  }
+  // item-lru and block-lru are the stack policies; every other policy's
+  // column is per-cell by construction.
+  for (const std::string spec : {"item-lru", "block-lru"})
+    for (const std::vector<std::size_t>* caps : {&caps16, &caps64}) {
+      const ColumnResult r = bench_column(opts, spec, "zipf", zipf, *caps);
+      column_table.add_row({r.workload, r.policy, fmti(r.num_capacities),
+                            fmt(r.per_cell_s, 4), fmt(r.stack_s, 4),
+                            fmtr(r.per_cell_s / r.stack_s)});
+      columns.push_back(r);
+    }
   column_table.flush();
 
-  // Mixed-cost grid: the ~70x policy skew is what the cost-aware row
+  // Mixed-cost grid: the ~17x policy skew is what the longest-first task
   // schedule exists for. Two workloads keep the block-id precompute
   // parallelism honest too.
   const std::size_t grid_len = opts.quick ? 100'000 : 1'000'000;
@@ -289,7 +285,7 @@ int run(int argc, char** argv) {
       bench_grid(opts, grid_workloads, grid_policies, caps16);
 
   TableSink grid_table(table_opts,
-                       "Mixed lfu+lru grid through run_sweep (seconds)",
+                       "Mixed lfu+lru grid: static chunks vs run_sweep (s)",
                        "sweep_grid",
                        {"cells", "threads", "per_cell_s", "batched_s",
                         "speedup"});

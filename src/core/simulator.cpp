@@ -41,13 +41,13 @@ void Simulation::access(ItemId item) {
 
 void Simulation::run(const Trace& trace) {
   GC_OBS_TIMELINE(obs_tl);
-  GC_OBS_TIMELINE_OPEN(obs_tl, {cache_.capacity()}, trace.size());
+  GC_OBS_TIMELINE_OPEN(obs_tl, cache_.capacity(), trace.size());
   const std::vector<ItemId>& accesses = trace.accesses();
   for (std::size_t i = 0; i < accesses.size(); ++i) {
     access(accesses[i]);
-    GC_OBS_TICK(obs_tl, 0, stats_);
+    GC_OBS_TICK(obs_tl, stats_);
   }
-  GC_OBS_TIMELINE_CLOSE(obs_tl, 0, stats_);
+  GC_OBS_TIMELINE_CLOSE(obs_tl, stats_);
 }
 
 SimStats simulate(const BlockMap& map, const Trace& trace,

@@ -14,15 +14,9 @@
 // tests/test_fast_sim.cpp for every policy in the factory. Under the
 // GC_FAST_SIM build configuration the hot-tier contracts additionally
 // compile to nothing (see docs/PERF.md).
-//
-// `simulate_column<Policy>()` batches a whole capacity column of one
-// (workload, policy) row into a single trace pass by advancing one cache
-// lane per capacity together — the sweep engine's shared-pass mode
-// (tests/test_sweep_batched.cpp holds it to bit-identical stats too).
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -251,7 +245,7 @@ SimStats simulate_fast(const BlockMap& map, const Trace& trace,
   cache.set_load_time_tracking(false);  // cold feature; saves a store per load
   SimStats stats;
   GC_OBS_TIMELINE(obs_tl);
-  GC_OBS_TIMELINE_OPEN(obs_tl, {capacity}, trace.size());
+  GC_OBS_TIMELINE_OPEN(obs_tl, capacity, trace.size());
   const std::vector<ItemId>& accesses = trace.accesses();
   // The loop is kept in two copies so the common no-timeline case runs the
   // exact uninstrumented code: a tick inside the loop — even one that only
@@ -261,7 +255,7 @@ SimStats simulate_fast(const BlockMap& map, const Trace& trace,
   if (GC_OBS_ATTACHED(obs_tl)) {
     for (std::size_t i = 0; i < accesses.size(); ++i) {
       detail::fast_step(cache, policy, stats, accesses[i], block_ids[i]);
-      GC_OBS_TICK(obs_tl, 0,
+      GC_OBS_TICK(obs_tl,
                   detail::fast_live_snapshot<Policy>(cache, stats, i + 1));
     }
   } else if constexpr (detail::kBatchesRuns<Policy>) {
@@ -289,108 +283,8 @@ SimStats simulate_fast(const BlockMap& map, const Trace& trace,
   }
   GC_HOT_REGION_END(fast_engine_loop)
   detail::fast_finalize<Policy>(cache, stats, accesses.size());
-  GC_OBS_TIMELINE_CLOSE(obs_tl, 0, stats);
+  GC_OBS_TIMELINE_CLOSE(obs_tl, stats);
   return stats;
-}
-
-/// Capacity-batched column engine: all capacities of one (workload, policy)
-/// row in a SINGLE pass over the trace. Each capacity keeps its own cache
-/// state and policy instance (a "lane"); every access is stepped through all
-/// lanes before the next access is read, so the trace and block-id streams
-/// are pulled through the memory hierarchy once per row instead of once per
-/// cell. Each lane runs the exact `fast_step` transitions of
-/// `simulate_fast`, so stats[i] is bit-identical to a per-cell run at
-/// capacities[i].
-///
-/// `make_policy(capacity)` must return a fresh `Policy` by value (guaranteed
-/// elision — policies are neither copyable nor movable); it is called once
-/// per capacity, letting capacity-dependent configs (e.g. IBLP partitions)
-/// resolve per lane.
-template <typename Policy, typename MakePolicy>
-std::vector<SimStats> simulate_column(const BlockMap& map, const Trace& trace,
-                                      std::span<const std::size_t> capacities,
-                                      std::span<const BlockId> block_ids,
-                                      MakePolicy&& make_policy) {
-  GC_REQUIRE(block_ids.size() == trace.size(),
-             "one precomputed block id per access is required");
-  // CacheContents holds a reference and policies delete their copy ops, so
-  // lanes live behind unique_ptr rather than in a flat vector.
-  struct Lane {
-    CacheContents cache;
-    Policy policy;
-    SimStats stats;
-    Lane(const BlockMap& m, std::size_t capacity, MakePolicy& mk)
-        : cache(m, capacity), policy(mk(capacity)) {}
-  };
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.reserve(capacities.size());
-  for (const std::size_t capacity : capacities) {
-    lanes.push_back(std::make_unique<Lane>(map, capacity, make_policy));
-    Lane& lane = *lanes.back();
-    lane.policy.attach(map, lane.cache);
-    lane.policy.prepare(trace);
-    lane.cache.set_load_time_tracking(false);
-  }
-  GC_OBS_TIMELINE(obs_tl);
-  GC_OBS_TIMELINE_OPEN(obs_tl, capacities, trace.size());
-  const std::vector<ItemId>& accesses = trace.accesses();
-  // Two copies for the same reason as the fast_engine_loop: the idle path
-  // must stay tick-free so per-lane stats keep their registers.
-  GC_HOT_REGION_BEGIN(column_engine_loop)
-  if (GC_OBS_ATTACHED(obs_tl)) {
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-      const ItemId item = accesses[i];
-      const BlockId block = block_ids[i];
-      for (std::size_t l = 0; l < lanes.size(); ++l) {
-        Lane& lane = *lanes[l];
-        detail::fast_step(lane.cache, lane.policy, lane.stats, item, block);
-        GC_OBS_TICK(obs_tl, l,
-                    detail::fast_live_snapshot<Policy>(lane.cache, lane.stats,
-                                                       i + 1));
-      }
-    }
-  } else if constexpr (detail::kBatchesRuns<Policy>) {
-    // Runs are detected once and replayed through every lane; each lane
-    // re-probes residency itself, so per-lane stats stay bit-identical to
-    // independent per-cell runs.
-    std::size_t i = 0;
-    while (i < accesses.size()) {
-      const BlockId block = block_ids[i];
-      std::size_t j = i + 1;
-      while (j < accesses.size() && block_ids[j] == block) ++j;
-      for (std::size_t l = 0; l < lanes.size(); ++l) {
-        Lane& lane = *lanes[l];
-        // Same singleton fast path as simulate_fast: length-1 runs skip the
-        // run machinery.
-        if (j - i == 1)
-          detail::fast_step(lane.cache, lane.policy, lane.stats, accesses[i],
-                            block);
-        else
-          detail::fast_run(lane.cache, lane.policy, lane.stats,
-                           accesses.data() + i, j - i, block);
-      }
-      i = j;
-    }
-  } else {
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-      const ItemId item = accesses[i];
-      const BlockId block = block_ids[i];
-      for (std::size_t l = 0; l < lanes.size(); ++l) {
-        Lane& lane = *lanes[l];
-        detail::fast_step(lane.cache, lane.policy, lane.stats, item, block);
-      }
-    }
-  }
-  GC_HOT_REGION_END(column_engine_loop)
-  std::vector<SimStats> out;
-  out.reserve(lanes.size());
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    Lane& lane = *lanes[l];
-    detail::fast_finalize<Policy>(lane.cache, lane.stats, accesses.size());
-    GC_OBS_TIMELINE_CLOSE(obs_tl, l, lane.stats);
-    out.push_back(lane.stats);
-  }
-  return out;
 }
 
 /// Convenience overload: uses the trace's cached block ids when present

@@ -168,7 +168,7 @@ template <typename Policy, typename MakePolicy>
 class ShardedCache final : public ConcurrentCache {
  public:
   /// `make_policy()` returns a fresh Policy by value (guaranteed elision),
-  /// called once per shard — mirroring simulate_column's per-lane factory.
+  /// called once per shard.
   ShardedCache(std::shared_ptr<const BlockMap> map, const GcachedConfig& cfg,
                MakePolicy make_policy, std::string policy_name)
       : map_(std::move(map)), cfg_(cfg), name_(std::move(policy_name)) {
@@ -457,7 +457,7 @@ class ShardedCache final : public ConcurrentCache {
   /// access in obs builds; the load itself compiles out under OBS=OFF).
   std::atomic<obs::ShardAtlas*> atlas_{nullptr};
   // Policies are neither copyable nor movable, so shards live behind
-  // unique_ptr (the simulate_column Lane pattern).
+  // unique_ptr.
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

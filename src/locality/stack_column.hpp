@@ -25,9 +25,10 @@
 // Eligibility: block-lru additionally requires a uniform partition (every
 // block exactly B items) so that "capacity k holds floor(k/B) blocks" models
 // the policy's evict-until-fits loop; `block_column_supported` reports it.
-// The factory's column dispatcher (policies/factory.cpp) uses these behind
-// the `kIsStackPolicy` trait and, in checking builds, cross-checks the
-// derivation against the shared-pass lane engine cell by cell.
+// The factory (policies/factory.cpp) decides eligibility once, in
+// `stack_column_eligible`, behind the `kIsStackPolicy` trait and, in checking
+// builds, cross-checks the derivation against per-cell `simulate_fast` cell
+// by cell.
 #pragma once
 
 #include <span>

@@ -1,8 +1,7 @@
 // Named-counter registry with CSV / JSON-lines sinks.
 //
 // Coarse occurrence counters for the cold orchestration layers — sweep rows
-// scheduled, cells completed, stack-column fast-path vs lane-engine passes,
-// thread-pool tasks executed. Everything here is mutex-guarded and intended
+// and cells completed, stack-column passes, thread-pool tasks executed. Everything here is mutex-guarded and intended
 // for code that runs once per row/task, never per access: per-access
 // telemetry belongs in StatsTimeline (src/obs/timeline.hpp), and gclint's
 // `hot-region-raw-obs` rule keeps raw registry calls out of GC_HOT_REGION

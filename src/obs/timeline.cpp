@@ -8,65 +8,36 @@
 
 namespace gcaching::obs {
 
-void StatsTimeline::open(std::span<const std::size_t> lane_capacities,
-                         std::uint64_t total_accesses) {
-  GC_REQUIRE(!lane_capacities.empty(), "timeline needs at least one lane");
+void StatsTimeline::open(std::size_t capacity, std::uint64_t total_accesses) {
+  *this = StatsTimeline(requested_window_);
+  capacity_ = capacity;
   window_ = requested_window_;
   if (window_ == kAutoWindow)
     window_ = std::max<std::uint64_t>(1, total_accesses / kAutoTargetWindows);
-  lanes_.assign(lane_capacities.size(), Lane{});
-  for (std::size_t i = 0; i < lane_capacities.size(); ++i)
-    lanes_[i].capacity = lane_capacities[i];
 }
 
-void StatsTimeline::record(std::size_t lane, const SimStats& live) {
-  Lane& l = lanes_[lane];
+void StatsTimeline::record(const SimStats& live) {
   TimelineWindow w;
-  w.start = l.seen;
-  w.length = l.in_window;
-  w.delta = live - l.last;
-  l.rows.push_back(w);
-  l.seen += l.in_window;
-  l.in_window = 0;
-  l.last = live;
+  w.start = seen_;
+  w.length = in_window_;
+  w.delta = live - last_;
+  rows_.push_back(w);
+  seen_ += in_window_;
+  in_window_ = 0;
+  last_ = live;
 }
 
-void StatsTimeline::close(std::size_t lane, const SimStats& final_totals) {
-  GC_REQUIRE(lane < lanes_.size(), "timeline lane out of range");
-  Lane& l = lanes_[lane];
-  if (l.in_window > 0) record(lane, final_totals);
-  GC_ENSURE(l.last == final_totals,
+void StatsTimeline::close(const SimStats& final_totals) {
+  if (in_window_ > 0) record(final_totals);
+  GC_ENSURE(last_ == final_totals,
             "timeline window deltas diverged from the run's final stats");
-  l.final_totals = final_totals;
-  l.closed = true;
+  final_totals_ = final_totals;
+  closed_ = true;
 }
 
-const StatsTimeline::Lane& StatsTimeline::checked_lane(
-    std::size_t lane) const {
-  GC_REQUIRE(lane < lanes_.size(), "timeline lane out of range");
-  return lanes_[lane];
-}
-
-std::size_t StatsTimeline::lane_capacity(std::size_t lane) const {
-  return checked_lane(lane).capacity;
-}
-
-const std::vector<TimelineWindow>& StatsTimeline::windows(
-    std::size_t lane) const {
-  return checked_lane(lane).rows;
-}
-
-const SimStats& StatsTimeline::final_totals(std::size_t lane) const {
-  return checked_lane(lane).final_totals;
-}
-
-bool StatsTimeline::closed(std::size_t lane) const {
-  return checked_lane(lane).closed;
-}
-
-SimStats StatsTimeline::window_sum(std::size_t lane) const {
+SimStats StatsTimeline::window_sum() const {
   SimStats sum;
-  for (const TimelineWindow& w : checked_lane(lane).rows) sum += w.delta;
+  for (const TimelineWindow& w : rows_) sum += w.delta;
   return sum;
 }
 
@@ -83,53 +54,46 @@ std::string fmt_rate(double v) {
 
 void StatsTimeline::write_csv(const std::string& path) const {
   CsvWriter csv(path,
-                {"lane", "capacity", "window", "start", "length", "accesses",
+                {"capacity", "window", "start", "length", "accesses",
                  "misses", "miss_rate", "temporal_hits", "spatial_hits",
                  "spatial_hit_share", "items_loaded", "sideloads",
                  "evictions", "wasted_sideloads", "wasted_sideload_share"});
-  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-    const Lane& l = lanes_[lane];
-    for (std::size_t i = 0; i < l.rows.size(); ++i) {
-      const TimelineWindow& w = l.rows[i];
-      csv.add_row({std::to_string(lane), std::to_string(l.capacity),
-                   std::to_string(i), std::to_string(w.start),
-                   std::to_string(w.length), std::to_string(w.delta.accesses),
-                   std::to_string(w.delta.misses), fmt_rate(w.miss_rate()),
-                   std::to_string(w.delta.temporal_hits),
-                   std::to_string(w.delta.spatial_hits),
-                   fmt_rate(w.spatial_hit_share()),
-                   std::to_string(w.delta.items_loaded),
-                   std::to_string(w.delta.sideloads),
-                   std::to_string(w.delta.evictions),
-                   std::to_string(w.delta.wasted_sideloads),
-                   fmt_rate(w.wasted_sideload_share())});
-    }
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const TimelineWindow& w = rows_[i];
+    csv.add_row({std::to_string(capacity_), std::to_string(i),
+                 std::to_string(w.start), std::to_string(w.length),
+                 std::to_string(w.delta.accesses),
+                 std::to_string(w.delta.misses), fmt_rate(w.miss_rate()),
+                 std::to_string(w.delta.temporal_hits),
+                 std::to_string(w.delta.spatial_hits),
+                 fmt_rate(w.spatial_hit_share()),
+                 std::to_string(w.delta.items_loaded),
+                 std::to_string(w.delta.sideloads),
+                 std::to_string(w.delta.evictions),
+                 std::to_string(w.delta.wasted_sideloads),
+                 fmt_rate(w.wasted_sideload_share())});
   }
 }
 
 void StatsTimeline::write_jsonl(const std::string& path) const {
   std::ofstream out(path);
   GC_REQUIRE(out.good(), "cannot open " + path + " for writing");
-  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-    const Lane& l = lanes_[lane];
-    for (std::size_t i = 0; i < l.rows.size(); ++i) {
-      const TimelineWindow& w = l.rows[i];
-      out << "{\"lane\": " << lane << ", \"capacity\": " << l.capacity
-          << ", \"window\": " << i << ", \"start\": " << w.start
-          << ", \"length\": " << w.length
-          << ", \"accesses\": " << w.delta.accesses
-          << ", \"misses\": " << w.delta.misses
-          << ", \"miss_rate\": " << fmt_rate(w.miss_rate())
-          << ", \"temporal_hits\": " << w.delta.temporal_hits
-          << ", \"spatial_hits\": " << w.delta.spatial_hits
-          << ", \"spatial_hit_share\": " << fmt_rate(w.spatial_hit_share())
-          << ", \"items_loaded\": " << w.delta.items_loaded
-          << ", \"sideloads\": " << w.delta.sideloads
-          << ", \"evictions\": " << w.delta.evictions
-          << ", \"wasted_sideloads\": " << w.delta.wasted_sideloads
-          << ", \"wasted_sideload_share\": "
-          << fmt_rate(w.wasted_sideload_share()) << "}\n";
-    }
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const TimelineWindow& w = rows_[i];
+    out << "{\"capacity\": " << capacity_ << ", \"window\": " << i
+        << ", \"start\": " << w.start << ", \"length\": " << w.length
+        << ", \"accesses\": " << w.delta.accesses
+        << ", \"misses\": " << w.delta.misses
+        << ", \"miss_rate\": " << fmt_rate(w.miss_rate())
+        << ", \"temporal_hits\": " << w.delta.temporal_hits
+        << ", \"spatial_hits\": " << w.delta.spatial_hits
+        << ", \"spatial_hit_share\": " << fmt_rate(w.spatial_hit_share())
+        << ", \"items_loaded\": " << w.delta.items_loaded
+        << ", \"sideloads\": " << w.delta.sideloads
+        << ", \"evictions\": " << w.delta.evictions
+        << ", \"wasted_sideloads\": " << w.delta.wasted_sideloads
+        << ", \"wasted_sideload_share\": "
+        << fmt_rate(w.wasted_sideload_share()) << "}\n";
   }
 }
 

@@ -25,8 +25,8 @@ class BlockLru final : public ReplacementPolicy {
   /// Plain LRU over the block-id stream: the resident block set satisfies
   /// the inclusion property, so capacity columns can collapse into one
   /// stack-distance pass (locality/stack_column.hpp) whenever the partition
-  /// is uniform; the factory's column dispatcher keys off this trait.
-  // GCLINT-TRAIT-CHECKED-BY: run_column
+  /// is uniform; the factory's stack_column_eligible keys off this trait.
+  // GCLINT-TRAIT-CHECKED-BY: stack_column_eligible
   static constexpr bool kIsStackPolicy = true;
 
   void attach(const BlockMap& map, CacheContents& cache) override;

@@ -59,26 +59,27 @@ SimStats simulate_fast_spec(const std::string& spec, const BlockMap& map,
 SimStats simulate_fast_spec(const std::string& spec, const Workload& workload,
                             std::size_t capacity);
 
-/// Capacity-batched column simulation of a policy spec: all capacities of
-/// one (workload, policy) row in a single trace pass via
-/// `simulate_column<Policy>` (core/simulator.hpp). stats[i] is bit-identical
+/// True when `spec`'s capacity column over `map` collapses into ONE
+/// stack-distance pass (locality/stack_column.hpp): the policy declares
+/// `kIsStackPolicy` (item-lru, block-lru), and block-lru additionally needs a
+/// uniform partition. The one eligibility rule behind both
+/// simulate_column_spec and run_sweep's task list.
+bool stack_column_eligible(const std::string& spec, const BlockMap& map);
+
+/// Every capacity of one (workload, policy) row: stats[i] is bit-identical
 /// to `simulate_fast_spec(spec, map, trace, block_ids, capacities[i])`.
-///
-/// For stack policies (`kIsStackPolicy`: item-lru, block-lru) the column
-/// additionally collapses into ONE stack-distance pass
-/// (locality/stack_column.hpp) when eligible — block-lru needs a uniform
-/// partition — falling back to the lane engine otherwise. In checking
-/// builds the stack derivation is cross-checked cell by cell against the
-/// lane engine. Pass `allow_stack = false` to force the lane engine (the
-/// bench uses this to time the two modes separately).
+/// Eligible rows (stack_column_eligible) take the stack-distance pass, which
+/// checking builds cross-check cell by cell against per-cell
+/// `simulate_fast`; every other row runs per-cell `simulate_fast_spec`. A
+/// column records no timeline.
 std::vector<SimStats> simulate_column_spec(
     const std::string& spec, const BlockMap& map, const Trace& trace,
-    std::span<const BlockId> block_ids, std::span<const std::size_t> capacities,
-    bool allow_stack = true);
+    std::span<const BlockId> block_ids,
+    std::span<const std::size_t> capacities);
 
 /// Estimated simulation cost of `accesses` requests under `spec`, in
 /// arbitrary-but-comparable units (normalized seconds-ish). The sweep
-/// scheduler orders rows longest-estimated-first with it; constants are
+/// scheduler orders tasks longest-estimated-first with it; constants are
 /// calibrated from BENCH_throughput.json's fast-engine throughputs, and an
 /// unknown name gets a conservative middle-of-the-pack estimate.
 double estimated_sim_cost(const std::string& spec, std::uint64_t accesses);

@@ -23,8 +23,8 @@ class ItemLru final : public ReplacementPolicy {
 
   /// Satisfies the LRU inclusion property, so a whole capacity column can
   /// collapse into one stack-distance pass (locality/stack_column.hpp); the
-  /// factory's column dispatcher keys off this trait.
-  // GCLINT-TRAIT-CHECKED-BY: run_column
+  /// factory's stack_column_eligible keys off this trait.
+  // GCLINT-TRAIT-CHECKED-BY: stack_column_eligible
   static constexpr bool kIsStackPolicy = true;
 
   // Inline (with the callbacks below) so the fast engine's instantiation

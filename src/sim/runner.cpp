@@ -124,86 +124,89 @@ std::vector<SweepCell> run_sweep(const SweepSpec& spec) {
       GC_OBS_COUNT("sweep.block_id_precomputes", 1);
     });
 
-  // One progress unit per scheduled task: rows in batched mode, cells
-  // otherwise. `done` is shared across workers; the callback itself is the
-  // caller's to make thread-safe.
-  std::atomic<std::size_t> done{0};
+  // One task list for both engines. On the fast path a (workload, policy)
+  // row that takes the stack-distance pass (stack_column_eligible) is ONE
+  // task covering every capacity; every other cell is its own task. Policy
+  // costs skew ~17x, so tasks go out longest-estimated-first (LPT): a slow
+  // task dispatched last would hold the whole sweep hostage on one thread.
+  // Results land in preassigned row-major slots, so output order is
+  // deterministic however the schedule interleaves.
+  constexpr std::size_t kWholeRow = static_cast<std::size_t>(-1);
+  // A stack pass costs about as much as 3-6 per-cell runs of its policy
+  // (BENCH_sweep.json), whatever the number of capacities.
+  constexpr double kStackPassCells = 4.0;
+  struct Task {
+    std::size_t w = 0;
+    std::size_t p = 0;
+    std::size_t c = kWholeRow;  ///< capacity index, or kWholeRow
+    double cost = 0.0;
+  };
+  std::vector<Task> tasks;
+  for (std::size_t w = 0; w < nw; ++w)
+    for (std::size_t p = 0; p < np; ++p) {
+      const std::string& policy = spec.policy_specs[p];
+      const double cell_cost =
+          estimated_sim_cost(policy, work[w].trace.size());
+      if (spec.use_fast_path && stack_column_eligible(policy, *work[w].map)) {
+        tasks.push_back({w, p, kWholeRow, kStackPassCells * cell_cost});
+        continue;
+      }
+      for (std::size_t c = 0; c < nc; ++c)
+        tasks.push_back({w, p, c, cell_cost});
+    }
+  std::stable_sort(
+      tasks.begin(), tasks.end(),
+      [](const Task& a, const Task& b) { return a.cost > b.cost; });
 
-  if (spec.use_fast_path && spec.batch_columns) {
-    // Row-batched mode: one task per (workload, policy) row, every capacity
-    // in a single trace pass. Per-policy costs skew ~70x, so rows go out
-    // longest-estimated-first (LPT): a slow row dispatched last would hold
-    // the whole sweep hostage on one thread. Cells are written into
-    // preassigned row-major slices, so output order is deterministic no
-    // matter how the schedule interleaves.
-    struct Row {
-      std::size_t w = 0;
-      std::size_t p = 0;
-      double cost = 0.0;
-    };
-    std::vector<Row> rows;
-    rows.reserve(nw * np);
-    for (std::size_t w = 0; w < nw; ++w)
-      for (std::size_t p = 0; p < np; ++p)
-        rows.push_back({w, p,
-                        estimated_sim_cost(spec.policy_specs[p],
-                                           work[w].trace.size())});
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Row& a, const Row& b) { return a.cost > b.cost; });
-    const std::size_t total_rows = rows.size();
-    for (const Row& row : rows)
-      pool.submit([&spec, &cells, &block_ids, &done, &work,
-                   &effective_capacity, &correct_stats, row, np, nc,
-                   total_rows] {
-        const Workload& workload = work[row.w];
-        {
-          GC_OBS_SPAN(span, "sweep_row", "sweep");
-          GC_OBS_SPAN_ARG(span, "policy", spec.policy_specs[row.p]);
-          GC_OBS_SPAN_ARG(span, "workload", std::to_string(row.w));
-          std::vector<std::size_t> caps(spec.capacities);
-          for (std::size_t& cap : caps) cap = effective_capacity(row.w, cap);
-          const std::vector<SimStats> column = simulate_column_spec(
-              spec.policy_specs[row.p], *workload.map, workload.trace,
-              block_ids[row.w], caps);
-          for (std::size_t c = 0; c < nc; ++c)
-            cells[(row.w * np + row.p) * nc + c].stats =
-                correct_stats(row.w, column[c]);
-        }
-        GC_OBS_COUNT("sweep.rows_completed", 1);
-        if (spec.progress)
-          spec.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                        total_rows);
-      });
-    pool.wait();
-    return cells;
-  }
-
-  pool.parallel_for(cells.size(), [&](std::size_t idx) {
-    SweepCell& cell = cells[idx];
-    const Workload& workload = work[cell.workload_index];
-    const std::string& policy_spec = spec.policy_specs[cell.policy_index];
-    const std::size_t capacity =
-        effective_capacity(cell.workload_index, cell.capacity);
+  const auto run_task = [&](const Task& t) {
+    const Workload& workload = work[t.w];
+    const std::string& policy = spec.policy_specs[t.p];
+    SweepCell* const row = &cells[(t.w * np + t.p) * nc];
+    if (t.c == kWholeRow) {
+      {
+        GC_OBS_SPAN(span, "sweep_row", "sweep");
+        GC_OBS_SPAN_ARG(span, "policy", policy);
+        GC_OBS_SPAN_ARG(span, "workload", std::to_string(t.w));
+        std::vector<std::size_t> caps(spec.capacities);
+        for (std::size_t& cap : caps) cap = effective_capacity(t.w, cap);
+        const std::vector<SimStats> column = simulate_column_spec(
+            policy, *workload.map, workload.trace, block_ids[t.w], caps);
+        for (std::size_t c = 0; c < nc; ++c)
+          row[c].stats = correct_stats(t.w, column[c]);
+      }
+      GC_OBS_COUNT("sweep.rows_completed", 1);
+      return;
+    }
+    SweepCell& cell = row[t.c];
     {
       GC_OBS_SPAN(span, "sweep_cell", "sweep");
-      GC_OBS_SPAN_ARG(span, "policy", policy_spec);
+      GC_OBS_SPAN_ARG(span, "policy", policy);
       GC_OBS_SPAN_ARG(span, "capacity", std::to_string(cell.capacity));
+      const std::size_t capacity = effective_capacity(t.w, cell.capacity);
       SimStats stats;
       if (spec.use_fast_path) {
-        stats =
-            simulate_fast_spec(policy_spec, *workload.map, workload.trace,
-                               block_ids[cell.workload_index], capacity);
+        stats = simulate_fast_spec(policy, *workload.map, workload.trace,
+                                   block_ids[t.w], capacity);
       } else {
-        auto policy = make_policy(policy_spec, capacity);
-        stats = simulate(workload, *policy, capacity);
+        auto instance = make_policy(policy, capacity);
+        stats = simulate(workload, *instance, capacity);
       }
-      cell.stats = correct_stats(cell.workload_index, stats);
+      cell.stats = correct_stats(t.w, stats);
     }
     GC_OBS_COUNT("sweep.cells_completed", 1);
-    if (spec.progress)
-      spec.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                    cells.size());
-  });
+  };
+
+  // One progress unit per task. `done` is shared across workers; the
+  // callback itself is the caller's to make thread-safe.
+  std::atomic<std::size_t> done{0};
+  for (const Task& task : tasks)
+    pool.submit([&, task] {
+      run_task(task);
+      if (spec.progress)
+        spec.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
+                      tasks.size());
+    });
+  pool.wait();
   return cells;
 }
 

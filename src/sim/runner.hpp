@@ -5,16 +5,15 @@
 // are fully independent and the sweep parallelizes trivially. Workloads are
 // shared read-only (BlockMap and Trace are immutable after construction).
 //
-// Two fast-path granularities:
-//   * batched (default): the unit of work is a whole (workload, policy)
-//     ROW — all capacities in one trace pass via simulate_column_spec, with
-//     stack policies collapsing further into a single stack-distance pass.
-//     Rows are scheduled longest-estimated-first (estimated_sim_cost; the
-//     factory throughputs skew ~70x across policies), so the slowest rows
-//     never start last and strand the pool.
-//   * per-cell (batch_columns = false, or the verifying engine): one task
-//     per grid cell, statically chunked.
-// Both produce bit-identical SimStats in identical row-major order.
+// One scheduler serves both engines. Each (workload, policy) row that takes
+// the stack-distance pass (stack_column_eligible: item-lru; block-lru on a
+// uniform partition) is one task computing every capacity at once; every
+// other cell is its own task. Tasks go out longest-estimated-first
+// (estimated_sim_cost; the factory's per-policy costs skew ~17x), so the
+// slowest tasks never start last and strand the pool. The fast path runs
+// simulate_column_spec / simulate_fast_spec; the verifying path runs
+// `simulate` per cell. Both produce bit-identical SimStats in identical
+// row-major order.
 #pragma once
 
 #include <cstddef>
@@ -49,15 +48,10 @@ struct SweepSpec {
   /// the verifying engine — switch off to exercise the step-wise
   /// `Simulation` path instead (e.g. when debugging a new policy).
   bool use_fast_path = true;
-  /// Batch each (workload, policy) row's capacities into one trace pass and
-  /// schedule rows cost-aware (see file comment). Fast-path only; ignored
-  /// when use_fast_path is false. Off = per-cell static chunking, which is
-  /// what bench_sweep compares against.
-  bool batch_columns = true;
   // ---- Spatial-hash sampling (locality/sample.hpp) ------------------------
   // When active, each workload is filtered ONCE through the block-consistent
-  // SHARDS sampler, every engine (batched, per-cell, verifying) runs on the
-  // filtered trace at capacities scaled by the workload's effective rate,
+  // SHARDS sampler, every engine (stack pass, per-cell, verifying) runs on
+  // the filtered trace at capacities scaled by the workload's effective rate,
   // and the resulting counters are rescaled back to full-trace estimates.
   // Cells still report the ORIGINAL capacity. `sample_rate == 1.0` with
   // `sample_blocks == 0` bypasses sampling entirely — results are
@@ -82,8 +76,8 @@ struct SweepSpec {
   /// empty otherwise, and is mutually exclusive with sample_rate /
   /// sample_blocks (the runner would sample an already-sampled trace).
   std::vector<Presampled> presampled;
-  /// Optional coarse progress hook, invoked as units of work complete with
-  /// (done, total) — units are rows in batched mode, cells otherwise.
+  /// Optional coarse progress hook, invoked as tasks complete with
+  /// (done, total) — a task is a stack-pass row or a single cell.
   /// Called from worker threads (possibly concurrently): the callback must
   /// be thread-safe and cheap. Backs `gcsim --progress`.
   std::function<void(std::size_t done, std::size_t total)> progress;

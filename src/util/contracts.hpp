@@ -78,7 +78,7 @@ inline constexpr bool kHotChecksEnabled = true;
 
 // ---- gclint hot-region markers ---------------------------------------------
 // GC_HOT_REGION_BEGIN / GC_HOT_REGION_END delimit per-access hot-loop code —
-// the regions `simulate_fast` / `simulate_column` execute once per access
+// the regions `simulate_fast` and the stack pass execute once per access
 // (CacheContents mutators, fast_step, the stack-distance walker). They expand
 // to nothing; `tools/gclint` enforces that only GC_HOT_* contracts appear
 // between them, because a cold GC_REQUIRE/GC_ENSURE/GC_CHECK there would

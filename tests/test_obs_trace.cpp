@@ -6,8 +6,9 @@
 // non-monotonic timestamps, unmatched B/E, overlapping non-nested X spans)
 // must each fail with a descriptive message. The sweep integration test
 // checks the actual instrumentation sites: a run_sweep under an installed
-// log yields named pool workers, sweep_row spans, and registry counters that
-// add up — and records nothing at all when no sink is installed.
+// log yields named pool workers, sweep_row / sweep_cell spans, and registry
+// counters that add up — and records nothing at all when no sink is
+// installed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -258,7 +259,10 @@ TEST(SweepObsIntegration, TraceAndCountersCaptureTheSchedule) {
       traces::zipf_blocks(32, 8, 1500, 0.9, 3, 1),
       traces::zipf_blocks(32, 8, 1500, 0.8, 3, 2)};
   const sim::SweepSpec spec = small_sweep(workloads);
-  const std::size_t rows = workloads.size() * spec.policy_specs.size();
+  // item-lru takes the stack pass: one task per workload. item-fifo and
+  // block-fifo run one task per cell.
+  const std::size_t stack_rows = workloads.size();
+  const std::size_t cell_tasks = workloads.size() * 2 * spec.capacities.size();
 
   TraceLog log;
   CounterRegistry reg;
@@ -268,7 +272,8 @@ TEST(SweepObsIntegration, TraceAndCountersCaptureTheSchedule) {
     obs::MetricsScope mscope(reg);
     cells = run_sweep(spec);
   }
-  ASSERT_EQ(cells.size(), rows * spec.capacities.size());
+  ASSERT_EQ(cells.size(), workloads.size() * spec.policy_specs.size() *
+                              spec.capacities.size());
 
   if (!obs::kObsEnabled) {
     // Macros compiled out: installing sinks must observe exactly nothing.
@@ -277,23 +282,24 @@ TEST(SweepObsIntegration, TraceAndCountersCaptureTheSchedule) {
     return;
   }
 
-  EXPECT_EQ(reg.value("sweep.rows_completed"), rows);
+  EXPECT_EQ(reg.value("sweep.rows_completed"), stack_rows);
+  EXPECT_EQ(reg.value("sweep.cells_completed"), cell_tasks);
   EXPECT_EQ(reg.value("sweep.block_id_precomputes"), workloads.size());
-  EXPECT_EQ(reg.value("column.stack_fast_path") +
-                reg.value("column.lane_engine"),
-            rows);
-  EXPECT_GE(reg.value("pool.tasks_executed"), rows);
+  EXPECT_EQ(reg.value("column.stack_fast_path"), stack_rows);
+  EXPECT_GE(reg.value("pool.tasks_executed"), stack_rows + cell_tasks);
 
-  std::size_t row_spans = 0, pool_spans = 0, worker_names = 0;
+  std::size_t row_spans = 0, cell_spans = 0, pool_spans = 0, worker_names = 0;
   for (const obs::TraceEvent& e : log.events()) {
     if (e.name == "sweep_row") ++row_spans;
+    if (e.name == "sweep_cell") ++cell_spans;
     if (e.name == "pool_task") ++pool_spans;
     if (e.ph == 'M' && !e.args.empty() &&
         e.args[0].second.rfind("gcpool-worker-", 0) == 0)
       ++worker_names;
   }
-  EXPECT_EQ(row_spans, rows);
-  EXPECT_GE(pool_spans, rows);
+  EXPECT_EQ(row_spans, stack_rows);
+  EXPECT_EQ(cell_spans, cell_tasks);
+  EXPECT_GE(pool_spans, stack_rows + cell_tasks);
   EXPECT_GE(worker_names, 1u);
   EXPECT_LE(worker_names, spec.threads);
 
@@ -318,7 +324,6 @@ TEST(SweepObsIntegration, ProgressReportsMonotonicallyToCompletion) {
   const std::vector<Workload> workloads = {
       traces::zipf_blocks(16, 4, 600, 0.9, 2, 4)};
   sim::SweepSpec spec = small_sweep(workloads);
-  const std::size_t rows = workloads.size() * spec.policy_specs.size();
 
   std::mutex mu;
   std::vector<std::pair<std::size_t, std::size_t>> reports;
@@ -326,27 +331,29 @@ TEST(SweepObsIntegration, ProgressReportsMonotonicallyToCompletion) {
     std::lock_guard<std::mutex> lock(mu);
     reports.emplace_back(done, total);
   };
-  (void)run_sweep(spec);
-  ASSERT_EQ(reports.size(), rows);
-  std::size_t max_done = 0;
-  for (const auto& [done, total] : reports) {
-    EXPECT_EQ(total, rows);
-    EXPECT_GE(done, 1u);
-    EXPECT_LE(done, rows);
-    max_done = std::max(max_done, done);
+  // One report per task, each counting up to the task total: the fast path
+  // runs item-lru's row as one stack-pass task and every other cell alone;
+  // the verifying engine runs every cell alone.
+  const std::size_t cells = spec.policy_specs.size() * spec.capacities.size();
+  for (const bool fast : {true, false}) {
+    SCOPED_TRACE(fast ? "fast" : "verifying");
+    spec.use_fast_path = fast;
+    const std::size_t tasks = fast ? 1 + 2 * spec.capacities.size() : cells;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      reports.clear();
+    }
+    (void)run_sweep(spec);
+    ASSERT_EQ(reports.size(), tasks);
+    std::size_t max_done = 0;
+    for (const auto& [done, total] : reports) {
+      EXPECT_EQ(total, tasks);
+      EXPECT_GE(done, 1u);
+      EXPECT_LE(done, tasks);
+      max_done = std::max(max_done, done);
+    }
+    EXPECT_EQ(max_done, tasks);
   }
-  EXPECT_EQ(max_done, rows);
-
-  // Per-cell mode reports cells instead of rows.
-  spec.batch_columns = false;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    reports.clear();
-  }
-  const std::size_t cells = rows * spec.capacities.size();
-  (void)run_sweep(spec);
-  ASSERT_EQ(reports.size(), cells);
-  for (const auto& report : reports) EXPECT_EQ(report.second, cells);
 }
 
 }  // namespace

@@ -1,16 +1,16 @@
-// Differential tests for the capacity-batched sweep engine.
+// Differential tests for the sweep scheduler and its column entry point.
 //
 // Three ways to evaluate a (workload, policy) row's capacity column must be
 // bit-identical on every SimStats counter:
-//   1. per-cell      — simulate_fast_spec once per capacity (PR 1's engine),
-//   2. lane-batched  — simulate_column_spec with the stack path disabled
-//                      (one trace pass, one cache lane per capacity),
-//   3. stack-column  — simulate_column_spec with the stack path enabled
-//                      (item-lru / block-lru collapse into one
-//                      stack-distance pass; others fall through to lanes).
-// And run_sweep must produce identical cells with batching on or off, at
-// any thread count. Like test_fast_sim, this binary is built twice: against
-// the normal libraries and against the GC_FAST_SIM configuration.
+//   1. per-cell   — simulate_fast_spec once per capacity,
+//   2. column     — simulate_column_spec (item-lru / block-lru collapse into
+//                   one stack-distance pass; every other spec runs per-cell),
+//   3. verifying  — the step-wise `simulate` engine once per capacity.
+// And run_sweep — stack-pass rows and single cells in one longest-first task
+// list — must produce those same cells in the fast and verifying engines, at
+// any thread count, sampled or not. Like test_fast_sim, this binary is built
+// twice: against the normal libraries and against the GC_FAST_SIM
+// configuration.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -64,19 +64,17 @@ TEST_P(ColumnDifferential, AllThreePathsBitIdentical) {
     const Workload w = traces::zipf_blocks(64, 8, 4000, 0.9, 4, seed);
     const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
     const std::span<const BlockId> ids_span(ids);
-    const std::vector<SimStats> batched =
+    const std::vector<SimStats> column =
         simulate_column_spec(spec, *w.map, w.trace, ids_span, kCapacities);
-    const std::vector<SimStats> lanes_only = simulate_column_spec(
-        spec, *w.map, w.trace, ids_span, kCapacities, /*allow_stack=*/false);
-    ASSERT_EQ(batched.size(), kCapacities.size());
-    ASSERT_EQ(lanes_only.size(), kCapacities.size());
+    ASSERT_EQ(column.size(), kCapacities.size());
     for (std::size_t i = 0; i < kCapacities.size(); ++i) {
       SCOPED_TRACE(spec + " seed=" + std::to_string(seed) +
                    " capacity=" + std::to_string(kCapacities[i]));
       const SimStats cell = simulate_fast_spec(spec, *w.map, w.trace,
                                                ids_span, kCapacities[i]);
-      expect_identical(cell, batched[i]);
-      expect_identical(cell, lanes_only[i]);
+      const auto policy = make_policy(spec, kCapacities[i]);
+      expect_identical(cell, column[i]);
+      expect_identical(cell, simulate(w, *policy, kCapacities[i]));
     }
   }
 }
@@ -117,18 +115,36 @@ TEST(StackColumn, MatchesPerCellAcrossWorkloadShapes) {
   }
 }
 
-// A non-uniform partition (last block smaller) is outside the block-lru
-// stack derivation's model; the dispatcher must fall back to the lane
-// engine and still match per-cell results.
-TEST(StackColumn, NonUniformPartitionFallsBackToLanes) {
+/// 60 items in blocks of 8: the last block holds 4, so the partition is
+/// not uniform.
+Workload nonuniform_workload() {
   Workload w;
-  w.map = std::make_shared<UniformBlockMap>(60, 8);  // last block: 4 items
-  ASSERT_FALSE(locality::block_column_supported(*w.map));
+  w.map = std::make_shared<UniformBlockMap>(60, 8);
   std::vector<ItemId> accesses(2500);
   for (std::size_t i = 0; i < accesses.size(); ++i)
     accesses[i] = static_cast<ItemId>((i * 7 + i * i % 13) % 60);
   w.trace = Trace(std::move(accesses));
   w.name = "nonuniform";
+  return w;
+}
+
+// Only the stack policies qualify, and block-lru only on a uniform partition.
+TEST(StackColumn, EligibilityFollowsTheStackTrait) {
+  const Workload uniform = traces::zipf_blocks(8, 4, 50, 0.8, 2, 1);
+  const Workload ragged = nonuniform_workload();
+  ASSERT_FALSE(locality::block_column_supported(*ragged.map));
+  for (const std::string& spec : specs_under_test()) {
+    SCOPED_TRACE(spec);
+    const bool stack = spec == "item-lru" || spec == "block-lru";
+    EXPECT_EQ(stack_column_eligible(spec, *uniform.map), stack);
+    EXPECT_EQ(stack_column_eligible(spec, *ragged.map), spec == "item-lru");
+  }
+}
+
+// A non-uniform partition is outside the block-lru stack derivation's model;
+// simulate_column_spec must fall back to per-cell runs and still match.
+TEST(StackColumn, NonUniformPartitionFallsBackToPerCell) {
+  const Workload w = nonuniform_workload();
   const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
   const std::vector<SimStats> column =
       simulate_column_spec("block-lru", *w.map, w.trace,
@@ -151,13 +167,31 @@ TEST(StackColumn, RejectsUnknownSpec) {
                ContractViolation);
 }
 
-// run_sweep: batching (with its cost-aware, out-of-order row schedule) must
-// be invisible in the results — identical cells in identical row-major
-// order, at every thread count, in fast and verifying modes.
-TEST(SweepBatched, BatchOnOffIdenticalAcrossThreadCounts) {
+void expect_same_cells(const std::vector<sim::SweepCell>& expected,
+                       const std::vector<sim::SweepCell>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE("cell=" + std::to_string(i));
+    EXPECT_EQ(expected[i].workload_index, actual[i].workload_index);
+    EXPECT_EQ(expected[i].policy_index, actual[i].policy_index);
+    EXPECT_EQ(expected[i].capacity, actual[i].capacity);
+    expect_identical(expected[i].stats, actual[i].stats);
+  }
+}
+
+const std::vector<std::size_t> kThreadCounts = {
+    1, 2, std::thread::hardware_concurrency()};
+
+// run_sweep's longest-first schedule of stack rows and single cells must be
+// invisible in the results: the fast sweep at every thread count equals
+// per-cell simulate_fast_spec in row-major order, and the verifying sweep
+// equals both. The non-uniform workload makes its block-lru row fall back
+// from the stack pass to per-cell tasks.
+TEST(SweepBatched, FastMatchesVerifyingAcrossThreadCounts) {
   const std::vector<Workload> workloads = {
       traces::zipf_blocks(64, 8, 3000, 0.9, 4, 1),
       traces::hot_item_per_block(32, 8, 2000, 8, 0.25, 2),
+      nonuniform_workload(),
   };
   sim::SweepSpec spec;
   spec.workloads = &workloads;
@@ -165,34 +199,50 @@ TEST(SweepBatched, BatchOnOffIdenticalAcrossThreadCounts) {
                        "gcm:seed=5,sideload=3"};
   spec.capacities = {16, 32, 64};
 
-  spec.batch_columns = false;
-  const auto baseline = sim::run_sweep(spec);
-  ASSERT_EQ(baseline.size(), workloads.size() * spec.policy_specs.size() *
-                                 spec.capacities.size());
+  std::vector<sim::SweepCell> reference;
+  for (std::size_t w = 0; w < workloads.size(); ++w)
+    for (std::size_t p = 0; p < spec.policy_specs.size(); ++p)
+      for (const std::size_t capacity : spec.capacities)
+        reference.push_back(
+            {w, p, capacity,
+             simulate_fast_spec(spec.policy_specs[p], workloads[w],
+                                capacity)});
 
-  const std::size_t hw = std::thread::hardware_concurrency();
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     spec.threads = threads;
-    spec.batch_columns = true;
-    const auto batched = sim::run_sweep(spec);
-    ASSERT_EQ(batched.size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " cell=" + std::to_string(i));
-      EXPECT_EQ(baseline[i].workload_index, batched[i].workload_index);
-      EXPECT_EQ(baseline[i].policy_index, batched[i].policy_index);
-      EXPECT_EQ(baseline[i].capacity, batched[i].capacity);
-      expect_identical(baseline[i].stats, batched[i].stats);
+    spec.use_fast_path = true;
+    expect_same_cells(reference, sim::run_sweep(spec));
+    spec.use_fast_path = false;
+    expect_same_cells(reference, sim::run_sweep(spec));
+  }
+}
+
+// Every factory spec, sampled at a fixed rate and at a fixed block budget:
+// the fast sweep at 1 / 2 / hardware threads matches the verifying sweep,
+// which runs the same sampled traces at the same scaled capacities.
+TEST(SweepBatched, SampledFastMatchesVerifyingForEveryFactorySpec) {
+  const std::vector<Workload> workloads = {
+      traces::zipf_blocks(64, 8, 3000, 0.9, 4, 3)};
+  sim::SweepSpec spec;
+  spec.workloads = &workloads;
+  spec.policy_specs = specs_under_test();
+  // Large enough that every scaled capacity keeps IBLP's block layer >= B.
+  spec.capacities = {48, 96, 192};
+  for (const bool fixed_size : {false, true}) {
+    SCOPED_TRACE(fixed_size ? "sample_blocks=32" : "sample_rate=0.5");
+    spec.sample_rate = fixed_size ? 1.0 : 0.5;
+    spec.sample_blocks = fixed_size ? 32 : 0;
+    spec.use_fast_path = false;
+    spec.threads = 0;
+    const std::vector<sim::SweepCell> verified = sim::run_sweep(spec);
+    spec.use_fast_path = true;
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      spec.threads = threads;
+      expect_same_cells(verified, sim::run_sweep(spec));
     }
   }
-
-  // The verifying engine ignores batch_columns; results still agree.
-  spec.threads = 2;
-  spec.use_fast_path = false;
-  spec.batch_columns = true;
-  const auto verified = sim::run_sweep(spec);
-  for (std::size_t i = 0; i < baseline.size(); ++i)
-    expect_identical(baseline[i].stats, verified[i].stats);
 }
 
 TEST(SweepBatched, CostModelIsPositiveAndScalesWithLength) {

@@ -9,8 +9,8 @@
 //
 //   hot-region-cold-contract  No cold-tier GC_REQUIRE / GC_ENSURE / GC_CHECK
 //                             inside a GC_HOT_REGION_BEGIN/END region (the
-//                             per-access code simulate_fast / simulate_column
-//                             execute). A cold contract there silently
+//                             per-access code simulate_fast and the stack
+//                             pass execute). A cold contract there silently
 //                             reintroduces the per-access overhead that the
 //                             GC_FAST_SIM configuration exists to remove.
 //   hot-region-balance        BEGIN/END markers must pair, labels must match,
@@ -73,11 +73,10 @@
 //                             and that the declaring class is registered in
 //                             policies/factory.cpp.
 //   factory-registration      The factory's spec tables (make_policy,
-//                             simulate_fast_spec, simulate_column_spec,
-//                             known_policy_names) must agree, and the
-//                             differential tests must enumerate the factory
-//                             (known_policy_names) so every registered spec
-//                             is diff-tested.
+//                             simulate_fast_spec, known_policy_names) must
+//                             agree, and the differential tests must
+//                             enumerate the factory (known_policy_names) so
+//                             every registered spec is diff-tested.
 //   rng-discipline            No rand()/srand()/std::random_device/
 //                             std::mt19937/... outside util/rng.hpp —
 //                             determinism given a seed is a hard requirement.

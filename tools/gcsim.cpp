@@ -31,6 +31,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bounds/competitive.hpp"
@@ -118,31 +119,40 @@ class Args {
   std::uint64_t get_u64(const std::string& key,
                         std::optional<std::uint64_t> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    return std::stoull(get(key));
+    return parse_u64(key, get(key));
   }
 
-  /// Signed, fully-checked integer parse: rejects non-numeric values and
-  /// trailing junk instead of wrapping or crashing, so `--shards -4` can be
-  /// validated as -4 rather than silently becoming 2^64-4.
+  /// Signed integer, so `--shards -4` can be validated as -4 rather than
+  /// silently becoming 2^64-4.
   long long get_i64(const std::string& key,
                     std::optional<long long> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    const std::string raw = get(key);
-    try {
-      std::size_t used = 0;
-      const long long v = std::stoll(raw, &used);
-      if (used != raw.size()) throw std::invalid_argument(raw);
-      return v;
-    } catch (const std::exception&) {
-      std::cerr << "invalid integer for --" << key << ": '" << raw << "'\n";
-      std::exit(2);
-    }
+    return parse_number<long long>(
+        key, get(key), [](const std::string& s, std::size_t* used) {
+          return std::stoll(s, used);
+        });
   }
 
   double get_f64(const std::string& key,
                  std::optional<double> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    return std::stod(get(key));
+    return parse_number<double>(
+        key, get(key), [](const std::string& s, std::size_t* used) {
+          return std::stod(s, used);
+        });
+  }
+
+  /// Comma-separated unsigned integers. Every token, empty ones included,
+  /// goes through the checked parse, so `64,,128` and `64,` fail too.
+  std::vector<std::size_t> get_sizes(const std::string& key) const {
+    const std::string raw = get(key);
+    std::vector<std::size_t> out;
+    for (std::size_t start = 0;;) {
+      const std::size_t comma = raw.find(',', start);
+      out.push_back(parse_u64(key, raw.substr(start, comma - start)));
+      if (comma == std::string::npos) return out;
+      start = comma + 1;
+    }
   }
 
   /// Exits 2 naming the first given option that no lookup has read yet.
@@ -169,6 +179,42 @@ class Args {
     read_.insert(key);
   }
 
+  /// The one checked numeric parse behind every numeric getter: `parse` (a
+  /// std::sto* call) must consume the whole token, so trailing junk ("64x")
+  /// and empty tokens fail instead of being dropped. Unsigned and real
+  /// values must also start with a digit (or '.'), which rejects a sign —
+  /// std::stoull would wrap "-64" to 2^64-64 — and inf/nan. Any failure
+  /// exits 2 naming the flag.
+  template <typename T, typename Parse>
+  static T parse_number(const std::string& key, const std::string& raw,
+                        Parse parse) {
+    constexpr bool kReal = std::is_floating_point_v<T>;
+    const bool lead_ok =
+        std::is_same_v<T, long long> ||
+        (!raw.empty() && (std::isdigit(static_cast<unsigned char>(raw[0])) ||
+                          (kReal && raw[0] == '.')));
+    if (lead_ok) {
+      try {
+        std::size_t used = 0;
+        const T v = parse(raw, &used);
+        if (used == raw.size()) return v;
+      } catch (const std::exception&) {
+        // std::invalid_argument or std::out_of_range: reported below.
+      }
+    }
+    std::cerr << "invalid " << (kReal ? "number" : "integer") << " for --"
+              << key << ": '" << raw << "'\n";
+    std::exit(2);
+  }
+
+  static std::uint64_t parse_u64(const std::string& key,
+                                 const std::string& raw) {
+    return parse_number<std::uint64_t>(
+        key, raw, [](const std::string& s, std::size_t* used) {
+          return std::stoull(s, used);
+        });
+  }
+
   static bool is_flag(const std::string& key) {
     return key == "progress" || key == "trace-bin" || key == "perf";
   }
@@ -184,12 +230,6 @@ std::vector<std::string> split_csv(const std::string& s) {
   std::string tok;
   while (std::getline(is, tok, ','))
     if (!tok.empty()) out.push_back(tok);
-  return out;
-}
-
-std::vector<std::size_t> split_sizes(const std::string& s) {
-  std::vector<std::size_t> out;
-  for (const auto& tok : split_csv(s)) out.push_back(std::stoull(tok));
   return out;
 }
 
@@ -257,7 +297,7 @@ class ProgressPrinter {
     last_print_ = now;
     const double elapsed =
         std::chrono::duration<double>(now - start_).count();
-    std::cerr << "\rsweep: " << done << "/" << total << " rows";
+    std::cerr << "\rsweep: " << done << "/" << total << " tasks";
     if (final) {
       std::cerr << " (done in " << TextTable::fmt(elapsed, 1) << "s)\n";
     } else if (done > 0) {
@@ -396,7 +436,7 @@ int cmd_simulate(const Args& args) {
       timeline.write_csv(stem + ".csv");
       timeline.write_jsonl(stem + ".jsonl");
       std::cout << "obs: wrote " << stem << ".csv/.jsonl ("
-                << timeline.windows(0).size() << " windows of "
+                << timeline.windows().size() << " windows of "
                 << timeline.window() << ")\n";
     } else {
       s = fast ? simulate_fast_spec(spec, w, capacity)
@@ -468,18 +508,9 @@ int cmd_sweep(const Args& args) {
   spec.workloads = &workloads;
   spec.presampled = std::move(presampled);
   spec.policy_specs = split_csv(args.get("policies"));
-  spec.capacities = split_sizes(args.get("capacities"));
+  spec.capacities = args.get_sizes("capacities");
   spec.threads = args.get_u64("threads", 0);
   spec.use_fast_path = use_fast_mode(args);
-  // `--batch on` (default) runs whole capacity columns per trace pass with
-  // cost-aware row scheduling; `--batch off` forces the per-cell engine.
-  const std::string batch = args.get("batch", std::string("on"));
-  if (batch == "on" || batch == "off") {
-    spec.batch_columns = batch == "on";
-  } else {
-    std::cerr << "unknown --batch " << batch << " (on|off)\n";
-    std::exit(2);
-  }
   const std::string csv_path = args.get("csv", std::string());
   const bool progress = args.has("progress");
   require_obs_build(args);
@@ -664,7 +695,7 @@ int cmd_gcached(const Args& args) {
 int cmd_profile(const Args& args) {
   const Workload w = load_workload_file(args.get("workload"));
   std::vector<std::size_t> windows;
-  if (args.has("windows")) windows = split_sizes(args.get("windows"));
+  if (args.has("windows")) windows = args.get_sizes("windows");
   args.reject_unread("profile");
   const auto prof = locality::compute_profile(w, windows);
   TextTable table({"window n", "f(n)", "g(n)", "f/g", "f concave-fit"});
@@ -706,7 +737,7 @@ int cmd_mrc(const Args& args) {
   const Workload w = load_workload_file(args.get("workload"));
   std::vector<std::size_t> sizes;
   if (args.has("sizes")) {
-    sizes = split_sizes(args.get("sizes"));
+    sizes = args.get_sizes("sizes");
   } else {
     for (std::size_t s = w.map->max_block_size();
          s <= std::min<std::size_t>(w.map->num_items(), 1 << 16); s *= 2)
@@ -929,7 +960,7 @@ subcommands:
   sweep      policy x capacity grid, in parallel
              --workload FILE [--workload FILE]... --policies A,B,..
              --capacities N,M,.. [--threads T] [--csv FILE]
-             [--mode fast|verify] [--batch on|off] [--obs DIR] [--progress]
+             [--mode fast|verify] [--obs DIR] [--progress]
              [--sample-rate R | --sample-size N] [--sample-seed S]
              sampling sweeps a SHARDS-style hash sample of each workload
              (block-consistent; binary inputs stream without materializing)
