@@ -30,8 +30,6 @@
 #include "gcached/gcached.hpp"
 #include "gcached/loadgen.hpp"
 #include "obs/gcmon.hpp"
-#include "obs/obs.hpp"
-#include "obs/shard_metrics.hpp"
 #include "traces/synthetic.hpp"
 #include "util/contracts.hpp"
 
@@ -50,7 +48,7 @@ struct Options {
   double fill_us = 50.0;
   std::size_t mshrs = 8;  ///< MSHR registers per shard
   std::uint64_t seed = 1;
-  /// Attach a live gcmon monitor (atlas + snapshot thread) to every cell —
+  /// Attach a live gcmon monitor (snapshot thread) to every cell —
   /// the configuration the CI overhead gate measures against a plain run.
   bool mon = false;
   std::uint64_t mon_interval_ms = 10;
@@ -275,12 +273,6 @@ void write_json(const Options& opts, const Workload& workload,
 
 int run(int argc, char** argv) {
   const Options opts = parse(argc, argv);
-  if (opts.mon && !obs::kObsEnabled) {
-    std::cerr << "--mon requires an observability build (GCACHING_OBS): the "
-                 "fast preset compiles the GC_MON_* publish sites to nothing, "
-                 "so the monitor would harvest only zeros.\n";
-    return 2;
-  }
   BenchOptions table_opts;
   table_opts.csv_dir = opts.csv_dir;
   table_opts.quick = opts.quick;
@@ -315,18 +307,15 @@ int run(int argc, char** argv) {
       spec.total_ops = opts.ops;
       spec.seed = opts.seed;
       spec.perf = opts.perf;
-      // --mon reproduces the CI overhead-gate configuration: a live atlas
-      // receiving every access's counters plus a background snapshot thread
-      // harvesting on a tight interval, with no file exporters in the loop.
-      std::optional<obs::ShardAtlas> atlas;
+      // --mon reproduces the CI overhead-gate configuration: a background
+      // snapshot thread taking every shard's lock once per harvest on a
+      // tight interval, with no file exporters in the loop.
       std::optional<obs::Monitor> monitor;
       if (opts.mon) {
-        atlas.emplace(shards);
         obs::MonitorConfig mcfg;
         mcfg.interval = std::chrono::milliseconds(opts.mon_interval_ms);
         monitor.emplace(mcfg);
-        monitor->attach_atlas(&*atlas);
-        cache->attach_atlas(&*atlas);
+        monitor->attach_shards([&cache] { return cache->shard_values(); });
         monitor->start();
         spec.monitor = &*monitor;
       }
@@ -337,7 +326,10 @@ int run(int argc, char** argv) {
           run_load(*cache, workload.trace, workload.trace.block_ids(), spec);
       if (monitor) {
         monitor->stop();
-        cache->attach_atlas(nullptr);
+        if (const std::string err = monitor->export_error(); !err.empty()) {
+          std::cerr << "error: " << err << "\n";
+          return 1;
+        }
       }
       table.add_row(
           {fmti(shards), fmti(threads),

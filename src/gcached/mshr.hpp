@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 
 #include "core/types.hpp"
@@ -38,8 +37,6 @@ namespace gcaching::gcached {
 struct Mshr {
   BlockId block = 0;
   bool active = false;
-  /// Accesses that coalesced onto this fill (delayed hits in the making).
-  std::uint64_t coalesced = 0;
   FillGate gate;
 };
 
@@ -76,7 +73,6 @@ class MshrTable {
       if (!e.active) {
         e.active = true;
         e.block = block;
-        e.coalesced = 0;
         ++inflight_;
         return &e;
       }

@@ -43,9 +43,14 @@
 //
 // docs/CONCURRENCY.md ("Asynchronous fills and the MSHR table") documents
 // the lock hand-off protocol and the delayed-hit accounting.
+//
+// The access path carries no telemetry. Each shard's SimStats share, plus
+// three plain per-shard counters kept under its lock (lock acquisitions,
+// failed try-locks, coalesced waiters), IS the counter model: collect_stats
+// sums it, and `shard_values` hands it per shard to the gcmon monitor
+// (obs/gcmon.hpp), which reads it under the same uncounted hold.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -60,7 +65,7 @@
 #include "gcached/mshr.hpp"
 #include "gcached/shard_lock.hpp"
 #include "locality/sample.hpp"
-#include "obs/shard_metrics.hpp"
+#include "obs/gcmon.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching::gcached {
@@ -143,6 +148,12 @@ class ConcurrentCache {
   /// consistent-per-shard snapshot otherwise.
   virtual SimStats collect_stats() = 0;
 
+  /// Per-shard counters for the gcmon monitor, from the same per-shard
+  /// snapshot as collect_stats (one uncounted hold of each shard lock):
+  /// the shard's SimStats share, its occupancy and in-flight fills, and
+  /// its lock and coalescing counts. Cold path; safe during traffic.
+  virtual std::vector<obs::ShardValues> shard_values() = 0;
+
   virtual std::size_t num_shards() const = 0;
   virtual std::size_t capacity() const = 0;
   /// Shard `s`'s capacity share (see shard_capacity_share).
@@ -150,13 +161,6 @@ class ConcurrentCache {
   /// Shard `s`'s current occupancy (takes the shard lock).
   virtual std::size_t shard_occupancy(std::size_t s) = 0;
   virtual std::string policy_name() const = 0;
-
-  /// Attach (or detach with nullptr) a gcmon per-shard counter table sized
-  /// to num_shards(). The access path publishes hit/miss/sideload/lock
-  /// deltas into it via GC_MON_* macros — relaxed atomics only, compiled to
-  /// nothing under GCACHING_OBS=OFF, so attach is a no-op in fast builds.
-  /// The atlas must outlive all traffic issued while it is attached.
-  virtual void attach_atlas(obs::ShardAtlas* atlas) = 0;
 };
 
 /// The ConcurrentPolicy adapter: `Policy` is any concrete policy class
@@ -205,25 +209,24 @@ class ShardedCache final : public ConcurrentCache {
   void access(ClientContext& ctx, ItemId item, BlockId block) override {
     const std::size_t si = shard_of_block(block, shards_.size());
     Shard& shard = *shards_[si];
-    GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
     std::uint64_t waited_ns = 0;
     for (;;) {
       FillGate* wait_gate = nullptr;
       std::uint64_t wait_epoch = 0;
       Mshr* fill_entry = nullptr;
       {
-        ShardHold hold(shard, ctx, mon, si);
+        ShardHold hold(shard, ctx);
         if (cfg_.fill_latency_ns == 0) {
           // A free fill is never in flight, so a miss claims and commits
           // it right here: the exact fast_step transition, hit or miss.
-          step(shard, mon, si, item, block);
+          step(shard, item, block);
           return;
         }
         if (shard.cache.contains(item)) {
           if (waited_ns == 0) {
             // Plain hit: the exact fast_step hit arm (its own contains
             // probe re-confirms under the same hold).
-            step(shard, mon, si, item, block);
+            step(shard, item, block);
             return;
           }
           // Resident after a wait: a DELAYED hit — the access was served by
@@ -232,7 +235,7 @@ class ShardedCache final : public ConcurrentCache {
           // The hit taxonomy doubles as the free-delayed-hit classifier:
           // kSpatial means the waiter's item was only ever *sideloaded* by
           // the pending fill — spatial locality paid for the wait.
-          commit_delayed_hit(shard, mon, si, item, waited_ns);
+          commit_delayed_hit(shard, item, waited_ns);
           return;
         }
         // Miss. Coalesce onto an in-flight fill of this block if there is
@@ -240,16 +243,11 @@ class ShardedCache final : public ConcurrentCache {
         // busy, fall back to an unqueued fill (fill_entry stays null —
         // never wait for a register while holding the shard).
         if (Mshr* inflight = shard.mshr.find(block)) {
-          ++inflight->coalesced;
+          ++shard.coalesced;
           wait_gate = &inflight->gate;
           wait_epoch = wait_gate->epoch();
-          if (GC_MON_ATTACHED(mon)) {
-            GC_MON_SHARD_ADD(mon, si, coalesced, 1);
-          }
-        } else if ((fill_entry = shard.mshr.claim(block)) != nullptr) {
-          if (GC_MON_ATTACHED(mon)) {
-            GC_MON_SHARD_SET(mon, si, mshr_inflight, shard.mshr.inflight());
-          }
+        } else {
+          fill_entry = shard.mshr.claim(block);
         }
       }  // shard released — nothing below blocks while holding it.
       if (wait_gate != nullptr) {
@@ -266,25 +264,36 @@ class ShardedCache final : public ConcurrentCache {
       // re-acquire to commit. Other threads hit/miss/fill this shard's
       // OTHER blocks during the sleep — that overlap is the whole point.
       backend_fill(cfg_.fill_latency_ns);
-      commit_fill(ctx, shard, mon, si, item, block, fill_entry);
+      commit_fill(ctx, shard, item, block, fill_entry);
       return;
     }
   }
   GC_HOT_REGION_END(gcached_access)
 
   SimStats collect_stats() override {
-    // Cold path: plain lock() via a throwaway context per shard; the
-    // derivable counters are filled from a COPY of the partial stats, the
-    // same trick as detail::fast_live_snapshot.
     SimStats total;
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      ClientContext ctx;
-      ShardGuard guard(shard->lock, ctx);
-      SimStats snapshot = shard->partial;
-      detail::fast_finalize<Policy>(shard->cache, snapshot, shard->accesses);
-      total += snapshot;
-    }
+    for_each_snapshot(
+        [&total](const Shard&, const SimStats& stats) { total += stats; });
     return total;
+  }
+
+  std::vector<obs::ShardValues> shard_values() override {
+    std::vector<obs::ShardValues> values(shards_.size());
+    std::size_t s = 0;
+    for_each_snapshot([&values, &s](const Shard& shard,
+                                    const SimStats& stats) {
+      obs::ShardValues& v = values[s++];
+      v.hits = stats.hits;
+      v.misses = stats.misses;
+      v.sideloads = stats.sideloads;
+      v.delayed_hits = stats.delayed_hits;
+      v.coalesced = shard.coalesced;
+      v.lock_acquisitions = shard.lock_acquisitions;
+      v.trylock_failures = shard.trylock_failures;
+      v.residency = shard.cache.occupancy();
+      v.mshr_inflight = shard.mshr.inflight();
+    });
+    return values;
   }
 
   std::size_t num_shards() const override { return shards_.size(); }
@@ -304,22 +313,23 @@ class ShardedCache final : public ConcurrentCache {
 
   std::string policy_name() const override { return name_; }
 
-  void attach_atlas(obs::ShardAtlas* atlas) override {
-    GC_REQUIRE(atlas == nullptr || atlas->size() == shards_.size(),
-               "atlas size must equal the shard count");
-    atlas_.store(atlas, std::memory_order_release);
-  }
-
  private:
   // One cache line per shard header keeps neighbouring shards' locks from
   // false-sharing under cross-shard traffic.
   struct alignas(64) Shard {
     ShardLock lock;
+    // Counted by every ShardHold under `lock`, and read only by
+    // shard_values (they are not SimStats). Declared next to `lock` so the
+    // per-hold increments hit the cache line the acquisition just pulled
+    // in.
+    std::uint64_t lock_acquisitions = 0;
+    std::uint64_t trylock_failures = 0;
     CacheContents cache;
     Policy policy;
     MshrTable mshr;         ///< in-flight fills; mutated under `lock` only
     SimStats partial;       ///< non-derivable counters only (fast_step)
     std::uint64_t accesses = 0;
+    std::uint64_t coalesced = 0;  ///< accesses that parked on an MSHR gate
     bool writer_active = false;  ///< checking builds only; guarded by `lock`
 
     Shard(const BlockMap& map, std::size_t capacity, std::size_t mshrs,
@@ -327,32 +337,43 @@ class ShardedCache final : public ConcurrentCache {
         : cache(map, capacity), policy(make()), mshr(mshrs) {}
   };
 
+  /// Calls `fn(shard, stats)` for every shard under one hold of its lock,
+  /// `stats` being the shard's finalized SimStats share. collect_stats and
+  /// shard_values both read through here. The hold uses a throwaway
+  /// context, not a ShardHold, so these cold reads never count toward the
+  /// shard's lock counters; the derivable counters are filled from a COPY
+  /// of the partial stats, the same trick as detail::fast_live_snapshot.
+  template <typename Fn>
+  void for_each_snapshot(Fn&& fn) {
+    for (const std::unique_ptr<Shard>& shard : shards_) {
+      ClientContext ctx;
+      ShardGuard guard(shard->lock, ctx);
+      SimStats stats = shard->partial;
+      detail::fast_finalize<Policy>(shard->cache, stats, shard->accesses);
+      fn(*shard, stats);
+    }
+  }
+
   GC_HOT_REGION_BEGIN(gcached_hold)
   /// One exclusive hold of a shard: takes the lock, checks the
-  /// single-writer-per-shard invariant, and publishes what acquiring the
-  /// lock cost this client (one acquisition, its failed try_locks) to an
-  /// attached atlas — while still holding the shard, as the atlas's
-  /// single-writer publish requires. The invariant check compiles out under
-  /// GC_FAST_SIM and the publish under GCACHING_OBS=OFF; `Mon` is whatever
-  /// GC_MON_ATLAS declared. The exclusive lock makes the writer flag
-  /// race-free, so a firing check means a lock-discipline bug (an access
-  /// path that skipped the ShardHold), not a data race.
-  template <typename Mon>
+  /// single-writer-per-shard invariant, and counts what acquiring the lock
+  /// cost this client (one acquisition, its failed try_locks) into the
+  /// shard's plain counters — while holding the shard, which is what makes
+  /// the plain increments exact. The invariant check compiles out under
+  /// GC_FAST_SIM. The exclusive lock makes the writer flag race-free, so a
+  /// firing check means a lock-discipline bug (an access path that skipped
+  /// the ShardHold), not a data race.
   class ShardHold {
    public:
-    ShardHold(Shard& shard, ClientContext& ctx, [[maybe_unused]] Mon mon,
-              [[maybe_unused]] std::size_t si)
+    ShardHold(Shard& shard, ClientContext& ctx)
         : shard_(shard),
           rounds_before_(ctx.backoff_rounds),
           guard_(shard.lock, ctx) {
       GC_HOT_CHECK(!shard_.writer_active,
                    "single-writer-per-shard invariant violated");
       if constexpr (kHotChecksEnabled) shard_.writer_active = true;
-      if (GC_MON_ATTACHED(mon)) {
-        GC_MON_SHARD_ADD(mon, si, lock_acquisitions, 1);
-        GC_MON_SHARD_ADD(mon, si, trylock_failures,
-                         ctx.backoff_rounds - rounds_before_);
-      }
+      ++shard_.lock_acquisitions;
+      shard_.trylock_failures += ctx.backoff_rounds - rounds_before_;
     }
     ~ShardHold() {
       if constexpr (kHotChecksEnabled) shard_.writer_active = false;
@@ -362,31 +383,16 @@ class ShardedCache final : public ConcurrentCache {
 
    private:
     Shard& shard_;
-    [[maybe_unused]] const std::uint64_t rounds_before_;  ///< gcmon only
+    const std::uint64_t rounds_before_;
     ShardGuard guard_;
   };
 
-  /// The fast_step transition of one access plus its gcmon publishes. Must
-  /// run inside a ShardHold. fast_step maintains only the non-derivable
-  /// counters (misses, spatial hits); hits are 1 - miss per access, and
-  /// sideloads accumulate in CacheContents — the publishes delta those.
-  template <typename Mon>
-  void step(Shard& shard, [[maybe_unused]] Mon mon,
-            [[maybe_unused]] std::size_t si, ItemId item, BlockId block) {
-    [[maybe_unused]] const std::uint64_t sideloads_before =
-        shard.cache.sideloads();
-    [[maybe_unused]] const std::uint64_t misses_before = shard.partial.misses;
+  /// The fast_step transition of one access. Must run inside a ShardHold.
+  /// fast_step maintains only the non-derivable counters (misses, spatial
+  /// hits); fast_finalize derives the rest from the access count.
+  void step(Shard& shard, ItemId item, BlockId block) {
     detail::fast_step(shard.cache, shard.policy, shard.partial, item, block);
     ++shard.accesses;
-    if (GC_MON_ATTACHED(mon)) {
-      [[maybe_unused]] const std::uint64_t miss_delta =
-          shard.partial.misses - misses_before;
-      GC_MON_SHARD_ADD(mon, si, hits, 1 - miss_delta);
-      GC_MON_SHARD_ADD(mon, si, misses, miss_delta);
-      GC_MON_SHARD_ADD(mon, si, sideloads,
-                       shard.cache.sideloads() - sideloads_before);
-      GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
-    }
   }
 
   /// Commit of a fill this thread slept; `fill_entry` is its MSHR register,
@@ -395,17 +401,16 @@ class ShardedCache final : public ConcurrentCache {
   /// block may have committed our item during the unlocked window, and
   /// `begin_miss` on a resident item is a contract violation — the access
   /// then lands as a delayed hit that waited the full fill.
-  template <typename Mon>
-  void commit_fill(ClientContext& ctx, Shard& shard, Mon mon, std::size_t si,
-                   ItemId item, BlockId block, Mshr* fill_entry) {
-    ShardHold hold(shard, ctx, mon, si);
+  void commit_fill(ClientContext& ctx, Shard& shard, ItemId item,
+                   BlockId block, Mshr* fill_entry) {
+    ShardHold hold(shard, ctx);
     if (!shard.cache.contains(item)) {
       // fast_step re-probes residency under this same hold and takes its
       // miss arm: begin_miss/on_miss/end_miss, the exact sequential
       // transition, now merely time-shifted to the fill's completion.
-      step(shard, mon, si, item, block);
+      step(shard, item, block);
     } else {
-      commit_delayed_hit(shard, mon, si, item, cfg_.fill_latency_ns);
+      commit_delayed_hit(shard, item, cfg_.fill_latency_ns);
     }
     if (fill_entry != nullptr) {
       // Release the register and wake every coalesced waiter. Both happen
@@ -414,9 +419,6 @@ class ShardedCache final : public ConcurrentCache {
       FillGate& gate = fill_entry->gate;
       shard.mshr.release(fill_entry);
       gate.advance();
-      if (GC_MON_ATTACHED(mon)) {
-        GC_MON_SHARD_SET(mon, si, mshr_inflight, shard.mshr.inflight());
-      }
     }
   }
 
@@ -426,10 +428,7 @@ class ShardedCache final : public ConcurrentCache {
   /// counters instead of the hit taxonomy: delayed hits are excluded from
   /// hits (and thus from temporal/spatial) by `fast_finalize`'s
   /// `hits = accesses - misses - delayed_hits`.
-  template <typename Mon>
-  void commit_delayed_hit(Shard& shard, [[maybe_unused]] Mon mon,
-                          [[maybe_unused]] std::size_t si, ItemId item,
-                          std::uint64_t wait_ns) {
+  void commit_delayed_hit(Shard& shard, ItemId item, std::uint64_t wait_ns) {
     HitKind kind = HitKind::kTemporal;
     if constexpr (detail::kRequestedOnly<Policy>) {
       // Requested-loads-only policies never sideload, so a resident waiter
@@ -443,19 +442,12 @@ class ShardedCache final : public ConcurrentCache {
     if (kind == HitKind::kSpatial) ++shard.partial.free_delayed_hits;
     shard.partial.delayed_hit_wait_ns += wait_ns;
     ++shard.accesses;
-    if (GC_MON_ATTACHED(mon)) {
-      GC_MON_SHARD_ADD(mon, si, delayed_hits, 1);
-      GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
-    }
   }
   GC_HOT_REGION_END(gcached_hold)
 
   std::shared_ptr<const BlockMap> map_;
   GcachedConfig cfg_;
   std::string name_;
-  /// Attached gcmon counter table, or nullptr (idle: one acquire load per
-  /// access in obs builds; the load itself compiles out under OBS=OFF).
-  std::atomic<obs::ShardAtlas*> atlas_{nullptr};
   // Policies are neither copyable nor movable, so shards live behind
   // unique_ptr.
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -20,10 +20,10 @@ Monitor::Monitor(MonitorConfig cfg)
 
 Monitor::~Monitor() { stop(); }
 
-void Monitor::attach_atlas(const ShardAtlas* atlas) {
+void Monitor::attach_shards(ShardSource source) {
   std::lock_guard<std::mutex> lock(mu_);
-  atlas_ = atlas;
-  prev_.assign(atlas != nullptr ? atlas->size() : 0, ShardValues{});
+  source_ = std::move(source);
+  prev_.clear();
 }
 
 void Monitor::add_histogram(const HdrHistogram* h) {
@@ -80,9 +80,9 @@ void Monitor::run_loop() {
 }
 
 Snapshot Monitor::build_snapshot() {
-  // Everything under mu_ is a relaxed-atomic read or local arithmetic — no
-  // shard lock, no recording-thread block (docs/CONCURRENCY.md).
-  std::lock_guard<std::mutex> lock(mu_);
+  // Runs under mu_ (harvest_now). The source takes each shard's lock for
+  // one SimStats copy; the histograms are relaxed-atomic reads that never
+  // block a recording thread (docs/CONCURRENCY.md).
   Snapshot s;
   s.seq = seq_++;
   s.wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -91,16 +91,16 @@ Snapshot Monitor::build_snapshot() {
   s.uptime_s = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - started_)
                    .count();
-  if (atlas_ != nullptr) {
-    const std::size_t n = atlas_->size();
-    s.shards.resize(n);
+  if (source_) {
+    s.shards = source_();
+    const std::size_t n = s.shards.size();
+    prev_.resize(n);
     s.shard_deltas.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      s.shards[i] = atlas_->read(i);
       s.shard_deltas[i] = s.shards[i] - prev_[i];
       s.totals += s.shards[i];
-      prev_[i] = s.shards[i];
     }
+    prev_ = s.shards;
     // totals.residency summed occupancy across shards is meaningful; the
     // other gauges difference to zero-delta by construction.
   }
@@ -136,6 +136,7 @@ Snapshot Monitor::harvest_now() {
   // Bridge each harvest into the installed TraceLog (if any) so snapshot
   // cadence and export cost render beside sweep spans in chrome://tracing.
   SpanGuard span("gcmon_snapshot", "gcmon");
+  std::lock_guard<std::mutex> lock(mu_);
   Snapshot s = build_snapshot();
   if (span.active()) span.arg("seq", std::to_string(s.seq));
   export_snapshot(s);
@@ -143,12 +144,23 @@ Snapshot Monitor::harvest_now() {
 }
 
 void Monitor::export_snapshot(const Snapshot& snap) {
-  if (!cfg_.prometheus_path.empty())
-    write_file_atomic(cfg_.prometheus_path, prometheus_text(snap));
+  const auto failed = [this](const std::string& path) {
+    if (export_error_.empty()) export_error_ = "cannot write " + path;
+  };
+  if (!cfg_.prometheus_path.empty() &&
+      !write_file_atomic(cfg_.prometheus_path, prometheus_text(snap)))
+    failed(cfg_.prometheus_path);
   if (!cfg_.jsonl_path.empty()) {
     std::ofstream out(cfg_.jsonl_path, std::ios::app);
-    if (out.good()) out << jsonl_line(snap) << '\n';
+    out << jsonl_line(snap) << '\n';
+    out.flush();
+    if (!out.good()) failed(cfg_.jsonl_path);
   }
+}
+
+std::string Monitor::export_error() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return export_error_;
 }
 
 std::size_t Monitor::snapshot_count() const {

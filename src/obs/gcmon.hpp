@@ -1,12 +1,14 @@
 // gcmon — live runtime monitor for the gcached concurrent runtime.
 //
 // A `Monitor` owns a background snapshot thread that periodically harvests
-//   * an attached ShardAtlas (per-shard relaxed counters published by the
-//     cache's access path via GC_MON_* macros), and
+//   * an attached shard source — a callback returning one `ShardValues` per
+//     shard; gcached's is `ConcurrentCache::shard_values`, which copies each
+//     shard's own SimStats under one uncounted hold of that shard's lock —
+//     and
 //   * any registered HdrHistograms (per-load-thread latency tables),
-// into a timestamped ring of `Snapshot`s. Harvesting is read-only over
-// relaxed atomics — the snapshot thread NEVER acquires a shard lock, never
-// blocks a recording thread, and tolerates slightly-stale counter views
+// into a timestamped ring of `Snapshot`s. Harvests are serialized, so every
+// shard's cumulative counters are non-decreasing across the ring; the
+// histograms are read with relaxed loads and never block a recording thread
 // (docs/CONCURRENCY.md, "gcmon read discipline").
 //
 // Each snapshot can be exported three ways, all optional:
@@ -15,6 +17,8 @@
 //   * one JSON object per harvest appended to a JSONL stream;
 //   * a "gcmon_snapshot" span recorded into the installed TraceLog, so
 //     harvest cadence renders on the same Chrome timeline as sweep spans.
+// A failed file export is sticky: `export_error()` names the first path
+// that could not be written, and the tools turn it into a non-zero exit.
 //
 // Lifecycle: attach/register while stopped, `start()`, run traffic,
 // `stop()` (takes one final snapshot so short runs still export), read the
@@ -27,15 +31,56 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/hdr_histogram.hpp"
-#include "obs/shard_metrics.hpp"
 
 namespace gcaching::obs {
+
+/// Plain-value snapshot of one shard's counters (what a shard source
+/// returns and what gcmon's ring stores as totals and deltas).
+struct ShardValues {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t sideloads = 0;
+  std::uint64_t delayed_hits = 0;
+  std::uint64_t coalesced = 0;
+  std::uint64_t lock_acquisitions = 0;
+  std::uint64_t trylock_failures = 0;
+  std::uint64_t residency = 0;
+  std::uint64_t mshr_inflight = 0;
+
+  friend ShardValues operator-(const ShardValues& a, const ShardValues& b) {
+    return ShardValues{a.hits - b.hits,
+                       a.misses - b.misses,
+                       a.sideloads - b.sideloads,
+                       a.delayed_hits - b.delayed_hits,
+                       a.coalesced - b.coalesced,
+                       a.lock_acquisitions - b.lock_acquisitions,
+                       a.trylock_failures - b.trylock_failures,
+                       a.residency,        // gauges don't difference
+                       a.mshr_inflight};   // gauges don't difference
+  }
+  ShardValues& operator+=(const ShardValues& o) {
+    hits += o.hits;
+    misses += o.misses;
+    sideloads += o.sideloads;
+    delayed_hits += o.delayed_hits;
+    coalesced += o.coalesced;
+    lock_acquisitions += o.lock_acquisitions;
+    trylock_failures += o.trylock_failures;
+    residency += o.residency;
+    mshr_inflight += o.mshr_inflight;
+    return *this;
+  }
+};
+
+/// Reads every shard's cumulative counters, one entry per shard.
+using ShardSource = std::function<std::vector<ShardValues>()>;
 
 struct MonitorConfig {
   /// Harvest period. The thread uses a condition variable timed wait, so
@@ -76,9 +121,9 @@ class Monitor {
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
 
-  /// Wire the per-shard counter table. Call before start(); the atlas must
-  /// outlive the monitor's running phase.
-  void attach_atlas(const ShardAtlas* atlas);
+  /// Wire the per-shard counter source (empty = detach). Call before
+  /// start(); whatever the source reads must outlive the running phase.
+  void attach_shards(ShardSource source);
 
   /// Register / deregister a latency histogram (per load thread). Safe
   /// while running — the registry is mutex-guarded and only the snapshot
@@ -100,6 +145,9 @@ class Monitor {
   Snapshot harvest_now();
 
   const MonitorConfig& config() const noexcept { return cfg_; }
+  /// "" while every export succeeded, else "cannot write <path>" for the
+  /// first file that could not be written (sticky).
+  std::string export_error() const;
   std::size_t snapshot_count() const;
   /// Copy of the ring, oldest first.
   std::vector<Snapshot> snapshots() const;
@@ -116,14 +164,18 @@ class Monitor {
   void export_snapshot(const Snapshot& snap);
 
   MonitorConfig cfg_;
-  const ShardAtlas* atlas_ = nullptr;
 
-  mutable std::mutex mu_;  // ring, histogram registry, prev totals
+  // Harvests run whole under mu_ (source read, ring append, file export),
+  // so two concurrent harvest_now() calls can neither interleave their
+  // reads nor write the stream out of seq order.
+  mutable std::mutex mu_;  // source, ring, histograms, prev totals, exports
+  ShardSource source_;
   std::vector<Snapshot> ring_;
   std::vector<const HdrHistogram*> histograms_;
   std::vector<ShardValues> prev_;
   LatencySummary last_latency_;  // persists across histogram deregistration
   std::uint64_t seq_ = 0;
+  std::string export_error_;
 
   mutable std::mutex run_mu_;  // snapshot-thread lifecycle
   std::condition_variable run_cv_;

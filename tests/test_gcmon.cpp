@@ -1,5 +1,5 @@
 // Tests for the gcmon runtime-monitoring tier (src/obs/gcmon.*,
-// hdr_histogram.hpp, shard_metrics.hpp) and its loadgen integration.
+// hdr_histogram.hpp) and its gcached/loadgen integration.
 //
 // The load-bearing guarantees:
 //   * HdrHistogram percentiles stay within the documented <=1% relative
@@ -9,17 +9,18 @@
 //     merge order never changes any percentile;
 //   * concurrent record/merge/query never corrupts counts (the tsan preset
 //     runs this suite via the `gcached` label);
-//   * the monitor's harvest is a pure relaxed-atomic read: deltas are exact
-//     between consecutive snapshots, gauges don't difference, the ring
+//   * the monitor's harvest (fed by a fake shard source here): deltas are
+//     exact between consecutive snapshots, gauges don't difference, the ring
 //     trims oldest-first, and the latency summary persists across histogram
 //     deregistration (final-export gauge semantics);
-//   * the Prometheus exposition round-trips its own validator, and
-//     write_file_atomic leaves no debris on failure;
-//   * attaching a monitor + atlas to a 1-shard 1-thread run changes NOTHING:
+//   * the Prometheus exposition round-trips its own validator,
+//     write_file_atomic leaves no debris on failure, and a failed export is
+//     sticky and readable from the monitor;
+//   * attaching a monitor to a 1-shard 1-thread run changes NOTHING:
 //     SimStats stay bit-identical to simulate_fast (the differential anchor
-//     with monitoring attached);
-//   * under GCACHING_OBS=OFF the GC_MON_* macros provably compile to zero
-//     code (constexpr proof, mirroring test_obs_timeline's GC_OBS_ proof);
+//     with monitoring attached), and its lock counters equal the client's;
+//   * under load every shard's harvested counters never decrease, and the
+//     final snapshot is the shards' collect_stats split;
 //   * detail::replay_closed_loop's bracketed measurement records exactly the
 //     access duration — inter-op bookkeeping time never lands in the
 //     histogram (pinned with a deterministic fake clock).
@@ -37,7 +38,6 @@
 #include "gcached/loadgen.hpp"
 #include "obs/gcmon.hpp"
 #include "obs/hdr_histogram.hpp"
-#include "obs/shard_metrics.hpp"
 #include "policies/factory.hpp"
 #include "traces/synthetic.hpp"
 
@@ -47,27 +47,13 @@ namespace {
 using obs::HdrHistogram;
 using obs::Monitor;
 using obs::MonitorConfig;
-using obs::ShardAtlas;
 using obs::ShardValues;
 using obs::Snapshot;
 
-#if !defined(GCACHING_OBS)
-// The zero-code proof: with GCACHING_OBS off, a function body consisting of
-// every GC_MON_* publish macro must still be a constant expression — only
-// possible if each macro contributes no code at all. (Mirrors the GC_OBS_*
-// elision proof in test_obs_timeline.cpp.)
-constexpr int mon_free_identity(int v) {
-  GC_MON_ATLAS(mon, nullptr);
-  if (GC_MON_ATTACHED(mon)) {
-    GC_MON_SHARD_ADD(mon, 0, hits, 1);
-    GC_MON_SHARD_ADD(mon, 0, misses, 1);
-    GC_MON_SHARD_SET(mon, 0, residency, 2);
-  }
-  return v;
+/// Attaches a fake shard source serving `shards` (read at every harvest).
+void attach_fake(Monitor& mon, const std::vector<ShardValues>& shards) {
+  mon.attach_shards([&shards] { return shards; });
 }
-static_assert(mon_free_identity(3) == 3,
-              "GC_MON_* must compile to nothing under GCACHING_OBS=OFF");
-#endif
 
 // ---- HdrHistogram bucket geometry -------------------------------------------
 
@@ -255,23 +241,9 @@ TEST(HdrHistogram, ConcurrentRecordAndMergeStress) {
   EXPECT_EQ(merged.count(), kThreads * kPerThread);
 }
 
-// ---- ShardAtlas / ShardValues -----------------------------------------------
+// ---- ShardValues ------------------------------------------------------------
 
-TEST(ShardAtlas, RelaxedReadsSeeEveryPublishedCounter) {
-  ShardAtlas atlas(3);
-  ASSERT_EQ(atlas.size(), 3u);
-  atlas.shard(1).hits.fetch_add(7, std::memory_order_relaxed);
-  atlas.shard(1).misses.fetch_add(2, std::memory_order_relaxed);
-  atlas.shard(1).residency.store(42, std::memory_order_relaxed);
-  const ShardValues v = atlas.read(1);
-  EXPECT_EQ(v.hits, 7u);
-  EXPECT_EQ(v.misses, 2u);
-  EXPECT_EQ(v.residency, 42u);
-  const ShardValues untouched = atlas.read(0);
-  EXPECT_EQ(untouched.hits, 0u);
-}
-
-TEST(ShardAtlas, DifferenceSubtractsCountersButCarriesGauges) {
+TEST(ShardValues, DifferenceSubtractsCountersButCarriesGauges) {
   ShardValues now, before;
   now.hits = 10;
   now.trylock_failures = 500;
@@ -288,12 +260,12 @@ TEST(ShardAtlas, DifferenceSubtractsCountersButCarriesGauges) {
 // ---- Monitor harvest / ring -------------------------------------------------
 
 TEST(GcmonMonitor, HarvestComputesExactDeltasBetweenSnapshots) {
-  ShardAtlas atlas(2);
+  std::vector<ShardValues> shards(2);
   Monitor mon;
-  mon.attach_atlas(&atlas);
+  attach_fake(mon, shards);
 
-  atlas.shard(0).hits.fetch_add(5, std::memory_order_relaxed);
-  atlas.shard(1).misses.fetch_add(3, std::memory_order_relaxed);
+  shards[0].hits = 5;
+  shards[1].misses = 3;
   const Snapshot s1 = mon.harvest_now();
   EXPECT_EQ(s1.seq, 0u);
   ASSERT_EQ(s1.shards.size(), 2u);
@@ -302,7 +274,7 @@ TEST(GcmonMonitor, HarvestComputesExactDeltasBetweenSnapshots) {
   EXPECT_EQ(s1.totals.hits, 5u);
   EXPECT_EQ(s1.totals.misses, 3u);
 
-  atlas.shard(0).hits.fetch_add(2, std::memory_order_relaxed);
+  shards[0].hits = 7;
   const Snapshot s2 = mon.harvest_now();
   EXPECT_EQ(s2.seq, 1u);
   EXPECT_EQ(s2.shards[0].hits, 7u);       // cumulative
@@ -361,14 +333,13 @@ TEST(GcmonMonitor, BackgroundThreadHarvestsAndStopTakesFinalSnapshot) {
 // ---- Prometheus / JSONL export ----------------------------------------------
 
 TEST(GcmonExport, PrometheusTextRoundTripsTheValidator) {
-  ShardAtlas atlas(2);
-  atlas.shard(0).hits.fetch_add(11, std::memory_order_relaxed);
-  atlas.shard(1).trylock_failures.fetch_add(12'345,
-                                           std::memory_order_relaxed);
+  std::vector<ShardValues> shards(2);
+  shards[0].hits = 11;
+  shards[1].trylock_failures = 12'345;
   HdrHistogram h;
   h.record(5'000);
   Monitor mon;
-  mon.attach_atlas(&atlas);
+  attach_fake(mon, shards);
   mon.add_histogram(&h);
   const Snapshot snap = mon.harvest_now();
   const std::string text = mon.prometheus_text(snap);
@@ -400,10 +371,10 @@ TEST(GcmonExport, ValidatorRejectsMalformedExpositions) {
 }
 
 TEST(GcmonExport, JsonlLineCarriesTotalsLatencyAndPerShardArrays) {
-  ShardAtlas atlas(2);
-  atlas.shard(0).hits.fetch_add(4, std::memory_order_relaxed);
+  std::vector<ShardValues> shards(2);
+  shards[0].hits = 4;
   Monitor mon;
-  mon.attach_atlas(&atlas);
+  attach_fake(mon, shards);
   const Snapshot snap = mon.harvest_now();
   const std::string line = mon.jsonl_line(snap);
   EXPECT_NE(line.find("\"seq\": 0"), std::string::npos);
@@ -425,6 +396,29 @@ TEST(GcmonExport, WriteFileAtomicWritesWholeFileAndFailsCleanly) {
   // Unwritable target directory: returns false, leaves no temp debris.
   EXPECT_FALSE(obs::write_file_atomic(
       "/nonexistent_gcmon_dir/out.prom", "x"));
+}
+
+TEST(GcmonExport, FailedExportIsStickyAndNamesThePath) {
+  // Both targets sit under a regular file, so neither can ever be created.
+  const std::string file = ::testing::TempDir() + "gcmon_not_a_dir";
+  std::ofstream(file) << "x";
+  MonitorConfig cfg;
+  cfg.prometheus_path = file + "/m.prom";
+  cfg.jsonl_path = file + "/s.jsonl";
+  Monitor mon(cfg);
+  EXPECT_EQ(mon.export_error(), "");
+  mon.harvest_now();
+  EXPECT_EQ(mon.export_error(), "cannot write " + cfg.prometheus_path);
+  // Sticky: the first failure stays reported across later harvests.
+  mon.harvest_now();
+  EXPECT_EQ(mon.export_error(), "cannot write " + cfg.prometheus_path);
+
+  MonitorConfig jsonl_only;
+  jsonl_only.jsonl_path = cfg.jsonl_path;
+  Monitor stream(jsonl_only);
+  stream.harvest_now();
+  EXPECT_EQ(stream.export_error(), "cannot write " + cfg.jsonl_path);
+  std::remove(file.c_str());
 }
 
 // ---- Bracketed latency measurement (fake clock) -----------------------------
@@ -485,8 +479,8 @@ TEST(LoadgenBracketing, StrideWrapsBackToTheThreadsOwnStart) {
 // ---- Differential anchor with monitoring attached ---------------------------
 
 TEST(GcmonDifferential, AttachedMonitorNeverPerturbsTheRun) {
-  // The gcached anchor again, now with a live atlas + monitor harvesting on
-  // a tight interval: 1 shard / 1 thread must STILL be bit-identical to
+  // The gcached anchor again, now with a live monitor harvesting on a tight
+  // interval: 1 shard / 1 thread must STILL be bit-identical to
   // simulate_fast. Monitoring reads must not change what the run computes.
   Workload w = traces::zipf_items(2048, 16, 30'000, 0.9, 7);
   w.trace.precompute_block_ids(*w.map);
@@ -497,12 +491,10 @@ TEST(GcmonDifferential, AttachedMonitorNeverPerturbsTheRun) {
   cfg.capacity = capacity;
   const auto cache = gcached::make_concurrent_cache("item-lru", w.map, cfg);
 
-  ShardAtlas atlas(1);
   MonitorConfig mcfg;
   mcfg.interval = std::chrono::milliseconds(1);
   Monitor mon(mcfg);
-  mon.attach_atlas(&atlas);
-  cache->attach_atlas(&atlas);
+  mon.attach_shards([&cache] { return cache->shard_values(); });
   mon.start();
 
   gcached::LoadSpec spec;
@@ -511,38 +503,96 @@ TEST(GcmonDifferential, AttachedMonitorNeverPerturbsTheRun) {
   const gcached::LoadResult res =
       run_load(*cache, w.trace, w.trace.block_ids(), spec);
   mon.stop();
-  cache->attach_atlas(nullptr);
 
   const SimStats expected = simulate_fast_spec("item-lru", w, capacity);
   EXPECT_EQ(res.stats, expected);
 
-#if defined(GCACHING_OBS)
-  // The atlas totals agree exactly with the run's own statistics: on a
-  // quiesced 1-shard run the published hit/miss split is the SimStats split.
-  const ShardValues totals = atlas.read(0);
-  EXPECT_EQ(totals.hits + totals.misses, res.ops);
-  EXPECT_EQ(totals.misses, expected.misses);
-  EXPECT_EQ(totals.lock_acquisitions, res.lock_acquisitions);
-  EXPECT_EQ(totals.trylock_failures, 0u);
-  // The final harvest (taken by run_load after quiesce) saw the totals and
-  // a complete latency summary.
+  // The final harvest (taken by run_load after quiesce) is the run's own
+  // statistics, with complete latency. Its lock counters are the client's:
+  // the monitor's reads are uncounted, and when one of them held the shard
+  // the client's failed try-locks land in both counts alike.
   const std::vector<Snapshot> ring = mon.snapshots();
   ASSERT_FALSE(ring.empty());
-  EXPECT_EQ(ring.back().totals.hits + ring.back().totals.misses, res.ops);
+  const ShardValues& totals = ring.back().totals;
+  EXPECT_EQ(totals.hits, expected.hits);
+  EXPECT_EQ(totals.misses, expected.misses);
+  EXPECT_EQ(totals.sideloads, expected.sideloads);
+  EXPECT_EQ(totals.hits + totals.misses, res.ops);
+  EXPECT_EQ(totals.lock_acquisitions, res.lock_acquisitions);
+  EXPECT_EQ(totals.trylock_failures, res.backoff_rounds);
   EXPECT_EQ(ring.back().latency.count, res.ops);
-#endif
 }
 
-TEST(GcmonDifferential, AtlasShardCountMismatchIsRejected) {
-  Workload w = traces::zipf_items(512, 16, 1'000, 0.9, 3);
+// Per-shard consistency under load: the tsan and asan presets run this via
+// the `gcmon`/`gcached` labels. The monitor reads each shard under its lock
+// while 4 clients fill through the MSHR path.
+TEST(GcmonDifferential, HarvestsAreConsistentPerShardUnderLoad) {
+  Workload w = traces::zipf_items(8192, 16, 20'000, 0.9, 11);
   w.trace.precompute_block_ids(*w.map);
   gcached::GcachedConfig cfg;
-  cfg.num_shards = 4;
-  cfg.capacity = 64;
-  const auto cache = gcached::make_concurrent_cache("item-lru", w.map, cfg);
-  ShardAtlas wrong(2);
-  EXPECT_THROW(cache->attach_atlas(&wrong), ContractViolation);
-  cache->attach_atlas(nullptr);  // detach is always legal
+  cfg.num_shards = 8;
+  cfg.capacity = 512;
+  cfg.fill_latency_ns = 20'000;
+  const auto cache = gcached::make_concurrent_cache("block-lru", w.map, cfg);
+
+  MonitorConfig mcfg;
+  mcfg.interval = std::chrono::milliseconds(1);
+  mcfg.ring_capacity = 100'000;
+  Monitor mon(mcfg);
+  mon.attach_shards([&cache] { return cache->shard_values(); });
+  mon.start();
+  gcached::LoadSpec spec;
+  spec.threads = 4;
+  spec.monitor = &mon;
+  const gcached::LoadResult res =
+      run_load(*cache, w.trace, w.trace.block_ids(), spec);
+  mon.stop();
+
+  const std::vector<Snapshot> ring = mon.snapshots();
+  ASSERT_GE(ring.size(), 2u);
+  for (std::size_t k = 1; k < ring.size(); ++k) {
+    ASSERT_EQ(ring[k].shards.size(), cfg.num_shards);
+    for (std::size_t s = 0; s < cfg.num_shards; ++s) {
+      const ShardValues& a = ring[k - 1].shards[s];
+      const ShardValues& b = ring[k].shards[s];
+      EXPECT_LE(a.hits, b.hits) << "snapshot " << k << " shard " << s;
+      EXPECT_LE(a.misses, b.misses) << "snapshot " << k << " shard " << s;
+      EXPECT_LE(a.sideloads, b.sideloads) << "snapshot " << k << " shard " << s;
+      EXPECT_LE(a.delayed_hits, b.delayed_hits)
+          << "snapshot " << k << " shard " << s;
+      EXPECT_LE(a.coalesced, b.coalesced) << "snapshot " << k << " shard " << s;
+      EXPECT_LE(a.lock_acquisitions, b.lock_acquisitions)
+          << "snapshot " << k << " shard " << s;
+      EXPECT_LE(a.trylock_failures, b.trylock_failures)
+          << "snapshot " << k << " shard " << s;
+    }
+  }
+
+  // The final snapshot is the quiesced shards' collect_stats split.
+  const Snapshot& last = ring.back();
+  const std::vector<ShardValues> now = cache->shard_values();
+  ShardValues sum;
+  for (std::size_t s = 0; s < cfg.num_shards; ++s) {
+    const ShardValues& v = last.shards[s];
+    EXPECT_EQ(v.hits, now[s].hits) << "shard " << s;
+    EXPECT_EQ(v.misses, now[s].misses) << "shard " << s;
+    EXPECT_EQ(v.sideloads, now[s].sideloads) << "shard " << s;
+    EXPECT_EQ(v.delayed_hits, now[s].delayed_hits) << "shard " << s;
+    EXPECT_EQ(v.coalesced, now[s].coalesced) << "shard " << s;
+    EXPECT_EQ(v.lock_acquisitions, now[s].lock_acquisitions) << "shard " << s;
+    EXPECT_EQ(v.trylock_failures, now[s].trylock_failures) << "shard " << s;
+    EXPECT_EQ(v.residency, cache->shard_occupancy(s)) << "shard " << s;
+    EXPECT_EQ(v.mshr_inflight, 0u) << "shard " << s;
+    sum += v;
+  }
+  EXPECT_EQ(sum.hits, res.stats.hits);
+  EXPECT_EQ(sum.misses, res.stats.misses);
+  EXPECT_EQ(sum.sideloads, res.stats.sideloads);
+  EXPECT_EQ(sum.delayed_hits, res.stats.delayed_hits);
+  EXPECT_EQ(sum.lock_acquisitions, res.lock_acquisitions);
+  EXPECT_EQ(sum.trylock_failures, res.backoff_rounds);
+  EXPECT_EQ(last.totals.hits + last.totals.misses + last.totals.delayed_hits,
+            res.ops);
 }
 
 }  // namespace

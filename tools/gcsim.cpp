@@ -582,9 +582,9 @@ int cmd_gcached(const Args& args) {
 
   // Live monitoring (gcmon): --metrics-out FILE rewrites a Prometheus text
   // exposition atomically every --mon-interval-ms; --mon-jsonl FILE appends
-  // one snapshot object per harvest. Like --obs, rejected loudly in builds
-  // whose GC_MON_* publishes are compiled out — an all-zero exposition
-  // would read as "no traffic".
+  // one snapshot object per harvest. Works in every build: the monitor
+  // reads each shard's own SimStats. A file that cannot be written fails
+  // the run.
   obs::MonitorConfig mcfg;
   mcfg.interval =
       std::chrono::milliseconds(args.get_u64("mon-interval-ms", 50));
@@ -594,12 +594,6 @@ int cmd_gcached(const Args& args) {
   const bool want_mon = args.has("metrics-out") || args.has("mon-jsonl");
   require_obs_build(args);
   args.reject_unread("gcached");
-  if (want_mon && !obs::kObsEnabled) {
-    std::cerr << "--metrics-out / --mon-jsonl require a build with "
-                 "GCACHING_OBS=ON (the default and `obs` presets; the "
-                 "`fast` preset compiles the shard counters out)\n";
-    return 2;
-  }
   const std::string bad = gcached::validate_gcached_request(shards, threads);
   if (!bad.empty()) {
     std::cerr << "gcached: " << bad << "\n";
@@ -614,13 +608,10 @@ int cmd_gcached(const Args& args) {
 
   std::optional<ObsSinks> sinks;
   if (args.has("obs")) sinks.emplace(args.get("obs"));
-  std::optional<obs::ShardAtlas> atlas;
   std::optional<obs::Monitor> monitor;
   if (want_mon) {
-    atlas.emplace(cfg.num_shards);
     monitor.emplace(mcfg);
-    monitor->attach_atlas(&*atlas);
-    cache->attach_atlas(&*atlas);
+    monitor->attach_shards([&cache] { return cache->shard_values(); });
     monitor->start();
     load.monitor = &*monitor;
   }
@@ -634,7 +625,10 @@ int cmd_gcached(const Args& args) {
 
   if (monitor) {
     monitor->stop();
-    cache->attach_atlas(nullptr);
+    if (const std::string err = monitor->export_error(); !err.empty()) {
+      std::cerr << "error: " << err << "\n";
+      return 1;
+    }
     std::cout << "gcmon: " << monitor->snapshot_count()
               << " snapshot(s) in ring";
     if (!monitor->config().prometheus_path.empty())
