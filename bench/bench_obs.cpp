@@ -13,9 +13,9 @@
 //   * timeline-fine   — window 64: a deliberately abusive cadence, the
 //                       upper end of what windowing can cost.
 //
-// A second section times a small batched sweep with and without the
-// trace-event/counter sinks installed (spans and counters fire per row,
-// not per access, so this cost is amortized noise).
+// A second section times a small sweep with and without a trace-event log
+// installed (spans fire per row, cell and pool task, not per access, so
+// this cost is amortized noise).
 //
 // Every regime must produce bit-identical SimStats — asserted before
 // reporting. JSON (default BENCH_obs.json) records `gcaching_obs`, so the
@@ -141,8 +141,8 @@ int run(int argc, char** argv) {
   }
   table.flush();
 
-  // Sweep section: spans + counters fire per row/precompute, so installed
-  // sinks should be indistinguishable from idle at sweep granularity.
+  // Sweep section: spans fire per row/cell/precompute, so an installed log
+  // should be indistinguishable from idle at sweep granularity.
   std::vector<Workload> sweep_w;
   sweep_w.push_back(std::move(w));
   sim::SweepSpec sweep;
@@ -161,9 +161,7 @@ int run(int argc, char** argv) {
     }
     {
       obs::TraceLog log;
-      obs::CounterRegistry registry;
       const obs::TraceLogScope trace_scope(log);
-      const obs::MetricsScope metrics_scope(registry);
       const auto t0 = std::chrono::steady_clock::now();
       (void)sim::run_sweep(sweep);
       sweep_sinks_s = std::min(sweep_sinks_s, seconds_since(t0));
@@ -171,7 +169,7 @@ int run(int argc, char** argv) {
     }
   }
   std::cout << "sweep (9 cells, 2 threads): idle "
-            << fmt(sweep_idle_s, 3) << "s, sinks installed "
+            << fmt(sweep_idle_s, 3) << "s, trace log installed "
             << fmt(sweep_sinks_s, 3) << "s (" << trace_events
             << " trace events)\n";
 

@@ -148,13 +148,6 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
     for (const std::unique_ptr<Client>& c : clients)
       spec.monitor->remove_histogram(&c->hist);
   }
-
-  // Aggregate contention telemetry, once per run (the gcobs counters the
-  // issue asks for; per-op emission would contend on the registry).
-  GC_OBS_COUNT("gcached.ops", result.ops);
-  GC_OBS_COUNT("gcached.lock_acquisitions", result.lock_acquisitions);
-  GC_OBS_COUNT("gcached.lock_contended", result.lock_contended);
-  GC_OBS_COUNT("gcached.backoff_rounds", result.backoff_rounds);
   return result;
 }
 

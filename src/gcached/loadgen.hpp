@@ -36,8 +36,7 @@
 // semantics with a deterministic fake clock via detail::replay_closed_loop.)
 //
 // Lock-contention telemetry accumulates in each thread's ClientContext and
-// is aggregated — and emitted via GC_OBS_COUNT — once per run, never per
-// operation.
+// is summed into the LoadResult once per run, never per operation.
 //
 // With more than one thread the interleaving (hence SimStats) is
 // schedule-dependent; the conservation invariants (accesses == ops,

@@ -14,8 +14,8 @@
 //     for (docs/CONCURRENCY.md has the measurement);
 //   * contention telemetry — acquisitions / contended acquisitions / yields
 //     are counted into the caller's ClientContext, cheap per-thread plain
-//     counters that the load generator aggregates and emits through
-//     GC_OBS_COUNT at collect time (never per operation).
+//     counters that the load generator sums into its LoadResult once per
+//     run (never per operation).
 //
 // It is also the sanctioned *blocking* home: gclint's lock-discipline rule is
 // unconditional ("no blocking while a shard guard is live — period", not

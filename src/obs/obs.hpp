@@ -3,11 +3,10 @@
 // The same tiering philosophy as util/contracts.hpp, applied to telemetry:
 //
 //   GCACHING_OBS=ON  (default preset)  — GC_OBS_* macros are live. Attaching
-//     a sink (TimelineScope / TraceLogScope / MetricsScope) turns recording
-//     on; with no sink attached the engines select their tick-free loop copy
-//     once per run via GC_OBS_ATTACHED (idle timeline cost: one branch per
-//     RUN, not per access) and each span/counter site costs one relaxed
-//     atomic load.
+//     a sink (TimelineScope / TraceLogScope) turns recording on; with no
+//     sink attached the engines select their tick-free loop copy once per
+//     run via GC_OBS_ATTACHED (idle timeline cost: one branch per RUN, not
+//     per access) and each span site costs one relaxed atomic load.
 //   GCACHING_OBS=OFF (fast preset)     — every GC_OBS_* macro expands to
 //     nothing; the hot loops compile to exactly the un-instrumented code.
 //     tests/test_obs_timeline.cpp proves this the same way test_contracts
@@ -32,10 +31,8 @@
 //   GC_OBS_SPAN(var, name, cat)          RAII trace span for this scope
 //   GC_OBS_SPAN_ARG(var, key, val)       attach an argument to a span
 //   GC_OBS_THREAD_NAME(name)             label the thread in the trace view
-//   GC_OBS_COUNT(name, delta)            bump a registry counter
 #pragma once
 
-#include "obs/registry.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_event.hpp"
 
@@ -85,14 +82,6 @@ inline constexpr bool kObsEnabled = false;
 
 #define GC_OBS_THREAD_NAME(name) ::gcaching::obs::name_current_thread(name)
 
-#define GC_OBS_COUNT(counter_name, delta)                                   \
-  do {                                                                      \
-    if (::gcaching::obs::CounterRegistry* gc_obs_reg_ =                     \
-            ::gcaching::obs::metrics();                                     \
-        gc_obs_reg_ != nullptr)                                             \
-      gc_obs_reg_->add((counter_name), (delta));                            \
-  } while (0)
-
 #else  // GCACHING_OBS off: every site vanishes.
 
 // GC_OBS_TIMELINE still declares `var` (as a constant null) so that
@@ -119,9 +108,6 @@ inline constexpr bool kObsEnabled = false;
   } while (0)
 #define GC_OBS_THREAD_NAME(name) \
   do {                           \
-  } while (0)
-#define GC_OBS_COUNT(counter_name, delta) \
-  do {                                    \
   } while (0)
 
 #endif  // GCACHING_OBS

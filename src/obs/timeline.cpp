@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
-
-#include "util/csv.hpp"
+#include <stdexcept>
 
 namespace gcaching::obs {
 
@@ -52,32 +51,8 @@ std::string fmt_rate(double v) {
 
 }  // namespace
 
-void StatsTimeline::write_csv(const std::string& path) const {
-  CsvWriter csv(path,
-                {"capacity", "window", "start", "length", "accesses",
-                 "misses", "miss_rate", "temporal_hits", "spatial_hits",
-                 "spatial_hit_share", "items_loaded", "sideloads",
-                 "evictions", "wasted_sideloads", "wasted_sideload_share"});
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const TimelineWindow& w = rows_[i];
-    csv.add_row({std::to_string(capacity_), std::to_string(i),
-                 std::to_string(w.start), std::to_string(w.length),
-                 std::to_string(w.delta.accesses),
-                 std::to_string(w.delta.misses), fmt_rate(w.miss_rate()),
-                 std::to_string(w.delta.temporal_hits),
-                 std::to_string(w.delta.spatial_hits),
-                 fmt_rate(w.spatial_hit_share()),
-                 std::to_string(w.delta.items_loaded),
-                 std::to_string(w.delta.sideloads),
-                 std::to_string(w.delta.evictions),
-                 std::to_string(w.delta.wasted_sideloads),
-                 fmt_rate(w.wasted_sideload_share())});
-  }
-}
-
 void StatsTimeline::write_jsonl(const std::string& path) const {
   std::ofstream out(path);
-  GC_REQUIRE(out.good(), "cannot open " + path + " for writing");
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const TimelineWindow& w = rows_[i];
     out << "{\"capacity\": " << capacity_ << ", \"window\": " << i
@@ -95,6 +70,8 @@ void StatsTimeline::write_jsonl(const std::string& path) const {
         << ", \"wasted_sideload_share\": "
         << fmt_rate(w.wasted_sideload_share()) << "}\n";
   }
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 }  // namespace gcaching::obs

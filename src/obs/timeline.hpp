@@ -80,11 +80,9 @@ class StatsTimeline {
   /// tests/test_obs_timeline.cpp pins for both engines).
   SimStats window_sum() const;
 
-  // ---- Sinks ---------------------------------------------------------------
-  // CSV (util/csv, RFC 4180) and JSON-lines, one row/object per window:
-  // capacity, window, start, length, raw deltas, derived rates.
-
-  void write_csv(const std::string& path) const;
+  /// JSON-lines sink, one object per window: capacity, window, start,
+  /// length, raw deltas, derived rates. Throws std::runtime_error("cannot
+  /// write <path>") when the file cannot be opened or fully written.
   void write_jsonl(const std::string& path) const;
 
  private:

@@ -6,8 +6,7 @@
 #include <map>
 #include <ostream>
 #include <sstream>
-
-#include "util/contracts.hpp"
+#include <stdexcept>
 
 namespace gcaching::obs {
 
@@ -137,8 +136,9 @@ void TraceLog::write_chrome_trace(std::ostream& os) const {
 
 void TraceLog::write_chrome_trace_file(const std::string& path) const {
   std::ofstream out(path);
-  GC_REQUIRE(out.good(), "cannot open " + path + " for writing");
   write_chrome_trace(out);
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 // ---- Schema validation ------------------------------------------------------

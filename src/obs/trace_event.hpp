@@ -72,6 +72,8 @@ class TraceLog {
   /// sorted by start time (ties: longer span first), which makes per-thread
   /// timestamps monotonic in the file — the property the validator checks.
   void write_chrome_trace(std::ostream& os) const;
+  /// Throws std::runtime_error("cannot write <path>") when the file cannot
+  /// be opened or fully written.
   void write_chrome_trace_file(const std::string& path) const;
 
  private:

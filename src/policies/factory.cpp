@@ -222,7 +222,6 @@ std::vector<SimStats> simulate_column_spec(
   }
   GC_OBS_SPAN(span, "stack_column_pass", "column");
   GC_OBS_SPAN_ARG(span, "capacities", std::to_string(capacities.size()));
-  GC_OBS_COUNT("column.stack_fast_path", 1);
   column = parse_spec(spec).first == "item-lru"
                ? locality::item_lru_column(map, trace, capacities)
                : locality::block_lru_column(map, trace, block_ids, capacities);

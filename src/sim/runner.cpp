@@ -83,7 +83,6 @@ std::vector<SweepCell> run_sweep(const SweepSpec& spec) {
       sample_rates[w] =
           locality::realized_rate(s.filter, workload.map->num_blocks());
       sampled[w] = locality::make_sampled_workload(workload, std::move(s));
-      GC_OBS_COUNT("sweep.workloads_sampled", 1);
     });
   }
   const std::vector<Workload>& work =
@@ -121,7 +120,6 @@ std::vector<SweepCell> run_sweep(const SweepSpec& spec) {
       GC_OBS_SPAN_ARG(span, "workload", std::to_string(w));
       block_ids[w] = resolve_block_ids(*workload.map, workload.trace,
                                        block_id_storage[w]);
-      GC_OBS_COUNT("sweep.block_id_precomputes", 1);
     });
 
   // One task list for both engines. On the fast path a (workload, policy)
@@ -163,37 +161,31 @@ std::vector<SweepCell> run_sweep(const SweepSpec& spec) {
     const std::string& policy = spec.policy_specs[t.p];
     SweepCell* const row = &cells[(t.w * np + t.p) * nc];
     if (t.c == kWholeRow) {
-      {
-        GC_OBS_SPAN(span, "sweep_row", "sweep");
-        GC_OBS_SPAN_ARG(span, "policy", policy);
-        GC_OBS_SPAN_ARG(span, "workload", std::to_string(t.w));
-        std::vector<std::size_t> caps(spec.capacities);
-        for (std::size_t& cap : caps) cap = effective_capacity(t.w, cap);
-        const std::vector<SimStats> column = simulate_column_spec(
-            policy, *workload.map, workload.trace, block_ids[t.w], caps);
-        for (std::size_t c = 0; c < nc; ++c)
-          row[c].stats = correct_stats(t.w, column[c]);
-      }
-      GC_OBS_COUNT("sweep.rows_completed", 1);
+      GC_OBS_SPAN(span, "sweep_row", "sweep");
+      GC_OBS_SPAN_ARG(span, "policy", policy);
+      GC_OBS_SPAN_ARG(span, "workload", std::to_string(t.w));
+      std::vector<std::size_t> caps(spec.capacities);
+      for (std::size_t& cap : caps) cap = effective_capacity(t.w, cap);
+      const std::vector<SimStats> column = simulate_column_spec(
+          policy, *workload.map, workload.trace, block_ids[t.w], caps);
+      for (std::size_t c = 0; c < nc; ++c)
+        row[c].stats = correct_stats(t.w, column[c]);
       return;
     }
     SweepCell& cell = row[t.c];
-    {
-      GC_OBS_SPAN(span, "sweep_cell", "sweep");
-      GC_OBS_SPAN_ARG(span, "policy", policy);
-      GC_OBS_SPAN_ARG(span, "capacity", std::to_string(cell.capacity));
-      const std::size_t capacity = effective_capacity(t.w, cell.capacity);
-      SimStats stats;
-      if (spec.use_fast_path) {
-        stats = simulate_fast_spec(policy, *workload.map, workload.trace,
-                                   block_ids[t.w], capacity);
-      } else {
-        auto instance = make_policy(policy, capacity);
-        stats = simulate(workload, *instance, capacity);
-      }
-      cell.stats = correct_stats(t.w, stats);
+    GC_OBS_SPAN(span, "sweep_cell", "sweep");
+    GC_OBS_SPAN_ARG(span, "policy", policy);
+    GC_OBS_SPAN_ARG(span, "capacity", std::to_string(cell.capacity));
+    const std::size_t capacity = effective_capacity(t.w, cell.capacity);
+    SimStats stats;
+    if (spec.use_fast_path) {
+      stats = simulate_fast_spec(policy, *workload.map, workload.trace,
+                                 block_ids[t.w], capacity);
+    } else {
+      auto instance = make_policy(policy, capacity);
+      stats = simulate(workload, *instance, capacity);
     }
-    GC_OBS_COUNT("sweep.cells_completed", 1);
+    cell.stats = correct_stats(t.w, stats);
   };
 
   // One progress unit per task. `done` is shared across workers; the

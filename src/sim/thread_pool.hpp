@@ -117,7 +117,6 @@ class ThreadPool {
         std::lock_guard<std::mutex> lock(mu_);
         if (!first_error_) first_error_ = std::current_exception();
       }
-      GC_OBS_COUNT("pool.tasks_executed", 1);
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (--outstanding_ == 0) done_cv_.notify_all();

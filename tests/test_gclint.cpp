@@ -170,7 +170,7 @@ TEST(GclintHotRegion, RawObsUseInsideRegionIsFlagged) {
 GC_HOT_REGION_BEGIN(per_access)
 inline void step(int x) {
   obs::current_timeline()->record(0, x);
-  gcaching::obs::metrics()->add("step", 1);
+  gcaching::obs::trace_log()->set_thread_name("step");
 }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
@@ -800,8 +800,8 @@ TEST(GclintLayering, DownwardAndSameTierIncludesAreClean) {
   const std::vector<SourceFile> files = {
       {"src/sim/runner.hpp", "#include \"core/stats.hpp\"\n"},
       {"src/core/stats.hpp",
-       "#include \"obs/registry.hpp\"\n#include \"util/csv.hpp\"\n"},
-      {"src/obs/registry.hpp", "#include \"util/csv.hpp\"\n"},
+       "#include \"obs/timeline.hpp\"\n#include \"util/csv.hpp\"\n"},
+      {"src/obs/timeline.hpp", "#include \"util/csv.hpp\"\n"},
       {"src/util/csv.hpp", "int c;\n"}};
   EXPECT_TRUE(lint_layered(files).empty());
 }

@@ -8,13 +8,14 @@
 //   * under GCACHING_OBS=OFF the GC_OBS_* macros provably compile to zero
 //     code (the constexpr proof below, in the style of test_contracts).
 // Plus the windowing edge cases: trace shorter than one window, window == 1,
-// final partial window, auto-scaled windows, and the sink formats. Capacity
+// final partial window, auto-scaled windows, and the JSON-lines sink. Capacity
 // columns (simulate_column_spec) record nothing, on either of their paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,6 @@ constexpr int obs_free_identity(int v) {
   GC_OBS_SPAN(span, "name", "cat");
   GC_OBS_SPAN_ARG(span, "key", "value");
   GC_OBS_THREAD_NAME("name");
-  GC_OBS_COUNT("counter", 1);
   return v;
 }
 static_assert(obs_free_identity(3) == 3,
@@ -287,20 +287,28 @@ TEST_F(TimelineEngines, SinksWriteOneRowPerWindow) {
   }
   ASSERT_EQ(tl.windows().size(), 10u);
 
-  const std::string dir = ::testing::TempDir();
-  const std::string csv = dir + "/timeline.csv";
-  const std::string jsonl = dir + "/timeline.jsonl";
-  tl.write_csv(csv);
+  const std::string jsonl = ::testing::TempDir() + "/timeline.jsonl";
   tl.write_jsonl(jsonl);
-  EXPECT_EQ(count_lines(csv), 11u);  // header + 10 windows
   EXPECT_EQ(count_lines(jsonl), 10u);
 
-  std::ifstream in(csv);
-  std::string header;
-  ASSERT_TRUE(std::getline(in, header));
-  EXPECT_EQ(header.rfind("capacity,window,start,length,", 0), 0u) << header;
-  EXPECT_NE(header.find("miss_rate"), std::string::npos);
-  EXPECT_NE(header.find("wasted_sideload_share"), std::string::npos);
+  std::ifstream in(jsonl);
+  std::string first;
+  ASSERT_TRUE(std::getline(in, first));
+  EXPECT_EQ(first.rfind("{\"capacity\": 24, \"window\": 0, \"start\": 0, "
+                        "\"length\": 100, ",
+                        0),
+            0u)
+      << first;
+  EXPECT_NE(first.find("\"miss_rate\": "), std::string::npos);
+  EXPECT_NE(first.find("\"wasted_sideload_share\": "), std::string::npos);
+
+  // A path that cannot be written (here a directory) throws instead of
+  // silently leaving no file behind.
+  EXPECT_THROW(tl.write_jsonl(::testing::TempDir()), std::runtime_error);
+  // So does one that opens but rejects the buffered rows on flush.
+  if (std::ifstream("/dev/full").good()) {
+    EXPECT_THROW(tl.write_jsonl("/dev/full"), std::runtime_error);
+  }
 }
 
 }  // namespace

@@ -1,20 +1,21 @@
-// TraceLog / SpanGuard / CounterRegistry semantics and the Chrome
-// trace-event schema validator (src/obs/trace_event.hpp, registry.hpp).
+// TraceLog / SpanGuard semantics and the Chrome trace-event schema
+// validator (src/obs/trace_event.hpp).
 //
 // The validator is held to both directions: every trace this module exports
 // must pass, and hand-broken fixtures (invalid JSON, missing keys,
 // non-monotonic timestamps, unmatched B/E, overlapping non-nested X spans)
-// must each fail with a descriptive message. The sweep integration test
-// checks the actual instrumentation sites: a run_sweep under an installed
-// log yields named pool workers, sweep_row / sweep_cell spans, and registry
-// counters that add up — and records nothing at all when no sink is
-// installed.
+// must each fail with a descriptive message. The sweep integration tests
+// check the actual instrumentation sites: a run_sweep under an installed
+// log yields named pool workers and exactly one span per row, cell,
+// block-id precompute, stack-column pass and sample pass — and records
+// nothing at all when no log is installed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,7 +28,6 @@
 namespace gcaching {
 namespace {
 
-using obs::CounterRegistry;
 using obs::SpanGuard;
 using obs::TraceLog;
 using obs::validate_chrome_trace;
@@ -110,6 +110,23 @@ TEST(TraceLogUnit, FileExportRoundTrips) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   EXPECT_EQ(validate_chrome_trace(buffer.str()), "");
+}
+
+TEST(TraceLogUnit, FileExportFailureThrowsNamingThePath) {
+  TraceLog log;
+  log.complete("span", "t", 0, 1000);
+  // A directory cannot be opened. /dev/full opens but fails every write,
+  // which only shows once the buffered trace is flushed.
+  std::vector<std::string> paths = {::testing::TempDir()};
+  if (std::ifstream("/dev/full").good()) paths.emplace_back("/dev/full");
+  for (const std::string& path : paths) {
+    try {
+      log.write_chrome_trace_file(path);
+      ADD_FAILURE() << "no exception for " << path;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "cannot write " + path);
+    }
+  }
 }
 
 // ---- Validator negatives ----------------------------------------------------
@@ -221,28 +238,6 @@ TEST(SpanGuardUnit, RecordsOnDestructionWithArgs) {
   EXPECT_EQ(e.args[0].second, "42");
 }
 
-TEST(CounterRegistryUnit, AccumulatesAndSnapshotsSorted) {
-  CounterRegistry reg;
-  reg.add("b.second", 2);
-  reg.add("a.first");
-  reg.add("b.second", 3);
-  EXPECT_EQ(reg.value("b.second"), 5u);
-  EXPECT_EQ(reg.value("a.first"), 1u);
-  EXPECT_EQ(reg.value("untouched"), 0u);
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].first, "a.first");
-  EXPECT_EQ(snap[1].first, "b.second");
-
-  const std::string dir = ::testing::TempDir();
-  reg.write_csv(dir + "/counters.csv");
-  reg.write_jsonl(dir + "/counters.jsonl");
-  std::ifstream csv(dir + "/counters.csv");
-  std::string line;
-  ASSERT_TRUE(std::getline(csv, line));
-  EXPECT_EQ(line, "counter,value");
-}
-
 // ---- Sweep / thread-pool integration ----------------------------------------
 
 sim::SweepSpec small_sweep(const std::vector<Workload>& workloads) {
@@ -254,7 +249,14 @@ sim::SweepSpec small_sweep(const std::vector<Workload>& workloads) {
   return spec;
 }
 
-TEST(SweepObsIntegration, TraceAndCountersCaptureTheSchedule) {
+std::size_t count_spans(const TraceLog& log, const std::string& name) {
+  const std::vector<obs::TraceEvent> events = log.events();
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [&](const obs::TraceEvent& e) { return e.name == name; }));
+}
+
+TEST(SweepObsIntegration, TraceCapturesTheSchedule) {
   const std::vector<Workload> workloads = {
       traces::zipf_blocks(32, 8, 1500, 0.9, 3, 1),
       traces::zipf_blocks(32, 8, 1500, 0.8, 3, 2)};
@@ -265,41 +267,31 @@ TEST(SweepObsIntegration, TraceAndCountersCaptureTheSchedule) {
   const std::size_t cell_tasks = workloads.size() * 2 * spec.capacities.size();
 
   TraceLog log;
-  CounterRegistry reg;
   std::vector<sim::SweepCell> cells;
   {
     obs::TraceLogScope tscope(log);
-    obs::MetricsScope mscope(reg);
     cells = run_sweep(spec);
   }
   ASSERT_EQ(cells.size(), workloads.size() * spec.policy_specs.size() *
                               spec.capacities.size());
 
   if (!obs::kObsEnabled) {
-    // Macros compiled out: installing sinks must observe exactly nothing.
+    // Macros compiled out: an installed log must observe exactly nothing.
     EXPECT_EQ(log.size(), 0u);
-    EXPECT_TRUE(reg.snapshot().empty());
     return;
   }
 
-  EXPECT_EQ(reg.value("sweep.rows_completed"), stack_rows);
-  EXPECT_EQ(reg.value("sweep.cells_completed"), cell_tasks);
-  EXPECT_EQ(reg.value("sweep.block_id_precomputes"), workloads.size());
-  EXPECT_EQ(reg.value("column.stack_fast_path"), stack_rows);
-  EXPECT_GE(reg.value("pool.tasks_executed"), stack_rows + cell_tasks);
-
-  std::size_t row_spans = 0, cell_spans = 0, pool_spans = 0, worker_names = 0;
-  for (const obs::TraceEvent& e : log.events()) {
-    if (e.name == "sweep_row") ++row_spans;
-    if (e.name == "sweep_cell") ++cell_spans;
-    if (e.name == "pool_task") ++pool_spans;
+  EXPECT_EQ(count_spans(log, "sweep_row"), stack_rows);
+  EXPECT_EQ(count_spans(log, "sweep_cell"), cell_tasks);
+  EXPECT_EQ(count_spans(log, "precompute_block_ids"), workloads.size());
+  EXPECT_EQ(count_spans(log, "stack_column_pass"), stack_rows);
+  EXPECT_EQ(count_spans(log, "sample_workload"), 0u);
+  EXPECT_GE(count_spans(log, "pool_task"), stack_rows + cell_tasks);
+  std::size_t worker_names = 0;
+  for (const obs::TraceEvent& e : log.events())
     if (e.ph == 'M' && !e.args.empty() &&
         e.args[0].second.rfind("gcpool-worker-", 0) == 0)
       ++worker_names;
-  }
-  EXPECT_EQ(row_spans, stack_rows);
-  EXPECT_EQ(cell_spans, cell_tasks);
-  EXPECT_GE(pool_spans, stack_rows + cell_tasks);
   EXPECT_GE(worker_names, 1u);
   EXPECT_LE(worker_names, spec.threads);
 
@@ -307,15 +299,33 @@ TEST(SweepObsIntegration, TraceAndCountersCaptureTheSchedule) {
   EXPECT_EQ(validate_chrome_trace(json), "") << json.substr(0, 2000);
 }
 
+TEST(SweepObsIntegration, SampledSweepTracesOneSamplePassPerWorkload) {
+  const std::vector<Workload> workloads = {
+      traces::zipf_blocks(64, 8, 3000, 0.9, 3, 5),
+      traces::zipf_blocks(64, 8, 3000, 0.8, 3, 6)};
+  sim::SweepSpec spec = small_sweep(workloads);
+  spec.sample_rate = 0.5;
+  TraceLog log;
+  {
+    obs::TraceLogScope tscope(log);
+    (void)run_sweep(spec);
+  }
+  if (!obs::kObsEnabled) {
+    EXPECT_EQ(log.size(), 0u);
+    return;
+  }
+  EXPECT_EQ(count_spans(log, "sample_workload"), workloads.size());
+  EXPECT_EQ(count_spans(log, "precompute_block_ids"), workloads.size());
+  EXPECT_EQ(validate_chrome_trace(exported(log)), "");
+}
+
 TEST(SweepObsIntegration, NoSinksMeansNoRecords) {
   const std::vector<Workload> workloads = {
       traces::zipf_blocks(16, 4, 400, 0.9, 2, 3)};
   TraceLog log;
-  CounterRegistry reg;
   // Installed NOTHING: the sweep runs with obs idle.
   (void)run_sweep(small_sweep(workloads));
   EXPECT_EQ(log.size(), 0u);
-  EXPECT_TRUE(reg.snapshot().empty());
 }
 
 TEST(SweepObsIntegration, ProgressReportsMonotonicallyToCompletion) {

@@ -244,34 +244,32 @@ std::string sanitize_for_filename(const std::string& s) {
   return out;
 }
 
-/// Installs a process-wide TraceLog + CounterRegistry for the command's
-/// lifetime and writes DIR/trace.json, counters.csv, counters.jsonl on
-/// destruction. Constructed only when `--obs DIR` is given — and that
-/// requires a build whose GC_OBS_* hooks are live.
+/// Installs a process-wide TraceLog for the command's lifetime. `write()`,
+/// on the command's normal return path, saves DIR/trace.json. Constructed
+/// only when `--obs DIR` is given — and that requires a build whose
+/// GC_OBS_* hooks are live.
 class ObsSinks {
  public:
-  explicit ObsSinks(const std::string& dir)
-      : dir_(dir), trace_scope_(log_), metrics_scope_(registry_) {
+  explicit ObsSinks(const std::string& dir) : dir_(dir), scope_(log_) {
     std::filesystem::create_directories(dir_);
-  }
-  ~ObsSinks() {
-    log_.write_chrome_trace_file(dir_ + "/trace.json");
-    registry_.write_csv(dir_ + "/counters.csv");
-    registry_.write_jsonl(dir_ + "/counters.jsonl");
-    std::cout << "obs: wrote " << dir_ << "/trace.json (" << log_.size()
-              << " events), counters.csv, counters.jsonl\n";
   }
   ObsSinks(const ObsSinks&) = delete;
   ObsSinks& operator=(const ObsSinks&) = delete;
 
   const std::string& dir() const { return dir_; }
 
+  /// Throws std::runtime_error("cannot write <path>"), which main() turns
+  /// into `error: ...` and exit status 1.
+  void write() const {
+    log_.write_chrome_trace_file(dir_ + "/trace.json");
+    std::cout << "obs: wrote " << dir_ << "/trace.json (" << log_.size()
+              << " events)\n";
+  }
+
  private:
   std::string dir_;
   obs::TraceLog log_;
-  obs::CounterRegistry registry_;
-  obs::TraceLogScope trace_scope_;
-  obs::MetricsScope metrics_scope_;
+  obs::TraceLogScope scope_;
 };
 
 /// `--obs` is rejected loudly in builds whose hooks are compiled out: a
@@ -424,7 +422,7 @@ int cmd_simulate(const Args& args) {
     SimStats s;
     if (sinks) {
       // Windowed per-policy timeline: attach to this thread for the run,
-      // then write one CSV + JSON-lines pair per policy spec.
+      // then write one JSON-lines file per policy spec.
       obs::StatsTimeline timeline(obs_window);
       {
         const obs::TimelineScope scope(timeline);
@@ -433,9 +431,8 @@ int cmd_simulate(const Args& args) {
       }
       const std::string stem =
           sinks->dir() + "/timeline-" + sanitize_for_filename(spec);
-      timeline.write_csv(stem + ".csv");
       timeline.write_jsonl(stem + ".jsonl");
-      std::cout << "obs: wrote " << stem << ".csv/.jsonl ("
+      std::cout << "obs: wrote " << stem << ".jsonl ("
                 << timeline.windows().size() << " windows of "
                 << timeline.window() << ")\n";
     } else {
@@ -450,6 +447,7 @@ int cmd_simulate(const Args& args) {
                    TextTable::fmt_int(s.wasted_sideloads)});
   }
   std::cout << table;
+  if (sinks) sinks->write();
   return 0;
 }
 
@@ -545,6 +543,7 @@ int cmd_sweep(const Args& args) {
     if (csv) csv->add_row(row);
   }
   std::cout << table;
+  if (sinks) sinks->write();
   return 0;
 }
 
@@ -683,6 +682,7 @@ int cmd_gcached(const Args& args) {
         {"ctx switches", TextTable::fmt_int(res.perf.context_switches)});
   }
   std::cout << table;
+  if (sinks) sinks->write();
   return 0;
 }
 
@@ -973,9 +973,9 @@ subcommands:
 
 observability (GCACHING_OBS=ON builds; see docs/OBSERVABILITY.md):
   --obs DIR        write telemetry sinks into DIR: trace.json (Chrome
-                   trace-event spans + counters), counters.csv/.jsonl,
-                   and (simulate only) timeline-<policy>.csv/.jsonl with
-                   one windowed SimStats delta row per window
+                   trace-event spans) and (simulate only)
+                   timeline-<policy>.jsonl with one windowed SimStats
+                   delta object per window
   --obs-window N   accesses per timeline window (0 = auto, ~256 windows)
   --progress       live sweep progress with ETA on stderr
   profile    measure f(n)/g(n) locality profiles and power-law fits
