@@ -29,18 +29,10 @@ std::size_t CacheContents::residents_of_block(BlockId block) const {
 
 void CacheContents::reset() {
   flags_.assign(flags_.size(), Flag{});
-  load_times_.assign(load_times_.size(), 0);
   occupancy_ = 0;
   current_block_ = kInvalidBlock;
   current_request_ = kInvalidItem;
-  now_ = 0;
   items_loaded_ = sideloads_ = evictions_ = wasted_sideloads_ = 0;
-}
-
-AccessTime CacheContents::load_time(ItemId item) const {
-  GC_REQUIRE(track_load_times_, "load-time tracking is disabled");
-  GC_REQUIRE(contains(item), "load_time of a non-resident item");
-  return load_times_[item];
 }
 
 }  // namespace gcaching

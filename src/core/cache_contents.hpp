@@ -16,11 +16,9 @@
 // All per-access mutators are defined inline here and carry GC_HOT_* tier
 // contracts: enforced by default, compiled out under GC_FAST_SIM so the
 // fast-path engine (core/simulator.hpp, `simulate_fast`) pays nothing for
-// them. The per-access state is split by temperature: the hit path reads
-// and writes a one-byte flag word per item (present / requested / touched),
-// so the residency table an access touches is num_items bytes and stays
-// cache-resident for realistic universes; load timestamps live in a side
-// array written only on loads.
+// them. The per-access state is one flag byte per item (present /
+// requested / touched), so the residency table an access touches is
+// num_items bytes and stays cache-resident for realistic universes.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +43,7 @@ class CacheContents {
   CacheContents(const BlockMap& map, std::size_t capacity)
       : map_(map),
         capacity_(capacity),
-        flags_(map.num_items(), Flag{}),
-        load_times_(map.num_items(), 0) {
+        flags_(map.num_items(), Flag{}) {
     GC_REQUIRE(capacity >= 1, "cache capacity must be at least one item");
   }
 
@@ -67,9 +64,6 @@ class CacheContents {
 
   /// The block whose miss is being served (only valid during a miss).
   BlockId missed_block() const;
-
-  /// Logical time (accesses processed so far), advanced by the simulator.
-  AccessTime now() const noexcept { return now_; }
 
   /// Calls fn(item) for every resident item, ascending id. O(num_items).
   /// Allocation-free templated form; policies should prefer this.
@@ -101,8 +95,8 @@ class CacheContents {
   // Every mutator below runs once (or more) per simulated access; only
   // GC_HOT_* contracts are allowed in this region (enforced by gclint).
   GC_HOT_REGION_BEGIN(cache_contents_mutators)
-  /// Simulator: advance logical time; classify & record a hit on a resident
-  /// item. Returns the hit kind per the paper's taxonomy.
+  /// Simulator: classify & record a hit on a resident item. Returns the hit
+  /// kind per the paper's taxonomy.
   HitKind record_hit(ItemId item) {
     GC_HOT_REQUIRE(!in_miss(), "record_hit during an open miss transaction");
     GC_HOT_REQUIRE(contains(item), "record_hit on a non-resident item");
@@ -113,7 +107,6 @@ class CacheContents {
     // Skip the store when the bit is already set (the common case: every
     // requested load starts touched) — hits then leave the flag line clean.
     if ((e & kTouched) == 0) flags_[item] = flag(e | kTouched);
-    ++now_;
     return kind;
   }
 
@@ -127,7 +120,6 @@ class CacheContents {
     GC_HOT_REQUIRE(contains(item), "record_hit on a non-resident item");
     GC_HOT_REQUIRE((raw(flags_[item]) & (kTouched | kRequestedLoad)) != 0,
                    "requested-loads-only policy hit an untouched sideload");
-    ++now_;
   }
 
   /// Simulator: open a miss transaction for non-resident `requested`.
@@ -163,7 +155,6 @@ class CacheContents {
     const bool requested = (item == current_request_);
     flags_[item] = flag(requested ? (kPresent | kRequestedLoad | kTouched)
                                   : kPresent);
-    if (track_load_times_) load_times_[item] = now_;
     ++occupancy_;
     ++items_loaded_;
     if (!requested) ++sideloads_;
@@ -190,7 +181,6 @@ class CacheContents {
     GC_HOT_ENSURE(occupancy_ <= capacity_, "occupancy exceeds capacity");
     current_block_ = kInvalidBlock;
     current_request_ = kInvalidItem;
-    ++now_;
   }
   GC_HOT_REGION_END(cache_contents_mutators)
 
@@ -206,16 +196,6 @@ class CacheContents {
   std::uint64_t evictions() const noexcept { return evictions_; }
   /// Side-loaded items evicted without ever being accessed — pure pollution.
   std::uint64_t wasted_sideloads() const noexcept { return wasted_sideloads_; }
-  /// Timestamp (access index) at which `item` was last loaded. Only
-  /// meaningful while the item is resident and load-time tracking is on.
-  AccessTime load_time(ItemId item) const;
-
-  /// Load timestamps are a cold-inspection feature (load_time()); the fast
-  /// engine turns the per-load timestamp write off — it is a random-line
-  /// store the hot loop otherwise pays on every load. SimStats and every
-  /// other observable are unaffected. On by default.
-  void set_load_time_tracking(bool on) noexcept { track_load_times_ = on; }
-  bool load_time_tracking() const noexcept { return track_load_times_; }
 
  private:
   // Per-item flag byte; a non-resident item is all-zero. Stored as a
@@ -238,11 +218,8 @@ class CacheContents {
   std::size_t capacity_;
   std::size_t occupancy_ = 0;
   std::vector<Flag> flags_;
-  std::vector<AccessTime> load_times_;  ///< valid while the item is resident
   BlockId current_block_ = kInvalidBlock;
   ItemId current_request_ = kInvalidItem;
-  AccessTime now_ = 0;
-  bool track_load_times_ = true;
 
   std::uint64_t items_loaded_ = 0;
   std::uint64_t sideloads_ = 0;

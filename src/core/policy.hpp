@@ -16,18 +16,11 @@
 // audited by tools/gclint:
 //
 //   * kRequestedLoadsOnly — on_miss loads only the requested item, so every
-//     hit is statically temporal and the hit path reduces to a clock tick.
+//     hit is statically temporal and the hit path skips the flag update.
 //   * kEvictsOutsideMiss — the policy evicts during hits, so eviction stats
 //     must be snapshotted per miss transaction.
 //   * kIsStackPolicy — obeys Mattson inclusion; capacity sweeps may use one
 //     stack-distance pass instead of per-capacity simulation.
-//   * kBatchesSameBlockRuns — the policy also defines
-//     `on_hit_run(std::span<const ItemId> items)`, equivalent to calling
-//     on_hit per element, and its on_hit never changes residency (no loads —
-//     illegal outside a miss anyway — and no evictions). The fast engines
-//     then hand each maximal stretch of resident same-block accesses to
-//     on_hit_run in one call, letting the policy amortize per-access work
-//     (e.g. one frequency-bucket update covering the whole stretch).
 #pragma once
 
 #include <string>

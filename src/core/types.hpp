@@ -24,7 +24,4 @@ inline constexpr ItemId kInvalidItem = std::numeric_limits<ItemId>::max();
 /// Sentinel for "no block".
 inline constexpr BlockId kInvalidBlock = std::numeric_limits<BlockId>::max();
 
-/// Logical time measured in accesses since the start of a trace.
-using AccessTime = std::uint64_t;
-
 }  // namespace gcaching

@@ -191,7 +191,6 @@ class ShardedCache final : public ConcurrentCache {
       // The exact setup sequence of simulate_fast, minus prepare() (online
       // policies only — enforced by the factory's escape hatch).
       shard.policy.attach(*map_, shard.cache);
-      shard.cache.set_load_time_tracking(false);
     }
   }
 

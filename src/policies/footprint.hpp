@@ -38,11 +38,6 @@ namespace gcaching {
 
 class FootprintCache final : public ReplacementPolicy {
  public:
-  /// A run of hits never changes residency, so the engines may hand a whole
-  /// same-block stretch to on_hit_run in one call (see simulate_fast).
-  // GCLINT-TRAIT-CHECKED-BY: fast_hit_run
-  static constexpr bool kBatchesSameBlockRuns = true;
-
   /// `cold_whole_block`: what to load for a block with no recorded history
   /// (true = whole block, the Footprint Cache default; false = item only).
   explicit FootprintCache(bool cold_whole_block = true)
@@ -95,26 +90,6 @@ class FootprintCache final : public ReplacementPolicy {
     }
     // Keep the requested item most recent.
     lru_.move_to_front(item);
-  }
-
-  /// Batched hits: the touched set distributes over the run (one OR of the
-  /// accumulated position bits), and the final recency order is the span's
-  /// distinct items by *last* occurrence — collected in one reverse scan
-  /// (the position bitmask doubles as the dedupe set; attach REQUIREs
-  /// blocks of <= 64 items) and replayed as move_to_fronts. Equivalent to
-  /// calling on_hit per access in order.
-  void on_hit_run(std::span<const ItemId> items, BlockId block) {
-    std::uint64_t bits = 0;
-    ItemId order[64];  // distinct items, most-recent first
-    std::size_t n = 0;
-    for (std::size_t i = items.size(); i-- > 0;) {
-      const std::uint64_t bit = geom_.bit_of(items[i]);
-      if ((bits & bit) != 0) continue;
-      bits |= bit;
-      order[n++] = items[i];
-    }
-    live_footprint_[block] |= bits;
-    while (n-- > 0) lru_.move_to_front(order[n]);
   }
 
   /// Recorded footprint of `block` from its last completed residency

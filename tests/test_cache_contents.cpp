@@ -174,29 +174,6 @@ TEST_F(CacheContentsTest, ResidentEnumeration) {
   EXPECT_EQ(cache_.residents_of_block(0), 0u);
 }
 
-TEST_F(CacheContentsTest, TimeAdvancesOnHitAndMiss) {
-  EXPECT_EQ(cache_.now(), 0u);
-  cache_.begin_miss(0);
-  cache_.load(0);
-  cache_.end_miss();
-  EXPECT_EQ(cache_.now(), 1u);
-  cache_.record_hit(0);
-  EXPECT_EQ(cache_.now(), 2u);
-}
-
-TEST_F(CacheContentsTest, LoadTimeTracked) {
-  cache_.begin_miss(0);
-  cache_.load(0);
-  cache_.end_miss();
-  cache_.record_hit(0);
-  cache_.begin_miss(4);
-  cache_.load(4);
-  cache_.end_miss();
-  EXPECT_EQ(cache_.load_time(0), 0u);
-  EXPECT_EQ(cache_.load_time(4), 2u);
-  EXPECT_THROW(cache_.load_time(9), ContractViolation);
-}
-
 TEST_F(CacheContentsTest, ResetClearsEverything) {
   cache_.begin_miss(0);
   cache_.load(0);
@@ -205,7 +182,6 @@ TEST_F(CacheContentsTest, ResetClearsEverything) {
   cache_.reset();
   EXPECT_EQ(cache_.occupancy(), 0u);
   EXPECT_EQ(cache_.items_loaded(), 0u);
-  EXPECT_EQ(cache_.now(), 0u);
   EXPECT_FALSE(cache_.contains(0));
 }
 

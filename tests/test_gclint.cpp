@@ -299,8 +299,9 @@ GC_HOT_REGION_END(per_access)
 }
 
 TEST(GclintHotRegion, ClockHomesAreExempt) {
-  // gcmon (whose job is timestamping) and shard_lock.hpp (the fill gate's
-  // wait measurement) are the sanctioned homes for clock reads.
+  // shard_lock.hpp (the fill gate's wait measurement) is the one sanctioned
+  // home for clock reads in a hot region. gcmon has no hot region, so it
+  // gets no exemption: a hot region there is flagged like anywhere else.
   const std::vector<SourceFile> files = {
       {"src/obs/gcmon.cpp", R"cpp(
 GC_HOT_REGION_BEGIN(harvest)
@@ -312,8 +313,11 @@ GC_HOT_REGION_BEGIN(fill_gate)
 inline long waited() { return std::chrono::steady_clock::now().count(); }
 GC_HOT_REGION_END(fill_gate)
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-raw-clock").empty());
+  const auto hits =
+      findings_for_rule(gclint::lint(files), "hot-region-raw-clock");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].path, "src/obs/gcmon.cpp");
+  EXPECT_EQ(hits[0].line, 3u);
 }
 
 TEST(GclintHotRegion, AllowAnnotationSuppressesRawClock) {

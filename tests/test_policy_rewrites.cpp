@@ -2,20 +2,20 @@
 //
 // The PERF.md "policy rewrites" pass replaced the interior of the slowest
 // policies (item-lfu's lazily-ordered bucket, the FlatBlockIndex-based
-// footprint/athreshold/gcm/marking family) and taught the fast engines to
-// batch same-block runs through `on_hit_run`. None of that may change a
+// footprint/athreshold/gcm/marking family). None of that may change a
 // single counter: this suite replays the rewritten policies through the
 // verifying `Simulation` engine and the devirtualized `simulate_fast_spec`
-// on workloads chosen to stress exactly the rewritten paths --
+// (one `fast_step` per access) on workloads chosen to stress exactly the
+// rewritten paths --
 //
-//   * zipf          -- run lengths near 1, the singleton fast-step path;
+//   * zipf          -- run lengths near 1, hits scattered over blocks;
 //   * zipf-scramble -- hot items in random blocks, cold block geometry;
 //   * adv-item / adv-block -- captured Theorem 2/3 adversarial traces with
-//     long same-block stretches, the batched `fast_hit_run` path;
+//     long same-block stretches of hits between misses;
 //
 // each at three capacities spanning tight to roomy. Built twice (see
 // tests/CMakeLists.txt): against the checking libraries and against the
-// GC_FAST_SIM copy, so the batching rewrite is pinned in both contract
+// GC_FAST_SIM copy, so the per-access step is pinned in both contract
 // configurations. Carries the ctest label `diff`.
 #include <gtest/gtest.h>
 
@@ -130,9 +130,9 @@ std::string sanitize(const ::testing::TestParamInfo<std::string>& info) {
 INSTANTIATE_TEST_SUITE_P(RewrittenPolicies, PolicyRewriteDifferential,
                          ::testing::ValuesIn(rewritten_specs()), sanitize);
 
-// The batched engine path alternates hit stretches with single misses; a
-// trace that is *all* same-block runs (sequential scan) and one that is all
-// singletons (stride = B) pin both extremes explicitly.
+// Hit stretches alternate with single misses; a trace that is *all*
+// same-block runs (sequential scan) and one that is all singletons
+// (stride = B) pin both extremes explicitly.
 TEST(PolicyRewriteRuns, ScanExtremesMatchVerifyingEngine) {
   const Workload scan = traces::sequential_scan(512, 16, 4096);
   const Workload stride = traces::strided_scan(512, 16, 4096, 16);

@@ -126,12 +126,9 @@ bool is_lock_home(const FileModel& m) {
 }
 
 bool is_clock_home(const FileModel& m) {
-  // Sanctioned homes for time reads: the gcmon monitor (whose whole job is
-  // timestamping snapshots) and shard_lock.hpp (whose FillGate measures
-  // the delayed-hit wait).
-  return ends_with_path(m.file->path, "src/obs/gcmon.hpp") ||
-         ends_with_path(m.file->path, "src/obs/gcmon.cpp") ||
-         ends_with_path(m.file->path, "src/gcached/shard_lock.hpp");
+  // The one sanctioned home for time reads in a hot region: shard_lock.hpp,
+  // whose FillGate measures the delayed-hit wait.
+  return ends_with_path(m.file->path, "src/gcached/shard_lock.hpp");
 }
 
 // ---- rule: hot-region balance (marker state machine, v1 semantics) ----------
@@ -569,8 +566,7 @@ bool is_policies_header(const std::string& path) {
 
 std::vector<TraitDecl> collect_trait_decls(const Program& prog) {
   static const std::set<std::string> kTraits = {
-      "kRequestedLoadsOnly", "kEvictsOutsideMiss", "kIsStackPolicy",
-      "kBatchesSameBlockRuns"};
+      "kRequestedLoadsOnly", "kEvictsOutsideMiss", "kIsStackPolicy"};
   std::vector<TraitDecl> decls;
   for (std::size_t fi = 0; fi < prog.files.size(); ++fi) {
     const FileModel& m = prog.files[fi];
@@ -887,8 +883,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "hot region outside shard_lock.hpp."},
       {"hot-region-raw-clock",
        "No clock reads (steady_clock/system_clock/clock_gettime/rdtsc "
-       "variants) inside a hot region outside gcmon and shard_lock.hpp; "
-       "timing belongs to the monitoring layer."},
+       "variants) inside a hot region outside shard_lock.hpp; timing "
+       "belongs to the monitoring layer."},
       {"lock-discipline",
        "While a ShardGuard/ShardHold is live: no blocking calls, no "
        "file I/O, no allocation or container growth, no second shard guard "

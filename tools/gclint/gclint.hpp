@@ -36,8 +36,8 @@
 //                             inside a hot region — a per-access time read
 //                             costs tens of ns and skews the latencies the
 //                             monitor reports. Timing belongs to the
-//                             monitoring layer; src/obs/gcmon.{hpp,cpp} and
-//                             shard_lock.hpp are the sanctioned homes.
+//                             monitoring layer, outside hot regions;
+//                             shard_lock.hpp is the one sanctioned home.
 //   lock-discipline           Intra-procedural guard-lifetime dataflow: while
 //                             a ShardGuard (or sharded_cache.hpp's
 //                             ShardHold, which wraps one) is live, no
@@ -65,7 +65,7 @@
 //                             file-level include cycles all fail.
 //   trait-audit               Every opt-in policy trait declaration
 //                             (kRequestedLoadsOnly, kEvictsOutsideMiss,
-//                             kIsStackPolicy, kBatchesSameBlockRuns) must
+//                             kIsStackPolicy) must
 //                             carry a `// GCLINT-TRAIT-CHECKED-BY: <fn>`
 //                             annotation naming the function that contract-
 //                             checks the claim; gclint verifies that function
