@@ -50,6 +50,9 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
     ClientContext ctx;
     obs::HdrHistogram hist;  // wait-free per-thread latency table
     obs::PerfTotals perf;
+    std::uint64_t ops = 0;       // this thread's share of total_ops
+    SplitMix64 rng;              // detail::thread_rng(spec.seed, t)
+    std::uint64_t replayed = 0;  // ops its replay loop reports it ran
   };
   // unique_ptr elements: HdrHistogram holds atomics, so Client is neither
   // copyable nor movable and cannot live in the vector directly.
@@ -69,8 +72,8 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t t = 0; t < threads; ++t) {
     Client& client = *clients[t];
-    const std::uint64_t ops_t =
-        total_ops / threads + (t < total_ops % threads ? 1 : 0);
+    client.ops = total_ops / threads + (t < total_ops % threads ? 1 : 0);
+    client.rng = detail::thread_rng(spec.seed, t);
     const bool perf = spec.perf;
     const Arrival arrival = spec.arrival;
     // Each thread offers its proportional share of the aggregate rate so
@@ -78,12 +81,10 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
     // schedule and every thread's arrival process drains in the same
     // expected wall time.
     const double rate_t =
-        spec.rate_ops_per_sec * static_cast<double>(ops_t) /
+        spec.rate_ops_per_sec * static_cast<double>(client.ops) /
         static_cast<double>(total_ops);
-    // Arrival schedule RNG: deterministic per (seed, thread).
-    const SplitMix64 arrivals_rng(spec.seed * 0x9e3779b97f4a7c15ULL + t);
-    pool.submit([&cache, &client, &accesses, block_ids, n, threads, t, ops_t,
-                 perf, arrival, rate_t, arrivals_rng] {
+    pool.submit([&cache, &client, &accesses, block_ids, n, threads, t, perf,
+                 arrival, rate_t] {
       ClientContext& ctx = client.ctx;
       tighten_timer_slack();
       // Perf counters attach to the calling thread, so they must be opened
@@ -97,14 +98,14 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
                                block_ids](std::size_t i) {
         cache.access(ctx, accesses[i], block_ids[i]);
       };
-      if (arrival == Arrival::kPoisson) {
-        detail::replay_open_loop<std::chrono::steady_clock>(
-            access_one, t, threads, n, ops_t, rate_t, arrivals_rng,
-            client.hist);
-      } else {
-        detail::replay_closed_loop<std::chrono::steady_clock>(
-            access_one, t, threads, n, ops_t, client.hist);
-      }
+      client.replayed =
+          arrival == Arrival::kPoisson
+              ? detail::replay_open_loop<std::chrono::steady_clock>(
+                    access_one, t, threads, n, client.ops, rate_t,
+                    client.rng, client.hist)
+              : detail::replay_closed_loop<std::chrono::steady_clock>(
+                    access_one, t, threads, n, client.ops, client.rng,
+                    client.hist);
       if (counters != nullptr) client.perf = counters->stop();
     });
   }
@@ -122,16 +123,26 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
       spec.arrival == Arrival::kPoisson ? spec.rate_ops_per_sec : 0.0;
 
   obs::HdrHistogram merged;
+  std::uint64_t replayed = 0;
+  std::uint64_t expected_samples = 0;
   result.perf.valid = spec.perf;  // &&-folds with each thread's validity
   for (const std::unique_ptr<Client>& client : clients) {
     merged.merge_from(client->hist);
+    replayed += client->replayed;
+    // Recomputed from the client's unused RNG copy, not counted by it.
+    expected_samples += spec.arrival == Arrival::kPoisson
+                            ? client->ops
+                            : detail::timed_ops(client->ops, client->rng);
     result.lock_acquisitions += client->ctx.lock_acquisitions;
     result.lock_contended += client->ctx.lock_contended;
     result.backoff_rounds += client->ctx.backoff_rounds;
     if (spec.perf) result.perf += client->perf;
   }
-  GC_CHECK(merged.count() == total_ops,
+  GC_CHECK(replayed == total_ops,
            "load generator lost or duplicated operations");
+  GC_CHECK(merged.count() == expected_samples,
+           "latency histogram lost or duplicated samples");
+  result.latency_samples = merged.count();
   result.p50_us = merged.quantile(0.50) * 1e-3;
   result.p99_us = merged.quantile(0.99) * 1e-3;
   result.p999_us = merged.quantile(0.999) * 1e-3;

@@ -27,13 +27,30 @@
 // (obs/hdr_histogram.hpp): wait-free record, fixed ~34 KB per thread
 // regardless of op count, live-readable by an attached obs::Monitor, and
 // percentiles within a documented <=1% relative error of the exact
-// nearest-rank sample (bit-exact below ~256 ns). Measurement is BRACKETED —
-// two steady_clock reads per op, so the recorded latency covers exactly the
-// access() call: histogram recording, loop control, and any scheduling
-// overhang between ops are excluded. (The previous chained single-read
-// scheme attributed all inter-op time — including the tail of bookkeeping
-// after a fill — to the following op; tests/test_gcmon.cpp pins the new
-// semantics with a deterministic fake clock via detail::replay_closed_loop.)
+// nearest-rank sample (bit-exact below ~256 ns).
+//
+// The closed loop times a SAMPLE of about one op in detail::kTimedEvery
+// (16). A timed op is BRACKETED: two steady_clock reads around exactly
+// that access() call, so histogram recording, loop control and any
+// scheduling overhang between ops are excluded. (A chained single-read
+// scheme would charge all inter-op time to the following op.)
+// An untimed op calls access() and nothing else. Timing every op cost two
+// serialising clock reads (~45 ns each on a tsc clocksource) and two
+// atomic adds per op, the largest per-op cost of the loop, and a random
+// 1-in-16 sample estimates the same quantiles. The sample is jittered, not
+// strided: before each timed op the loop skips a uniform draw in [0, 30]
+// of untimed ops from the thread's own SplitMix64, so the mean gap is 16.
+// A fixed stride would alias with the trace. The GC model loads a whole
+// block of B = 16 items on a miss, so on a scan-like trace one op in 16
+// misses at a block boundary and the other 15 hit; a stride of 16 would
+// time only the misses or only the hits. detail::timed_ops recomputes the
+// schedule from a copy of the RNG, and run_load checks the merged
+// histogram count against it. tests/test_gcmon.cpp pins the schedule, the
+// bracket and the quantile accuracy with a deterministic fake clock via
+// detail::replay_closed_loop.
+//
+// The OPEN loop still times every op: its recorded value is completion −
+// scheduled arrival, and it already sleeps before each op.
 //
 // Lock-contention telemetry accumulates in each thread's ClientContext and
 // is summed into the LoadResult once per run, never per operation.
@@ -44,6 +61,7 @@
 // concurrent tests assert.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -73,7 +91,8 @@ struct LoadSpec {
   /// trace. More than one trace length wraps around (per-thread strides
   /// restart at their offset).
   std::uint64_t total_ops = 0;
-  /// Base seed of the per-thread Poisson arrival schedules.
+  /// Base seed of each thread's SplitMix64: its Poisson arrival schedule in
+  /// the open loop, its timed-op sample in the closed loop.
   std::uint64_t seed = 1;
   Arrival arrival = Arrival::kClosed;
   /// Aggregate offered rate for Arrival::kPoisson, split across threads in
@@ -101,15 +120,19 @@ struct LoadResult {
   /// Compare against `ops_per_sec` — achieved well below offered means the
   /// run was saturated and the latency tail is dominated by queuing delay.
   double offered_ops_per_sec = 0.0;
-  /// Operation-latency percentiles over every op of every thread, in
-  /// microseconds (p50 <= p99 <= p999 <= max by construction), read from
-  /// the merged HDR histogram (<=1% relative error, see obs/hdr_histogram).
-  /// Closed loop: bracketed service time of the access() call. Poisson:
-  /// completion − scheduled arrival (service + queuing delay).
+  /// Operation-latency percentiles in microseconds (p50 <= p99 <= p999 <=
+  /// max by construction), read from the merged HDR histogram (<=1%
+  /// relative error, see obs/hdr_histogram). Closed loop: bracketed service
+  /// time of the access() call, over the jittered ~1-in-16 sample of ops
+  /// (see file comment); all 0 when no op was timed. Poisson: completion −
+  /// scheduled arrival (service + queuing delay), over every op.
   double p50_us = 0.0;
   double p99_us = 0.0;
   double p999_us = 0.0;
   double max_us = 0.0;
+  /// Ops the percentiles are over: detail::timed_ops per thread in the
+  /// closed loop, `ops` in the open loop.
+  std::uint64_t latency_samples = 0;
   /// Aggregate cache statistics (collect_stats after quiescing).
   SimStats stats;
   /// Summed ClientContext contention counters; `backoff_rounds` counts the
@@ -127,25 +150,76 @@ struct LoadResult {
 
 namespace detail {
 
-/// One thread's closed-loop strided replay with bracketed latency
-/// measurement: start/end Clock reads around each access, recorded into
-/// `hist` in Clock ticks (nanoseconds for steady_clock). Templated on the
-/// clock so tests drive a deterministic fake clock and pin exactly what the
-/// recorded latency does — and does not — include.
+/// Client thread `t`'s SplitMix64, deterministic per (seed, t): its Poisson
+/// arrivals in the open loop, its timed-op sample in the closed loop.
+inline SplitMix64 thread_rng(std::uint64_t seed, std::size_t t) {
+  return SplitMix64(seed * 0x9e3779b97f4a7c15ULL + t);
+}
+
+/// About one closed-loop op in kTimedEvery is timed (see file comment).
+/// A compile-time constant, not a knob.
+inline constexpr std::uint64_t kTimedEvery = 16;
+
+/// Untimed ops before the next timed one: uniform in
+/// [0, 2 * kTimedEvery - 2], so timed ops are kTimedEvery ops apart on
+/// average but never on a fixed stride.
+inline std::uint64_t untimed_gap(SplitMix64& rng) {
+  return rng.below(2 * kTimedEvery - 1);
+}
+
+/// The timed-op schedule of a replay_closed_loop over `ops` ops drawing
+/// from `rng`: calls `on_timed(op)` for each timed op index in order and
+/// returns how many there are. Takes the RNG by value, so callers recompute
+/// the schedule from a fresh copy of the one the replay used.
+template <typename OnTimed>
+std::uint64_t timed_ops(std::uint64_t ops, SplitMix64 rng,
+                        OnTimed&& on_timed) {
+  std::uint64_t timed = 0;
+  for (std::uint64_t op = untimed_gap(rng); op < ops;
+       op += 1 + untimed_gap(rng)) {
+    on_timed(op);
+    ++timed;
+  }
+  return timed;
+}
+
+inline std::uint64_t timed_ops(std::uint64_t ops, SplitMix64 rng) {
+  return timed_ops(ops, rng, [](std::uint64_t) {});
+}
+
+/// One thread's closed-loop strided replay with sampled, bracketed latency
+/// measurement: the ops timed_ops(ops, rng) names get start/end Clock reads
+/// around their access, recorded into `hist` in Clock ticks (nanoseconds
+/// for steady_clock); every other op is a bare access. Returns the number
+/// of ops replayed. Templated on the clock so tests drive a deterministic
+/// fake clock and pin exactly which ops are timed and what the recorded
+/// latency does — and does not — include.
 template <typename Clock, typename AccessFn>
-void replay_closed_loop(AccessFn&& access_one, std::size_t start,
-                        std::size_t stride, std::size_t wrap,
-                        std::uint64_t ops, obs::HdrHistogram& hist) {
+std::uint64_t replay_closed_loop(AccessFn&& access_one, std::size_t start,
+                                 std::size_t stride, std::size_t wrap,
+                                 std::uint64_t ops, SplitMix64 rng,
+                                 obs::HdrHistogram& hist) {
   std::size_t i = start;
-  for (std::uint64_t op = 0; op < ops; ++op) {
+  const auto advance = [&i, start, stride, wrap] {
+    i += stride;
+    if (i >= wrap) i = start;  // wrap: restart this thread's stride
+  };
+  std::uint64_t op = 0;
+  for (;;) {
+    const std::uint64_t timed = std::min(op + untimed_gap(rng), ops);
+    for (; op < timed; ++op) {
+      access_one(i);
+      advance();
+    }
+    if (op == ops) return op;
     const auto t0 = Clock::now();
     access_one(i);
     const auto t1 = Clock::now();
     hist.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count()));
-    i += stride;
-    if (i >= wrap) i = start;  // wrap: restart this thread's stride
+    advance();
+    ++op;
   }
 }
 
@@ -154,14 +228,15 @@ void replay_closed_loop(AccessFn&& access_one, std::size_t start,
 /// for THIS thread) from `rng` — deterministic given the seed, independent
 /// of how long any access takes. The thread sleeps until each scheduled
 /// arrival (a no-op once it is running behind) and records
-/// completion − scheduled arrival, so queuing delay shows up in the
-/// percentiles instead of silently deflating the offered load. Templated on
-/// the clock like replay_closed_loop.
+/// completion − scheduled arrival for every op, so queuing delay shows up
+/// in the percentiles instead of silently deflating the offered load.
+/// Returns the number of ops replayed. Templated on the clock like
+/// replay_closed_loop.
 template <typename Clock, typename AccessFn>
-void replay_open_loop(AccessFn&& access_one, std::size_t start,
-                      std::size_t stride, std::size_t wrap, std::uint64_t ops,
-                      double rate_ops_per_sec, SplitMix64 rng,
-                      obs::HdrHistogram& hist) {
+std::uint64_t replay_open_loop(AccessFn&& access_one, std::size_t start,
+                               std::size_t stride, std::size_t wrap,
+                               std::uint64_t ops, double rate_ops_per_sec,
+                               SplitMix64 rng, obs::HdrHistogram& hist) {
   const auto t_start = Clock::now();
   double scheduled_ns = 0.0;
   std::size_t i = start;
@@ -185,6 +260,7 @@ void replay_open_loop(AccessFn&& access_one, std::size_t start,
     i += stride;
     if (i >= wrap) i = start;
   }
+  return ops;
 }
 
 }  // namespace detail

@@ -224,7 +224,8 @@ std::string Monitor::prometheus_text(const Snapshot& snap) const {
          "Block fills currently in flight in this shard's MSHR table.",
          &ShardValues::mshr_inflight);
   scalar(os, "gcached_latency_count", "gauge",
-         "Operations recorded by the merged latency histogram.",
+         "Sampled operations (about 1 in 16, closed loop) recorded by the "
+         "merged latency histogram.",
          static_cast<double>(snap.latency.count));
   scalar(os, "gcached_latency_p50_nanoseconds", "gauge",
          "Median operation latency (HDR histogram, <=1% relative error).",

@@ -476,6 +476,7 @@ TEST(GcachedLoadgen, PoissonArrivalsReportOfferedVsAchieved) {
   spec.rate_ops_per_sec = 2e6;
   const LoadResult res = run_load(*cache, w.trace, w.trace.block_ids(), spec);
   EXPECT_EQ(res.ops, 20'000u);
+  EXPECT_EQ(res.latency_samples, res.ops);  // the open loop times every op
   EXPECT_DOUBLE_EQ(res.offered_ops_per_sec, 2e6);
   EXPECT_GT(res.ops_per_sec, 0.0);
   // Conservation is arrival-process-independent.
@@ -485,6 +486,30 @@ TEST(GcachedLoadgen, PoissonArrivalsReportOfferedVsAchieved) {
   EXPECT_LE(res.p50_us, res.p99_us);
   EXPECT_LE(res.p99_us, res.p999_us);
   EXPECT_LE(res.p999_us, res.max_us);
+}
+
+TEST(GcachedLoadgen, ThreadsShorterThanOneGapTimeNothingAndStillPass) {
+  // Each closed-loop client replays fewer ops than its first untimed gap,
+  // so no op is timed. The count checks must hold, not throw, and the
+  // percentiles read 0.
+  const Workload w = small_zipf();
+  GcachedConfig cfg;
+  cfg.num_shards = 2;
+  cfg.capacity = 256;
+  const auto cache = make_concurrent_cache("item-lru", w.map, cfg);
+  LoadSpec spec;
+  spec.threads = 2;
+  spec.total_ops = 6;
+  spec.seed = 1;
+  for (std::size_t t = 0; t < spec.threads; ++t)
+    ASSERT_EQ(detail::timed_ops(3, detail::thread_rng(spec.seed, t)), 0u)
+        << "seed no longer gives thread " << t << " a gap of 3 or more";
+  const LoadResult res = run_load(*cache, w.trace, w.trace.block_ids(), spec);
+  EXPECT_EQ(res.ops, 6u);
+  EXPECT_EQ(res.stats.accesses, 6u);
+  EXPECT_EQ(res.latency_samples, 0u);
+  EXPECT_EQ(res.p50_us, 0.0);
+  EXPECT_EQ(res.max_us, 0.0);
 }
 
 TEST(GcachedLoadgen, PoissonArrivalsRequireAPositiveRate) {

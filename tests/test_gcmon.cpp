@@ -21,13 +21,17 @@
 //     with monitoring attached), and its lock counters equal the client's;
 //   * under load every shard's harvested counters never decrease, and the
 //     final snapshot is the shards' collect_stats split;
-//   * detail::replay_closed_loop's bracketed measurement records exactly the
-//     access duration — inter-op bookkeeping time never lands in the
-//     histogram (pinned with a deterministic fake clock).
+//   * detail::replay_closed_loop times exactly the jittered sample that
+//     detail::timed_ops recomputes, each timed op records exactly its access
+//     duration, untimed ops never read the clock, and inter-op bookkeeping
+//     time never lands in the histogram (pinned with a deterministic fake
+//     clock); the sampled quantiles match the exact ones over every op,
+//     including on a B = 16 block-boundary pattern a fixed stride aliases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -40,6 +44,7 @@
 #include "obs/hdr_histogram.hpp"
 #include "policies/factory.hpp"
 #include "traces/synthetic.hpp"
+#include "util/rng.hpp"
 
 namespace gcaching {
 namespace {
@@ -130,15 +135,29 @@ void expect_quantiles_within_bound(const std::vector<std::uint64_t>& samples,
   }
 }
 
-TEST(HdrHistogram, BimodalDistributionStaysWithinOnePercent) {
-  // Two far-apart modes — the distribution where a mean or a coarse bucket
-  // scheme goes badly wrong: fast hits ~500 ns, slow fills ~2 ms.
+/// Two far-apart modes — the distribution where a mean or a coarse bucket
+/// scheme goes badly wrong: fast hits ~500 ns, slow fills ~2 ms.
+std::vector<std::uint64_t> bimodal_samples() {
   std::vector<std::uint64_t> samples;
   for (std::uint64_t i = 0; i < 10'000; ++i)
     samples.push_back(400 + i % 200);  // 400..599 ns
   for (std::uint64_t i = 0; i < 10'000; ++i)
     samples.push_back(1'900'000 + 40 * (i % 10'000));  // 1.9..2.3 ms
-  expect_quantiles_within_bound(samples, "bimodal");
+  return samples;
+}
+
+/// One sample per octave across the whole dynamic range below overflow —
+/// maximally stresses the per-octave sub-bucket rounding.
+std::vector<std::uint64_t> log_spread_samples() {
+  std::vector<std::uint64_t> samples;
+  for (unsigned k = 0; k < HdrHistogram::kMaxExponent; ++k)
+    for (std::uint64_t j = 0; j < 50; ++j)
+      samples.push_back((1ULL << k) + j * ((1ULL << k) / 64 + 1));
+  return samples;
+}
+
+TEST(HdrHistogram, BimodalDistributionStaysWithinOnePercent) {
+  expect_quantiles_within_bound(bimodal_samples(), "bimodal");
 }
 
 TEST(HdrHistogram, SingleBucketDistributionIsExactToTheBound) {
@@ -151,13 +170,7 @@ TEST(HdrHistogram, SingleBucketDistributionIsExactToTheBound) {
 }
 
 TEST(HdrHistogram, LogSpreadDistributionStaysWithinOnePercent) {
-  // One sample per octave across the whole dynamic range below overflow —
-  // maximally stresses the per-octave sub-bucket rounding.
-  std::vector<std::uint64_t> samples;
-  for (unsigned k = 0; k < HdrHistogram::kMaxExponent; ++k)
-    for (std::uint64_t j = 0; j < 50; ++j)
-      samples.push_back((1ULL << k) + j * ((1ULL << k) / 64 + 1));
-  expect_quantiles_within_bound(samples, "log-spread");
+  expect_quantiles_within_bound(log_spread_samples(), "log-spread");
 }
 
 TEST(HdrHistogram, EmptyHistogramReportsZero) {
@@ -421,13 +434,13 @@ TEST(GcmonExport, FailedExportIsStickyAndNamesThePath) {
   std::remove(file.c_str());
 }
 
-// ---- Bracketed latency measurement (fake clock) -----------------------------
+// ---- Sampled, bracketed latency measurement (fake clock) --------------------
 
-/// Deterministic manual clock for detail::replay_closed_loop. now() is
-/// called exactly twice per op (t0 before the access, t1 after); the clock
+/// Deterministic manual clock for detail::replay_closed_loop. A timed op
+/// calls now() exactly twice (t0 before the access, t1 after); the clock
 /// injects `inter_op_ns` of "bookkeeping time" before every t0, modeling
 /// the loop-control / recording tail that the OLD chained measurement
-/// wrongly attributed to the next operation.
+/// wrongly attributed to the next operation. `calls` counts every read.
 struct FakeClock {
   using duration = std::chrono::nanoseconds;
   using time_point = std::chrono::time_point<FakeClock, duration>;
@@ -448,32 +461,117 @@ struct FakeClock {
 
 TEST(LoadgenBracketing, RecordedLatencyIsExactlyTheAccessDuration) {
   FakeClock::reset(10'000);  // huge inter-op gap: must never be recorded
+  const SplitMix64 rng(42);
+  constexpr std::uint64_t kOps = 400;
+  // Op i takes 100 + i % 150 ns: inside the histogram's exact region, so
+  // every recorded value is bit-precise.
+  const auto duration = [](std::uint64_t i) { return 100 + i % 150; };
   obs::HdrHistogram hist;
-  gcached::detail::replay_closed_loop<FakeClock>(
-      [](std::size_t i) { FakeClock::now_ns += 100 + i; },
-      /*start=*/0, /*stride=*/1, /*wrap=*/1'000, /*ops=*/8, hist);
-  ASSERT_EQ(hist.count(), 8u);
-  // Each op's recorded latency is exactly what the access advanced — values
-  // 100..107 are in the histogram's exact region, so this is bit-precise.
-  for (std::uint64_t i = 0; i < 8; ++i)
-    EXPECT_EQ(hist.bucket_count(obs::HdrHistogram::bucket_index(100 + i)), 1u)
-        << "op " << i;
-  // The 10 us inter-op gap never leaked into any op's latency.
-  EXPECT_EQ(hist.max_value(), 107.0);
-  // ... even though the clock itself saw every gap pass.
-  EXPECT_EQ(FakeClock::now_ns,
-            8 * 10'000 + (100 + 101 + 102 + 103 + 104 + 105 + 106 + 107));
+  std::vector<std::uint64_t> timed;  // ops that ran between t0 and t1
+  std::uint64_t all_ns = 0;
+  const std::uint64_t replayed =
+      gcached::detail::replay_closed_loop<FakeClock>(
+          [&](std::size_t i) {
+            if (FakeClock::calls % 2 == 1) timed.push_back(i);
+            FakeClock::now_ns += duration(i);
+            all_ns += duration(i);
+          },
+          /*start=*/0, /*stride=*/1, /*wrap=*/1'000, kOps, rng, hist);
+  EXPECT_EQ(replayed, kOps);
+
+  // The timed ops are exactly the schedule timed_ops recomputes.
+  std::vector<std::uint64_t> schedule;
+  const std::uint64_t n = gcached::detail::timed_ops(
+      kOps, rng, [&schedule](std::uint64_t op) { schedule.push_back(op); });
+  EXPECT_EQ(timed, schedule);
+  ASSERT_EQ(n, timed.size());
+  ASSERT_GT(n, 0u);
+
+  // Each timed op recorded exactly its own access duration.
+  std::vector<std::uint64_t> expected(256, 0);
+  for (const std::uint64_t op : schedule) ++expected[duration(op)];
+  ASSERT_EQ(hist.count(), n);
+  for (std::uint64_t v = 0; v < expected.size(); ++v)
+    EXPECT_EQ(hist.bucket_count(obs::HdrHistogram::bucket_index(v)),
+              expected[v])
+        << "value " << v;
+  // The 10 us inter-op gap never leaked into any op's latency ...
+  EXPECT_LT(hist.max_value(), 250.0);
+  // ... even though the clock saw every gap pass, and untimed ops never
+  // read the clock at all.
+  EXPECT_EQ(FakeClock::calls, 2 * n);
+  EXPECT_EQ(FakeClock::now_ns, n * 10'000 + all_ns);
 }
 
 TEST(LoadgenBracketing, StrideWrapsBackToTheThreadsOwnStart) {
   FakeClock::reset(0);
+  const SplitMix64 rng(3);
   obs::HdrHistogram hist;
   std::vector<std::size_t> visited;
   gcached::detail::replay_closed_loop<FakeClock>(
       [&visited](std::size_t i) { visited.push_back(i); },
-      /*start=*/1, /*stride=*/2, /*wrap=*/5, /*ops=*/5, hist);
+      /*start=*/1, /*stride=*/2, /*wrap=*/5, /*ops=*/5, rng, hist);
   EXPECT_EQ(visited, (std::vector<std::size_t>{1, 3, 1, 3, 1}));
-  EXPECT_EQ(hist.count(), 5u);
+  EXPECT_EQ(hist.count(), gcached::detail::timed_ops(5, rng));
+}
+
+/// Replays `durations` (op i takes durations[i] ns) through the closed
+/// loop and checks the sampled p50/p99/p999 against the exact nearest-rank
+/// over ALL ops.
+///
+/// The bound: the sample holds n ~ N / 16 ops (n >= 9000 for the N >= 160k
+/// used here). Its empirical q-quantile sits at population rank q +- e with
+/// standard deviation sqrt(q (1 - q) / n) in rank. The jittered gaps make
+/// the sample positions a renewal process whose phase mod any short period
+/// mixes within a few gaps, so this binomial scale applies even to
+/// periodic traces. Allowing e = 5 standard deviations, the sampled value
+/// must lie within the HDR's 1% of the exact values at ranks q - e and
+/// q + e (clamped to [0, 1]). At n = 10k that is e = 0.025 at p50, 0.005 at
+/// p99 and 0.0016 at p999. The seed is fixed, so the test is deterministic.
+void expect_sampled_quantiles_within_bound(
+    const std::vector<std::uint64_t>& durations, const char* what) {
+  FakeClock::reset(0);
+  obs::HdrHistogram hist;
+  gcached::detail::replay_closed_loop<FakeClock>(
+      [&durations](std::size_t i) { FakeClock::now_ns += durations[i]; },
+      /*start=*/0, /*stride=*/1, /*wrap=*/durations.size(),
+      /*ops=*/durations.size(), SplitMix64(7), hist);
+  const double n = static_cast<double>(hist.count());
+  ASSERT_GE(n, 9'000.0) << what;
+  for (const double q : {0.50, 0.99, 0.999}) {
+    const double e = 5.0 * std::sqrt(q * (1.0 - q) / n);
+    const double lo = exact_nearest_rank(durations, std::max(0.0, q - e));
+    const double hi = exact_nearest_rank(durations, std::min(1.0, q + e));
+    const double got = hist.quantile(q);
+    EXPECT_GE(got, lo * 0.99) << what << " q=" << q << " lo=" << lo;
+    EXPECT_LE(got, hi * 1.01) << what << " q=" << q << " hi=" << hi;
+  }
+}
+
+/// `base` repeated until it covers at least `ops` ops.
+std::vector<std::uint64_t> repeated(const std::vector<std::uint64_t>& base,
+                                    std::size_t ops) {
+  std::vector<std::uint64_t> out;
+  while (out.size() < ops) out.insert(out.end(), base.begin(), base.end());
+  return out;
+}
+
+TEST(LoadgenBracketing, SampledQuantilesMatchEveryOpOnABlockBoundaryPattern) {
+  // The GC model's scan: a miss at each B = 16 block boundary loads the
+  // whole block, and the next 15 ops are sideloaded hits. A fixed stride of
+  // 16 would time only the 20 us misses (p50 = 20 us) or only the hits
+  // (p99 ~ 140 ns); the jittered sample sees both in proportion.
+  std::vector<std::uint64_t> durations(160'000);
+  for (std::uint64_t i = 0; i < durations.size(); ++i)
+    durations[i] = i % 16 == 0 ? 20'000 : 100 + (i * 7) % 41;
+  expect_sampled_quantiles_within_bound(durations, "block-boundary");
+}
+
+TEST(LoadgenBracketing, SampledQuantilesMatchEveryOpOnBimodalAndLogSpread) {
+  expect_sampled_quantiles_within_bound(repeated(bimodal_samples(), 160'000),
+                                        "bimodal");
+  expect_sampled_quantiles_within_bound(
+      repeated(log_spread_samples(), 160'000), "log-spread");
 }
 
 // ---- Differential anchor with monitoring attached ---------------------------
@@ -520,7 +618,11 @@ TEST(GcmonDifferential, AttachedMonitorNeverPerturbsTheRun) {
   EXPECT_EQ(totals.hits + totals.misses, res.ops);
   EXPECT_EQ(totals.lock_acquisitions, res.lock_acquisitions);
   EXPECT_EQ(totals.trylock_failures, res.backoff_rounds);
-  EXPECT_EQ(ring.back().latency.count, res.ops);
+  // The closed loop timed its jittered sample, recomputed here.
+  EXPECT_EQ(ring.back().latency.count, res.latency_samples);
+  EXPECT_EQ(res.latency_samples,
+            gcached::detail::timed_ops(
+                res.ops, gcached::detail::thread_rng(spec.seed, 0)));
 }
 
 // Per-shard consistency under load: the tsan and asan presets run this via

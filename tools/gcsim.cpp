@@ -643,6 +643,8 @@ int cmd_gcached(const Args& args) {
   table.add_row({"ops/sec",
                  TextTable::fmt_int(
                      static_cast<std::uint64_t>(res.ops_per_sec))});
+  table.add_row(
+      {"latency samples", TextTable::fmt_int(res.latency_samples)});
   table.add_row({"p50 us", TextTable::fmt(res.p50_us, 1)});
   table.add_row({"p99 us", TextTable::fmt(res.p99_us, 1)});
   table.add_row({"p999 us", TextTable::fmt(res.p999_us, 1)});
