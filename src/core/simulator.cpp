@@ -1,6 +1,5 @@
 #include "core/simulator.hpp"
 
-#include "obs/obs.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching {
@@ -40,14 +39,7 @@ void Simulation::access(ItemId item) {
 }
 
 void Simulation::run(const Trace& trace) {
-  GC_OBS_TIMELINE(obs_tl);
-  GC_OBS_TIMELINE_OPEN(obs_tl, cache_.capacity(), trace.size());
-  const std::vector<ItemId>& accesses = trace.accesses();
-  for (std::size_t i = 0; i < accesses.size(); ++i) {
-    access(accesses[i]);
-    GC_OBS_TICK(obs_tl, stats_);
-  }
-  GC_OBS_TIMELINE_CLOSE(obs_tl, stats_);
+  for (const ItemId item : trace.accesses()) access(item);
 }
 
 SimStats simulate(const BlockMap& map, const Trace& trace,

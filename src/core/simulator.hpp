@@ -25,7 +25,6 @@
 #include "core/policy.hpp"
 #include "core/stats.hpp"
 #include "core/trace.hpp"
-#include "obs/obs.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching {
@@ -148,17 +147,6 @@ inline void fast_finalize(const CacheContents& cache, SimStats& stats,
 
 GC_HOT_REGION_END(fast_engine_per_access)
 
-/// Live running totals mid-run: the fast engines maintain only the
-/// non-derivable counters in-loop, so a timeline snapshot applies
-/// `fast_finalize` to a *copy* of the partial stats. Window-boundary cost
-/// only — GC_OBS_TICK evaluates this expression solely when a window closes.
-template <typename Policy>
-inline SimStats fast_live_snapshot(const CacheContents& cache, SimStats partial,
-                                   std::uint64_t accesses_so_far) {
-  fast_finalize<Policy>(cache, partial, accesses_so_far);
-  return partial;
-}
-
 }  // namespace detail
 
 /// Fast-path engine. `Policy` is the concrete (final) policy class; the
@@ -177,27 +165,12 @@ SimStats simulate_fast(const BlockMap& map, const Trace& trace,
   policy.attach(map, cache);
   policy.prepare(trace);
   SimStats stats;
-  GC_OBS_TIMELINE(obs_tl);
-  GC_OBS_TIMELINE_OPEN(obs_tl, capacity, trace.size());
   const std::vector<ItemId>& accesses = trace.accesses();
-  // The loop is kept in two copies so the common no-timeline case runs the
-  // exact uninstrumented code: a tick inside the loop — even one that only
-  // null-tests a hoisted pointer — forces the partial stats out of registers
-  // at every call-reachable point and costs ~10% throughput.
   GC_HOT_REGION_BEGIN(fast_engine_loop)
-  if (GC_OBS_ATTACHED(obs_tl)) {
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-      detail::fast_step(cache, policy, stats, accesses[i], block_ids[i]);
-      GC_OBS_TICK(obs_tl,
-                  detail::fast_live_snapshot<Policy>(cache, stats, i + 1));
-    }
-  } else {
-    for (std::size_t i = 0; i < accesses.size(); ++i)
-      detail::fast_step(cache, policy, stats, accesses[i], block_ids[i]);
-  }
+  for (std::size_t i = 0; i < accesses.size(); ++i)
+    detail::fast_step(cache, policy, stats, accesses[i], block_ids[i]);
   GC_HOT_REGION_END(fast_engine_loop)
   detail::fast_finalize<Policy>(cache, stats, accesses.size());
-  GC_OBS_TIMELINE_CLOSE(obs_tl, stats);
   return stats;
 }
 

@@ -340,8 +340,8 @@ class ShardedCache final : public ConcurrentCache {
   /// `stats` being the shard's finalized SimStats share. collect_stats and
   /// shard_values both read through here. The hold uses a throwaway
   /// context, not a ShardHold, so these cold reads never count toward the
-  /// shard's lock counters; the derivable counters are filled from a COPY
-  /// of the partial stats, the same trick as detail::fast_live_snapshot.
+  /// shard's lock counters; the derivable counters are filled in on a COPY
+  /// of the partial stats, so the shard keeps counting from its partials.
   template <typename Fn>
   void for_each_snapshot(Fn&& fn) {
     for (const std::unique_ptr<Shard>& shard : shards_) {

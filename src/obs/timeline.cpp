@@ -5,38 +5,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/simulator.hpp"
+
 namespace gcaching::obs {
-
-void StatsTimeline::open(std::size_t capacity, std::uint64_t total_accesses) {
-  *this = StatsTimeline(requested_window_);
-  capacity_ = capacity;
-  window_ = requested_window_;
-  if (window_ == kAutoWindow)
-    window_ = std::max<std::uint64_t>(1, total_accesses / kAutoTargetWindows);
-}
-
-void StatsTimeline::record(const SimStats& live) {
-  TimelineWindow w;
-  w.start = seen_;
-  w.length = in_window_;
-  w.delta = live - last_;
-  rows_.push_back(w);
-  seen_ += in_window_;
-  in_window_ = 0;
-  last_ = live;
-}
-
-void StatsTimeline::close(const SimStats& final_totals) {
-  if (in_window_ > 0) record(final_totals);
-  GC_ENSURE(last_ == final_totals,
-            "timeline window deltas diverged from the run's final stats");
-  final_totals_ = final_totals;
-  closed_ = true;
-}
 
 SimStats StatsTimeline::window_sum() const {
   SimStats sum;
-  for (const TimelineWindow& w : rows_) sum += w.delta;
+  for (const TimelineWindow& w : windows) sum += w.delta;
   return sum;
 }
 
@@ -53,9 +28,9 @@ std::string fmt_rate(double v) {
 
 void StatsTimeline::write_jsonl(const std::string& path) const {
   std::ofstream out(path);
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const TimelineWindow& w = rows_[i];
-    out << "{\"capacity\": " << capacity_ << ", \"window\": " << i
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const TimelineWindow& w = windows[i];
+    out << "{\"capacity\": " << capacity << ", \"window\": " << i
         << ", \"start\": " << w.start << ", \"length\": " << w.length
         << ", \"accesses\": " << w.delta.accesses
         << ", \"misses\": " << w.delta.misses
@@ -72,6 +47,29 @@ void StatsTimeline::write_jsonl(const std::string& path) const {
   }
   out.close();
   if (!out) throw std::runtime_error("cannot write " + path);
+}
+
+StatsTimeline record_timeline(const BlockMap& map, const Trace& trace,
+                              ReplacementPolicy& policy, std::size_t capacity,
+                              std::uint64_t window) {
+  const std::vector<ItemId>& accesses = trace.accesses();
+  const std::uint64_t n = accesses.size();
+  StatsTimeline tl;
+  tl.capacity = capacity;
+  tl.window = window != StatsTimeline::kAutoWindow
+                  ? window
+                  : std::max<std::uint64_t>(
+                        1, n / StatsTimeline::kAutoTargetWindows);
+  Simulation sim(map, policy, capacity);  // attach() first,
+  policy.prepare(trace);                  // then offline knowledge.
+  SimStats last;
+  for (std::uint64_t start = 0; start < n; start += tl.window) {
+    const std::uint64_t end = std::min(n, start + tl.window);
+    for (std::uint64_t i = start; i < end; ++i) sim.access(accesses[i]);
+    tl.windows.push_back({start, end - start, sim.stats() - last});
+    last = sim.stats();
+  }
+  return tl;
 }
 
 }  // namespace gcaching::obs

@@ -208,10 +208,6 @@ std::vector<SimStats> simulate_column_spec(
     const std::string& spec, const BlockMap& map, const Trace& trace,
     std::span<const BlockId> block_ids,
     std::span<const std::size_t> capacities) {
-  // A column records no timeline on either path: the stack pass steps no
-  // accesses to window, and each per-cell run would reopen (so reset) the
-  // attached timeline. The checking build's replays stay detached too.
-  const obs::TimelineDetachScope no_timeline;
   std::vector<SimStats> column;
   if (!stack_column_eligible(spec, map)) {
     column.reserve(capacities.size());

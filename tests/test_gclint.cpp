@@ -169,8 +169,8 @@ TEST(GclintHotRegion, RawObsUseInsideRegionIsFlagged) {
   const std::vector<SourceFile> files = {{"src/core/engine.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(per_access)
 inline void step(int x) {
-  obs::current_timeline()->record(0, x);
-  gcaching::obs::trace_log()->set_thread_name("step");
+  obs::name_current_thread("step-" + std::to_string(x));
+  gcaching::obs::install_trace_log(nullptr);
 }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
@@ -179,19 +179,20 @@ GC_HOT_REGION_END(per_access)
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].line, 4u);  // the unqualified obs:: call
   EXPECT_EQ(hits[1].line, 5u);  // the fully qualified one
-  EXPECT_NE(hits[0].message.find("GC_OBS_"), std::string::npos);
+  EXPECT_NE(hits[0].message.find("carry no telemetry"), std::string::npos);
 }
 
 TEST(GclintHotRegion, ObsMacrosAndOutsideUseAreLegal) {
-  // GC_OBS_* entry points inside the region are the sanctioned form; raw
-  // obs:: is fine outside any region; identifiers merely containing "obs"
-  // (jobs::, obs_tl) must not trip the token match.
-  const std::vector<SourceFile> files = {{"src/core/engine.hpp", R"cpp(
-obs::StatsTimeline timeline(64);
+  // The rule matches the `obs::` token, so GC_OBS_* macro names never trip
+  // it; raw obs:: is fine outside any region (a per-run timeline); and
+  // identifiers merely containing "obs" (jobs::, obs_window) must not
+  // trip the token match.
+  const std::vector<SourceFile> files = {{"src/sim/driver.cpp", R"cpp(
+const obs::StatsTimeline timeline =
+    obs::record_timeline(map, trace, policy, 64, 0);
 GC_HOT_REGION_BEGIN(per_access)
-inline void step(int x) {
-  GC_OBS_TIMELINE(obs_tl);
-  GC_OBS_TICK(obs_tl, live_stats());
+inline void step(int x, std::uint64_t obs_window) {
+  GC_OBS_SPAN_ARG(span, "window", std::to_string(obs_window));
   jobs::enqueue(x);
 }
 GC_HOT_REGION_END(per_access)
@@ -203,8 +204,8 @@ GC_HOT_REGION_END(per_access)
 TEST(GclintHotRegion, AllowAnnotationSuppressesRawObs) {
   const std::vector<SourceFile> files = {{"src/core/engine.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(per_access)
-// GCLINT-ALLOW(hot-region-raw-obs): amortized, fires once per window
-inline void flush() { obs::current_timeline()->record(0, {}); }
+// GCLINT-ALLOW(hot-region-raw-obs): labels the worker once, before its loop
+inline void name_worker() { obs::name_current_thread("gcpool-worker"); }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
   EXPECT_TRUE(

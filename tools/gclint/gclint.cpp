@@ -196,8 +196,8 @@ void check_hot_region_content(const FileModel& m, std::vector<Finding>& out) {
       if (j != std::string::npos && is_punct(m.tokens[j], "::")) {
         add(out, m, t.line, kRawObs,
             "direct obs:: use inside hot region '" + r->label +
-                "' — per-access telemetry must go through the GC_OBS_* "
-                "macros, which compile to nothing under GCACHING_OBS=OFF");
+                "' — hot regions carry no telemetry; record per task or "
+                "per run, outside the region");
       }
     }
     if (!clock_home && raw_clock_tokens().count(t.text) > 0 &&
@@ -873,8 +873,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "No cold-tier GC_REQUIRE/GC_ENSURE/GC_CHECK inside a hot region; use "
        "the GC_HOT_* tier, which compiles out under GC_FAST_SIM."},
       {"hot-region-raw-obs",
-       "No direct obs:: use inside a hot region; per-access telemetry goes "
-       "through the GC_OBS_* macros."},
+       "No direct obs:: use inside a hot region; hot regions carry no "
+       "telemetry, so record per task or per run, outside the region."},
       {"hot-region-raw-lock",
        "No raw mutex/lock_guard/condition_variable primitives inside a hot "
        "region; per-access locking goes through src/gcached/shard_lock.hpp."},

@@ -16,9 +16,9 @@
 //   hot-region-balance        BEGIN/END markers must pair, labels must match,
 //                             regions must not nest and must close by EOF.
 //   hot-region-raw-obs        No direct `obs::` (or `gcaching::obs::`) use
-//                             inside a hot region — per-access telemetry must
-//                             go through the GC_OBS_* macros, which expand to
-//                             nothing when GCACHING_OBS is OFF.
+//                             inside a hot region — hot regions carry no
+//                             telemetry; record per task or per run, outside
+//                             the region.
 //   hot-region-raw-lock       No raw std::mutex / shared_mutex / lock_guard /
 //                             unique_lock / condition_variable (etc.) inside
 //                             a hot region — per-access locking must go

@@ -30,6 +30,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -49,6 +50,7 @@
 #include "locality/trace_stats.hpp"
 #include "locality/window_profile.hpp"
 #include "obs/obs.hpp"
+#include "obs/timeline.hpp"
 #include "offline/exact_opt.hpp"
 #include "offline/opt_bounds.hpp"
 #include "offline/opt_portfolio.hpp"
@@ -247,7 +249,7 @@ std::string sanitize_for_filename(const std::string& s) {
 /// Installs a process-wide TraceLog for the command's lifetime. `write()`,
 /// on the command's normal return path, saves DIR/trace.json. Constructed
 /// only when `--obs DIR` is given — and that requires a build whose
-/// GC_OBS_* hooks are live.
+/// GC_OBS_* span macros are live.
 class ObsSinks {
  public:
   explicit ObsSinks(const std::string& dir) : dir_(dir), scope_(log_) {
@@ -407,11 +409,14 @@ int cmd_simulate(const Args& args) {
   if (fast) w.trace.precompute_block_ids(*w.map);
   auto specs = args.get_all("policy");
   if (specs.empty()) specs = {"item-lru", "block-lru", "iblp"};
-  const std::uint64_t obs_window = args.get_u64("obs-window", 0);
+  // --obs-window is read only with --obs, so alone it is refused as unused.
+  const bool want_obs = args.has("obs");
+  const std::uint64_t obs_window =
+      want_obs ? args.get_u64("obs-window", 0) : 0;
   require_obs_build(args);
   args.reject_unread("simulate");
   std::optional<ObsSinks> sinks;
-  if (args.has("obs")) sinks.emplace(args.get("obs"));
+  if (want_obs) sinks.emplace(args.get("obs"));
   std::cout << "workload: " << w.name << " (" << w.trace.size()
             << " accesses), capacity " << capacity
             << (fast ? ", fast engine" : ", verifying engine") << "\n";
@@ -420,24 +425,27 @@ int cmd_simulate(const Args& args) {
   for (const auto& spec : specs) {
     auto policy = make_policy(spec, capacity);
     SimStats s;
+    if (fast) s = simulate_fast_spec(spec, w, capacity);
     if (sinks) {
-      // Windowed per-policy timeline: attach to this thread for the run,
-      // then write one JSON-lines file per policy spec.
-      obs::StatsTimeline timeline(obs_window);
-      {
-        const obs::TimelineScope scope(timeline);
-        s = fast ? simulate_fast_spec(spec, w, capacity)
-                 : simulate(w, *policy, capacity);
-      }
+      // A timeline is a stepped verifying run of the fresh policy: its
+      // window sum is the verify-mode row, and in fast mode it must equal
+      // the fast engine's row (a free cross-engine check).
+      const obs::StatsTimeline timeline = obs::record_timeline(
+          *w.map, w.trace, *policy, capacity, obs_window);
+      const SimStats sum = timeline.window_sum();
+      if (!fast)
+        s = sum;
+      else if (s != sum)
+        throw std::runtime_error("timeline of " + spec +
+                                 " diverged from the fast engine's row");
       const std::string stem =
           sinks->dir() + "/timeline-" + sanitize_for_filename(spec);
       timeline.write_jsonl(stem + ".jsonl");
       std::cout << "obs: wrote " << stem << ".jsonl ("
-                << timeline.windows().size() << " windows of "
-                << timeline.window() << ")\n";
-    } else {
-      s = fast ? simulate_fast_spec(spec, w, capacity)
-               : simulate(w, *policy, capacity);
+                << timeline.windows.size() << " windows of "
+                << timeline.window << ")\n";
+    } else if (!fast) {
+      s = simulate(w, *policy, capacity);
     }
     table.add_row({policy->name(), TextTable::fmt_int(s.misses),
                    TextTable::fmt(s.miss_rate(), 4),
