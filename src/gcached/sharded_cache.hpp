@@ -26,6 +26,17 @@
 // by capacity quantization, exactly like a set-associative cache differs
 // from a fully-associative one. See docs/CONCURRENCY.md.
 //
+// Each shard lives in its own id space (`ShardLocalIds`): its blocks are
+// numbered 0..b_s-1 in ascending global block id and its items 0..n_s-1 in
+// ascending global item id, once, at construction. A shard's CacheContents,
+// policy and MshrTable are sized to its own n_s items and b_s blocks, not
+// to the whole universe, so S shards together hold one universe rather
+// than S. `access` translates the caller's global ids before taking the
+// lock; nothing behind it sees a global id. Both numberings preserve
+// order, so every id-ordered scan or tie-break runs in the order it would
+// over global ids and the stats are unchanged (docs/CONCURRENCY.md,
+// "Shard-local ids").
+//
 // Misses may be charged a simulated backend fill latency
 // (`GcachedConfig::fill_latency_ns`), slept on the MSHR path: the missing
 // thread registers an in-flight entry for the block in its shard's
@@ -96,6 +107,90 @@ inline std::size_t shard_of_item(const BlockMap& map, ItemId item,
                                  std::size_t num_shards) {
   return shard_of_block(map.block_of(item), num_shards);
 }
+
+/// Dense shard-local ids for a block map split across `num_shards` shards
+/// by shard_of_block. A shard's blocks are ranked by ascending global block
+/// id and its items by ascending global item id; `shard_map(s)` is shard
+/// s's partition in those ids, of the global map's kind:
+///   * a uniform map gives `UniformBlockMap(n_s, B)`. A partial last block
+///     has the largest global block id, so it ranks last in its shard and
+///     the sub-map is uniform too. The item remap is then arithmetic (an
+///     item keeps its offset in its block), with no per-item table.
+///   * any other map gives an `ExplicitBlockMap` and a per-item table.
+/// A shard that owns no block gets a one-item placeholder map with the
+/// global B (a BlockMap cannot be empty); no access ever reaches it.
+/// Immutable after construction, so concurrent reads need no lock.
+class ShardLocalIds {
+ public:
+  ShardLocalIds(const BlockMap& map, std::size_t num_shards)
+      : local_block_(map.num_blocks()) {
+    GC_REQUIRE(num_shards >= 1, "shard-local ids need at least one shard");
+    std::vector<std::size_t> blocks(num_shards, 0);
+    std::vector<std::size_t> items(num_shards, 0);
+    for (BlockId b = 0; b < local_block_.size(); ++b) {
+      const std::size_t s = shard_of_block(b, num_shards);
+      local_block_[b] = static_cast<BlockId>(blocks[s]++);
+      items[s] += map.block_size(b);
+    }
+    maps_.reserve(num_shards);
+    if (dynamic_cast<const UniformBlockMap*>(&map) != nullptr) {
+      block_size_ = map.max_block_size();
+      for (std::size_t s = 0; s < num_shards; ++s)
+        maps_.push_back(items[s] == 0 ? placeholder(map)
+                                      : std::make_unique<UniformBlockMap>(
+                                            items[s], block_size_));
+      return;
+    }
+    local_item_.resize(map.num_items());
+    std::vector<std::vector<std::vector<ItemId>>> members(num_shards);
+    for (std::size_t s = 0; s < num_shards; ++s) members[s].resize(blocks[s]);
+    std::vector<ItemId> next(num_shards, 0);
+    for (ItemId item = 0; item < local_item_.size(); ++item) {
+      const BlockId b = map.block_of(item);
+      const std::size_t s = shard_of_block(b, num_shards);
+      local_item_[item] = next[s]++;
+      members[s][local_block_[b]].push_back(local_item_[item]);
+    }
+    for (std::size_t s = 0; s < num_shards; ++s)
+      maps_.push_back(members[s].empty()
+                          ? placeholder(map)
+                          : std::make_unique<ExplicitBlockMap>(
+                                std::move(members[s])));
+  }
+
+  /// Shard `s`'s partition over its local ids.
+  const BlockMap& shard_map(std::size_t s) const {
+    GC_REQUIRE(s < maps_.size(), "shard index out of range");
+    return *maps_[s];
+  }
+
+  GC_HOT_REGION_BEGIN(gcached_shard_local_ids)
+  /// `block`'s local id: its rank among its shard's blocks.
+  BlockId local_block(BlockId block) const {
+    GC_HOT_REQUIRE(block < local_block_.size(), "block id out of range");
+    return local_block_[block];
+  }
+
+  /// `item`'s local id, given its global block and that block's local id.
+  ItemId local_item(ItemId item, BlockId block, BlockId local) const {
+    if (block_size_ != 0)
+      return static_cast<ItemId>(std::size_t{local} * block_size_ +
+                                 (item - std::size_t{block} * block_size_));
+    GC_HOT_REQUIRE(item < local_item_.size(), "item id out of range");
+    return local_item_[item];
+  }
+  GC_HOT_REGION_END(gcached_shard_local_ids)
+
+ private:
+  static std::unique_ptr<const BlockMap> placeholder(const BlockMap& map) {
+    return std::make_unique<UniformBlockMap>(1, map.max_block_size());
+  }
+
+  std::vector<BlockId> local_block_;  ///< global block -> local block
+  std::size_t block_size_ = 0;        ///< B of a uniform map, else 0
+  std::vector<ItemId> local_item_;    ///< global item -> local item; explicit
+  std::vector<std::unique_ptr<const BlockMap>> maps_;  ///< one per shard
+};
 
 /// Capacity share of shard `s` when `capacity` items are split across
 /// `num_shards` shards: capacity/S plus one of the remainder items for the
@@ -173,24 +268,22 @@ class ShardedCache final : public ConcurrentCache {
  public:
   /// `make_policy()` returns a fresh Policy by value (guaranteed elision),
   /// called once per shard.
-  ShardedCache(std::shared_ptr<const BlockMap> map, const GcachedConfig& cfg,
-               MakePolicy make_policy, std::string policy_name)
-      : map_(std::move(map)), cfg_(cfg), name_(std::move(policy_name)) {
-    GC_REQUIRE(map_ != nullptr, "gcached needs a block map");
-    GC_REQUIRE(cfg_.num_shards >= 1, "gcached needs at least one shard");
-    GC_REQUIRE(cfg_.capacity >= cfg_.num_shards,
-               "gcached needs at least one item of capacity per shard");
-    GC_REQUIRE(cfg_.mshr_entries >= 1,
-               "gcached needs at least one MSHR entry per shard");
+  ShardedCache(const std::shared_ptr<const BlockMap>& map,
+               const GcachedConfig& cfg, MakePolicy make_policy,
+               std::string policy_name)
+      : cfg_(validated(map, cfg)),
+        name_(std::move(policy_name)),
+        ids_(*map, cfg.num_shards) {
     shards_.reserve(cfg_.num_shards);
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
       shards_.push_back(std::make_unique<Shard>(
-          *map_, shard_capacity_share(cfg_.capacity, cfg_.num_shards, s),
+          ids_.shard_map(s),
+          shard_capacity_share(cfg_.capacity, cfg_.num_shards, s),
           cfg_.mshr_entries, make_policy));
       Shard& shard = *shards_.back();
       // The exact setup sequence of simulate_fast, minus prepare() (online
       // policies only — enforced by the factory's escape hatch).
-      shard.policy.attach(*map_, shard.cache);
+      shard.policy.attach(ids_.shard_map(s), shard.cache);
     }
   }
 
@@ -205,9 +298,13 @@ class ShardedCache final : public ConcurrentCache {
   /// holding the shard. docs/CONCURRENCY.md documents the protocol;
   /// tests/test_gcached.cpp pins coalescing, conservation, and the
   /// free-delayed-hit taxonomy.
-  void access(ClientContext& ctx, ItemId item, BlockId block) override {
-    const std::size_t si = shard_of_block(block, shards_.size());
-    Shard& shard = *shards_[si];
+  void access(ClientContext& ctx, ItemId global_item,
+              BlockId global_block) override {
+    Shard& shard = *shards_[shard_of_block(global_block, shards_.size())];
+    const BlockId block = ids_.local_block(global_block);
+    const ItemId item = ids_.local_item(global_item, global_block, block);
+    GC_HOT_REQUIRE(shard.cache.map().block_of(item) == block,
+                   "item does not belong to the supplied block");
     std::uint64_t waited_ns = 0;
     for (;;) {
       FillGate* wait_gate = nullptr;
@@ -313,6 +410,17 @@ class ShardedCache final : public ConcurrentCache {
   std::string policy_name() const override { return name_; }
 
  private:
+  static const GcachedConfig& validated(
+      const std::shared_ptr<const BlockMap>& map, const GcachedConfig& cfg) {
+    GC_REQUIRE(map != nullptr, "gcached needs a block map");
+    GC_REQUIRE(cfg.num_shards >= 1, "gcached needs at least one shard");
+    GC_REQUIRE(cfg.capacity >= cfg.num_shards,
+               "gcached needs at least one item of capacity per shard");
+    GC_REQUIRE(cfg.mshr_entries >= 1,
+               "gcached needs at least one MSHR entry per shard");
+    return cfg;
+  }
+
   // One cache line per shard header keeps neighbouring shards' locks from
   // false-sharing under cross-shard traffic.
   struct alignas(64) Shard {
@@ -444,9 +552,9 @@ class ShardedCache final : public ConcurrentCache {
   }
   GC_HOT_REGION_END(gcached_hold)
 
-  std::shared_ptr<const BlockMap> map_;
   GcachedConfig cfg_;
   std::string name_;
+  ShardLocalIds ids_;  ///< owns the sub-maps the shards' caches refer to
   // Policies are neither copyable nor movable, so shards live behind
   // unique_ptr.
   std::vector<std::unique_ptr<Shard>> shards_;

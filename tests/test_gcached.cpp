@@ -9,6 +9,10 @@
 // multi-shard result), the partitioning invariant "all items of a block map
 // to one shard" is checked across BlockMap kinds and shard counts, and the
 // multi-threaded runs assert the schedule-independent conservation laws.
+// Past one shard, the oracle tests pin one client thread on S shards to the
+// sum of simulate_fast over each shard's sub-trace, over full-block,
+// ragged-tail and irregular explicit maps, so shard-local id numbering
+// (ShardLocalIds) is checked against a model that never renumbers.
 // The concurrent tests get their teeth from the tsan preset (ctest label
 // `gcached` runs there at 1/2/hw threads).
 #include <gtest/gtest.h>
@@ -18,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +45,63 @@ Workload small_zipf() {
   Workload w = traces::zipf_items(2048, 16, 60'000, 0.9, 7);
   w.trace.precompute_block_ids(*w.map);
   return w;
+}
+
+/// A zipf-scramble trace over an explicit partition of 2048 items into
+/// blocks of 1 to 12 items, each block's members scattered across the id
+/// space (item i sits at position (i * 997) mod 2048 of the block-major
+/// order), so neither block sizes nor item order follow the block ids.
+Workload irregular_explicit() {
+  constexpr std::size_t kItems = 2048;
+  const Workload source = traces::zipf_scramble(kItems, 16, 30'000, 0.9, 13);
+  std::vector<ItemId> order(kItems);
+  for (std::size_t i = 0; i < kItems; ++i)
+    order[i] = static_cast<ItemId>(i * 997 % kItems);
+  const std::size_t sizes[] = {1, 7, 12, 3, 9, 5, 12, 2};
+  std::vector<std::vector<ItemId>> blocks;
+  for (std::size_t next = 0, j = 0; next < kItems; ++j) {
+    const std::size_t n = std::min(sizes[j % std::size(sizes)], kItems - next);
+    blocks.emplace_back(order.data() + next, order.data() + next + n);
+    next += n;
+  }
+  Workload w;
+  w.map = std::make_shared<ExplicitBlockMap>(std::move(blocks));
+  w.trace = Trace(source.trace.accesses());
+  w.trace.precompute_block_ids(*w.map);
+  return w;
+}
+
+/// The block maps every differential and oracle case runs over: full
+/// uniform blocks, a uniform map whose last block is partial (2050 % 16 ==
+/// 2), and an irregular explicit partition.
+std::vector<Workload> map_cases() {
+  std::vector<Workload> cases;
+  cases.push_back(small_zipf());
+  Workload ragged = traces::zipf_scramble(2050, 16, 30'000, 0.9, 11);
+  ragged.trace.precompute_block_ids(*ragged.map);
+  cases.push_back(std::move(ragged));
+  cases.push_back(irregular_explicit());
+  return cases;
+}
+
+/// The multi-shard model: shard s serves exactly the accesses whose block
+/// it owns, in trace order, with its capacity share and nothing else. With
+/// one client thread and free fills the runtime must therefore equal the
+/// sum over shards of simulate_fast on each shard's sub-trace — run over
+/// the GLOBAL map, so the model knows nothing of how shards number ids.
+SimStats sharded_oracle(const std::string& spec, const Workload& w,
+                        std::size_t shards, std::size_t capacity) {
+  const std::vector<ItemId>& accesses = w.trace.accesses();
+  const std::span<const BlockId> ids = w.trace.block_ids();
+  SimStats total;
+  for (std::size_t s = 0; s < shards; ++s) {
+    Trace sub;
+    for (std::size_t i = 0; i < accesses.size(); ++i)
+      if (shard_of_block(ids[i], shards) == s) sub.push(accesses[i]);
+    total += simulate_fast_spec(spec, *w.map, sub,
+                                shard_capacity_share(capacity, shards, s));
+  }
+  return total;
 }
 
 LoadResult replay(ConcurrentCache& cache, const Workload& w,
@@ -139,20 +201,136 @@ TEST(GcachedSharding, CapacityShareSumsExactly) {
 TEST(GcachedDifferential, OneShardOneThreadMatchesSimulateFastExactly) {
   // Fill 0 runs through the same access() as real fills: one hold per
   // access, claim and commit of every miss inside it.
-  const Workload w = small_zipf();
-  for (const std::string& spec : supported_concurrent_specs()) {
-    for (const std::size_t capacity : {std::size_t{64}, std::size_t{512}}) {
-      SCOPED_TRACE(spec + " @ " + std::to_string(capacity));
+  for (const Workload& w : map_cases()) {
+    for (const std::string& spec : supported_concurrent_specs()) {
+      for (const std::size_t capacity : {std::size_t{64}, std::size_t{512}}) {
+        SCOPED_TRACE(spec + " @ " + std::to_string(capacity) + " over " +
+                     std::to_string(w.map->num_items()) + " items");
+        GcachedConfig cfg;
+        cfg.num_shards = 1;
+        cfg.capacity = capacity;
+        const auto cache = make_concurrent_cache(spec, w.map, cfg);
+        const LoadResult res = replay(*cache, w, 1);
+        const SimStats expected = simulate_fast_spec(spec, w, capacity);
+        EXPECT_EQ(res.stats, expected);
+        EXPECT_EQ(res.lock_contended, 0u);
+        EXPECT_EQ(res.backoff_rounds, 0u);
+      }
+    }
+  }
+}
+
+TEST(GcachedOracle, ManyShardsOneThreadMatchesPerShardSimulateFast) {
+  // The multi-shard anchor: bit-identical to sharded_oracle, not merely
+  // conserving. Capacity 128 keeps every share of 8 shards >= B = 16, the
+  // smallest share the block policies accept.
+  for (const Workload& w : map_cases()) {
+    for (const std::size_t shards :
+         {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+      for (const std::string& spec : supported_concurrent_specs()) {
+        for (const std::size_t capacity :
+             {std::size_t{128}, std::size_t{512}}) {
+          SCOPED_TRACE(spec + " @ " + std::to_string(capacity) + " on " +
+                       std::to_string(shards) + " shards over " +
+                       std::to_string(w.map->num_items()) + " items");
+          GcachedConfig cfg;
+          cfg.num_shards = shards;
+          cfg.capacity = capacity;
+          const auto cache = make_concurrent_cache(spec, w.map, cfg);
+          const LoadResult res = replay(*cache, w, 1);
+          EXPECT_EQ(res.stats, sharded_oracle(spec, w, shards, capacity));
+        }
+      }
+    }
+  }
+}
+
+TEST(GcachedOracle, ShardsThatOwnNoBlockConstructAndServe) {
+  // Three blocks on eight shards: five shards own no block, so their
+  // universe is empty. They must construct, stay untouched, and leave the
+  // three owning shards bit-identical to the model.
+  std::vector<Workload> tiny(2);
+  tiny[0] = traces::zipf_scramble(10, 4, 2'000, 0.9, 3);  // blocks of 4, 4, 2
+  tiny[1].map = std::make_shared<ExplicitBlockMap>(
+      std::vector<std::vector<ItemId>>{{0, 5, 9}, {1}, {2, 3, 4, 6, 7, 8}});
+  tiny[1].trace = Trace(tiny[0].trace.accesses());
+  constexpr std::size_t kShards = 8;
+  for (Workload& w : tiny) {
+    ASSERT_EQ(w.map->num_blocks(), 3u);
+    std::vector<bool> owns(kShards, false);
+    for (BlockId b = 0; b < 3; ++b) owns[shard_of_block(b, kShards)] = true;
+    ASSERT_EQ(std::count(owns.begin(), owns.end(), true), 3);
+    w.trace.precompute_block_ids(*w.map);
+    for (const std::string& spec : supported_concurrent_specs()) {
+      SCOPED_TRACE(spec + " over " + std::to_string(w.map->max_block_size()) +
+                   "-item blocks");
       GcachedConfig cfg;
-      cfg.num_shards = 1;
-      cfg.capacity = capacity;
+      cfg.num_shards = kShards;
+      cfg.capacity = kShards * w.map->max_block_size();
       const auto cache = make_concurrent_cache(spec, w.map, cfg);
       const LoadResult res = replay(*cache, w, 1);
-      const SimStats expected = simulate_fast_spec(spec, w, capacity);
-      EXPECT_EQ(res.stats, expected);
-      EXPECT_EQ(res.lock_contended, 0u);
-      EXPECT_EQ(res.backoff_rounds, 0u);
+      EXPECT_EQ(res.stats, sharded_oracle(spec, w, kShards, cfg.capacity));
+      const std::vector<obs::ShardValues> values = cache->shard_values();
+      for (std::size_t s = 0; s < kShards; ++s) {
+        if (owns[s]) continue;
+        EXPECT_EQ(values[s].hits + values[s].misses, 0u) << "shard " << s;
+        EXPECT_EQ(cache->shard_occupancy(s), 0u) << "shard " << s;
+      }
     }
+  }
+}
+
+// ---- Shard-local ids ----------------------------------------------------------
+
+TEST(GcachedShardLocalIds, DenseAndOrderPreservingWithinEveryShard) {
+  // Walking the global ids in ascending order, each shard's local ids must
+  // come out as 0, 1, 2, ...: dense, and in the global order. Every local
+  // item must sit in its block's local id in the shard's own map.
+  for (const Workload& w : map_cases()) {
+    const BlockMap& map = *w.map;
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards over " +
+                   std::to_string(map.num_items()) + " items");
+      const ShardLocalIds ids(map, shards);
+      std::vector<BlockId> blocks(shards, 0);
+      for (BlockId b = 0; b < map.num_blocks(); ++b)
+        ASSERT_EQ(ids.local_block(b), blocks[shard_of_block(b, shards)]++);
+      std::vector<ItemId> items(shards, 0);
+      for (ItemId item = 0; item < map.num_items(); ++item) {
+        const BlockId b = map.block_of(item);
+        const std::size_t s = shard_of_block(b, shards);
+        const BlockId local = ids.local_block(b);
+        const ItemId local_item = ids.local_item(item, b, local);
+        ASSERT_EQ(local_item, items[s]++) << "item " << item;
+        ASSERT_EQ(ids.shard_map(s).block_of(local_item), local)
+            << "item " << item;
+      }
+      for (std::size_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(ids.shard_map(s).num_items(), items[s]) << "shard " << s;
+        EXPECT_EQ(ids.shard_map(s).num_blocks(), blocks[s]) << "shard " << s;
+      }
+    }
+  }
+}
+
+TEST(GcachedShardLocalIds, AnItemOutsideTheSuppliedBlockIsRejected) {
+  // Checking builds verify on every access, hits included, that the item
+  // lies in the block the caller supplied. Item 0 is resident after the
+  // first access, so the bad access would otherwise be a plain hit.
+  if (!kHotChecksEnabled) GTEST_SKIP() << "hot checks compiled out";
+  const Workload w = small_zipf();
+  const BlockId block = w.map->block_of(0);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    GcachedConfig cfg;
+    cfg.num_shards = shards;
+    cfg.capacity = 512;
+    const auto cache = make_concurrent_cache("item-lru", w.map, cfg);
+    ClientContext ctx;
+    cache->access(ctx, 0, block);
+    EXPECT_THROW(cache->access(ctx, 0, block + 1), ContractViolation);
+    EXPECT_EQ(cache->collect_stats().accesses, 1u);
   }
 }
 
