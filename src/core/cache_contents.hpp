@@ -214,10 +214,14 @@ class CacheContents {
     return static_cast<Flag>(b);
   }
 
+  // Read-only after construction: all a hit reads besides its flag byte.
   const BlockMap& map_;
   std::size_t capacity_;
-  std::size_t occupancy_ = 0;
   std::vector<Flag> flags_;
+  // Written by misses. Kept off the header's cache line, so under
+  // concurrent clients (gcached) a miss never invalidates the line every
+  // hit reads.
+  alignas(64) std::size_t occupancy_ = 0;
   BlockId current_block_ = kInvalidBlock;
   ItemId current_request_ = kInvalidItem;
 

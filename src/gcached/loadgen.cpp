@@ -106,6 +106,9 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
               : detail::replay_closed_loop<std::chrono::steady_clock>(
                     access_one, t, threads, n, client.ops, client.rng,
                     client.hist);
+      // The client's hits still pending on each shard reach the policy
+      // before it stops, so a later run on this cache sees them.
+      cache.drain(ctx);
       if (counters != nullptr) client.perf = counters->stop();
     });
   }

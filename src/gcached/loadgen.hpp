@@ -53,7 +53,10 @@
 // scheduled arrival, and it already sleeps before each op.
 //
 // Lock-contention telemetry accumulates in each thread's ClientContext and
-// is summed into the LoadResult once per run, never per operation.
+// is summed into the LoadResult once per run, never per operation. The
+// context also holds the thread's deferred hit recency (sharded_cache.hpp);
+// each client drains it when its replay ends, so nothing stays pending
+// once run_load returns.
 //
 // With more than one thread the interleaving (hence SimStats) is
 // schedule-dependent; the conservation invariants (accesses == ops,

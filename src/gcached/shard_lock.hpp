@@ -17,6 +17,12 @@
 //     counters that the load generator sums into its LoadResult once per
 //     run (never per operation).
 //
+// The ClientContext also carries the client's deferred hit recency: per
+// shard, up to kDeferredHits hits whose policy update ShardedCache applies
+// in a later hold of the same client, so a hit's hold writes no policy
+// state. The buffers are sized on the client's first access, before any
+// hold, because nothing may allocate under a guard.
+//
 // It is also the sanctioned *blocking* home: gclint's lock-discipline rule is
 // unconditional ("no blocking while a shard guard is live — period", not
 // suppressible with GCLINT-ALLOW), so every primitive that parks a thread —
@@ -30,23 +36,46 @@
 // See docs/CONCURRENCY.md for the full locking discipline.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <thread>
+#include <vector>
 
+#include "core/types.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching::gcached {
 
-/// Per-client-thread contention counters. Never shared between threads —
-/// that is what makes them free.
+/// Hits one client may leave pending on one shard before it applies them:
+/// a compile-time constant, not a knob (sharded_cache.hpp, "deferred hit
+/// recency" in docs/CONCURRENCY.md).
+inline constexpr std::size_t kDeferredHits = 32;
+
+/// One client's hits on one shard whose policy recency update
+/// (`on_hit`) is still pending, in hit order, as shard-local item ids.
+struct DeferredHits {
+  std::array<ItemId, kDeferredHits> items;
+  std::uint32_t size = 0;
+};
+
+/// Per-client state. Never shared between threads — that is what makes it
+/// free. It holds the contention counters and, once the client's first
+/// access has bound it to a cache, one DeferredHits buffer per shard of
+/// that cache. A context serves exactly one cache (access on another is a
+/// GC_HOT_REQUIRE violation), and ConcurrentCache::drain applies what is
+/// still pending when the client is done. A context destroyed undrained
+/// only loses those recency updates; the stats are already exact.
 struct ClientContext {
   std::uint64_t lock_acquisitions = 0;  ///< total lock() calls
   std::uint64_t lock_contended = 0;     ///< calls whose first try_lock failed
   std::uint64_t backoff_rounds = 0;     ///< failed retries, one yield each
+  const void* cache = nullptr;          ///< the cache this context serves
+  std::vector<DeferredHits> deferred;   ///< one per shard of `cache`
 };
 
 /// One shard's lock, always taken exclusively: every shard access is a

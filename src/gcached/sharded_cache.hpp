@@ -21,6 +21,21 @@
 // shard and one client thread the transition sequence is literally
 // simulate_fast's, so SimStats are bit-identical (tests/test_gcached.cpp).
 //
+// Deferred hit recency (after BP-Wrapper, Ding, Jiang and Zhang, ICDE
+// 2009): a hit is classified under the hold (residency probe, hit
+// taxonomy, access count), but its `policy.on_hit` goes into the calling
+// client's DeferredHits buffer for that shard (ClientContext,
+// shard_lock.hpp). The client applies the buffer in order, skipping items
+// no longer resident, inside a later hold of its own on that shard: when
+// the buffer fills, before any other transition it makes there (a miss or
+// a delayed-hit commit), and in `drain` when it is done. No shardable
+// policy evicts on a hit (the static_assert below), so with one client the
+// policy sees exactly fast_step's callback sequence; with several, a miss
+// can miss at most kDeferredHits - 1 pending hits of each other client on
+// its shard. The shard is laid out so a temporal hit's hold writes one
+// cache line, the lock's: the lock counters and `accesses` share it, and
+// CacheContents keeps what a hit reads off the lines a miss writes.
+//
 // With S > 1 each shard owns capacity/S (±1) items, so the aggregate is a
 // partitioned cache, not a shared one: stats differ from a monolithic run
 // by capacity quantization, exactly like a set-associative cache differs
@@ -235,8 +250,16 @@ class ConcurrentCache {
 
   /// One client operation: hit/miss classification, policy transition, and
   /// stat updates for `item`, under its shard's exclusive lock. `block`
-  /// must be `item`'s block id (precomputed, as in the fast engines).
+  /// must be `item`'s block id (precomputed, as in the fast engines). A
+  /// hit's policy update is deferred in `ctx` (see file comment); the first
+  /// access binds `ctx` to this cache, and a context bound to another cache
+  /// is a GC_HOT_REQUIRE violation.
   virtual void access(ClientContext& ctx, ItemId item, BlockId block) = 0;
+
+  /// Applies the policy updates of `ctx`'s still-deferred hits, once the
+  /// client is done. Cold path; its holds are not counted as lock
+  /// acquisitions. A context that never accessed is a no-op.
+  virtual void drain(ClientContext& ctx) = 0;
 
   /// Aggregate SimStats across shards. Takes every shard lock; the result
   /// is exact when the runtime is quiesced (no in-flight clients) and a
@@ -265,6 +288,12 @@ class ConcurrentCache {
 /// (gcached.hpp) documents the escape hatch.
 template <typename Policy, typename MakePolicy>
 class ShardedCache final : public ConcurrentCache {
+  // Deferred hit recency relies on it: with no eviction on a hit, applying
+  // a client's pending on_hit calls before its next miss is the sequential
+  // callback order.
+  static_assert(!detail::kHitPathEvictions<Policy>,
+                "a policy that evicts on a hit cannot defer its hits");
+
  public:
   /// `make_policy()` returns a fresh Policy by value (guaranteed elision),
   /// called once per shard.
@@ -289,8 +318,10 @@ class ShardedCache final : public ConcurrentCache {
 
   GC_HOT_REGION_BEGIN(gcached_access)
   /// The one access path. Per iteration, one exclusive hold classifies the
-  /// access. A hit, or any miss when fills are free, is the exact
-  /// fast_step transition inside that hold. A miss with a fill either
+  /// access. A plain hit is fast_step's hit arm with its policy update
+  /// deferred; every other hold first applies the client's deferred hits
+  /// on the shard. Any miss when fills are free is the exact fast_step
+  /// transition inside that hold. A miss with a fill either
   /// coalesces onto the block's in-flight fill (parks on its FillGate, then
   /// re-classifies) or owns a fill: it claims an MSHR register — or, with
   /// every register busy, takes an unqueued fill — sleeps the fill
@@ -300,7 +331,10 @@ class ShardedCache final : public ConcurrentCache {
   /// free-delayed-hit taxonomy.
   void access(ClientContext& ctx, ItemId global_item,
               BlockId global_block) override {
-    Shard& shard = *shards_[shard_of_block(global_block, shards_.size())];
+    if (ctx.cache != this) bind_client(ctx);
+    const std::size_t s = shard_of_block(global_block, shards_.size());
+    Shard& shard = *shards_[s];
+    DeferredHits& deferred = ctx.deferred[s];
     const BlockId block = ids_.local_block(global_block);
     const ItemId item = ids_.local_item(global_item, global_block, block);
     GC_HOT_REQUIRE(shard.cache.map().block_of(item) == block,
@@ -312,19 +346,15 @@ class ShardedCache final : public ConcurrentCache {
       Mshr* fill_entry = nullptr;
       {
         ShardHold hold(shard, ctx);
-        if (cfg_.fill_latency_ns == 0) {
-          // A free fill is never in flight, so a miss claims and commits
-          // it right here: the exact fast_step transition, hit or miss.
-          step(shard, item, block);
+        const bool resident = shard.cache.contains(item);
+        if (resident && waited_ns == 0) {
+          defer_hit(shard, deferred, item);
           return;
         }
-        if (shard.cache.contains(item)) {
-          if (waited_ns == 0) {
-            // Plain hit: the exact fast_step hit arm (its own contains
-            // probe re-confirms under the same hold).
-            step(shard, item, block);
-            return;
-          }
+        // Not a plain hit: bring the policy up to date with this client's
+        // earlier hits first. It evicts nothing, so `resident` still holds.
+        apply_deferred(shard, deferred);
+        if (resident) {
           // Resident after a wait: a DELAYED hit — the access was served by
           // a fill already in flight when it arrived. Not a hit (the item
           // was absent at access time), not a miss (no fill was issued).
@@ -332,6 +362,13 @@ class ShardedCache final : public ConcurrentCache {
           // kSpatial means the waiter's item was only ever *sideloaded* by
           // the pending fill — spatial locality paid for the wait.
           commit_delayed_hit(shard, item, waited_ns);
+          return;
+        }
+        if (cfg_.fill_latency_ns == 0) {
+          // A free fill is never in flight, so a miss claims and commits
+          // it right here: fast_step's miss arm (its own contains probe
+          // re-confirms under the same hold).
+          step(shard, item, block);
           return;
         }
         // Miss. Coalesce onto an in-flight fill of this block if there is
@@ -360,11 +397,23 @@ class ShardedCache final : public ConcurrentCache {
       // re-acquire to commit. Other threads hit/miss/fill this shard's
       // OTHER blocks during the sleep — that overlap is the whole point.
       backend_fill(cfg_.fill_latency_ns);
-      commit_fill(ctx, shard, item, block, fill_entry);
+      commit_fill(ctx, shard, deferred, item, block, fill_entry);
       return;
     }
   }
   GC_HOT_REGION_END(gcached_access)
+
+  void drain(ClientContext& ctx) override {
+    if (ctx.cache == nullptr) return;
+    GC_REQUIRE(ctx.cache == this, "a ClientContext serves exactly one cache");
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (ctx.deferred[s].size == 0) continue;
+      // An uncounted hold, like the cold readers': a drain is not an op.
+      ClientContext scratch;
+      ShardGuard guard(shards_[s]->lock, scratch);
+      apply_deferred(*shards_[s], ctx.deferred[s]);
+    }
+  }
 
   SimStats collect_stats() override {
     SimStats total;
@@ -422,20 +471,21 @@ class ShardedCache final : public ConcurrentCache {
   }
 
   // One cache line per shard header keeps neighbouring shards' locks from
-  // false-sharing under cross-shard traffic.
+  // false-sharing under cross-shard traffic. That line is also the only
+  // one a temporal hit's hold writes: the lock, the two lock counters and
+  // `accesses`. CacheContents starts on the next line (it is 64-aligned),
+  // with the header a hit reads apart from the fields a miss writes.
   struct alignas(64) Shard {
     ShardLock lock;
     // Counted by every ShardHold under `lock`, and read only by
-    // shard_values (they are not SimStats). Declared next to `lock` so the
-    // per-hold increments hit the cache line the acquisition just pulled
-    // in.
+    // shard_values (they are not SimStats).
     std::uint64_t lock_acquisitions = 0;
     std::uint64_t trylock_failures = 0;
+    std::uint64_t accesses = 0;  ///< every access classified on the shard
     CacheContents cache;
     Policy policy;
     MshrTable mshr;         ///< in-flight fills; mutated under `lock` only
     SimStats partial;       ///< non-derivable counters only (fast_step)
-    std::uint64_t accesses = 0;
     std::uint64_t coalesced = 0;  ///< accesses that parked on an MSHR gate
     bool writer_active = false;  ///< checking builds only; guarded by `lock`
 
@@ -443,6 +493,20 @@ class ShardedCache final : public ConcurrentCache {
           MakePolicy& make)
         : cache(map, capacity), policy(make()), mshr(mshrs) {}
   };
+  static_assert(sizeof(ShardLock) + 3 * sizeof(std::uint64_t) <= 64,
+                "a hit's hold must write one cache line");
+
+  /// Binds a client's first access to this cache: one DeferredHits buffer
+  /// per shard, sized here, before any hold (nothing allocates under a
+  /// guard). A context already bound to another cache is rejected; a
+  /// build without hot checks rebinds it and drops its pending hits, which
+  /// loses recency updates but never applies a foreign id.
+  void bind_client(ClientContext& ctx) {
+    GC_HOT_REQUIRE(ctx.cache == nullptr,
+                   "a ClientContext serves exactly one cache");
+    ctx.cache = this;
+    ctx.deferred.assign(shards_.size(), DeferredHits{});
+  }
 
   /// Calls `fn(shard, stats)` for every shard under one hold of its lock,
   /// `stats` being the shard's finalized SimStats share. collect_stats and
@@ -502,15 +566,41 @@ class ShardedCache final : public ConcurrentCache {
     ++shard.accesses;
   }
 
+  /// A plain hit: fast_step's hit arm with `policy.on_hit` queued in the
+  /// client's buffer for this shard, applied once the buffer fills. Must
+  /// run inside a ShardHold.
+  void defer_hit(Shard& shard, DeferredHits& deferred, ItemId item) {
+    if constexpr (detail::kRequestedOnly<Policy>) {
+      shard.cache.record_requested_hit(item);
+    } else {
+      if (shard.cache.record_hit(item) == HitKind::kSpatial)
+        ++shard.partial.spatial_hits;
+    }
+    ++shard.accesses;
+    deferred.items[deferred.size] = item;
+    if (++deferred.size == kDeferredHits) apply_deferred(shard, deferred);
+  }
+
+  /// Replays a client's deferred hits on `shard` in hit order, skipping
+  /// items another client's miss evicted since (the policy knows only
+  /// residents), and empties the buffer. Must run under the shard's lock.
+  void apply_deferred(Shard& shard, DeferredHits& deferred) {
+    for (std::uint32_t i = 0; i < deferred.size; ++i)
+      if (shard.cache.contains(deferred.items[i]))
+        shard.policy.on_hit(deferred.items[i]);
+    deferred.size = 0;
+  }
+
   /// Commit of a fill this thread slept; `fill_entry` is its MSHR register,
   /// or null for an unqueued fill. Re-acquires the shard; the residency
   /// RE-CHECK is load-bearing: an unqueued (MSHR-overflow) fill of the same
   /// block may have committed our item during the unlocked window, and
   /// `begin_miss` on a resident item is a contract violation — the access
   /// then lands as a delayed hit that waited the full fill.
-  void commit_fill(ClientContext& ctx, Shard& shard, ItemId item,
-                   BlockId block, Mshr* fill_entry) {
+  void commit_fill(ClientContext& ctx, Shard& shard, DeferredHits& deferred,
+                   ItemId item, BlockId block, Mshr* fill_entry) {
     ShardHold hold(shard, ctx);
+    apply_deferred(shard, deferred);
     if (!shard.cache.contains(item)) {
       // fast_step re-probes residency under this same hold and takes its
       // miss arm: begin_miss/on_miss/end_miss, the exact sequential

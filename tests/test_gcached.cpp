@@ -280,6 +280,93 @@ TEST(GcachedOracle, ShardsThatOwnNoBlockConstructAndServe) {
   }
 }
 
+// ---- Deferred hit recency --------------------------------------------------
+
+TEST(GcachedDeferredHits, NoDeferredHitIsDroppedAcrossRuns) {
+  // Two run_loads on one cache with one client each equal the model over
+  // the trace replayed twice. The second run's evictions depend on the
+  // recency of the first run's last hits, so a client that returned with
+  // hits still pending (no drain) would diverge from the model.
+  const Workload w = small_zipf();
+  Workload twice;
+  twice.map = w.map;
+  std::vector<ItemId> accesses = w.trace.accesses();
+  accesses.insert(accesses.end(), w.trace.accesses().begin(),
+                  w.trace.accesses().end());
+  twice.trace = Trace(std::move(accesses));
+  twice.trace.precompute_block_ids(*twice.map);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    for (const std::string& spec : supported_concurrent_specs()) {
+      SCOPED_TRACE(spec + " on " + std::to_string(shards) + " shards");
+      GcachedConfig cfg;
+      cfg.num_shards = shards;
+      cfg.capacity = 256;
+      const auto cache = make_concurrent_cache(spec, w.map, cfg);
+      replay(*cache, w, 1);
+      replay(*cache, w, 1);
+      EXPECT_EQ(cache->collect_stats(),
+                sharded_oracle(spec, twice, shards, cfg.capacity));
+    }
+  }
+}
+
+TEST(GcachedDeferredHits, AHitEvictedBeforeItsUpdateIsSkipped) {
+  // Two clients on one thread, one shard of item-lru holding 2 items. A's
+  // hit on 0 is deferred, so B's miss on 2 evicts 0 (the policy still sees
+  // 0 as least recent). A's next miss applies its buffer, skips the
+  // evicted 0 and evicts 1. Applying on_hit to a non-resident item would
+  // be a contract violation in checking builds.
+  const auto map = std::make_shared<UniformBlockMap>(4, 1);
+  GcachedConfig cfg;
+  cfg.capacity = 2;
+  const auto cache = make_concurrent_cache("item-lru", map, cfg);
+  ClientContext a;
+  ClientContext b;
+  EXPECT_NO_THROW({
+    cache->access(a, 0, 0);  // miss: {0}
+    cache->access(a, 0, 0);  // hit, deferred in a
+    cache->access(b, 1, 1);  // miss: {0, 1}
+    cache->access(b, 2, 2);  // miss, evicts 0: {1, 2}
+    cache->access(a, 3, 3);  // miss, skips 0, evicts 1: {2, 3}
+    cache->access(b, 2, 2);  // hit
+    cache->access(b, 3, 3);  // hit
+    cache->drain(a);
+    cache->drain(b);
+  });
+  SimStats expected;
+  expected.accesses = 7;
+  expected.hits = 3;
+  expected.temporal_hits = 3;
+  expected.misses = 4;
+  expected.items_loaded = 4;
+  expected.evictions = 2;
+  const SimStats stats = cache->collect_stats();
+  EXPECT_EQ(stats, expected);
+  EXPECT_EQ(stats.hits + stats.misses + stats.delayed_hits, stats.accesses);
+  EXPECT_EQ(cache->shard_occupancy(0), 2u);
+}
+
+TEST(GcachedDeferredHits, AContextServesExactlyOneCache) {
+  // A context's buffers hold one cache's shard-local ids, so using it on
+  // a second cache must fail loudly rather than replay foreign ids.
+  const Workload w = small_zipf();
+  GcachedConfig cfg;
+  cfg.num_shards = 2;
+  cfg.capacity = 256;
+  const auto first = make_concurrent_cache("item-lru", w.map, cfg);
+  const auto second = make_concurrent_cache("item-lru", w.map, cfg);
+  const BlockId block = w.map->block_of(0);
+  ClientContext ctx;
+  second->drain(ctx);  // a context that never accessed drains nothing
+  first->access(ctx, 0, block);
+  EXPECT_THROW(second->drain(ctx), ContractViolation);
+  if (!kHotChecksEnabled) GTEST_SKIP() << "hot checks compiled out";
+  EXPECT_THROW(second->access(ctx, 0, block), ContractViolation);
+  EXPECT_EQ(second->collect_stats().accesses, 0u);
+  first->access(ctx, 0, block);  // still bound to the first cache
+  EXPECT_EQ(first->collect_stats().hits, 1u);
+}
+
 // ---- Shard-local ids ----------------------------------------------------------
 
 TEST(GcachedShardLocalIds, DenseAndOrderPreservingWithinEveryShard) {
