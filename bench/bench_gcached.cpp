@@ -164,11 +164,7 @@ OldJson read_old_json(const std::string& path) {
     const auto shards = json_line_number(line, "shards");
     const auto threads = json_line_number(line, "threads");
     const auto ops = json_line_number(line, "ops_per_sec");
-    // Older grids tag each cell with a fill_mode and carry rows that held
-    // the shard across the fill; only their "async" rows measured the
-    // MSHR path this bench runs. Untagged cells are this bench's own.
-    const auto mode = json_line_string(line, "fill_mode");
-    if (shards && threads && ops && (!mode || *mode == "async")) {
+    if (shards && threads && ops) {
       old.cells.push_back({static_cast<std::size_t>(*shards),
                            static_cast<std::size_t>(*threads), *ops});
     }

@@ -28,7 +28,7 @@ std::size_t CacheContents::residents_of_block(BlockId block) const {
 }
 
 void CacheContents::reset() {
-  flags_.assign(flags_.size(), Flag{});
+  for (Flag& f : flags_) store(f, Flag{});
   occupancy_ = 0;
   current_block_ = kInvalidBlock;
   current_request_ = kInvalidItem;

@@ -19,8 +19,15 @@
 // them. The per-access state is one flag byte per item (present /
 // requested / touched), so the residency table an access touches is
 // num_items bytes and stays cache-resident for realistic universes.
+//
+// Every flag store is a relaxed atomic store, so one reader may probe a
+// flag byte without the lock that serializes the writers:
+// `temporal_resident` is that probe (gcached's lock-free temporal hit,
+// src/gcached/sharded_cache.hpp). Every other read stays plain; it runs
+// under the writers' lock, or on the one thread of a sequential engine.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -52,6 +59,18 @@ class CacheContents {
   bool contains(ItemId item) const {
     GC_HOT_REQUIRE(item < flags_.size(), "item id out of range");
     return (raw(flags_[item]) & kPresent) != 0;
+  }
+
+  /// True when a hit on `item` now would be temporal and write nothing:
+  /// resident, and loaded as the request or touched since. One relaxed
+  /// atomic load of the flag byte, so it is safe without the lock the
+  /// mutators run under.
+  bool temporal_resident(ItemId item) const {
+    GC_HOT_REQUIRE(item < flags_.size(), "item id out of range");
+    const std::uint8_t e = raw(
+        std::atomic_ref<Flag>(const_cast<Flag&>(flags_[item]))
+            .load(std::memory_order_relaxed));
+    return (e & kPresent) != 0 && (e & (kTouched | kRequestedLoad)) != 0;
   }
   GC_HOT_REGION_END(cache_contents_residency)
   std::size_t occupancy() const noexcept { return occupancy_; }
@@ -106,7 +125,7 @@ class CacheContents {
                                                : HitKind::kTemporal;
     // Skip the store when the bit is already set (the common case: every
     // requested load starts touched) — hits then leave the flag line clean.
-    if ((e & kTouched) == 0) flags_[item] = flag(e | kTouched);
+    if ((e & kTouched) == 0) store(flags_[item], flag(e | kTouched));
     return kind;
   }
 
@@ -153,8 +172,8 @@ class CacheContents {
     GC_HOT_REQUIRE(occupancy_ < capacity_,
                    "capacity violation: evict before loading");
     const bool requested = (item == current_request_);
-    flags_[item] = flag(requested ? (kPresent | kRequestedLoad | kTouched)
-                                  : kPresent);
+    store(flags_[item], flag(requested ? (kPresent | kRequestedLoad | kTouched)
+                                       : kPresent));
     ++occupancy_;
     ++items_loaded_;
     if (!requested) ++sideloads_;
@@ -168,9 +187,57 @@ class CacheContents {
     const std::uint8_t e = raw(flags_[item]);
     GC_HOT_REQUIRE((e & kPresent) != 0, "evicting a non-resident item");
     if ((e & (kTouched | kRequestedLoad)) == 0) ++wasted_sideloads_;
-    flags_[item] = Flag{};
+    store(flags_[item], Flag{});
     --occupancy_;
     ++evictions_;
+  }
+
+  /// Policy: load every non-resident item of the missed `block`, in
+  /// `items_of` order: `load` on each, as one call. Whole-block loads go
+  /// through here because each flag store is an atomic, which GCC treats
+  /// as a compiler barrier: this loop keeps its state in locals, so the
+  /// barrier forces no reloads, where a policy's loop of `load` calls
+  /// reloads the flag array and round-trips every counter through memory
+  /// per item.
+  void load_block(BlockId block) {
+    GC_HOT_REQUIRE(in_miss(), "load outside a miss transaction");
+    GC_HOT_REQUIRE(block == current_block_,
+                   "Definition 1 violation: load outside the missed block");
+    Flag* const flags = flags_.data();
+    const ItemId request = current_request_;
+    std::size_t loaded = 0;
+    std::size_t sideloaded = 0;
+    for (const ItemId it : map_.items_of(block)) {
+      if ((raw(flags[it]) & kPresent) != 0) continue;
+      GC_HOT_REQUIRE(occupancy_ + loaded < capacity_,
+                     "capacity violation: evict before loading");
+      const bool requested = (it == request);
+      store(flags[it], flag(requested ? (kPresent | kRequestedLoad | kTouched)
+                                      : kPresent));
+      ++loaded;
+      if (!requested) ++sideloaded;
+    }
+    occupancy_ += loaded;
+    items_loaded_ += loaded;
+    sideloads_ += sideloaded;
+  }
+
+  /// Policy: evict every resident item of `block`: `evict` on each, as one
+  /// call, for the reason load_block gives.
+  void evict_block(BlockId block) {
+    Flag* const flags = flags_.data();
+    std::size_t evicted = 0;
+    std::uint64_t wasted = 0;
+    for (const ItemId it : map_.items_of(block)) {
+      const std::uint8_t e = raw(flags[it]);
+      if ((e & kPresent) == 0) continue;
+      if ((e & (kTouched | kRequestedLoad)) == 0) ++wasted;
+      store(flags[it], Flag{});
+      ++evicted;
+    }
+    occupancy_ -= evicted;
+    evictions_ += evicted;
+    wasted_sideloads_ += wasted;
   }
 
   /// Simulator: close the transaction; the requested item must be resident.
@@ -198,11 +265,15 @@ class CacheContents {
   std::uint64_t wasted_sideloads() const noexcept { return wasted_sideloads_; }
 
  private:
-  // Per-item flag byte; a non-resident item is all-zero. Stored as a
-  // distinct one-byte enum rather than std::uint8_t on purpose: unsigned
-  // char writes may alias *any* object, so flag stores in the (inlined) hot
-  // loop would force the compiler to re-load every cached member and policy
-  // pointer each iteration. An enum has its own alias class.
+  // Per-item flag byte; a non-resident item is all-zero. A distinct
+  // one-byte enum rather than std::uint8_t on purpose: unsigned char
+  // accesses may alias *any* object, so every unrelated store would force
+  // cached flag reads to be re-loaded; an enum has its own alias class.
+  // Flag stores get no such help. Each is a relaxed atomic (see the file
+  // comment), and GCC treats every atomic as a compiler barrier, so the
+  // code after a flag store re-loads every member and pointer it had in a
+  // register. load_block and evict_block keep whole-block loops clear of
+  // that cost.
   enum class Flag : std::uint8_t {};
   static constexpr std::uint8_t kPresent = 1;        ///< resident now
   static constexpr std::uint8_t kRequestedLoad = 2;  ///< loaded as the request
@@ -212,6 +283,10 @@ class CacheContents {
   }
   static constexpr Flag flag(std::uint8_t b) noexcept {
     return static_cast<Flag>(b);
+  }
+  /// Every flag store goes through here (see the file comment).
+  static void store(Flag& slot, Flag f) noexcept {
+    std::atomic_ref<Flag>(slot).store(f, std::memory_order_relaxed);
   }
 
   // Read-only after construction: all a hit reads besides its flag byte.

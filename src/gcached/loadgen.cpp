@@ -139,6 +139,7 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
     result.lock_acquisitions += client->ctx.lock_acquisitions;
     result.lock_contended += client->ctx.lock_contended;
     result.backoff_rounds += client->ctx.backoff_rounds;
+    result.lockfree_hits += client->ctx.lockfree_hits;
     if (spec.perf) result.perf += client->perf;
   }
   GC_CHECK(replayed == total_ops,

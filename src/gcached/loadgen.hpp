@@ -52,8 +52,9 @@
 // The OPEN loop still times every op: its recorded value is completion −
 // scheduled arrival, and it already sleeps before each op.
 //
-// Lock-contention telemetry accumulates in each thread's ClientContext and
-// is summed into the LoadResult once per run, never per operation. The
+// Lock-contention telemetry, and the count of hits served without a lock,
+// accumulate in each thread's ClientContext and are summed into the
+// LoadResult once per run, never per operation. The
 // context also holds the thread's deferred hit recency (sharded_cache.hpp);
 // each client drains it when its replay ends, so nothing stays pending
 // once run_load returns.
@@ -143,6 +144,11 @@ struct LoadResult {
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t lock_contended = 0;
   std::uint64_t backoff_rounds = 0;
+  /// Summed ClientContext::lockfree_hits: temporal hits served with no
+  /// hold. Every other op takes at least one hold, and each of these is a
+  /// hit, so lock_acquisitions + lockfree_hits >= ops and lockfree_hits <=
+  /// stats.hits.
+  std::uint64_t lockfree_hits = 0;
   /// Always 0: contended acquisitions yield, they never sleep. Kept so
   /// readers of the old field still compile.
   std::uint64_t backoff_ns = 0;

@@ -19,9 +19,13 @@
 //
 // The ClientContext also carries the client's deferred hit recency: per
 // shard, up to kDeferredHits hits whose policy update ShardedCache applies
-// in a later hold of the same client, so a hit's hold writes no policy
-// state. The buffers are sized on the client's first access, before any
-// hold, because nothing may allocate under a guard.
+// in a later hold of the same client, so a temporal hit takes no hold at
+// all. The buffers are sized on the client's first access, before any
+// hold, because nothing may allocate under a guard. That first access also
+// enrolls the client in the cache's HitSlots: one count per shard of the
+// hits it served without a hold, owned by the cache so the counts outlive
+// the context. Enrolment takes the one non-shard lock of the access path,
+// which is why HitSlots lives here too.
 //
 // It is also the sanctioned *blocking* home: gclint's lock-discipline rule is
 // unconditional ("no blocking while a shard guard is live — period", not
@@ -52,8 +56,8 @@
 namespace gcaching::gcached {
 
 /// Hits one client may leave pending on one shard before it applies them:
-/// a compile-time constant, not a knob (sharded_cache.hpp, "deferred hit
-/// recency" in docs/CONCURRENCY.md).
+/// a compile-time constant, not a knob (sharded_cache.hpp, "Lock-free
+/// temporal hits and deferred hit recency" in docs/CONCURRENCY.md).
 inline constexpr std::size_t kDeferredHits = 32;
 
 /// One client's hits on one shard whose policy recency update
@@ -63,23 +67,88 @@ struct DeferredHits {
   std::uint32_t size = 0;
 };
 
+/// Eight shards' hit counts of one client, on a cache line of their own so
+/// no two clients' counts share a line. Each count has one writer, the
+/// client, which adds with a relaxed load and store; readers sum them with
+/// relaxed loads (HitSlots::totals).
+struct alignas(64) HitCountLine {
+  static constexpr std::size_t kCounts = 8;
+  std::array<std::atomic<std::uint64_t>, kCounts> counts{};
+};
+
 /// Per-client state. Never shared between threads — that is what makes it
 /// free. It holds the contention counters and, once the client's first
 /// access has bound it to a cache, one DeferredHits buffer per shard of
-/// that cache. A context serves exactly one cache (access on another is a
-/// GC_HOT_REQUIRE violation), and ConcurrentCache::drain applies what is
-/// still pending when the client is done. A context destroyed undrained
-/// only loses those recency updates; the stats are already exact.
+/// that cache and a pointer to its hit-count slot in that cache. A context
+/// serves exactly one cache (access on another is a GC_HOT_REQUIRE
+/// violation), and ConcurrentCache::drain applies what is still pending
+/// when the client is done. A context destroyed undrained only loses those
+/// recency updates; the stats are already exact, because the slot belongs
+/// to the cache.
 struct ClientContext {
   std::uint64_t lock_acquisitions = 0;  ///< total lock() calls
   std::uint64_t lock_contended = 0;     ///< calls whose first try_lock failed
   std::uint64_t backoff_rounds = 0;     ///< failed retries, one yield each
+  std::uint64_t lockfree_hits = 0;      ///< temporal hits served with no hold
   const void* cache = nullptr;          ///< the cache this context serves
   std::vector<DeferredHits> deferred;   ///< one per shard of `cache`
+  HitCountLine* hit_counts = nullptr;   ///< its slot in `cache`'s HitSlots
+
+  GC_HOT_REGION_BEGIN(client_hit_count)
+  /// Counts one hit served without a hold on shard `s`. The client is the
+  /// count's only writer, so a relaxed load and store replace an RMW.
+  void count_lockfree_hit(std::size_t s) noexcept {
+    ++lockfree_hits;
+    std::atomic<std::uint64_t>& n =
+        hit_counts[s / HitCountLine::kCounts].counts[s % HitCountLine::kCounts];
+    n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  GC_HOT_REGION_END(client_hit_count)
 };
 
-/// One shard's lock, always taken exclusively: every shard access is a
-/// cache transition by the shard's single writer.
+/// The hit-count slots of every client a cache has bound: one count per
+/// shard per client. The cache owns them, so a client's counts outlive its
+/// ClientContext, and a slot is never freed before the cache. Enrolment
+/// and reads take `mu_`, a cold lock: a client enrolls once, on its first
+/// access, and readers are the cold snapshot paths.
+class HitSlots {
+ public:
+  explicit HitSlots(std::size_t num_shards)
+      : num_shards_(num_shards),
+        lines_((num_shards + HitCountLine::kCounts - 1) /
+               HitCountLine::kCounts) {}
+  HitSlots(const HitSlots&) = delete;
+  HitSlots& operator=(const HitSlots&) = delete;
+
+  /// A new client's slot, every count zero. The slot's storage never moves.
+  HitCountLine* enroll() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return slots_.emplace_back(lines_).data();
+  }
+
+  /// Per shard, the sum of every slot's count: exact once the clients are
+  /// quiesced.
+  std::vector<std::uint64_t> totals() const {
+    std::vector<std::uint64_t> sums(num_shards_, 0);
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const std::vector<HitCountLine>& slot : slots_)
+      for (std::size_t s = 0; s < num_shards_; ++s)
+        sums[s] += slot[s / HitCountLine::kCounts]
+                       .counts[s % HitCountLine::kCounts]
+                       .load(std::memory_order_relaxed);
+    return sums;
+  }
+
+ private:
+  const std::size_t num_shards_;
+  const std::size_t lines_;  ///< HitCountLines per slot
+  mutable std::mutex mu_;
+  std::vector<std::vector<HitCountLine>> slots_;  ///< one per client
+};
+
+/// One shard's lock, always taken exclusively: every shard transition is
+/// made by the shard's single writer. A temporal hit is no transition and
+/// takes no lock (sharded_cache.hpp).
 class ShardLock {
  public:
   ShardLock() = default;

@@ -21,20 +21,27 @@
 // shard and one client thread the transition sequence is literally
 // simulate_fast's, so SimStats are bit-identical (tests/test_gcached.cpp).
 //
-// Deferred hit recency (after BP-Wrapper, Ding, Jiang and Zhang, ICDE
-// 2009): a hit is classified under the hold (residency probe, hit
-// taxonomy, access count), but its `policy.on_hit` goes into the calling
-// client's DeferredHits buffer for that shard (ClientContext,
-// shard_lock.hpp). The client applies the buffer in order, skipping items
-// no longer resident, inside a later hold of its own on that shard: when
-// the buffer fills, before any other transition it makes there (a miss or
-// a delayed-hit commit), and in `drain` when it is done. No shardable
-// policy evicts on a hit (the static_assert below), so with one client the
-// policy sees exactly fast_step's callback sequence; with several, a miss
-// can miss at most kDeferredHits - 1 pending hits of each other client on
-// its shard. The shard is laid out so a temporal hit's hold writes one
-// cache line, the lock's: the lock counters and `accesses` share it, and
-// CacheContents keeps what a hit reads off the lines a miss writes.
+// Lock-free temporal hits, with deferred hit recency (after BP-Wrapper,
+// Ding, Jiang and Zhang, ICDE 2009): a hit is temporal when its item is
+// resident and was requested or touched since its load (the paper's
+// taxonomy, Section 2), and that is one flag byte of CacheContents. So
+// `access` first probes the byte with one relaxed atomic load
+// (`CacheContents::temporal_resident`); on success the hit is linearised
+// at that load and takes no hold. It counts itself in the calling client's
+// hit-count slot for the shard (ClientContext::count_lockfree_hit, a slot
+// the cache owns) and queues its `policy.on_hit` in the client's
+// DeferredHits buffer for that shard. Every other access takes the hold:
+// a miss, a delayed hit, and a spatial hit (an untouched sideload, whose
+// first touch writes the flag). The client applies its buffer in order,
+// skipping items no longer resident, inside a hold of its own on that
+// shard: when the buffer fills, before any other transition it makes there
+// (a miss or a delayed-hit commit), and in `drain` when it is done. No
+// shardable policy evicts on a hit (the static_assert below), so with one
+// client the policy sees exactly fast_step's callback sequence; with
+// several, a miss can miss at most kDeferredHits - 1 pending hits of each
+// other client on its shard. A temporal hit writes only client-owned
+// memory; it reads the CacheContents header, which no transition writes,
+// and the item's flag byte.
 //
 // With S > 1 each shard owns capacity/S (±1) items, so the aggregate is a
 // partitioned cache, not a shared one: stats differ from a monolithic run
@@ -72,9 +79,10 @@
 //
 // The access path carries no telemetry. Each shard's SimStats share, plus
 // three plain per-shard counters kept under its lock (lock acquisitions,
-// failed try-locks, coalesced waiters), IS the counter model: collect_stats
-// sums it, and `shard_values` hands it per shard to the gcmon monitor
-// (obs/gcmon.hpp), which reads it under the same uncounted hold.
+// failed try-locks, coalesced waiters), plus the clients' lock-free hit
+// counts for the shard, IS the counter model: collect_stats sums it, and
+// `shard_values` hands it per shard to the gcmon monitor (obs/gcmon.hpp),
+// which reads it through the same uncounted hold.
 #pragma once
 
 #include <cstddef>
@@ -249,11 +257,12 @@ class ConcurrentCache {
   ConcurrentCache& operator=(const ConcurrentCache&) = delete;
 
   /// One client operation: hit/miss classification, policy transition, and
-  /// stat updates for `item`, under its shard's exclusive lock. `block`
-  /// must be `item`'s block id (precomputed, as in the fast engines). A
-  /// hit's policy update is deferred in `ctx` (see file comment); the first
-  /// access binds `ctx` to this cache, and a context bound to another cache
-  /// is a GC_HOT_REQUIRE violation.
+  /// stat updates for `item`. A temporal hit takes no lock; every other
+  /// access runs under its shard's exclusive lock. `block` must be `item`'s
+  /// block id (precomputed, as in the fast engines). A hit's policy update
+  /// is deferred in `ctx` (see file comment); the first access binds `ctx`
+  /// to this cache, and a context bound to another cache is a
+  /// GC_HOT_REQUIRE violation.
   virtual void access(ClientContext& ctx, ItemId item, BlockId block) = 0;
 
   /// Applies the policy updates of `ctx`'s still-deferred hits, once the
@@ -302,7 +311,8 @@ class ShardedCache final : public ConcurrentCache {
                std::string policy_name)
       : cfg_(validated(map, cfg)),
         name_(std::move(policy_name)),
-        ids_(*map, cfg.num_shards) {
+        ids_(*map, cfg.num_shards),
+        hit_slots_(cfg_.num_shards) {
     shards_.reserve(cfg_.num_shards);
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
       shards_.push_back(std::make_unique<Shard>(
@@ -317,11 +327,14 @@ class ShardedCache final : public ConcurrentCache {
   }
 
   GC_HOT_REGION_BEGIN(gcached_access)
-  /// The one access path. Per iteration, one exclusive hold classifies the
-  /// access. A plain hit is fast_step's hit arm with its policy update
-  /// deferred; every other hold first applies the client's deferred hits
-  /// on the shard. Any miss when fills are free is the exact fast_step
-  /// transition inside that hold. A miss with a fill either
+  /// The one access path. A temporal hit is classified by one relaxed
+  /// load of its flag byte and takes no hold: the client counts it in its
+  /// own slot and defers its policy update, and takes a hold only when
+  /// that fills its buffer. Otherwise, per iteration, one exclusive hold
+  /// classifies the access. A spatial hit is fast_step's hit arm with its
+  /// policy update deferred; every other hold first applies the client's
+  /// deferred hits on the shard. Any miss when fills are free is the exact
+  /// fast_step transition inside that hold. A miss with a fill either
   /// coalesces onto the block's in-flight fill (parks on its FillGate, then
   /// re-classifies) or owns a fill: it claims an MSHR register — or, with
   /// every register busy, takes an unqueued fill — sleeps the fill
@@ -339,6 +352,17 @@ class ShardedCache final : public ConcurrentCache {
     const ItemId item = ids_.local_item(global_item, global_block, block);
     GC_HOT_REQUIRE(shard.cache.map().block_of(item) == block,
                    "item does not belong to the supplied block");
+    if (shard.cache.temporal_resident(item)) {
+      // A temporal hit, linearised at that load. A miss that evicts the
+      // item afterwards only makes apply_deferred skip its update.
+      ctx.count_lockfree_hit(s);
+      deferred.items[deferred.size] = item;
+      if (++deferred.size == kDeferredHits) {
+        ShardHold hold(shard, ctx);
+        apply_deferred(shard, deferred);
+      }
+      return;
+    }
     std::uint64_t waited_ns = 0;
     for (;;) {
       FillGate* wait_gate = nullptr;
@@ -348,6 +372,8 @@ class ShardedCache final : public ConcurrentCache {
         ShardHold hold(shard, ctx);
         const bool resident = shard.cache.contains(item);
         if (resident && waited_ns == 0) {
+          // Mostly a spatial hit; a temporal one only if the item was
+          // loaded or touched since the probe above.
           defer_hit(shard, deferred, item);
           return;
         }
@@ -471,17 +497,18 @@ class ShardedCache final : public ConcurrentCache {
   }
 
   // One cache line per shard header keeps neighbouring shards' locks from
-  // false-sharing under cross-shard traffic. That line is also the only
-  // one a temporal hit's hold writes: the lock, the two lock counters and
-  // `accesses`. CacheContents starts on the next line (it is 64-aligned),
-  // with the header a hit reads apart from the fields a miss writes.
+  // false-sharing under cross-shard traffic, and a hold's bookkeeping (the
+  // lock, the two lock counters and `accesses`) on the lock's own line. A
+  // temporal hit takes no hold and writes none of it. CacheContents starts
+  // on the next line (it is 64-aligned), with the header a temporal hit
+  // reads apart from the fields a miss writes.
   struct alignas(64) Shard {
     ShardLock lock;
     // Counted by every ShardHold under `lock`, and read only by
     // shard_values (they are not SimStats).
     std::uint64_t lock_acquisitions = 0;
     std::uint64_t trylock_failures = 0;
-    std::uint64_t accesses = 0;  ///< every access classified on the shard
+    std::uint64_t accesses = 0;  ///< accesses classified under a hold
     CacheContents cache;
     Policy policy;
     MshrTable mshr;         ///< in-flight fills; mutated under `lock` only
@@ -494,34 +521,44 @@ class ShardedCache final : public ConcurrentCache {
         : cache(map, capacity), policy(make()), mshr(mshrs) {}
   };
   static_assert(sizeof(ShardLock) + 3 * sizeof(std::uint64_t) <= 64,
-                "a hit's hold must write one cache line");
+                "a hold's bookkeeping must share the lock's line");
 
   /// Binds a client's first access to this cache: one DeferredHits buffer
   /// per shard, sized here, before any hold (nothing allocates under a
-  /// guard). A context already bound to another cache is rejected; a
-  /// build without hot checks rebinds it and drops its pending hits, which
-  /// loses recency updates but never applies a foreign id.
+  /// guard), and a fresh hit-count slot enrolled in `hit_slots_`. A context
+  /// already bound to another cache is rejected; a build without hot
+  /// checks rebinds it and drops its pending hits, which loses recency
+  /// updates but never applies a foreign id (its counts stay in the first
+  /// cache's slot).
   void bind_client(ClientContext& ctx) {
     GC_HOT_REQUIRE(ctx.cache == nullptr,
                    "a ClientContext serves exactly one cache");
     ctx.cache = this;
     ctx.deferred.assign(shards_.size(), DeferredHits{});
+    ctx.hit_counts = hit_slots_.enroll();
   }
 
   /// Calls `fn(shard, stats)` for every shard under one hold of its lock,
   /// `stats` being the shard's finalized SimStats share. collect_stats and
-  /// shard_values both read through here. The hold uses a throwaway
-  /// context, not a ShardHold, so these cold reads never count toward the
-  /// shard's lock counters; the derivable counters are filled in on a COPY
-  /// of the partial stats, so the shard keeps counting from its partials.
+  /// shard_values both read through here. The shard's accesses are those
+  /// classified under a hold plus every client's lock-free hits on it,
+  /// summed from `hit_slots_` first; each lock-free hit is temporal, so
+  /// fast_finalize's derivation of hits and temporal hits stays exact. The
+  /// hold uses a throwaway context, not a ShardHold, so these cold reads
+  /// never count toward the shard's lock counters; the derivable counters
+  /// are filled in on a COPY of the partial stats, so the shard keeps
+  /// counting from its partials.
   template <typename Fn>
   void for_each_snapshot(Fn&& fn) {
-    for (const std::unique_ptr<Shard>& shard : shards_) {
+    const std::vector<std::uint64_t> lockfree = hit_slots_.totals();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& shard = *shards_[s];
       ClientContext ctx;
-      ShardGuard guard(shard->lock, ctx);
-      SimStats stats = shard->partial;
-      detail::fast_finalize<Policy>(shard->cache, stats, shard->accesses);
-      fn(*shard, stats);
+      ShardGuard guard(shard.lock, ctx);
+      SimStats stats = shard.partial;
+      detail::fast_finalize<Policy>(shard.cache, stats,
+                                    shard.accesses + lockfree[s]);
+      fn(shard, stats);
     }
   }
 
@@ -566,9 +603,9 @@ class ShardedCache final : public ConcurrentCache {
     ++shard.accesses;
   }
 
-  /// A plain hit: fast_step's hit arm with `policy.on_hit` queued in the
-  /// client's buffer for this shard, applied once the buffer fills. Must
-  /// run inside a ShardHold.
+  /// A hit classified under the hold (mostly a spatial one): fast_step's
+  /// hit arm with `policy.on_hit` queued in the client's buffer for this
+  /// shard, applied once the buffer fills. Must run inside a ShardHold.
   void defer_hit(Shard& shard, DeferredHits& deferred, ItemId item) {
     if constexpr (detail::kRequestedOnly<Policy>) {
       shard.cache.record_requested_hit(item);
@@ -648,6 +685,7 @@ class ShardedCache final : public ConcurrentCache {
   // Policies are neither copyable nor movable, so shards live behind
   // unique_ptr.
   std::vector<std::unique_ptr<Shard>> shards_;
+  HitSlots hit_slots_;  ///< every bound client's lock-free hit counts
 };
 
 }  // namespace gcaching::gcached

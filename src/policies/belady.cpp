@@ -91,10 +91,9 @@ void BeladyBlock::on_miss(ItemId item) {
   const std::size_t need = map().block_size(block);
   while (cache().capacity() - cache().occupancy() < need) {
     const BlockId victim = queue_.pop_furthest();
-    cache().visit_residents_of_block(victim,
-                                     [this](ItemId it) { cache().evict(it); });
+    cache().evict_block(victim);
   }
-  for (ItemId it : map().items_of(block)) cache().load(it);
+  cache().load_block(block);
   queue_.update(block, block_index_.next_after(pos_));
   ++pos_;
 }

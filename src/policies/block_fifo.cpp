@@ -22,9 +22,12 @@ void BlockFifo::on_miss(ItemId item) {
   const std::size_t need = map().block_size(block);
   while (cache().capacity() - cache().occupancy() < need) {
     const BlockId victim = queue_->pop_back();
-    for (ItemId it : map().items_of(victim)) cache().evict(it);
+    GC_HOT_CHECK(
+        cache().residents_of_block(victim) == map().block_size(victim),
+        "block-granularity invariant broken");
+    cache().evict_block(victim);
   }
-  for (ItemId it : map().items_of(block)) cache().load(it);
+  cache().load_block(block);
   queue_->push_front(block);
 }
 

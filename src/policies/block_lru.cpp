@@ -17,7 +17,9 @@ void BlockLru::on_hit(ItemId item) {
 
 void BlockLru::evict_block(BlockId block) {
   lru_->remove(block);
-  for (ItemId it : map().items_of(block)) cache().evict(it);
+  GC_HOT_CHECK(cache().residents_of_block(block) == map().block_size(block),
+               "block-granularity invariant broken");
+  cache().evict_block(block);
 }
 
 void BlockLru::on_miss(ItemId item) {
@@ -29,7 +31,7 @@ void BlockLru::on_miss(ItemId item) {
   const std::size_t need = map().block_size(block);
   while (cache().capacity() - cache().occupancy() < need)
     evict_block(lru_->back());
-  for (ItemId it : map().items_of(block)) cache().load(it);
+  cache().load_block(block);
   lru_->push_front(block);
 }
 

@@ -86,9 +86,7 @@ void Iblp::on_miss(ItemId item) {
     // Block layer loads the whole block, whole-block LRU eviction.
     const std::size_t need = map().block_size(block);
     while (cfg_.block_layer - b_used_ < need) evict_lru_block();
-    for (ItemId it : map().items_of(block)) {
-      if (!cache().contains(it)) cache().load(it);  // may duplicate item layer
-    }
+    cache().load_block(block);  // skips items the item layer holds
     b_used_ += need;
     block_lru_->push_front(block);
     insert_into_item_layer(item);
@@ -272,8 +270,7 @@ void IblpBlockFirst::on_miss(ItemId item) {
   if (cfg_.block_layer > 0) {
     const std::size_t need = map().block_size(block);
     while (cfg_.block_layer - b_used_ < need) evict_lru_block();
-    for (ItemId it : map().items_of(block))
-      if (!cache().contains(it)) cache().load(it);
+    cache().load_block(block);
     b_used_ += need;
     block_lru_->push_front(block);
     // The back layer (items) also missed and caches the requested item.

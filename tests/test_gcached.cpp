@@ -367,6 +367,128 @@ TEST(GcachedDeferredHits, AContextServesExactlyOneCache) {
   EXPECT_EQ(first->collect_stats().hits, 1u);
 }
 
+// ---- Lock-free temporal hits --------------------------------------------
+
+TEST(GcachedLockFreeHits, ExactHoldCountOnAHandComputedTrace) {
+  // item-lru, one-item blocks, one shard of 2 items, one client. Every hit
+  // below is temporal, so none takes a hold; each miss takes one, and so
+  // does the 32nd buffered hit, which applies the client's full buffer.
+  //   0 miss | 0 hit | 1 miss (applies [0]) | 1 hit | 0 hit
+  //   2 miss (applies [1, 0], evicts 1) | 1 miss (evicts 0) | 2 hit x32
+  const auto map = std::make_shared<UniformBlockMap>(4, 1);
+  std::vector<ItemId> accesses = {0, 0, 1, 1, 0, 2, 1};
+  accesses.insert(accesses.end(), kDeferredHits, 2);
+  Workload w;
+  w.map = map;
+  w.trace = Trace(std::move(accesses));
+  w.trace.precompute_block_ids(*w.map);
+  GcachedConfig cfg;
+  cfg.capacity = 2;
+  const auto cache = make_concurrent_cache("item-lru", map, cfg);
+  const LoadResult res = replay(*cache, w, 1);
+  EXPECT_EQ(res.ops, 39u);
+  EXPECT_EQ(res.lockfree_hits, 35u);
+  EXPECT_EQ(res.lock_acquisitions, 5u);
+  SimStats expected;
+  expected.accesses = 39;
+  expected.hits = 35;
+  expected.temporal_hits = 35;
+  expected.misses = 4;
+  expected.items_loaded = 4;
+  expected.evictions = 2;
+  EXPECT_EQ(res.stats, expected);
+  EXPECT_EQ(res.stats, simulate_fast_spec("item-lru", w, cfg.capacity));
+}
+
+TEST(GcachedLockFreeHits, AnUntouchedSideloadIsALockedSpatialHit) {
+  // block-lru loads item 0's whole block {0, 1}. The first hit on the
+  // sideloaded 1 writes its touched flag, so it takes the hold as a
+  // spatial hit; the next hit on 1 is temporal and takes none.
+  const auto map = std::make_shared<UniformBlockMap>(4, 2);
+  GcachedConfig cfg;
+  cfg.capacity = 4;
+  const auto cache = make_concurrent_cache("block-lru", map, cfg);
+  ClientContext ctx;
+  cache->access(ctx, 0, 0);  // miss, sideloads 1
+  cache->access(ctx, 1, 0);  // spatial hit
+  EXPECT_EQ(ctx.lockfree_hits, 0u);
+  EXPECT_EQ(ctx.lock_acquisitions, 2u);
+  EXPECT_EQ(cache->collect_stats().spatial_hits, 1u);
+  cache->access(ctx, 1, 0);  // temporal hit
+  EXPECT_EQ(ctx.lockfree_hits, 1u);
+  EXPECT_EQ(ctx.lock_acquisitions, 2u);
+  const SimStats stats = cache->collect_stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.spatial_hits, 1u);
+  EXPECT_EQ(stats.temporal_hits, 1u);
+}
+
+TEST(GcachedLockFreeHits, CountsOutliveTheirContext) {
+  // The client's lock-free hit counts belong to the cache, so a context
+  // destroyed undrained leaves the stats exact.
+  const Workload w = small_zipf();
+  const std::vector<ItemId>& accesses = w.trace.accesses();
+  const std::span<const BlockId> ids = w.trace.block_ids();
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    for (const std::string spec : {"item-lru", "block-lru"}) {
+      SCOPED_TRACE(spec + " on " + std::to_string(shards) + " shards");
+      GcachedConfig cfg;
+      cfg.num_shards = shards;
+      cfg.capacity = 256;
+      const auto cache = make_concurrent_cache(spec, w.map, cfg);
+      {
+        ClientContext ctx;
+        for (std::size_t i = 0; i < accesses.size(); ++i)
+          cache->access(ctx, accesses[i], ids[i]);
+        ASSERT_GT(ctx.lockfree_hits, 0u);
+      }
+      EXPECT_EQ(cache->collect_stats(),
+                sharded_oracle(spec, w, shards, cfg.capacity));
+    }
+  }
+}
+
+TEST(GcachedLockFreeHits, HitsRacingEvictionsConserve) {
+  // Four clients on one shard of 8 items over a 64-item hot set: most
+  // accesses are lock-free temporal hits while other clients' misses evict
+  // the same items. Under tsan this is the race the relaxed flag loads and
+  // stores exist for.
+  const Workload w = [] {
+    Workload hot = traces::zipf_items(64, 4, 40'000, 0.6, 21);
+    hot.trace.precompute_block_ids(*hot.map);
+    return hot;
+  }();
+  for (const std::string spec : {"item-lru", "block-lru"}) {
+    SCOPED_TRACE(spec);
+    GcachedConfig cfg;
+    cfg.capacity = 8;
+    const auto cache = make_concurrent_cache(spec, w.map, cfg);
+    const LoadResult res = replay(*cache, w, 4);
+    EXPECT_EQ(res.stats.accesses, res.ops);
+    EXPECT_EQ(res.stats.hits + res.stats.misses + res.stats.delayed_hits,
+              res.stats.accesses);
+    EXPECT_EQ(res.stats.temporal_hits + res.stats.spatial_hits,
+              res.stats.hits);
+    EXPECT_GT(res.lockfree_hits, 0u);
+    EXPECT_GE(res.lock_acquisitions + res.lockfree_hits, res.ops);
+    EXPECT_LE(res.lockfree_hits, res.stats.temporal_hits);
+    EXPECT_LE(cache->shard_occupancy(0), cfg.capacity);
+    const SimStats stats = cache->collect_stats();
+    EXPECT_EQ(stats, res.stats);
+    obs::ShardValues sum;
+    for (const obs::ShardValues& v : cache->shard_values()) {
+      sum.hits += v.hits;
+      sum.misses += v.misses;
+      sum.sideloads += v.sideloads;
+      sum.delayed_hits += v.delayed_hits;
+    }
+    EXPECT_EQ(sum.hits, stats.hits);
+    EXPECT_EQ(sum.misses, stats.misses);
+    EXPECT_EQ(sum.sideloads, stats.sideloads);
+    EXPECT_EQ(sum.delayed_hits, stats.delayed_hits);
+  }
+}
+
 // ---- Shard-local ids ----------------------------------------------------------
 
 TEST(GcachedShardLocalIds, DenseAndOrderPreservingWithinEveryShard) {
@@ -535,7 +657,9 @@ TEST(GcachedConcurrent, ConservationHoldsOnEverySchedule) {
       EXPECT_EQ(res.stats.delayed_hits, 0u);  // zero fill: nothing in flight
       EXPECT_EQ(res.stats.temporal_hits + res.stats.spatial_hits,
                 res.stats.hits);
-      EXPECT_EQ(res.lock_acquisitions, res.ops);
+      // A temporal hit takes no hold; every other op takes at least one.
+      EXPECT_GE(res.lock_acquisitions + res.lockfree_hits, res.ops);
+      EXPECT_LE(res.lockfree_hits, res.stats.hits);
       EXPECT_EQ(res.offered_ops_per_sec, 0.0);  // closed loop reports none
       std::size_t occupancy = 0;
       for (std::size_t s = 0; s < cache->num_shards(); ++s) {

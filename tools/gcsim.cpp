@@ -676,6 +676,7 @@ int cmd_gcached(const Args& args) {
                        static_cast<std::uint64_t>(res.ops_per_sec))});
   }
   table.add_row({"lock acquisitions", TextTable::fmt_int(res.lock_acquisitions)});
+  table.add_row({"lock-free hits", TextTable::fmt_int(res.lockfree_hits)});
   table.add_row({"lock contended", TextTable::fmt_int(res.lock_contended)});
   table.add_row({"backoff rounds", TextTable::fmt_int(res.backoff_rounds)});
   if (res.perf.valid) {
