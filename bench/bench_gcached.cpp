@@ -46,6 +46,7 @@ struct Options {
   std::vector<std::size_t> threads;  // empty = default grid
   std::uint64_t ops = 0;             // 0 = default per-cell op count
   double fill_us = 50.0;
+  std::uint64_t fill_ns = 0;  ///< fill_us in ns, set by parse (checked)
   std::size_t mshrs = 8;  ///< MSHR registers per shard
   std::uint64_t seed = 1;
   /// Attach a live gcmon monitor (snapshot thread) to every cell —
@@ -117,6 +118,15 @@ Options parse(int argc, char** argv) {
       std::exit(2);
     }
   }
+  const std::optional<std::uint64_t> fill_ns =
+      gcached::fill_us_to_ns(opts.fill_us);
+  if (!fill_ns) {
+    std::cerr << "--fill-us must be a finite, non-negative number of "
+                 "microseconds below 2^63 ns (got "
+              << opts.fill_us << ")\n";
+    std::exit(2);
+  }
+  opts.fill_ns = *fill_ns;
   if (opts.shards.empty())
     opts.shards = opts.quick ? std::vector<std::size_t>{1, 2, 8}
                              : std::vector<std::size_t>{1, 2, 8, 32};
@@ -231,8 +241,7 @@ void write_json(const Options& opts, const Workload& workload,
       << "  \"ops_per_cell\": " << opts.ops << ",\n"
       << "  \"mon\": " << (opts.mon ? "true" : "false") << ",\n"
       << "  \"results\": [\n";
-  const std::uint64_t fill_ns =
-      static_cast<std::uint64_t>(opts.fill_us * 1000.0);
+  const std::uint64_t fill_ns = opts.fill_ns;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const GridCell& c = cells[i];
     out << "    {\"shards\": " << c.shards
@@ -282,7 +291,7 @@ int run(int argc, char** argv) {
 
   gcached::GcachedConfig cfg;
   cfg.capacity = capacity;
-  cfg.fill_latency_ns = static_cast<std::uint64_t>(opts.fill_us * 1000.0);
+  cfg.fill_latency_ns = opts.fill_ns;
   cfg.mshr_entries = opts.mshrs;
 
   TableSink table(table_opts, "gcached closed-loop scaling (" + opts.policy +

@@ -1,5 +1,7 @@
 #include "gcached/gcached.hpp"
 
+#include <cmath>
+
 #include "policies/block_fifo.hpp"
 #include "policies/block_lru.hpp"
 #include "policies/item_clock.hpp"
@@ -39,6 +41,12 @@ std::string validate_gcached_request(long long shards, long long threads) {
            std::to_string(threads) +
            "): the load generator needs at least one client thread";
   return "";
+}
+
+std::optional<std::uint64_t> fill_us_to_ns(double fill_us) {
+  const double ns = fill_us * 1000.0;
+  if (!std::isfinite(ns) || ns < 0.0 || ns >= 0x1p63) return std::nullopt;
+  return static_cast<std::uint64_t>(ns);
 }
 
 std::unique_ptr<ConcurrentCache> make_concurrent_cache(

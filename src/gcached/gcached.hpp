@@ -23,7 +23,9 @@
 // hard-code it. See docs/CONCURRENCY.md ("Which policies shard").
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +43,11 @@ std::vector<std::string> supported_concurrent_specs();
 /// (`--shards`, `--threads`). Signed on purpose: the CLI parses signed so a
 /// user's `-4` is rejected here instead of wrapping to 2^64-4.
 std::string validate_gcached_request(long long shards, long long threads);
+
+/// `--fill-us` of `gcsim gcached` and bench_gcached as fill_latency_ns,
+/// rounded down; nullopt unless finite, non-negative and below 2^63 ns
+/// (what the fill's std::chrono::nanoseconds holds), where a cast is UB.
+std::optional<std::uint64_t> fill_us_to_ns(double fill_us);
 
 /// Construct a sharded runtime for `spec` over `map` with `cfg`. Throws
 /// ContractViolation for specs that cannot shard (see file comment).

@@ -136,10 +136,12 @@ LoadResult run_load(ConcurrentCache& cache, const Trace& trace,
     expected_samples += spec.arrival == Arrival::kPoisson
                             ? client->ops
                             : detail::timed_ops(client->ops, client->rng);
-    result.lock_acquisitions += client->ctx.lock_acquisitions;
-    result.lock_contended += client->ctx.lock_contended;
-    result.backoff_rounds += client->ctx.backoff_rounds;
-    result.lockfree_hits += client->ctx.lockfree_hits;
+    // The client's own slot in the cache: this run's lock counts only.
+    const LockCounts counts = client->ctx.totals();
+    result.lock_acquisitions += counts.holds;
+    result.lock_contended += counts.contended_holds;
+    result.backoff_rounds += counts.trylock_failures;
+    result.lockfree_hits += counts.lockfree_hits;
     if (spec.perf) result.perf += client->perf;
   }
   GC_CHECK(replayed == total_ops,

@@ -53,8 +53,8 @@
 // scheduled arrival, and it already sleeps before each op.
 //
 // Lock-contention telemetry, and the count of hits served without a lock,
-// accumulate in each thread's ClientContext and are summed into the
-// LoadResult once per run, never per operation. The
+// accumulate in each thread's count slot in the cache (shard_lock.hpp) and
+// are summed into the LoadResult once per run, never per operation. The
 // context also holds the thread's deferred hit recency (sharded_cache.hpp);
 // each client drains it when its replay ends, so nothing stays pending
 // once run_load returns.
@@ -139,15 +139,14 @@ struct LoadResult {
   std::uint64_t latency_samples = 0;
   /// Aggregate cache statistics (collect_stats after quiescing).
   SimStats stats;
-  /// Summed ClientContext contention counters; `backoff_rounds` counts the
-  /// yields between failed try_locks.
+  /// This run's clients' LockCounts, summed over shards: counted holds,
+  /// contended holds, and failed try_locks (one yield each).
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t lock_contended = 0;
   std::uint64_t backoff_rounds = 0;
-  /// Summed ClientContext::lockfree_hits: temporal hits served with no
-  /// hold. Every other op takes at least one hold, and each of these is a
-  /// hit, so lock_acquisitions + lockfree_hits >= ops and lockfree_hits <=
-  /// stats.hits.
+  /// Temporal hits served with no hold. Every other op takes at least one
+  /// hold, and each of these is a hit, so lock_acquisitions + lockfree_hits
+  /// >= ops and lockfree_hits <= stats.hits.
   std::uint64_t lockfree_hits = 0;
   /// Always 0: contended acquisitions yield, they never sleep. Kept so
   /// readers of the old field still compile.

@@ -12,20 +12,18 @@
 //     the right wait. A blocking lock() parks the loser in the kernel
 //     instead, and the futex wake-up costs more than the hold it waited
 //     for (docs/CONCURRENCY.md has the measurement);
-//   * contention telemetry — acquisitions / contended acquisitions / yields
-//     are counted into the caller's ClientContext, cheap per-thread plain
-//     counters that the load generator sums into its LoadResult once per
-//     run (never per operation).
+//   * contention telemetry — `lock()` returns its failed try_locks, and the
+//     caller's hold counts the acquisition, whether it was contended, and
+//     those failures in the client's count slot for the shard.
 //
-// The ClientContext also carries the client's deferred hit recency: per
-// shard, up to kDeferredHits hits whose policy update ShardedCache applies
-// in a later hold of the same client, so a temporal hit takes no hold at
-// all. The buffers are sized on the client's first access, before any
-// hold, because nothing may allocate under a guard. That first access also
-// enrolls the client in the cache's HitSlots: one count per shard of the
-// hits it served without a hold, owned by the cache so the counts outlive
-// the context. Enrolment takes the one non-shard lock of the access path,
-// which is why HitSlots lives here too.
+// The client's per-shard state lives here too: in its ClientContext, up to
+// kDeferredHits hits whose policy update its next hold on the shard
+// applies, so a temporal hit takes no hold; in the cache's ClientSlots, its
+// lock-free hits, holds, contended holds and failed try_locks, counted
+// once. Both are set up on the client's first access, before any hold,
+// because nothing may allocate under a guard; enrolling its slot takes the
+// one non-shard lock of the access path, which is why ClientSlots lives
+// here.
 //
 // It is also the sanctioned *blocking* home: gclint's lock-discipline rule is
 // unconditional ("no blocking while a shard guard is live — period", not
@@ -67,88 +65,109 @@ struct DeferredHits {
   std::uint32_t size = 0;
 };
 
-/// Eight shards' hit counts of one client, on a cache line of their own so
-/// no two clients' counts share a line. Each count has one writer, the
-/// client, which adds with a relaxed load and store; readers sum them with
-/// relaxed loads (HitSlots::totals).
-struct alignas(64) HitCountLine {
-  static constexpr std::size_t kCounts = 8;
-  std::array<std::atomic<std::uint64_t>, kCounts> counts{};
+/// A client's lock events on one shard, or a sum of them.
+struct LockCounts {
+  std::uint64_t lockfree_hits = 0;     ///< temporal hits served with no hold
+  std::uint64_t holds = 0;             ///< counted holds (ShardHold)
+  std::uint64_t contended_holds = 0;   ///< holds whose first try_lock failed
+  std::uint64_t trylock_failures = 0;  ///< failed try_locks, one yield each
+};
+
+/// One client's LockCounts on one shard, on a cache line of its own so no
+/// two clients' counts share a line. The client is each count's only
+/// writer (ClientContext::add); readers load them relaxed.
+struct alignas(64) SlotCounts {
+  std::atomic<std::uint64_t> lockfree_hits{0};
+  std::atomic<std::uint64_t> holds{0};
+  std::atomic<std::uint64_t> contended_holds{0};
+  std::atomic<std::uint64_t> trylock_failures{0};
+
+  void add_to(LockCounts& sum) const noexcept {
+    sum.lockfree_hits += lockfree_hits.load(std::memory_order_relaxed);
+    sum.holds += holds.load(std::memory_order_relaxed);
+    sum.contended_holds += contended_holds.load(std::memory_order_relaxed);
+    sum.trylock_failures += trylock_failures.load(std::memory_order_relaxed);
+  }
 };
 
 /// Per-client state. Never shared between threads — that is what makes it
-/// free. It holds the contention counters and, once the client's first
-/// access has bound it to a cache, one DeferredHits buffer per shard of
-/// that cache and a pointer to its hit-count slot in that cache. A context
-/// serves exactly one cache (access on another is a GC_HOT_REQUIRE
-/// violation), and ConcurrentCache::drain applies what is still pending
-/// when the client is done. A context destroyed undrained only loses those
-/// recency updates; the stats are already exact, because the slot belongs
-/// to the cache.
+/// free. Its first access binds it to one cache (access on another is a
+/// GC_HOT_REQUIRE violation): one DeferredHits buffer per shard, and its
+/// slot in the cache's ClientSlots, the only home of its lock counts.
+/// ConcurrentCache::drain applies what is still pending when the client is
+/// done; a context destroyed undrained only loses those recency updates.
 struct ClientContext {
-  std::uint64_t lock_acquisitions = 0;  ///< total lock() calls
-  std::uint64_t lock_contended = 0;     ///< calls whose first try_lock failed
-  std::uint64_t backoff_rounds = 0;     ///< failed retries, one yield each
-  std::uint64_t lockfree_hits = 0;      ///< temporal hits served with no hold
-  const void* cache = nullptr;          ///< the cache this context serves
-  std::vector<DeferredHits> deferred;   ///< one per shard of `cache`
-  HitCountLine* hit_counts = nullptr;   ///< its slot in `cache`'s HitSlots
+  const void* cache = nullptr;         ///< the cache this context serves
+  std::vector<DeferredHits> deferred;  ///< one per shard of `cache`
+  SlotCounts* slot = nullptr;          ///< one per shard, in `cache`
 
-  GC_HOT_REGION_BEGIN(client_hit_count)
-  /// Counts one hit served without a hold on shard `s`. The client is the
-  /// count's only writer, so a relaxed load and store replace an RMW.
+  GC_HOT_REGION_BEGIN(client_counts)
+  /// Counts one hit served without a hold on shard `s`.
   void count_lockfree_hit(std::size_t s) noexcept {
-    ++lockfree_hits;
-    std::atomic<std::uint64_t>& n =
-        hit_counts[s / HitCountLine::kCounts].counts[s % HitCountLine::kCounts];
-    n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    add(slot[s].lockfree_hits, 1);
   }
-  GC_HOT_REGION_END(client_hit_count)
+
+  /// Counts one hold of shard `s` whose lock() failed `trylock_failures`
+  /// try_locks first; it was contended if any failed.
+  void count_hold(std::size_t s, std::uint64_t trylock_failures) noexcept {
+    add(slot[s].holds, 1);
+    if (trylock_failures == 0) return;
+    add(slot[s].contended_holds, 1);
+    add(slot[s].trylock_failures, trylock_failures);
+  }
+
+  /// The client is the count's only writer: no RMW is needed.
+  static void add(std::atomic<std::uint64_t>& count,
+                  std::uint64_t n) noexcept {
+    count.store(count.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+  }
+  GC_HOT_REGION_END(client_counts)
+
+  /// Its counts summed over its cache's shards; zero before its first
+  /// access.
+  LockCounts totals() const noexcept {
+    LockCounts sum;
+    for (std::size_t s = 0; s < deferred.size(); ++s) slot[s].add_to(sum);
+    return sum;
+  }
 };
 
-/// The hit-count slots of every client a cache has bound: one count per
-/// shard per client. The cache owns them, so a client's counts outlive its
-/// ClientContext, and a slot is never freed before the cache. Enrolment
-/// and reads take `mu_`, a cold lock: a client enrolls once, on its first
-/// access, and readers are the cold snapshot paths.
-class HitSlots {
+/// The count slots of every client a cache has bound, one SlotCounts per
+/// shard each. The cache owns them, so a client's counts outlive its
+/// ClientContext. Enrolment (once per client) and reads (the cold snapshot
+/// paths) take `mu_`, a cold lock.
+class ClientSlots {
  public:
-  explicit HitSlots(std::size_t num_shards)
-      : num_shards_(num_shards),
-        lines_((num_shards + HitCountLine::kCounts - 1) /
-               HitCountLine::kCounts) {}
-  HitSlots(const HitSlots&) = delete;
-  HitSlots& operator=(const HitSlots&) = delete;
+  explicit ClientSlots(std::size_t num_shards) : num_shards_(num_shards) {}
+  ClientSlots(const ClientSlots&) = delete;
+  ClientSlots& operator=(const ClientSlots&) = delete;
 
   /// A new client's slot, every count zero. The slot's storage never moves.
-  HitCountLine* enroll() {
+  SlotCounts* enroll() {
     std::lock_guard<std::mutex> lk(mu_);
-    return slots_.emplace_back(lines_).data();
+    return slots_.emplace_back(num_shards_).data();
   }
 
-  /// Per shard, the sum of every slot's count: exact once the clients are
-  /// quiesced.
-  std::vector<std::uint64_t> totals() const {
-    std::vector<std::uint64_t> sums(num_shards_, 0);
+  /// Per shard, the sum of every client's counts: exact once the clients
+  /// are quiesced, and never smaller than a previous read.
+  std::vector<LockCounts> per_shard() const {
+    std::vector<LockCounts> sums(num_shards_);
     std::lock_guard<std::mutex> lk(mu_);
-    for (const std::vector<HitCountLine>& slot : slots_)
-      for (std::size_t s = 0; s < num_shards_; ++s)
-        sums[s] += slot[s / HitCountLine::kCounts]
-                       .counts[s % HitCountLine::kCounts]
-                       .load(std::memory_order_relaxed);
+    for (const std::vector<SlotCounts>& slot : slots_)
+      for (std::size_t s = 0; s < num_shards_; ++s) slot[s].add_to(sums[s]);
     return sums;
   }
 
  private:
   const std::size_t num_shards_;
-  const std::size_t lines_;  ///< HitCountLines per slot
   mutable std::mutex mu_;
-  std::vector<std::vector<HitCountLine>> slots_;  ///< one per client
+  std::vector<std::vector<SlotCounts>> slots_;  ///< one per client
 };
 
 /// One shard's lock, always taken exclusively: every shard transition is
 /// made by the shard's single writer. A temporal hit is no transition and
-/// takes no lock (sharded_cache.hpp).
+/// takes no lock (sharded_cache.hpp). The lock counts nothing itself.
 class ShardLock {
  public:
   ShardLock() = default;
@@ -156,14 +175,15 @@ class ShardLock {
   ShardLock& operator=(const ShardLock&) = delete;
 
   GC_HOT_REGION_BEGIN(shard_lock_acquire)
-  void lock(ClientContext& ctx) {
-    ++ctx.lock_acquisitions;
-    if (mu_.try_lock()) return;
-    ++ctx.lock_contended;
-    do {
-      ++ctx.backoff_rounds;
+  /// Takes the lock; returns how many try_locks failed first, one yield
+  /// each (0 when uncontended).
+  std::uint64_t lock() {
+    std::uint64_t failures = 0;
+    while (!mu_.try_lock()) {
+      ++failures;
       std::this_thread::yield();
-    } while (!mu_.try_lock());
+    }
+    return failures;
   }
 
   void unlock() { mu_.unlock(); }
@@ -177,17 +197,20 @@ class ShardLock {
 class ShardGuard {
  public:
   GC_HOT_REGION_BEGIN(shard_guard)
-  ShardGuard(ShardLock& lock, ClientContext& ctx) : lock_(lock) {
-    lock_.lock(ctx);
-  }
+  explicit ShardGuard(ShardLock& lock)
+      : lock_(lock), trylock_failures_(lock.lock()) {}
   ~ShardGuard() { lock_.unlock(); }
   GC_HOT_REGION_END(shard_guard)
 
   ShardGuard(const ShardGuard&) = delete;
   ShardGuard& operator=(const ShardGuard&) = delete;
 
+  /// The try_locks that failed before this guard got the lock.
+  std::uint64_t trylock_failures() const noexcept { return trylock_failures_; }
+
  private:
   ShardLock& lock_;
+  const std::uint64_t trylock_failures_;
 };
 
 /// The simulated backend fill, slept with NO shard guard held (the fill

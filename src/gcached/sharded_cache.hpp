@@ -28,20 +28,19 @@
 // `access` first probes the byte with one relaxed atomic load
 // (`CacheContents::temporal_resident`); on success the hit is linearised
 // at that load and takes no hold. It counts itself in the calling client's
-// hit-count slot for the shard (ClientContext::count_lockfree_hit, a slot
-// the cache owns) and queues its `policy.on_hit` in the client's
-// DeferredHits buffer for that shard. Every other access takes the hold:
-// a miss, a delayed hit, and a spatial hit (an untouched sideload, whose
-// first touch writes the flag). The client applies its buffer in order,
-// skipping items no longer resident, inside a hold of its own on that
-// shard: when the buffer fills, before any other transition it makes there
-// (a miss or a delayed-hit commit), and in `drain` when it is done. No
-// shardable policy evicts on a hit (the static_assert below), so with one
-// client the policy sees exactly fast_step's callback sequence; with
-// several, a miss can miss at most kDeferredHits - 1 pending hits of each
-// other client on its shard. A temporal hit writes only client-owned
-// memory; it reads the CacheContents header, which no transition writes,
-// and the item's flag byte.
+// count slot for the shard (a slot the cache owns) and queues its
+// `policy.on_hit` in the client's DeferredHits buffer for that shard.
+// Every other access takes the hold: a miss, a delayed hit, and a spatial
+// hit (an untouched sideload, whose first touch writes the flag). Every
+// counted hold (ShardHold) first applies the client's buffer for its
+// shard, in order, skipping items no longer resident; a full buffer takes
+// a hold for just that, and `drain` applies the rest. No shardable policy
+// evicts on a hit (the static_assert below), so with one client the policy
+// sees exactly fast_step's callback sequence; with several, a transition
+// can miss at most kDeferredHits - 1 pending hits of each other client on
+// its shard. A temporal hit writes only client-owned memory; it reads the
+// CacheContents header, which no transition writes, and the item's flag
+// byte.
 //
 // With S > 1 each shard owns capacity/S (±1) items, so the aggregate is a
 // partitioned cache, not a shared one: stats differ from a monolithic run
@@ -77,10 +76,9 @@
 // docs/CONCURRENCY.md ("Asynchronous fills and the MSHR table") documents
 // the lock hand-off protocol and the delayed-hit accounting.
 //
-// The access path carries no telemetry. Each shard's SimStats share, plus
-// three plain per-shard counters kept under its lock (lock acquisitions,
-// failed try-locks, coalesced waiters), plus the clients' lock-free hit
-// counts for the shard, IS the counter model: collect_stats sums it, and
+// The access path carries no telemetry. Each shard's SimStats share and
+// coalesced waiters, kept under its lock, plus the clients' count slots for
+// the shard, IS the counter model: collect_stats sums it, and
 // `shard_values` hands it per shard to the gcmon monitor (obs/gcmon.hpp),
 // which reads it through the same uncounted hold.
 #pragma once
@@ -266,8 +264,8 @@ class ConcurrentCache {
   virtual void access(ClientContext& ctx, ItemId item, BlockId block) = 0;
 
   /// Applies the policy updates of `ctx`'s still-deferred hits, once the
-  /// client is done. Cold path; its holds are not counted as lock
-  /// acquisitions. A context that never accessed is a no-op.
+  /// client is done. Cold path; its holds are not counted. A context that
+  /// never accessed is a no-op.
   virtual void drain(ClientContext& ctx) = 0;
 
   /// Aggregate SimStats across shards. Takes every shard lock; the result
@@ -298,8 +296,8 @@ class ConcurrentCache {
 template <typename Policy, typename MakePolicy>
 class ShardedCache final : public ConcurrentCache {
   // Deferred hit recency relies on it: with no eviction on a hit, applying
-  // a client's pending on_hit calls before its next miss is the sequential
-  // callback order.
+  // a client's pending on_hit calls at the start of its next hold is the
+  // sequential callback order.
   static_assert(!detail::kHitPathEvictions<Policy>,
                 "a policy that evicts on a hit cannot defer its hits");
 
@@ -312,7 +310,7 @@ class ShardedCache final : public ConcurrentCache {
       : cfg_(validated(map, cfg)),
         name_(std::move(policy_name)),
         ids_(*map, cfg.num_shards),
-        hit_slots_(cfg_.num_shards) {
+        slots_(cfg_.num_shards) {
     shards_.reserve(cfg_.num_shards);
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
       shards_.push_back(std::make_unique<Shard>(
@@ -331,9 +329,8 @@ class ShardedCache final : public ConcurrentCache {
   /// load of its flag byte and takes no hold: the client counts it in its
   /// own slot and defers its policy update, and takes a hold only when
   /// that fills its buffer. Otherwise, per iteration, one exclusive hold
-  /// classifies the access. A spatial hit is fast_step's hit arm with its
-  /// policy update deferred; every other hold first applies the client's
-  /// deferred hits on the shard. Any miss when fills are free is the exact
+  /// classifies the access, after applying the client's deferred hits on
+  /// the shard. A hit, or any miss when fills are free, is the exact
   /// fast_step transition inside that hold. A miss with a fill either
   /// coalesces onto the block's in-flight fill (parks on its FillGate, then
   /// re-classifies) or owns a fill: it claims an MSHR register — or, with
@@ -347,7 +344,6 @@ class ShardedCache final : public ConcurrentCache {
     if (ctx.cache != this) bind_client(ctx);
     const std::size_t s = shard_of_block(global_block, shards_.size());
     Shard& shard = *shards_[s];
-    DeferredHits& deferred = ctx.deferred[s];
     const BlockId block = ids_.local_block(global_block);
     const ItemId item = ids_.local_item(global_item, global_block, block);
     GC_HOT_REQUIRE(shard.cache.map().block_of(item) == block,
@@ -356,10 +352,10 @@ class ShardedCache final : public ConcurrentCache {
       // A temporal hit, linearised at that load. A miss that evicts the
       // item afterwards only makes apply_deferred skip its update.
       ctx.count_lockfree_hit(s);
+      DeferredHits& deferred = ctx.deferred[s];
       deferred.items[deferred.size] = item;
       if (++deferred.size == kDeferredHits) {
-        ShardHold hold(shard, ctx);
-        apply_deferred(shard, deferred);
+        ShardHold hold(shard, ctx, s);  // applies the full buffer
       }
       return;
     }
@@ -369,18 +365,9 @@ class ShardedCache final : public ConcurrentCache {
       std::uint64_t wait_epoch = 0;
       Mshr* fill_entry = nullptr;
       {
-        ShardHold hold(shard, ctx);
+        ShardHold hold(shard, ctx, s);
         const bool resident = shard.cache.contains(item);
-        if (resident && waited_ns == 0) {
-          // Mostly a spatial hit; a temporal one only if the item was
-          // loaded or touched since the probe above.
-          defer_hit(shard, deferred, item);
-          return;
-        }
-        // Not a plain hit: bring the policy up to date with this client's
-        // earlier hits first. It evicts nothing, so `resident` still holds.
-        apply_deferred(shard, deferred);
-        if (resident) {
+        if (resident && waited_ns != 0) {
           // Resident after a wait: a DELAYED hit — the access was served by
           // a fill already in flight when it arrived. Not a hit (the item
           // was absent at access time), not a miss (no fill was issued).
@@ -390,10 +377,9 @@ class ShardedCache final : public ConcurrentCache {
           commit_delayed_hit(shard, item, waited_ns);
           return;
         }
-        if (cfg_.fill_latency_ns == 0) {
-          // A free fill is never in flight, so a miss claims and commits
-          // it right here: fast_step's miss arm (its own contains probe
-          // re-confirms under the same hold).
+        if (resident || cfg_.fill_latency_ns == 0) {
+          // A hit (mostly spatial), or a miss whose free fill is never in
+          // flight, so it claims and commits it right here: fast_step.
           step(shard, item, block);
           return;
         }
@@ -423,7 +409,7 @@ class ShardedCache final : public ConcurrentCache {
       // re-acquire to commit. Other threads hit/miss/fill this shard's
       // OTHER blocks during the sleep — that overlap is the whole point.
       backend_fill(cfg_.fill_latency_ns);
-      commit_fill(ctx, shard, deferred, item, block, fill_entry);
+      commit_fill(ctx, shard, s, item, block, fill_entry);
       return;
     }
   }
@@ -435,32 +421,31 @@ class ShardedCache final : public ConcurrentCache {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (ctx.deferred[s].size == 0) continue;
       // An uncounted hold, like the cold readers': a drain is not an op.
-      ClientContext scratch;
-      ShardGuard guard(shards_[s]->lock, scratch);
+      ShardGuard guard(shards_[s]->lock);
       apply_deferred(*shards_[s], ctx.deferred[s]);
     }
   }
 
   SimStats collect_stats() override {
     SimStats total;
-    for_each_snapshot(
-        [&total](const Shard&, const SimStats& stats) { total += stats; });
+    for_each_snapshot([&total](const Shard&, const SimStats& stats,
+                               const LockCounts&) { total += stats; });
     return total;
   }
 
   std::vector<obs::ShardValues> shard_values() override {
     std::vector<obs::ShardValues> values(shards_.size());
     std::size_t s = 0;
-    for_each_snapshot([&values, &s](const Shard& shard,
-                                    const SimStats& stats) {
+    for_each_snapshot([&values, &s](const Shard& shard, const SimStats& stats,
+                                    const LockCounts& counts) {
       obs::ShardValues& v = values[s++];
       v.hits = stats.hits;
       v.misses = stats.misses;
       v.sideloads = stats.sideloads;
       v.delayed_hits = stats.delayed_hits;
       v.coalesced = shard.coalesced;
-      v.lock_acquisitions = shard.lock_acquisitions;
-      v.trylock_failures = shard.trylock_failures;
+      v.lock_acquisitions = counts.holds;
+      v.trylock_failures = counts.trylock_failures;
       v.residency = shard.cache.occupancy();
       v.mshr_inflight = shard.mshr.inflight();
     });
@@ -477,8 +462,7 @@ class ShardedCache final : public ConcurrentCache {
 
   std::size_t shard_occupancy(std::size_t s) override {
     GC_REQUIRE(s < shards_.size(), "shard index out of range");
-    ClientContext ctx;
-    ShardGuard guard(shards_[s]->lock, ctx);
+    ShardGuard guard(shards_[s]->lock);
     return shards_[s]->cache.occupancy();
   }
 
@@ -497,17 +481,15 @@ class ShardedCache final : public ConcurrentCache {
   }
 
   // One cache line per shard header keeps neighbouring shards' locks from
-  // false-sharing under cross-shard traffic, and a hold's bookkeeping (the
-  // lock, the two lock counters and `accesses`) on the lock's own line. A
-  // temporal hit takes no hold and writes none of it. CacheContents starts
-  // on the next line (it is 64-aligned), with the header a temporal hit
-  // reads apart from the fields a miss writes.
+  // false-sharing under cross-shard traffic, and a hold's one shared
+  // counter, `accesses`, on the lock's own line. A temporal hit takes no
+  // hold and writes none of it. CacheContents starts on the next line (it
+  // is 64-aligned), with the header a temporal hit reads apart from the
+  // fields a miss writes.
   struct alignas(64) Shard {
     ShardLock lock;
-    // Counted by every ShardHold under `lock`, and read only by
-    // shard_values (they are not SimStats).
-    std::uint64_t lock_acquisitions = 0;
-    std::uint64_t trylock_failures = 0;
+    // Under `lock`, not in a slot: hits are derived as accesses - misses -
+    // delayed hits, so a snapshot reads it in the hold that reads misses.
     std::uint64_t accesses = 0;  ///< accesses classified under a hold
     CacheContents cache;
     Policy policy;
@@ -520,68 +502,61 @@ class ShardedCache final : public ConcurrentCache {
           MakePolicy& make)
         : cache(map, capacity), policy(make()), mshr(mshrs) {}
   };
-  static_assert(sizeof(ShardLock) + 3 * sizeof(std::uint64_t) <= 64,
-                "a hold's bookkeeping must share the lock's line");
+  static_assert(sizeof(ShardLock) + sizeof(std::uint64_t) <= 64,
+                "a hold's access count must share the lock's line");
 
   /// Binds a client's first access to this cache: one DeferredHits buffer
   /// per shard, sized here, before any hold (nothing allocates under a
-  /// guard), and a fresh hit-count slot enrolled in `hit_slots_`. A context
-  /// already bound to another cache is rejected; a build without hot
-  /// checks rebinds it and drops its pending hits, which loses recency
-  /// updates but never applies a foreign id (its counts stay in the first
-  /// cache's slot).
+  /// guard), and a fresh count slot enrolled in `slots_`. A context already
+  /// bound to another cache is rejected; a build without hot checks
+  /// rebinds it and drops its pending hits, which loses recency updates but
+  /// never applies a foreign id (its counts stay in the first cache's
+  /// slot).
   void bind_client(ClientContext& ctx) {
     GC_HOT_REQUIRE(ctx.cache == nullptr,
                    "a ClientContext serves exactly one cache");
     ctx.cache = this;
     ctx.deferred.assign(shards_.size(), DeferredHits{});
-    ctx.hit_counts = hit_slots_.enroll();
+    ctx.slot = slots_.enroll();
   }
 
-  /// Calls `fn(shard, stats)` for every shard under one hold of its lock,
-  /// `stats` being the shard's finalized SimStats share. collect_stats and
-  /// shard_values both read through here. The shard's accesses are those
-  /// classified under a hold plus every client's lock-free hits on it,
-  /// summed from `hit_slots_` first; each lock-free hit is temporal, so
-  /// fast_finalize's derivation of hits and temporal hits stays exact. The
-  /// hold uses a throwaway context, not a ShardHold, so these cold reads
-  /// never count toward the shard's lock counters; the derivable counters
-  /// are filled in on a COPY of the partial stats, so the shard keeps
-  /// counting from its partials.
+  /// Calls `fn(shard, stats, counts)` for every shard under one uncounted
+  /// hold of its lock (a plain ShardGuard): `counts` is every client's lock
+  /// counts on the shard, summed from `slots_` first, and `stats` its
+  /// SimStats share finalized with its accesses under holds plus those
+  /// lock-free hits. Each lock-free hit is temporal, so fast_finalize's
+  /// derivation of hits and temporal hits stays exact. It finalizes a COPY
+  /// of the partial stats, so the shard keeps counting from its partials.
   template <typename Fn>
   void for_each_snapshot(Fn&& fn) {
-    const std::vector<std::uint64_t> lockfree = hit_slots_.totals();
+    const std::vector<LockCounts> counts = slots_.per_shard();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard& shard = *shards_[s];
-      ClientContext ctx;
-      ShardGuard guard(shard.lock, ctx);
+      ShardGuard guard(shard.lock);
       SimStats stats = shard.partial;
       detail::fast_finalize<Policy>(shard.cache, stats,
-                                    shard.accesses + lockfree[s]);
-      fn(shard, stats);
+                                    shard.accesses + counts[s].lockfree_hits);
+      fn(shard, stats, counts[s]);
     }
   }
 
   GC_HOT_REGION_BEGIN(gcached_hold)
-  /// One exclusive hold of a shard: takes the lock, checks the
-  /// single-writer-per-shard invariant, and counts what acquiring the lock
-  /// cost this client (one acquisition, its failed try_locks) into the
-  /// shard's plain counters — while holding the shard, which is what makes
-  /// the plain increments exact. The invariant check compiles out under
-  /// GC_FAST_SIM. The exclusive lock makes the writer flag race-free, so a
-  /// firing check means a lock-discipline bug (an access path that skipped
-  /// the ShardHold), not a data race.
+  /// One client's counted exclusive hold of a shard: takes the lock, checks
+  /// the single-writer-per-shard invariant, counts the hold in the client's
+  /// slot, and applies the client's deferred hits on the shard, so every
+  /// transition the hold makes follows the client's earlier hits. The
+  /// check compiles out under GC_FAST_SIM. The exclusive lock makes the
+  /// writer flag race-free, so a firing check means a lock-discipline bug
+  /// (an access path that skipped the ShardHold), not a data race.
   class ShardHold {
    public:
-    ShardHold(Shard& shard, ClientContext& ctx)
-        : shard_(shard),
-          rounds_before_(ctx.backoff_rounds),
-          guard_(shard.lock, ctx) {
+    ShardHold(Shard& shard, ClientContext& ctx, std::size_t s)
+        : shard_(shard), guard_(shard.lock) {
       GC_HOT_CHECK(!shard_.writer_active,
                    "single-writer-per-shard invariant violated");
       if constexpr (kHotChecksEnabled) shard_.writer_active = true;
-      ++shard_.lock_acquisitions;
-      shard_.trylock_failures += ctx.backoff_rounds - rounds_before_;
+      ctx.count_hold(s, guard_.trylock_failures());
+      apply_deferred(shard_, ctx.deferred[s]);
     }
     ~ShardHold() {
       if constexpr (kHotChecksEnabled) shard_.writer_active = false;
@@ -591,37 +566,21 @@ class ShardedCache final : public ConcurrentCache {
 
    private:
     Shard& shard_;
-    const std::uint64_t rounds_before_;
     ShardGuard guard_;
   };
 
   /// The fast_step transition of one access. Must run inside a ShardHold.
   /// fast_step maintains only the non-derivable counters (misses, spatial
   /// hits); fast_finalize derives the rest from the access count.
-  void step(Shard& shard, ItemId item, BlockId block) {
+  static void step(Shard& shard, ItemId item, BlockId block) {
     detail::fast_step(shard.cache, shard.policy, shard.partial, item, block);
     ++shard.accesses;
-  }
-
-  /// A hit classified under the hold (mostly a spatial one): fast_step's
-  /// hit arm with `policy.on_hit` queued in the client's buffer for this
-  /// shard, applied once the buffer fills. Must run inside a ShardHold.
-  void defer_hit(Shard& shard, DeferredHits& deferred, ItemId item) {
-    if constexpr (detail::kRequestedOnly<Policy>) {
-      shard.cache.record_requested_hit(item);
-    } else {
-      if (shard.cache.record_hit(item) == HitKind::kSpatial)
-        ++shard.partial.spatial_hits;
-    }
-    ++shard.accesses;
-    deferred.items[deferred.size] = item;
-    if (++deferred.size == kDeferredHits) apply_deferred(shard, deferred);
   }
 
   /// Replays a client's deferred hits on `shard` in hit order, skipping
   /// items another client's miss evicted since (the policy knows only
   /// residents), and empties the buffer. Must run under the shard's lock.
-  void apply_deferred(Shard& shard, DeferredHits& deferred) {
+  static void apply_deferred(Shard& shard, DeferredHits& deferred) {
     for (std::uint32_t i = 0; i < deferred.size; ++i)
       if (shard.cache.contains(deferred.items[i]))
         shard.policy.on_hit(deferred.items[i]);
@@ -634,10 +593,9 @@ class ShardedCache final : public ConcurrentCache {
   /// block may have committed our item during the unlocked window, and
   /// `begin_miss` on a resident item is a contract violation — the access
   /// then lands as a delayed hit that waited the full fill.
-  void commit_fill(ClientContext& ctx, Shard& shard, DeferredHits& deferred,
+  void commit_fill(ClientContext& ctx, Shard& shard, std::size_t s,
                    ItemId item, BlockId block, Mshr* fill_entry) {
-    ShardHold hold(shard, ctx);
-    apply_deferred(shard, deferred);
+    ShardHold hold(shard, ctx, s);
     if (!shard.cache.contains(item)) {
       // fast_step re-probes residency under this same hold and takes its
       // miss arm: begin_miss/on_miss/end_miss, the exact sequential
@@ -685,7 +643,7 @@ class ShardedCache final : public ConcurrentCache {
   // Policies are neither copyable nor movable, so shards live behind
   // unique_ptr.
   std::vector<std::unique_ptr<Shard>> shards_;
-  HitSlots hit_slots_;  ///< every bound client's lock-free hit counts
+  ClientSlots slots_;  ///< every bound client's lock counts
 };
 
 }  // namespace gcaching::gcached

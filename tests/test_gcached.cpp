@@ -21,7 +21,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -398,6 +400,10 @@ TEST(GcachedLockFreeHits, ExactHoldCountOnAHandComputedTrace) {
   expected.evictions = 2;
   EXPECT_EQ(res.stats, expected);
   EXPECT_EQ(res.stats, simulate_fast_spec("item-lru", w, cfg.capacity));
+  // The cache's own count of the same holds: one client, never contended.
+  const obs::ShardValues v = cache->shard_values()[0];
+  EXPECT_EQ(v.lock_acquisitions, 5u);
+  EXPECT_EQ(v.trylock_failures, 0u);
 }
 
 TEST(GcachedLockFreeHits, AnUntouchedSideloadIsALockedSpatialHit) {
@@ -411,16 +417,42 @@ TEST(GcachedLockFreeHits, AnUntouchedSideloadIsALockedSpatialHit) {
   ClientContext ctx;
   cache->access(ctx, 0, 0);  // miss, sideloads 1
   cache->access(ctx, 1, 0);  // spatial hit
-  EXPECT_EQ(ctx.lockfree_hits, 0u);
-  EXPECT_EQ(ctx.lock_acquisitions, 2u);
+  EXPECT_EQ(ctx.totals().lockfree_hits, 0u);
+  EXPECT_EQ(ctx.totals().holds, 2u);
   EXPECT_EQ(cache->collect_stats().spatial_hits, 1u);
   cache->access(ctx, 1, 0);  // temporal hit
-  EXPECT_EQ(ctx.lockfree_hits, 1u);
-  EXPECT_EQ(ctx.lock_acquisitions, 2u);
+  EXPECT_EQ(ctx.totals().lockfree_hits, 1u);
+  EXPECT_EQ(ctx.totals().holds, 2u);
   const SimStats stats = cache->collect_stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.spatial_hits, 1u);
   EXPECT_EQ(stats.temporal_hits, 1u);
+}
+
+TEST(GcachedLockFreeHits, ASpatialHitUpdatesRecencyInItsOwnHold) {
+  // block-lru, blocks of 2, one shard of 4 items, two clients on one
+  // thread. a's hit on the sideloaded 1 is spatial, so it takes the hold;
+  // its recency must reach the policy in that hold, as in the sequential
+  // engine: b's miss on 4 then evicts block {2, 3}, not {0, 1}, and b's
+  // access to 0 hits. Left pending in a's buffer, the update would arrive
+  // too late and 0 would miss.
+  const auto map = std::make_shared<UniformBlockMap>(6, 2);
+  GcachedConfig cfg;
+  cfg.capacity = 4;
+  const auto cache = make_concurrent_cache("block-lru", map, cfg);
+  ClientContext a;
+  ClientContext b;
+  cache->access(a, 0, 0);  // miss, sideloads 1: {0, 1}
+  cache->access(a, 2, 1);  // miss, sideloads 3: {0, 1, 2, 3}
+  cache->access(a, 1, 0);  // spatial hit: block {0, 1} most recent
+  cache->access(b, 4, 2);  // miss, evicts {2, 3}
+  cache->access(b, 0, 0);  // hit
+  Workload w;
+  w.map = map;
+  w.trace = Trace(std::vector<ItemId>{0, 2, 1, 4, 0});
+  w.trace.precompute_block_ids(*w.map);
+  EXPECT_EQ(cache->collect_stats(),
+            simulate_fast_spec("block-lru", w, cfg.capacity));
 }
 
 TEST(GcachedLockFreeHits, CountsOutliveTheirContext) {
@@ -440,7 +472,7 @@ TEST(GcachedLockFreeHits, CountsOutliveTheirContext) {
         ClientContext ctx;
         for (std::size_t i = 0; i < accesses.size(); ++i)
           cache->access(ctx, accesses[i], ids[i]);
-        ASSERT_GT(ctx.lockfree_hits, 0u);
+        ASSERT_GT(ctx.totals().lockfree_hits, 0u);
       }
       EXPECT_EQ(cache->collect_stats(),
                 sharded_oracle(spec, w, shards, cfg.capacity));
@@ -635,6 +667,20 @@ TEST(GcachedCli, ShardsAreValidatedBeforeThreads) {
   EXPECT_EQ(msg.find("--threads"), std::string::npos) << msg;
 }
 
+TEST(GcachedCli, FillMicrosecondsConvertOnlyWhenTheyFit) {
+  EXPECT_EQ(fill_us_to_ns(0.0), 0u);
+  EXPECT_EQ(fill_us_to_ns(2.5), 2'500u);
+  EXPECT_EQ(fill_us_to_ns(20.0), 20'000u);
+  EXPECT_EQ(fill_us_to_ns(9e15), 9'000'000'000'000'000'000u);  // 285 years
+  // Past 2^63 ns, negative, or not finite: a cast would be undefined.
+  for (const double bad : {2e16, 1e30, -1.0, -1e-3,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(fill_us_to_ns(bad), std::nullopt);
+  }
+}
+
 // ---- Concurrent runs (tsan teeth) -------------------------------------------
 
 TEST(GcachedConcurrent, ConservationHoldsOnEverySchedule) {
@@ -673,23 +719,22 @@ TEST(GcachedConcurrent, ConservationHoldsOnEverySchedule) {
 
 TEST(GcachedShardLock, ContendedAcquisitionCountsOneContentionAndItsYields) {
   // One thread holds the shard while a second calls lock(): the second's
-  // first try_lock fails (one contended acquisition), and it yields until
-  // the holder releases (at least one retry). A contender descheduled past
-  // the whole hold finds the lock free and records no contention, so the
-  // round is repeated until one contends; every round must count exactly
-  // one acquisition and at most one contention.
+  // try_locks fail, one yield each, until the holder releases, and lock()
+  // returns how many failed. A contender descheduled past the whole hold
+  // finds the lock free and returns 0, so the round is repeated until one
+  // contends; the holder's uncontended guard reports no failure.
   bool contended_round = false;
   for (int round = 0; round < 100 && !contended_round; ++round) {
     ShardLock lock;
-    ClientContext holder;
-    ClientContext contender;
     std::atomic<bool> started{false};
+    std::uint64_t failures = 0;
     std::thread second;
     {
-      ShardGuard guard(lock, holder);
+      ShardGuard guard(lock);
+      EXPECT_EQ(guard.trylock_failures(), 0u);
       second = std::thread([&] {
         started.store(true, std::memory_order_release);
-        lock.lock(contender);
+        failures = lock.lock();
         lock.unlock();
       });
       while (!started.load(std::memory_order_acquire))
@@ -697,16 +742,7 @@ TEST(GcachedShardLock, ContendedAcquisitionCountsOneContentionAndItsYields) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     second.join();
-    EXPECT_EQ(holder.lock_acquisitions, 1u);
-    EXPECT_EQ(holder.lock_contended, 0u);
-    EXPECT_EQ(contender.lock_acquisitions, 1u);
-    EXPECT_LE(contender.lock_contended, 1u);
-    if (contender.lock_contended == 1) {
-      EXPECT_GE(contender.backoff_rounds, 1u);
-      contended_round = true;
-    } else {
-      EXPECT_EQ(contender.backoff_rounds, 0u);
-    }
+    contended_round = failures >= 1;
   }
   EXPECT_TRUE(contended_round);
 }

@@ -606,9 +606,9 @@ TEST(GcmonDifferential, AttachedMonitorNeverPerturbsTheRun) {
   EXPECT_EQ(res.stats, expected);
 
   // The final harvest (taken by run_load after quiesce) is the run's own
-  // statistics, with complete latency. Its lock counters are the client's:
-  // the monitor's reads are uncounted, and when one of them held the shard
-  // the client's failed try-locks land in both counts alike.
+  // statistics, with complete latency. Its lock counters are the client's
+  // slot summed per shard, and the LoadResult's the same slot summed per
+  // client: the monitor's reads are uncounted, so the two sums agree.
   const std::vector<Snapshot> ring = mon.snapshots();
   ASSERT_FALSE(ring.empty());
   const ShardValues& totals = ring.back().totals;

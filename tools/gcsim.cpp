@@ -561,8 +561,7 @@ int cmd_gcached(const Args& args) {
   const long long threads = args.get_i64("threads", 1);
   gcached::GcachedConfig cfg;
   cfg.capacity = args.get_u64("capacity");
-  cfg.fill_latency_ns =
-      static_cast<std::uint64_t>(args.get_f64("fill-us", 0.0) * 1000.0);
+  const double fill_us = args.get_f64("fill-us", 0.0);
   cfg.mshr_entries =
       static_cast<std::size_t>(args.get_u64("mshrs", cfg.mshr_entries));
   const std::string spec = args.get("policy", std::string("item-lru"));
@@ -606,6 +605,14 @@ int cmd_gcached(const Args& args) {
     std::cerr << "gcached: " << bad << "\n";
     return 2;
   }
+  const std::optional<std::uint64_t> fill_ns = gcached::fill_us_to_ns(fill_us);
+  if (!fill_ns) {
+    std::cerr << "gcached: --fill-us must be a finite, non-negative number "
+                 "of microseconds below 2^63 ns (got "
+              << fill_us << ")\n";
+    return 2;
+  }
+  cfg.fill_latency_ns = *fill_ns;
   cfg.num_shards = static_cast<std::size_t>(shards);
   load.threads = static_cast<std::size_t>(threads);
 
