@@ -12,15 +12,15 @@
 // Opt-in fast-engine traits. The template engines in core/simulator.hpp
 // detect these `static constexpr bool` members structurally (no virtual
 // surface; the verifying engine ignores them). Each is a *claim* about the
-// policy's behaviour, checked by GC_HOT_REQUIREs in the verifying build and
-// audited by tools/gclint:
+// policy's behaviour, checked by GC_HOT_REQUIREs in the verifying build; a
+// wrong claim changes the fast engine's stats, which
+// FastSimDifferential.BitIdenticalStatsAcrossSeedsAndCapacities compares
+// against the verifying engine for every registered policy:
 //
 //   * kRequestedLoadsOnly — on_miss loads only the requested item, so every
 //     hit is statically temporal and the hit path skips the flag update.
 //   * kEvictsOutsideMiss — the policy evicts during hits, so eviction stats
 //     must be snapshotted per miss transaction.
-//   * kIsStackPolicy — obeys Mattson inclusion; capacity sweeps may use one
-//     stack-distance pass instead of per-capacity simulation.
 #pragma once
 
 #include <string>

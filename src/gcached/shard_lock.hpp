@@ -2,9 +2,10 @@
 //
 // Every gcached shard is guarded by one `ShardLock` (a std::mutex wrapper).
 // This file is the ONLY place per-access code may touch a raw mutex:
-// gclint's `hot-region-raw-lock` rule bans mutex/lock_guard tokens inside
-// GC_HOT_REGION blocks everywhere else, so all per-access locking is forced
-// through `ShardGuard` and automatically inherits
+// gclint's `hot-path` rule bans mutex/lock_guard tokens inside GC_HOT_REGION
+// blocks, and in every function they reach, everywhere else, so all
+// per-access locking is forced through `ShardGuard` and automatically
+// inherits
 //
 //   * try-lock first — the uncontended path is one atomic RMW, no syscall;
 //   * yield-and-retry on contention — no thread ever sleeps while holding a
@@ -31,9 +32,9 @@
 // the simulated backend fill sleep (`backend_fill`) and the MSHR fill-gate
 // wait/notify pair (`FillGate`) — lives here, callable only with no guard
 // held. The gate's wait helper is likewise the only place the fill path may
-// read a clock (this file and gcmon are the clock homes): the delayed-hit
-// queuing cost is measured inside `FillGate::await_past`, never in the
-// access transition itself.
+// read a clock (gclint's hot-path rule exempts this file from its lock,
+// clock and blocking bans): the delayed-hit queuing cost is measured inside
+// `FillGate::await_past`, never in the access transition itself.
 //
 // See docs/CONCURRENCY.md for the full locking discipline.
 #pragma once
@@ -243,8 +244,9 @@ GC_HOT_REGION_END(backend_fill)
 ///
 /// await_past also *measures* the wait with a steady clock — the delayed
 /// hit's queuing cost (remaining fill time at arrival). That read is legal
-/// only because this file is a gclint clock home; the measurement belongs to
-/// the blocking primitive, not to the cache transition that consumes it.
+/// only because this file is exempt from gclint's hot-path clock ban; the
+/// measurement belongs to the blocking primitive, not to the cache
+/// transition that consumes it.
 class FillGate {
  public:
   FillGate() = default;

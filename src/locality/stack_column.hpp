@@ -26,9 +26,9 @@
 // block exactly B items) so that "capacity k holds floor(k/B) blocks" models
 // the policy's evict-until-fits loop; `block_column_supported` reports it.
 // The factory (policies/factory.cpp) decides eligibility once, in
-// `stack_column_eligible`, behind the `kIsStackPolicy` trait and, in checking
-// builds, cross-checks the derivation against per-cell `simulate_fast` cell
-// by cell.
+// `stack_column_eligible` (item-lru always, block-lru on a uniform partition)
+// and, in checking builds, cross-checks the derivation against per-cell
+// `simulate_fast` cell by cell.
 #pragma once
 
 #include <span>

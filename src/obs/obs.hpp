@@ -12,9 +12,9 @@
 //
 // Spans mark per-task and per-run work (sweep rows and cells, pool tasks),
 // never per-access code: hot regions carry no telemetry, which gclint's
-// `hot-region-raw-obs` rule enforces. Windowed timelines
-// (obs/timeline.hpp) need no macro: `record_timeline` steps the verifying
-// engine itself.
+// `hot-path` rule enforces for obs:: and these macros alike. Windowed
+// timelines (obs/timeline.hpp) need no macro: `record_timeline` steps the
+// verifying engine itself.
 //
 // Macro inventory:
 //   GC_OBS_SPAN(var, name, cat)          RAII trace span for this scope

@@ -48,7 +48,7 @@ void TraceLog::set_thread_name(const std::string& name) {
 }
 
 std::size_t TraceLog::size() const {
-  // GCLINT-ALLOW(hot-region-transitive): unqualified-name collision — hot regions call vector::size/flags_.size(), never TraceLog::size; the trace log is collect-time only
+  // GCLINT-ALLOW(hot-path): unqualified-name collision — hot regions call vector::size/flags_.size(), never TraceLog::size; the trace log is collect-time only
   std::lock_guard<std::mutex> lock(mu_);
   return events_.size();
 }

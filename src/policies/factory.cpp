@@ -198,10 +198,8 @@ SimStats simulate_fast_spec(const std::string& spec, const Workload& workload,
 
 bool stack_column_eligible(const std::string& spec, const BlockMap& map) {
   const std::string name = parse_spec(spec).first;
-  if (name == "item-lru") return ItemLru::kIsStackPolicy;
-  if (name == "block-lru")
-    return BlockLru::kIsStackPolicy && locality::block_column_supported(map);
-  return false;
+  return name == "item-lru" ||
+         (name == "block-lru" && locality::block_column_supported(map));
 }
 
 std::vector<SimStats> simulate_column_spec(

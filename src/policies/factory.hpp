@@ -60,9 +60,9 @@ SimStats simulate_fast_spec(const std::string& spec, const Workload& workload,
                             std::size_t capacity);
 
 /// True when `spec`'s capacity column over `map` collapses into ONE
-/// stack-distance pass (locality/stack_column.hpp): the policy declares
-/// `kIsStackPolicy` (item-lru, block-lru), and block-lru additionally needs a
-/// uniform partition. The one eligibility rule behind both
+/// stack-distance pass (locality/stack_column.hpp): item-lru always, and
+/// block-lru on a uniform partition — the two policies that obey Mattson
+/// inclusion. The one eligibility rule behind both
 /// simulate_column_spec and run_sweep's task list.
 bool stack_column_eligible(const std::string& spec, const BlockMap& map);
 

@@ -47,7 +47,6 @@ class Iblp final : public ReplacementPolicy {
   /// Promoting a block-layer hit can evict an item-layer victim *during the
   /// hit* (insert_into_item_layer). The fast engine must then charge
   /// eviction stats per miss transaction like the verifying engine does.
-  // GCLINT-TRAIT-CHECKED-BY: CacheContents::evict
   static constexpr bool kEvictsOutsideMiss = true;
 
   void attach(const BlockMap& map, CacheContents& cache) override;
@@ -83,7 +82,6 @@ class IblpExclusive final : public ReplacementPolicy {
   explicit IblpExclusive(IblpConfig cfg) : cfg_(cfg) {}
 
   /// See Iblp::kEvictsOutsideMiss — hit-path promotions evict here too.
-  // GCLINT-TRAIT-CHECKED-BY: CacheContents::evict
   static constexpr bool kEvictsOutsideMiss = true;
 
   void attach(const BlockMap& map, CacheContents& cache) override;

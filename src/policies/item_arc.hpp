@@ -22,7 +22,6 @@ namespace gcaching {
 class ItemArc final : public ReplacementPolicy {
  public:
   /// Loads only the requested item, never a sibling (see simulate_fast).
-  // GCLINT-TRAIT-CHECKED-BY: CacheContents::record_requested_hit
   static constexpr bool kRequestedLoadsOnly = true;
 
   ItemArc() = default;

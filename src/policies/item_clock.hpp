@@ -16,7 +16,6 @@ namespace gcaching {
 class ItemClock final : public ReplacementPolicy {
  public:
   /// Loads only the requested item, never a sibling (see simulate_fast).
-  // GCLINT-TRAIT-CHECKED-BY: CacheContents::record_requested_hit
   static constexpr bool kRequestedLoadsOnly = true;
 
   ItemClock() = default;

@@ -49,7 +49,6 @@ namespace gcaching {
 class ItemLfu final : public ReplacementPolicy {
  public:
   /// Loads only the requested item, never a sibling (see simulate_fast).
-  // GCLINT-TRAIT-CHECKED-BY: CacheContents::record_requested_hit
   static constexpr bool kRequestedLoadsOnly = true;
 
   ItemLfu() = default;

@@ -18,14 +18,7 @@ class ItemLru final : public ReplacementPolicy {
   ItemLru() = default;
 
   /// Loads only the requested item, never a sibling (see simulate_fast).
-  // GCLINT-TRAIT-CHECKED-BY: CacheContents::record_requested_hit
   static constexpr bool kRequestedLoadsOnly = true;
-
-  /// Satisfies the LRU inclusion property, so a whole capacity column can
-  /// collapse into one stack-distance pass (locality/stack_column.hpp); the
-  /// factory's stack_column_eligible keys off this trait.
-  // GCLINT-TRAIT-CHECKED-BY: stack_column_eligible
-  static constexpr bool kIsStackPolicy = true;
 
   // Inline (with the callbacks below) so the fast engine's instantiation
   // sees the attachment: the compiler then knows cache() is the engine's

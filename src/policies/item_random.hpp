@@ -15,7 +15,6 @@ namespace gcaching {
 class ItemRandom final : public ReplacementPolicy {
  public:
   /// Loads only the requested item, never a sibling (see simulate_fast).
-  // GCLINT-TRAIT-CHECKED-BY: CacheContents::record_requested_hit
   static constexpr bool kRequestedLoadsOnly = true;
 
   explicit ItemRandom(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}

@@ -62,7 +62,7 @@ class ThreadPool {
   /// Blocks until every submitted task has finished; rethrows the first
   /// captured task exception, if any.
   void wait() {
-    // GCLINT-ALLOW(hot-region-transitive): unqualified-name collision — the fill_gate hot region calls condition_variable::wait, never ThreadPool::wait; pool waiting is sweep-/run-boundary only
+    // GCLINT-ALLOW(hot-path): unqualified-name collision — the fill_gate hot region calls condition_variable::wait, never ThreadPool::wait; pool waiting is sweep-/run-boundary only
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [this] { return outstanding_ == 0; });
     if (first_error_) {

@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,7 +53,6 @@ const char* kPolicyOk = R"cpp(
 namespace g {
 class ItemLru {
  public:
-  // GCLINT-TRAIT-CHECKED-BY: record_requested_hit
   static constexpr bool kRequestedLoadsOnly = true;
 };
 }
@@ -174,8 +176,7 @@ inline void step(int x) {
 }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-raw-obs");
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].line, 4u);  // the unqualified obs:: call
   EXPECT_EQ(hits[1].line, 5u);  // the fully qualified one
@@ -183,33 +184,50 @@ GC_HOT_REGION_END(per_access)
 }
 
 TEST(GclintHotRegion, ObsMacrosAndOutsideUseAreLegal) {
-  // The rule matches the `obs::` token, so GC_OBS_* macro names never trip
-  // it; raw obs:: is fine outside any region (a per-run timeline); and
-  // identifiers merely containing "obs" (jobs::, obs_window) must not
-  // trip the token match.
+  // Telemetry is fine outside any region (a per-run timeline, a per-task
+  // span), and identifiers merely containing "obs" or "GC_OBS_" (jobs::,
+  // obs_window, a GC_OBS_ constant that is not invoked) must not trip the
+  // token match.
   const std::vector<SourceFile> files = {{"src/sim/driver.cpp", R"cpp(
 const obs::StatsTimeline timeline =
     obs::record_timeline(map, trace, policy, 64, 0);
+inline void run_task(std::uint64_t obs_window) {
+  GC_OBS_SPAN_ARG(span, "window", std::to_string(obs_window));
+}
 GC_HOT_REGION_BEGIN(per_access)
 inline void step(int x, std::uint64_t obs_window) {
-  GC_OBS_SPAN_ARG(span, "window", std::to_string(obs_window));
-  jobs::enqueue(x);
+  jobs::enqueue(x + GC_OBS_LIVE + static_cast<int>(obs_window));
 }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-raw-obs").empty());
+  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "hot-path").empty());
+}
+
+TEST(GclintHotRegion, ObsMacroInsideRegionIsFlagged) {
+  // A GC_OBS_* span records telemetry just as a direct obs:: call does.
+  const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
+GC_HOT_REGION_BEGIN(gcached_access)
+inline void access(Shard& shard, ItemId item) {
+  GC_OBS_SPAN(span, "access", "gcached");
+  shard.touch(item);
+}
+GC_HOT_REGION_END(gcached_access)
+)cpp"}};
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 4u);
+  EXPECT_NE(hits[0].message.find("'GC_OBS_SPAN'"), std::string::npos);
+  EXPECT_NE(hits[0].message.find("carry no telemetry"), std::string::npos);
 }
 
 TEST(GclintHotRegion, AllowAnnotationSuppressesRawObs) {
   const std::vector<SourceFile> files = {{"src/core/engine.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(per_access)
-// GCLINT-ALLOW(hot-region-raw-obs): labels the worker once, before its loop
+// GCLINT-ALLOW(hot-path): labels the worker once, before its loop
 inline void name_worker() { obs::name_current_thread("gcpool-worker"); }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-raw-obs").empty());
+  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "hot-path").empty());
 }
 
 TEST(GclintHotRegion, RawLockInsideRegionIsFlagged) {
@@ -222,8 +240,7 @@ inline void step(Shard& shard) {
 }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-raw-lock");
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
   // Line 2 is outside any region (cold-path locking is fine); line 5 fires
   // once even though it names two banned tokens.
   ASSERT_EQ(hits.size(), 1u);
@@ -249,19 +266,17 @@ inline void access(Shard& shard, ClientContext& ctx) {
 }
 GC_HOT_REGION_END(gcached_access)
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-raw-lock").empty());
+  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "hot-path").empty());
 }
 
 TEST(GclintHotRegion, AllowAnnotationSuppressesRawLock) {
   const std::vector<SourceFile> files = {{"src/core/engine.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(per_access)
-// GCLINT-ALLOW(hot-region-raw-lock): startup barrier, not per-access
+// GCLINT-ALLOW(hot-path): startup barrier, not per-access
 inline void start(std::condition_variable& cv) { cv.notify_all(); }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-raw-lock").empty());
+  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "hot-path").empty());
 }
 
 TEST(GclintHotRegion, RawClockInsideRegionIsFlagged) {
@@ -275,8 +290,7 @@ inline void step(Shard& shard) {
 }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-raw-clock");
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
   // Line 2 is outside any region (cold-path timing is fine); lines 5 and 7
   // fire once each.
   ASSERT_EQ(hits.size(), 2u);
@@ -292,8 +306,7 @@ inline unsigned long stamp() { return __rdtsc(); }
 inline long posix_stamp(timespec* ts) { return clock_gettime(0, ts); }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-raw-clock");
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].line, 3u);
   EXPECT_EQ(hits[1].line, 4u);
@@ -314,8 +327,7 @@ GC_HOT_REGION_BEGIN(fill_gate)
 inline long waited() { return std::chrono::steady_clock::now().count(); }
 GC_HOT_REGION_END(fill_gate)
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-raw-clock");
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].path, "src/obs/gcmon.cpp");
   EXPECT_EQ(hits[0].line, 3u);
@@ -324,12 +336,11 @@ GC_HOT_REGION_END(fill_gate)
 TEST(GclintHotRegion, AllowAnnotationSuppressesRawClock) {
   const std::vector<SourceFile> files = {{"src/core/engine.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(per_access)
-// GCLINT-ALLOW(hot-region-raw-clock): one-time warmup stamp, not per-access
+// GCLINT-ALLOW(hot-path): one-time warmup stamp, not per-access
 inline void warmup(Shard& s) { s.t0 = std::chrono::steady_clock::now(); }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-raw-clock").empty());
+  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "hot-path").empty());
 }
 
 TEST(GclintHotRegion, HotTierContractsAreLegalInside) {
@@ -390,65 +401,6 @@ const char* msg = "std::mt19937 and printf( are just prose";
 const char* raw = "GC_HOT_REGION_BEGIN(fake)";
 )cpp"}};
   EXPECT_TRUE(gclint::lint(files).empty());
-}
-
-// ---- trait-audit ------------------------------------------------------------
-
-TEST(GclintTraits, MissingCheckedByAnnotationIsFlagged) {
-  auto files = clean_tree();
-  files[2].content = R"cpp(
-class ItemLru {
- public:
-  static constexpr bool kRequestedLoadsOnly = true;
-};
-)cpp";
-  const auto hits = findings_for_rule(gclint::lint(files), "trait-audit");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].path, "src/policies/item_lru.hpp");
-  EXPECT_NE(hits[0].message.find("GCLINT-TRAIT-CHECKED-BY"),
-            std::string::npos);
-}
-
-TEST(GclintTraits, CheckedByFunctionMustContainAContract) {
-  auto files = clean_tree();
-  files[2].content = R"cpp(
-class ItemLru {
- public:
-  // GCLINT-TRAIT-CHECKED-BY: nonexistent_function
-  static constexpr bool kRequestedLoadsOnly = true;
-};
-)cpp";
-  const auto hits = findings_for_rule(gclint::lint(files), "trait-audit");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("nonexistent_function"), std::string::npos);
-  EXPECT_NE(hits[0].message.find("contract check"), std::string::npos);
-}
-
-TEST(GclintTraits, QualifiedCheckedByNamesResolve) {
-  auto files = clean_tree();
-  files[2].content = R"cpp(
-class ItemLru {
- public:
-  // GCLINT-TRAIT-CHECKED-BY: CacheContents::record_requested_hit
-  static constexpr bool kRequestedLoadsOnly = true;
-};
-)cpp";
-  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "trait-audit").empty());
-}
-
-TEST(GclintTraits, UnregisteredPolicyClassIsFlagged) {
-  auto files = clean_tree();
-  files.push_back({"src/policies/item_ghost.hpp", R"cpp(
-class ItemGhost {
- public:
-  // GCLINT-TRAIT-CHECKED-BY: record_requested_hit
-  static constexpr bool kRequestedLoadsOnly = true;
-};
-)cpp"});
-  const auto hits = findings_for_rule(gclint::lint(files), "trait-audit");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_NE(hits[0].message.find("ItemGhost"), std::string::npos);
-  EXPECT_NE(hits[0].message.find("not registered"), std::string::npos);
 }
 
 // ---- factory-registration ---------------------------------------------------
@@ -532,7 +484,7 @@ TEST(GclintCoverage, FullDatabaseIsClean) {
           .empty());
 }
 
-// ---- hot-region-blocking ----------------------------------------------------
+// ---- hot-path: blocking calls ------------------------------------------------
 
 TEST(GclintBlocking, SleepAndYieldInsideRegionAreFlagged) {
   const std::vector<SourceFile> files = {{"src/core/engine.hpp", R"cpp(
@@ -543,8 +495,7 @@ inline void step() {
 }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-blocking");
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].line, 4u);
   EXPECT_NE(hits[0].message.find("sleep_for"), std::string::npos);
@@ -562,8 +513,7 @@ inline void park(std::atomic<int>& flag) {
 }
 GC_HOT_REGION_END(gcached_access)
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-blocking");
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_NE(hits[0].message.find("wait"), std::string::npos);
   EXPECT_NE(hits[1].message.find("notify_all"), std::string::npos);
@@ -580,8 +530,7 @@ inline void retry() {
 }
 GC_HOT_REGION_END(shard_lock_acquire)
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-blocking").empty());
+  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "hot-path").empty());
 }
 
 TEST(GclintBlocking, SleepOutsideAnyRegionIsNotBlockingFinding) {
@@ -590,8 +539,7 @@ inline void settle() {
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-blocking").empty());
+  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "hot-path").empty());
 }
 
 // ---- lock-discipline --------------------------------------------------------
@@ -691,7 +639,7 @@ inline void acquire(Shard& shard, ClientContext& ctx) {
   EXPECT_TRUE(findings_for_rule(gclint::lint(files), "lock-discipline").empty());
 }
 
-// ---- hot-region-transitive --------------------------------------------------
+// ---- hot-path along the call graph -------------------------------------------
 
 TEST(GclintTransitive, AllocationInCalleeReachableFromRegionIsFlagged) {
   const std::vector<SourceFile> files = {{"src/core/engine.hpp", R"cpp(
@@ -702,8 +650,7 @@ GC_HOT_REGION_END(per_access)
 inline void refill(int x) { int* p = new int[x]; }
 }
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-transitive");
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].line, 6u);
   EXPECT_NE(hits[0].message.find("allocation 'new'"), std::string::npos);
@@ -719,8 +666,7 @@ GC_HOT_REGION_END(per_access)
 inline void level1(int x) { level2(x); }
 inline void level2(int x) { if (x < 0) throw BadAccess(); }
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-transitive");
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].line, 6u);
   EXPECT_NE(hits[0].message.find("'throw'"), std::string::npos);
@@ -736,10 +682,9 @@ inline void locked_path(int x) {
   std::lock_guard<std::mutex> l(mu);
 }
 )cpp"}};
-  const auto hits =
-      findings_for_rule(gclint::lint(files), "hot-region-transitive");
-  // lock_guard and mutex both sit on line 6; each primitive reports once.
-  ASSERT_EQ(hits.size(), 2u);
+  const auto hits = findings_for_rule(gclint::lint(files), "hot-path");
+  // One finding per function: its first ban, lock_guard (mutex follows).
+  ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].line, 6u);
   EXPECT_NE(hits[0].message.find("lock_guard"), std::string::npos);
 }
@@ -755,8 +700,7 @@ inline int scale(int x) { return x * 2; }
 inline void cold_setup(int x) { refill(x); }
 inline void refill(int x) { int* p = new int[x]; }
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-transitive").empty());
+  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "hot-path").empty());
 }
 
 TEST(GclintTransitive, AllowAtTheCalleeSiteSuppresses) {
@@ -765,12 +709,31 @@ GC_HOT_REGION_BEGIN(per_access)
 inline void step(int x) { refill(x); }
 GC_HOT_REGION_END(per_access)
 inline void refill(int x) {
-  // GCLINT-ALLOW(hot-region-transitive): amortized refill, once per window
+  // GCLINT-ALLOW(hot-path): amortized refill, once per window
   int* p = new int[x];
 }
 )cpp"}};
-  EXPECT_TRUE(
-      findings_for_rule(gclint::lint(files), "hot-region-transitive").empty());
+  EXPECT_TRUE(findings_for_rule(gclint::lint(files), "hot-path").empty());
+}
+
+TEST(GclintTransitive, AllowOnTheFirstBanVouchesForTheWholeFunction) {
+  // A name collision: the fill gate's hot call to condition_variable::wait
+  // also "reaches" ThreadPool::wait. One ALLOW at the pool's first ban
+  // covers its blocking wait on the next line too.
+  const std::vector<SourceFile> files = {
+      {"src/gcached/shard_lock.hpp", R"cpp(
+GC_HOT_REGION_BEGIN(fill_gate)
+inline void await(std::unique_lock<std::mutex>& lock) { cv_.wait(lock); }
+GC_HOT_REGION_END(fill_gate)
+)cpp"},
+      {"src/sim/thread_pool.hpp", R"cpp(
+inline void wait() {
+  // GCLINT-ALLOW(hot-path): name collision, pool waiting is run-boundary only
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock);
+}
+)cpp"}};
+  EXPECT_TRUE(gclint::lint(files).empty());
 }
 
 // ---- layering ---------------------------------------------------------------
@@ -872,9 +835,9 @@ TEST(GclintAllowHygiene, CommaListSuppressesEveryNamedSuppressibleRule) {
   // One annotation, two rules firing on the same line — both suppressed.
   const std::vector<SourceFile> files = {{"src/core/engine.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(per_access)
-inline void nap() {
-  // GCLINT-ALLOW(hot-region-blocking, hot-region-raw-clock): calibration nap
-  std::this_thread::sleep_until(std::chrono::steady_clock::now());
+inline void nap(int x) {
+  // GCLINT-ALLOW(hot-path, hot-region-cold-contract): calibration nap
+  GC_CHECK(x > 0, ""); std::this_thread::sleep_for(std::chrono::nanoseconds(x));
 }
 GC_HOT_REGION_END(per_access)
 )cpp"}};
@@ -885,19 +848,19 @@ TEST(GclintAllowHygiene, LockDisciplineCannotBeAllowed) {
   // The retired sharded_cache.hpp sanctioning pattern: since the MSHR fill
   // path proved blocking can always release the shard first, lock-discipline
   // became non-suppressible. The annotation still silences the (suppressible)
-  // hot-region-blocking finding, but lock-discipline fires straight through
-  // it and allow-hygiene flags the annotation as ineffective.
+  // hot-path finding, but lock-discipline fires straight through it and
+  // allow-hygiene flags the annotation as ineffective.
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(gcached_access)
 inline void access(Shard& shard, ClientContext& ctx) {
   ShardGuard guard(shard.lock, ctx);
-  // GCLINT-ALLOW(lock-discipline, hot-region-blocking): simulated fill
+  // GCLINT-ALLOW(lock-discipline, hot-path): simulated fill
   std::this_thread::sleep_for(std::chrono::nanoseconds(1));
 }
 GC_HOT_REGION_END(gcached_access)
 )cpp"}};
   const auto findings = gclint::lint(files);
-  EXPECT_TRUE(findings_for_rule(findings, "hot-region-blocking").empty());
+  EXPECT_TRUE(findings_for_rule(findings, "hot-path").empty());
   ASSERT_EQ(findings_for_rule(findings, "lock-discipline").size(), 1u);
   const auto hygiene = findings_for_rule(findings, "allow-hygiene");
   ASSERT_EQ(hygiene.size(), 1u);
@@ -933,8 +896,7 @@ TEST(GclintAllowHygiene, ListAllowsReportsEverySite) {
       {"src/core/a.hpp",
        "// GCLINT-ALLOW(no-cout): tooling hook\n"
        "int x;\n"
-       "// GCLINT-ALLOW(lock-discipline, hot-region-blocking): simulated "
-       "fill\n"},
+       "// GCLINT-ALLOW(lock-discipline, hot-path): simulated fill\n"},
       {"src/core/b.hpp", "// GCLINT-ALLOW(rng-discipline):\n"}};
   const auto sites = gclint::list_allows(files);
   ASSERT_EQ(sites.size(), 3u);
@@ -946,9 +908,172 @@ TEST(GclintAllowHygiene, ListAllowsReportsEverySite) {
   EXPECT_EQ(sites[1].line, 3u);
   ASSERT_EQ(sites[1].rules.size(), 2u);
   EXPECT_EQ(sites[1].rules[0], "lock-discipline");
-  EXPECT_EQ(sites[1].rules[1], "hot-region-blocking");
+  EXPECT_EQ(sites[1].rules[1], "hot-path");
   EXPECT_EQ(sites[2].path, "src/core/b.hpp");
   EXPECT_TRUE(sites[2].reason.empty());
+}
+
+// ---- the real tree ----------------------------------------------------------
+//
+// Each rule, run over the repository itself: the unmutated src/ and tests/
+// must be clean, and each realistic one-line mutation below must raise its
+// rule and no other. The tree is read in memory from GCLINT_REPO_ROOT
+// (tests/CMakeLists.txt); nothing is written.
+
+std::string read_text(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// src/ and tests/ exactly as the gclint CLI collects them.
+const std::vector<SourceFile>& real_tree() {
+  static const std::vector<SourceFile> kFiles = [] {
+    namespace fs = std::filesystem;
+    const fs::path root(GCLINT_REPO_ROOT);
+    std::vector<fs::path> paths;
+    for (const char* dir : {"src", "tests"})
+      for (const auto& e : fs::recursive_directory_iterator(root / dir)) {
+        const std::string ext = e.path().extension().string();
+        if (e.is_regular_file() &&
+            (ext == ".cpp" || ext == ".hpp" || ext == ".h"))
+          paths.push_back(e.path());
+      }
+    std::sort(paths.begin(), paths.end());
+    std::vector<SourceFile> files;
+    for (const fs::path& p : paths)
+      files.push_back({fs::relative(p, root).generic_string(), read_text(p)});
+    return files;
+  }();
+  return kFiles;
+}
+
+std::vector<Finding> lint_real(const std::vector<SourceFile>& files) {
+  gclint::LintOptions options;
+  options.layers_spec =
+      read_text(std::filesystem::path(GCLINT_REPO_ROOT) / "tools" / "gclint" /
+                "layers.txt");
+  return gclint::lint(files, options);
+}
+
+std::string rendered(const std::vector<Finding>& findings) {
+  std::string s;
+  for (const Finding& f : findings) s += gclint::format(f) + "\n";
+  return s;
+}
+
+/// Replaces the one occurrence of `find` in `path` by `replace`.
+struct Mutation {
+  const char* name;
+  const char* path;
+  const char* find;
+  const char* replace;
+  const char* rule;  ///< the one rule that must fire
+};
+
+const Mutation kMutations[] = {
+    {"cold contract in gcached access", "src/gcached/sharded_cache.hpp",
+     "    GC_HOT_REQUIRE(shard.cache.map().block_of(item) == block,",
+     "    GC_REQUIRE(shard.cache.map().block_of(item) == block,",
+     "hot-region-cold-contract"},
+    {"unclosed region", "src/core/trace.hpp",
+     "  GC_HOT_REGION_END(filter_trace_uniform_loop)\n", "",
+     "hot-region-balance"},
+    {"make_unique in gcached access", "src/gcached/sharded_cache.hpp",
+     "    if (ctx.cache != this) bind_client(ctx);",
+     "    if (ctx.cache != this) bind_client(ctx);\n"
+     "    auto scratch = std::make_unique<int>(0);",
+     "hot-path"},
+    {"throw in gcached access", "src/gcached/sharded_cache.hpp",
+     "    if (ctx.cache != this) bind_client(ctx);",
+     "    if (ctx.cache != this) throw std::logic_error(\"unbound client\");",
+     "hot-path"},
+    {"GC_OBS_SPAN in gcached access", "src/gcached/sharded_cache.hpp",
+     "    if (ctx.cache != this) bind_client(ctx);",
+     "    if (ctx.cache != this) bind_client(ctx);\n"
+     "    GC_OBS_SPAN(span, \"access\", \"gcached\");",
+     "hot-path"},
+    {"raw mutex in gcached access", "src/gcached/sharded_cache.hpp",
+     "    if (ctx.cache != this) bind_client(ctx);",
+     "    if (ctx.cache != this) bind_client(ctx);\n"
+     "    std::lock_guard<std::mutex> serial(serial_mu_);",
+     "hot-path"},
+    {"new in fast_step", "src/core/simulator.hpp", "  ++stats.misses;",
+     "  ++stats.misses;\n  static_cast<void>(new int(0));", "hot-path"},
+    {"clock read in BlockLru::on_hit", "src/policies/block_lru.cpp",
+     "  lru_->move_to_front(map().block_of(item));",
+     "  last_hit_ = std::chrono::steady_clock::now();\n"
+     "  lru_->move_to_front(map().block_of(item));",
+     "hot-path"},
+    {"yield in BlockLru::on_miss", "src/policies/block_lru.cpp",
+     "  cache().load_block(block);",
+     "  std::this_thread::yield();\n  cache().load_block(block);", "hot-path"},
+    {"name-collision ALLOW deleted", "src/obs/trace_event.cpp",
+     "  // GCLINT-ALLOW(hot-path): unqualified-name collision", "  //",
+     "hot-path"},
+    {"container growth under a shard hold", "src/gcached/sharded_cache.hpp",
+     "        const bool resident = shard.cache.contains(item);",
+     "        const bool resident = shard.cache.contains(item);\n"
+     "        ctx.trail.push_back(item);",
+     "lock-discipline"},
+    {"telemetry include in the engine", "src/core/simulator.hpp",
+     "#include \"core/policy.hpp\"",
+     "#include \"core/policy.hpp\"\n#include \"obs/obs.hpp\"", "layering"},
+    {"item-arc dropped from known_policy_names", "src/policies/factory.cpp",
+     "          \"item-arc\",       \"footprint\",",
+     "          \"footprint\",", "factory-registration"},
+    {"raw RNG in a trace generator", "src/traces/synthetic.cpp",
+     "  nm << \"zipf-items(n=\"",
+     "  std::mt19937 gen(seed);\n  nm << \"zipf-items(n=\"",
+     "rng-discipline"},
+    {"printf in trace_io", "src/core/trace_io.cpp",
+     "    if (line[first] == '#') continue;",
+     "    if (line[first] == '#') continue;\n    printf(\"%s\", line.c_str());",
+     "no-cout"},
+    {"ALLOW without its reason", "src/sim/thread_pool.hpp",
+     "GCLINT-ALLOW(hot-path): unqualified-name collision",
+     "GCLINT-ALLOW(hot-path) unqualified-name collision", "allow-hygiene"},
+};
+
+TEST(GclintRealTree, UnmutatedTreeIsClean) {
+  ASSERT_FALSE(real_tree().empty());
+  const auto findings = lint_real(real_tree());
+  EXPECT_TRUE(findings.empty()) << rendered(findings);
+}
+
+TEST(GclintRealTree, EachMutationRaisesExactlyItsRule) {
+  for (const Mutation& mu : kMutations) {
+    SCOPED_TRACE(mu.name);
+    std::vector<SourceFile> files = real_tree();
+    const auto file =
+        std::find_if(files.begin(), files.end(),
+                     [&](const SourceFile& f) { return f.path == mu.path; });
+    ASSERT_NE(file, files.end()) << mu.path;
+    std::string& text = file->content;
+    const auto pos = text.find(mu.find);
+    ASSERT_NE(pos, std::string::npos) << "anchor not found: " << mu.find;
+    ASSERT_EQ(text.find(mu.find, pos + 1), std::string::npos)
+        << "anchor not unique: " << mu.find;
+    text.replace(pos, std::string(mu.find).size(), mu.replace);
+    const auto findings = lint_real(files);
+    EXPECT_FALSE(findings.empty());
+    for (const Finding& f : findings)
+      EXPECT_EQ(f.rule, mu.rule) << gclint::format(f);
+  }
+}
+
+TEST(GclintRealTree, TranslationUnitMissingFromTheBuildIsFlagged) {
+  std::string db = read_text(GCLINT_COMPILE_COMMANDS);
+  ASSERT_FALSE(db.empty());
+  EXPECT_TRUE(gclint::check_build_coverage(real_tree(), db).empty());
+  const std::string tu = "src/core/trace_io.cpp";
+  for (auto pos = db.find(tu); pos != std::string::npos; pos = db.find(tu))
+    db.erase(pos, tu.size());
+  const auto hits = gclint::check_build_coverage(real_tree(), db);
+  ASSERT_EQ(hits.size(), 1u) << rendered(hits);
+  EXPECT_EQ(hits[0].path, tu);
+  EXPECT_EQ(hits[0].rule, "build-coverage");
 }
 
 // ---- SARIF ------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace gclint {
 
@@ -42,35 +43,9 @@ void add(std::vector<Finding>& out, const FileModel& m, std::size_t line,
 
 // ---- rule sets --------------------------------------------------------------
 
-const std::set<std::string>& raw_lock_tokens() {
-  // Raw synchronization primitives banned from hot regions: per-access
-  // locking must go through the gcached shard-lock helper (ShardGuard),
-  // which bundles try-lock-first, yield-and-retry and contention telemetry. shard_lock.hpp itself is the sanctioned home.
-  static const std::set<std::string> kTokens = {
-      "mutex",        "shared_mutex",       "recursive_mutex",
-      "timed_mutex",  "shared_timed_mutex", "lock_guard",
-      "unique_lock",  "scoped_lock",        "shared_lock",
-      "condition_variable", "condition_variable_any"};
-  return kTokens;
-}
-
-const std::set<std::string>& raw_clock_tokens() {
-  // Clock and cycle-counter primitives banned from hot regions: a per-access
-  // time read costs tens of nanoseconds (vDSO call or serializing rdtsc) and
-  // silently skews the very latencies gcmon reports. Timing belongs to the
-  // monitoring layer — loadgen's bracketed measurement and the gcmon
-  // snapshot thread — never to the access path itself.
-  static const std::set<std::string> kTokens = {
-      "steady_clock",  "system_clock", "high_resolution_clock",
-      "clock_gettime", "gettimeofday", "rdtsc",
-      "__rdtsc",       "__builtin_ia32_rdtsc",
-      "__builtin_readcyclecounter"};
-  return kTokens;
-}
-
 const std::set<std::string>& blocking_calls() {
   // Scheduling / parking primitives: these block the calling thread (or wake
-  // others), which per-access code must never do outside shard_lock.hpp.
+  // others), which neither a hot path nor a shard guard may do.
   static const std::set<std::string> kTokens = {
       "sleep_for", "sleep_until", "yield",      "wait",
       "wait_for",  "wait_until",  "notify_one", "notify_all"};
@@ -114,20 +89,7 @@ const std::set<std::string>& rng_tokens() {
   return kTokens;
 }
 
-const std::set<std::string>& contract_calls() {
-  static const std::set<std::string> kTokens = {
-      "GC_HOT_REQUIRE", "GC_HOT_ENSURE", "GC_HOT_CHECK",
-      "GC_REQUIRE",     "GC_ENSURE",     "GC_CHECK"};
-  return kTokens;
-}
-
 bool is_lock_home(const FileModel& m) {
-  return ends_with_path(m.file->path, "src/gcached/shard_lock.hpp");
-}
-
-bool is_clock_home(const FileModel& m) {
-  // The one sanctioned home for time reads in a hot region: shard_lock.hpp,
-  // whose FillGate measures the delayed-hit wait.
   return ends_with_path(m.file->path, "src/gcached/shard_lock.hpp");
 }
 
@@ -165,19 +127,70 @@ void check_balance(const FileModel& m, std::vector<Finding>& out) {
   }
 }
 
+// ---- rule: hot-path (the ban table) ------------------------------------------
+
+/// One banned construct: what it is, and where that work belongs instead.
+struct Ban {
+  std::string what;
+  const char* why;
+};
+
+/// The one table of what per-access code must not do, shared by both halves
+/// of the hot-path rule: the lexical scan of hot-region lines and the walk
+/// over every function reachable from a hot-region call site. Returns the ban
+/// that tokens[i] starts, if any. shard_lock.hpp, the sanctioned home of the
+/// shard lock, the fill sleep and the fill gate's wait measurement, is exempt
+/// from the lock, clock and blocking bans.
+std::optional<Ban> hot_path_ban(const FileModel& m, std::size_t i) {
+  static const std::set<std::string> kRawLocks = {
+      "mutex",        "shared_mutex",       "recursive_mutex",
+      "timed_mutex",  "shared_timed_mutex", "lock_guard",
+      "unique_lock",  "scoped_lock",        "shared_lock",
+      "condition_variable", "condition_variable_any"};
+  // A per-access time read costs tens of nanoseconds (vDSO call or
+  // serializing rdtsc) and skews the very latencies gcmon reports.
+  static const std::set<std::string> kClocks = {
+      "steady_clock",  "system_clock", "high_resolution_clock",
+      "clock_gettime", "gettimeofday", "rdtsc",
+      "__rdtsc",       "__builtin_ia32_rdtsc",
+      "__builtin_readcyclecounter"};
+  constexpr const char* kHoist = "hoist the work out of the per-access path";
+  constexpr const char* kNoTelemetry =
+      "hot paths carry no telemetry; record per task or per run, outside "
+      "the per-access path";
+  const Token& t = m.tokens[i];
+  if (!is_code(t) || t.kind != Tok::kIdent) return std::nullopt;
+  const std::size_t j = next_code(m.tokens, i);
+  const auto next_is = [&](const char* p) {
+    return j != std::string::npos && is_punct(m.tokens[j], p);
+  };
+  if (t.text == "throw") return Ban{"'throw'", kHoist};
+  if (t.text == "new") return Ban{"allocation 'new'", kHoist};
+  if (alloc_calls().count(t.text) > 0 && (next_is("(") || next_is("<")))
+    return Ban{"allocation '" + t.text + "'", kHoist};
+  if (t.text == "obs" && next_is("::"))
+    return Ban{"direct obs:: use", kNoTelemetry};
+  if (t.text.rfind("GC_OBS_", 0) == 0 && next_is("("))
+    return Ban{"telemetry macro '" + t.text + "'", kNoTelemetry};
+  if (is_lock_home(m)) return std::nullopt;
+  if (kRawLocks.count(t.text) > 0)
+    return Ban{"raw lock primitive '" + t.text + "'",
+               "per-access locking goes through the shard-lock helpers in "
+               "src/gcached/shard_lock.hpp"};
+  if (kClocks.count(t.text) > 0)
+    return Ban{"clock read '" + t.text + "'",
+               "timing belongs to the monitoring layer (loadgen's bracketed "
+               "measurement, gcmon's snapshot thread)"};
+  if (blocking_calls().count(t.text) > 0 && next_is("("))
+    return Ban{"blocking call '" + t.text + "'",
+               "scheduling belongs to the shard_lock.hpp helpers"};
+  return std::nullopt;
+}
+
 // ---- rules: lexical hot-region content --------------------------------------
 
 void check_hot_region_content(const FileModel& m, std::vector<Finding>& out) {
-  constexpr const char* kCold = "hot-region-cold-contract";
-  constexpr const char* kRawObs = "hot-region-raw-obs";
-  constexpr const char* kRawLock = "hot-region-raw-lock";
-  constexpr const char* kBlocking = "hot-region-blocking";
-  constexpr const char* kRawClock = "hot-region-raw-clock";
-  const bool lock_home = is_lock_home(m);
-  const bool clock_home = is_clock_home(m);
-  std::size_t last_lock_line = 0;      // one raw-lock finding per line
-  std::size_t last_blocking_line = 0;  // one blocking finding per line
-  std::size_t last_clock_line = 0;     // one raw-clock finding per line
+  std::size_t last_ban_line = 0;  // one hot-path finding per line
   for (std::size_t i = 0; i < m.tokens.size(); ++i) {
     const Token& t = m.tokens[i];
     if (!is_code(t) || t.kind != Tok::kIdent) continue;
@@ -186,46 +199,16 @@ void check_hot_region_content(const FileModel& m, std::vector<Finding>& out) {
     if ((t.text == "GC_REQUIRE" || t.text == "GC_ENSURE" ||
          t.text == "GC_CHECK") &&
         is_call_at(m.tokens, i)) {
-      add(out, m, t.line, kCold,
+      add(out, m, t.line, "hot-region-cold-contract",
           t.text + " inside hot region '" + r->label +
               "' — use the GC_HOT_* tier (compiled out under GC_FAST_SIM) " +
               "or move the check out of the per-access path");
     }
-    if (t.text == "obs") {
-      const std::size_t j = next_code(m.tokens, i);
-      if (j != std::string::npos && is_punct(m.tokens[j], "::")) {
-        add(out, m, t.line, kRawObs,
-            "direct obs:: use inside hot region '" + r->label +
-                "' — hot regions carry no telemetry; record per task or "
-                "per run, outside the region");
-      }
-    }
-    if (!clock_home && raw_clock_tokens().count(t.text) > 0 &&
-        t.line != last_clock_line) {
-      last_clock_line = t.line;
-      add(out, m, t.line, kRawClock,
-          "'" + t.text + "' inside hot region '" + r->label +
-              "' — per-access code must not read clocks or cycle counters; "
-              "timing belongs to the monitoring layer (loadgen's bracketed "
-              "measurement, gcmon's snapshot thread)");
-    }
-    if (!lock_home) {
-      if (raw_lock_tokens().count(t.text) > 0 && t.line != last_lock_line) {
-        last_lock_line = t.line;
-        add(out, m, t.line, kRawLock,
-            "'" + t.text + "' inside hot region '" + r->label +
-                "' — per-access locking must go through the shard-lock "
-                "helpers in src/gcached/shard_lock.hpp (try-lock + "
-                "yield-and-retry + contention telemetry)");
-      }
-      if (blocking_calls().count(t.text) > 0 && is_call_at(m.tokens, i) &&
-          t.line != last_blocking_line) {
-        last_blocking_line = t.line;
-        add(out, m, t.line, kBlocking,
-            "'" + t.text + "' inside hot region '" + r->label +
-                "' — per-access code must not sleep, park, or wake threads; "
-                "scheduling belongs to the shard_lock.hpp helpers");
-      }
+    if (t.line == last_ban_line) continue;
+    if (const auto ban = hot_path_ban(m, i)) {
+      last_ban_line = t.line;
+      add(out, m, t.line, "hot-path",
+          ban->what + " inside hot region '" + r->label + "' — " + ban->why);
     }
   }
 }
@@ -319,58 +302,27 @@ void check_lock_discipline(const FileModel& m, std::vector<Finding>& out) {
   }
 }
 
-// ---- rule: hot-region transitive purity -------------------------------------
+// ---- rule: hot-path along the call graph ------------------------------------
 
-struct FnRef {
-  std::size_t file = 0;
-  std::size_t fn = 0;
-  bool operator<(const FnRef& o) const {
-    return file != o.file ? file < o.file : fn < o.fn;
-  }
-};
-
-void scan_reachable_body(const Program& prog, const FnRef& ref,
+/// Reports the first ban in a function reachable from a hot region: one
+/// finding per function, so an ALLOW on that line vouches for all of it.
+void scan_reachable_body(const FileModel& m, const FunctionDef& f,
                          const std::string& origin, const std::string& path,
-                         std::set<std::string>& reported,
                          std::vector<Finding>& out) {
-  constexpr const char* kRule = "hot-region-transitive";
-  const FileModel& m = prog.files[ref.file];
-  const FunctionDef& f = m.functions[ref.fn];
-  const bool lock_home = is_lock_home(m);
-  const auto flag = [&](std::size_t line, const std::string& what) {
-    const std::string key =
-        m.file->path + ":" + std::to_string(line) + ":" + what;
-    if (!reported.insert(key).second) return;
-    add(out, m, line, kRule,
-        what + " in '" + f.name + "', which is reachable from hot region " +
-            origin + " via " + path +
-            " — hot-path purity is transitive; hoist the work out of the "
-            "per-access path (or GCLINT-ALLOW here with a reason)");
-  };
   for (std::size_t i = f.body_begin; i < f.body_end && i < m.tokens.size();
        ++i) {
-    const Token& t = m.tokens[i];
-    if (!is_code(t) || t.kind != Tok::kIdent) continue;
-    if (t.text == "throw") {
-      flag(t.line, "'throw'");
-    } else if (t.text == "new") {
-      flag(t.line, "allocation 'new'");
-    } else if (alloc_calls().count(t.text) > 0) {
-      const std::size_t j = next_code(m.tokens, i);
-      if (j != std::string::npos &&
-          (is_punct(m.tokens[j], "(") || is_punct(m.tokens[j], "<")))
-        flag(t.line, "allocation '" + t.text + "'");
-    } else if (t.text == "obs") {
-      const std::size_t j = next_code(m.tokens, i);
-      if (j != std::string::npos && is_punct(m.tokens[j], "::"))
-        flag(t.line, "direct obs:: use");
-    } else if (!lock_home && raw_lock_tokens().count(t.text) > 0) {
-      flag(t.line, "raw lock primitive '" + t.text + "'");
-    }
+    const auto ban = hot_path_ban(m, i);
+    if (!ban) continue;
+    add(out, m, m.tokens[i].line, "hot-path",
+        ban->what + " in '" + f.name + "', which is reachable from hot region " +
+            origin + " via " + path + " — " + ban->why +
+            "; hot-path purity is transitive (or GCLINT-ALLOW here with a "
+            "reason)");
+    return;
   }
 }
 
-void check_transitive(const Program& prog, std::vector<Finding>& out) {
+void check_hot_path_reach(const Program& prog, std::vector<Finding>& out) {
   constexpr std::size_t kMaxDepth = 12;
   struct Item {
     std::string callee;
@@ -392,8 +344,7 @@ void check_transitive(const Program& prog, std::vector<Finding>& out) {
       }
     }
   }
-  std::set<FnRef> visited;
-  std::set<std::string> reported;
+  std::set<std::pair<std::size_t, std::size_t>> visited;  // (file, fn)
   while (!queue.empty()) {
     const Item item = queue.front();
     queue.pop_front();
@@ -405,10 +356,9 @@ void check_transitive(const Program& prog, std::vector<Finding>& out) {
       if (!visited.insert({fi, fj}).second) continue;
       const FunctionDef& f = m.functions[fj];
       // Functions lexically inside a hot region are already covered by the
-      // lexical rules; they are traversed but not re-scanned.
+      // lexical scan; they are traversed but not re-scanned.
       if (m.region_of(f.line) == nullptr)
-        scan_reachable_body(prog, {fi, fj}, item.origin, item.path, reported,
-                            out);
+        scan_reachable_body(m, f, item.origin, item.path, out);
       if (item.depth >= kMaxDepth) continue;
       for (const CallSite& cs : m.calls[fj]) {
         if (prog.functions_by_name.count(cs.callee) == 0) continue;
@@ -550,154 +500,6 @@ void check_layering(const Program& prog, const std::string& spec,
     if (color[u] == 0) dfs(u);
 }
 
-// ---- rule: trait audit ------------------------------------------------------
-
-struct TraitDecl {
-  std::size_t file = 0;
-  std::size_t line = 0;
-  std::string trait;
-  std::string class_name;
-  std::string checked_by;  // empty when the annotation is missing
-};
-
-bool is_policies_header(const std::string& path) {
-  return path_has_prefix(path, "src/policies/") && ends_with_path(path, ".hpp");
-}
-
-std::vector<TraitDecl> collect_trait_decls(const Program& prog) {
-  static const std::set<std::string> kTraits = {
-      "kRequestedLoadsOnly", "kEvictsOutsideMiss", "kIsStackPolicy"};
-  std::vector<TraitDecl> decls;
-  for (std::size_t fi = 0; fi < prog.files.size(); ++fi) {
-    const FileModel& m = prog.files[fi];
-    if (!is_policies_header(m.file->path)) continue;
-    for (std::size_t i = 0; i + 2 < m.tokens.size(); ++i) {
-      const Token& t = m.tokens[i];
-      // `static constexpr bool kTrait = true`
-      if (!is_code(t) || !is_ident(t, "static")) continue;
-      std::size_t j = next_code(m.tokens, i);
-      if (j == std::string::npos || !is_ident(m.tokens[j], "constexpr"))
-        continue;
-      j = next_code(m.tokens, j);
-      if (j == std::string::npos || !is_ident(m.tokens[j], "bool")) continue;
-      j = next_code(m.tokens, j);
-      if (j == std::string::npos || m.tokens[j].kind != Tok::kIdent ||
-          kTraits.count(m.tokens[j].text) == 0)
-        continue;
-      const Token& name = m.tokens[j];
-      j = next_code(m.tokens, j);
-      if (j == std::string::npos || !is_punct(m.tokens[j], "=")) continue;
-      j = next_code(m.tokens, j);
-      if (j == std::string::npos || !is_ident(m.tokens[j], "true")) continue;
-      TraitDecl d;
-      d.file = fi;
-      d.line = name.line;
-      d.trait = name.text;
-      // Nearest preceding `class`/`struct NAME` token pair.
-      for (std::size_t k = i; k-- > 0;) {
-        const Token& c = m.tokens[k];
-        if (!is_code(c)) continue;
-        if (is_ident(c, "class") || is_ident(c, "struct")) {
-          const std::size_t nk = next_code(m.tokens, k);
-          if (nk != std::string::npos && m.tokens[nk].kind == Tok::kIdent) {
-            d.class_name = m.tokens[nk].text;
-            break;
-          }
-        }
-      }
-      for (const CheckedByAnnotation& c : m.checked_by) {
-        if (c.line + 3 >= d.line && c.line <= d.line)
-          d.checked_by = c.function;
-      }
-      decls.push_back(std::move(d));
-    }
-  }
-  return decls;
-}
-
-/// True when `fn` is anchored to real enforcement code: a library function of
-/// that name whose body contains a contract check, or (fallback, matching the
-/// v1 window heuristic) any library call site of `fn` with a contract check
-/// within the following 40 lines.
-bool function_has_contract(const Program& prog, const std::string& fn) {
-  const auto it = prog.functions_by_name.find(fn);
-  if (it != prog.functions_by_name.end()) {
-    for (const auto& [fi, fj] : it->second) {
-      const FileModel& m = prog.files[fi];
-      if (!is_library_file(m.file->path)) continue;
-      const FunctionDef& f = m.functions[fj];
-      for (std::size_t i = f.body_begin;
-           i < f.body_end && i < m.tokens.size(); ++i) {
-        const Token& t = m.tokens[i];
-        if (is_code(t) && t.kind == Tok::kIdent &&
-            contract_calls().count(t.text) > 0 && is_call_at(m.tokens, i))
-          return true;
-      }
-    }
-  }
-  for (const FileModel& m : prog.files) {
-    if (!is_library_file(m.file->path)) continue;
-    for (std::size_t i = 0; i < m.tokens.size(); ++i) {
-      const Token& t = m.tokens[i];
-      if (!is_code(t) || !is_ident(t, fn.c_str()) ||
-          !is_call_at(m.tokens, i))
-        continue;
-      for (std::size_t j = i; j < m.tokens.size() &&
-                              m.tokens[j].line <= t.line + 40;
-           ++j) {
-        const Token& u = m.tokens[j];
-        if (is_code(u) && u.kind == Tok::kIdent &&
-            contract_calls().count(u.text) > 0 && is_call_at(m.tokens, j))
-          return true;
-      }
-    }
-  }
-  return false;
-}
-
-void check_traits(const Program& prog, std::vector<Finding>& out) {
-  constexpr const char* kRule = "trait-audit";
-  const FileModel* factory = nullptr;
-  for (const FileModel& m : prog.files)
-    if (ends_with_path(m.file->path, "src/policies/factory.cpp")) factory = &m;
-  for (const TraitDecl& d : collect_trait_decls(prog)) {
-    const FileModel& m = prog.files[d.file];
-    if (d.class_name.empty()) {
-      add(out, m, d.line, kRule,
-          "trait " + d.trait + " declared outside a recognizable class");
-      continue;
-    }
-    const std::string who = d.class_name + "::" + d.trait;
-    if (d.checked_by.empty()) {
-      add(out, m, d.line, kRule,
-          who + " has no GCLINT-TRAIT-CHECKED-BY annotation — name the "
-                "function whose contract check enforces the claim");
-    } else if (!function_has_contract(prog, d.checked_by)) {
-      add(out, m, d.line, kRule,
-          who + " claims to be checked by '" + d.checked_by +
-              "', but no library function of that name contains a GC_HOT_*/"
-              "GC_* contract check");
-    }
-    if (factory == nullptr) {
-      add(out, m, d.line, kRule,
-          who + ": src/policies/factory.cpp not in the scanned file set, "
-                "cannot verify factory registration");
-    } else {
-      bool in_factory = false;
-      for (const Token& t : factory->tokens)
-        if (is_code(t) && is_ident(t, d.class_name.c_str())) {
-          in_factory = true;
-          break;
-        }
-      if (!in_factory)
-        add(out, m, d.line, kRule,
-            who + ": class is not registered in policies/factory.cpp — "
-                  "opt-in traits are only exercised through the factory's "
-                  "devirtualized engines");
-    }
-  }
-}
-
 // ---- rule: factory registration ---------------------------------------------
 
 /// String literals compared with `==` inside a function body (the factory's
@@ -747,7 +549,7 @@ void check_factory(const Program& prog, std::vector<Finding>& out) {
   const FileModel* factory = nullptr;
   for (const FileModel& m : prog.files)
     if (ends_with_path(m.file->path, "src/policies/factory.cpp")) factory = &m;
-  if (factory == nullptr) return;  // audited by check_traits when traits exist
+  if (factory == nullptr) return;
   const FileModel& m = *factory;
 
   const auto find_fn = [&](const char* name) -> const FunctionDef* {
@@ -872,35 +674,20 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"hot-region-cold-contract",
        "No cold-tier GC_REQUIRE/GC_ENSURE/GC_CHECK inside a hot region; use "
        "the GC_HOT_* tier, which compiles out under GC_FAST_SIM."},
-      {"hot-region-raw-obs",
-       "No direct obs:: use inside a hot region; hot regions carry no "
-       "telemetry, so record per task or per run, outside the region."},
-      {"hot-region-raw-lock",
-       "No raw mutex/lock_guard/condition_variable primitives inside a hot "
-       "region; per-access locking goes through src/gcached/shard_lock.hpp."},
-      {"hot-region-blocking",
-       "No sleep_for/sleep_until/yield or atomic wait/notify calls inside a "
-       "hot region outside shard_lock.hpp."},
-      {"hot-region-raw-clock",
-       "No clock reads (steady_clock/system_clock/clock_gettime/rdtsc "
-       "variants) inside a hot region outside shard_lock.hpp; timing "
-       "belongs to the monitoring layer."},
+      {"hot-path",
+       "Per-access code must not throw, allocate, record telemetry (obs:: or "
+       "GC_OBS_*), take raw locks, read clocks or block: banned inside hot "
+       "regions and in every function reachable from a hot-region call site. "
+       "shard_lock.hpp is exempt from the lock, clock and blocking bans."},
       {"lock-discipline",
        "While a ShardGuard/ShardHold is live: no blocking calls, no "
        "file I/O, no allocation or container growth, no second shard guard "
        "(deadlock risk). Non-suppressible — no blocking under a guard, "
        "period; fills go through the MSHR release/re-acquire protocol."},
-      {"hot-region-transitive",
-       "Allocation/throw/raw-obs/raw-lock bans follow the call graph: they "
-       "apply to every function reachable from a hot-region call site."},
       {"layering",
        "The src/ include graph must respect the layer DAG declared in "
        "tools/gclint/layers.txt: no back-edges, no undeclared directories, "
        "no include cycles."},
-      {"trait-audit",
-       "Opt-in policy traits must carry GCLINT-TRAIT-CHECKED-BY naming a "
-       "library function that contract-checks the claim, and the class must "
-       "be registered in the factory."},
       {"factory-registration",
        "The factory's spec tables must agree and the differential tests "
        "must enumerate known_policy_names()."},
@@ -938,9 +725,8 @@ std::vector<Finding> lint(const std::vector<SourceFile>& files,
     check_library_hygiene(m, out);
     check_lock_discipline(m, out);
   }
-  check_traits(prog, out);
   check_factory(prog, out);
-  check_transitive(prog, out);
+  check_hot_path_reach(prog, out);
   if (!options.layers_spec.empty())
     check_layering(prog, options.layers_spec, out);
   check_allow_hygiene(prog, out);

@@ -1,43 +1,38 @@
-// gclint — the repo-specific contract-and-trait auditor.
+// gclint — the repo-specific convention auditor.
 //
 // The compiler and the sanitizers enforce the language; gclint enforces the
-// *conventions* PRs 1–7 introduced and that nothing else machine-checks. v2
-// runs every rule over a real token stream (lexer.hpp) and a lightweight
-// semantic model (semantic.hpp: per-file functions, an intra-repo call
-// graph, the quoted-include graph), which is what makes the dataflow and
-// transitive rules below possible at all.
+// repo's own conventions that nothing else machine-checks. It runs every
+// rule over a real token stream (lexer.hpp) and a lightweight semantic model
+// (semantic.hpp: per-file functions, an intra-repo call graph, the
+// quoted-include graph), which is what makes the dataflow and call-graph
+// rules below possible at all.
 //
+//   hot-region-balance        BEGIN/END markers must pair, labels must match,
+//                             regions must not nest and must close by EOF.
 //   hot-region-cold-contract  No cold-tier GC_REQUIRE / GC_ENSURE / GC_CHECK
 //                             inside a GC_HOT_REGION_BEGIN/END region (the
 //                             per-access code simulate_fast and the stack
 //                             pass execute). A cold contract there silently
 //                             reintroduces the per-access overhead that the
 //                             GC_FAST_SIM configuration exists to remove.
-//   hot-region-balance        BEGIN/END markers must pair, labels must match,
-//                             regions must not nest and must close by EOF.
-//   hot-region-raw-obs        No direct `obs::` (or `gcaching::obs::`) use
-//                             inside a hot region — hot regions carry no
-//                             telemetry; record per task or per run, outside
-//                             the region.
-//   hot-region-raw-lock       No raw std::mutex / shared_mutex / lock_guard /
-//                             unique_lock / condition_variable (etc.) inside
-//                             a hot region — per-access locking must go
-//                             through the gcached shard-lock helper
-//                             (ShardGuard). src/gcached/shard_lock.hpp is
-//                             the sanctioned home and the one exempt file.
-//   hot-region-blocking       No bare std::this_thread::sleep_for/sleep_until/
-//                             yield and no std::atomic<> wait/notify_one/
-//                             notify_all inside a hot region outside
-//                             shard_lock.hpp — scheduling belongs to the
-//                             shard-lock helpers, not to per-access code.
-//   hot-region-raw-clock      No clock or cycle-counter reads (steady_clock /
-//                             system_clock / high_resolution_clock /
-//                             clock_gettime / gettimeofday / rdtsc variants)
-//                             inside a hot region — a per-access time read
-//                             costs tens of ns and skews the latencies the
-//                             monitor reports. Timing belongs to the
-//                             monitoring layer, outside hot regions;
-//                             shard_lock.hpp is the one sanctioned home.
+//   hot-path                  Per-access code must not throw, allocate (new /
+//                             malloc family / make_unique / make_shared),
+//                             record telemetry (obs:: or a GC_OBS_* macro),
+//                             take a raw lock (std::mutex / lock_guard /
+//                             condition_variable ...), read a clock or cycle
+//                             counter, or block (sleep / yield / wait /
+//                             notify). One ban table (hot_path_ban) serves
+//                             two scans: the lines inside hot regions (one
+//                             finding per line) and every function reachable
+//                             from a hot-region call site (one finding per
+//                             function, carrying the reach path). Linking is
+//                             by unqualified name (duck-typed policies), so
+//                             the walk deliberately over-approximates;
+//                             suppress a name collision at the function's
+//                             first ban with GCLINT-ALLOW. shard_lock.hpp,
+//                             home of the shard lock, the fill sleep and the
+//                             fill gate, is exempt from the lock, clock and
+//                             blocking bans.
 //   lock-discipline           Intra-procedural guard-lifetime dataflow: while
 //                             a ShardGuard (or sharded_cache.hpp's
 //                             ShardHold, which wraps one) is live, no
@@ -48,30 +43,12 @@
 //                             second shard guard (lock-ordering is undefined
 //                             across shards → deadlock risk). shard_lock.hpp
 //                             itself (the fill sleep and gate) is exempt.
-//   hot-region-transitive     The allocation / throw / raw-obs / raw-lock
-//                             bans follow the call graph: a function
-//                             *reachable from* a hot-region call site must
-//                             not allocate, throw, touch obs:: or raw locks
-//                             even if it is lexically outside every region.
-//                             Findings carry the reach path. Linking is by
-//                             unqualified name (duck-typed policies), so the
-//                             rule deliberately over-approximates; suppress
-//                             true negatives at the site with GCLINT-ALLOW.
 //   layering                  The quoted #include graph of src/ must respect
 //                             the layer DAG declared in tools/gclint/
 //                             layers.txt (one tier per line, bottom-up;
 //                             same-line directories may include each other).
 //                             Back-edges, undeclared directories, and
 //                             file-level include cycles all fail.
-//   trait-audit               Every opt-in policy trait declaration
-//                             (kRequestedLoadsOnly, kEvictsOutsideMiss,
-//                             kIsStackPolicy) must
-//                             carry a `// GCLINT-TRAIT-CHECKED-BY: <fn>`
-//                             annotation naming the function that contract-
-//                             checks the claim; gclint verifies that function
-//                             exists and actually contains a contract check,
-//                             and that the declaring class is registered in
-//                             policies/factory.cpp.
 //   factory-registration      The factory's spec tables (make_policy,
 //                             simulate_fast_spec, known_policy_names) must
 //                             agree, and the differential tests must
@@ -90,8 +67,8 @@
 //                             silently accumulate.
 //
 // Rules match tokens, never comment or string-literal text, so prose and
-// test fixtures cannot trip them; the GCLINT-* annotations themselves live
-// in comments and are read from comment tokens. A finding on a specific
+// test fixtures cannot trip them; the GCLINT-ALLOW annotations themselves
+// live in comments and are read from comment tokens. A finding on a specific
 // line can be suppressed with `// GCLINT-ALLOW(rule[, rule...]): reason` on
 // the same or the preceding line. See docs/ANALYSIS.md for the full policy.
 #pragma once
@@ -133,7 +110,7 @@ struct LintOptions {
 };
 
 /// Runs every content rule over `files` (pass the whole tree at once: the
-/// trait audit, factory cross-checks, call-graph and include-graph rules are
+/// factory cross-checks, the call-graph walk and the include-graph rule are
 /// whole-program). Deterministic order: per-file rules in input order, lines
 /// ascending, whole-program rules after.
 std::vector<Finding> lint(const std::vector<SourceFile>& files);

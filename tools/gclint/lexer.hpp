@@ -13,8 +13,8 @@
 //     logical lines everywhere except inside raw string literals, exactly
 //     like translation phase 2; line counters keep counting physical lines;
 //   * comments: `//` (spliced continuations included) and `/* */`, emitted
-//     as kComment tokens because the GCLINT-ALLOW / GCLINT-TRAIT-CHECKED-BY
-//     annotations live in them;
+//     as kComment tokens because the GCLINT-ALLOW annotations live in
+//     them;
 //   * string literals with escapes, char literals with escapes, and raw
 //     string literals with arbitrary delimiters and any of the encoding
 //     prefixes (R, LR, uR, UR, u8R); the token text is the literal's content

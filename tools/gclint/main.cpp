@@ -180,6 +180,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     out << gclint::to_sarif(findings);
+    out.flush();
+    if (!out) {
+      std::cerr << "gclint: cannot write " << sarif_path << "\n";
+      return 2;
+    }
   }
 
   for (const auto& f : findings) std::cout << gclint::format(f) << "\n";

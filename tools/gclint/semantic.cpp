@@ -46,9 +46,9 @@ std::string trimmed(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-/// Scans a comment's text for annotations; `base_line` is the comment
-/// token's first line (annotations inside multi-line block comments get the
-/// line they actually sit on).
+/// Scans a comment's text for GCLINT-ALLOW annotations; `base_line` is the
+/// comment token's first line (annotations inside multi-line block comments
+/// get the line they actually sit on).
 void scan_comment(const std::string& text, std::size_t base_line,
                   FileModel& m) {
   std::size_t search = 0;
@@ -62,8 +62,8 @@ void scan_comment(const std::string& text, std::size_t base_line,
     const auto close = text.find(')', pos);
     if (close == std::string::npos) break;
     // Comma-separated rule list: one annotation may cover several rules
-    // (e.g. a sanctioned sleep that is both a lock-discipline and a
-    // hot-region-blocking exception).
+    // that fire on the same line (e.g. hot-path and
+    // hot-region-cold-contract).
     std::string rules = text.substr(pos + 13, close - pos - 13);
     std::size_t start = 0;
     while (start <= rules.size()) {
@@ -87,27 +87,6 @@ void scan_comment(const std::string& text, std::size_t base_line,
     }
     m.allows.push_back(std::move(a));
     search = close;
-  }
-
-  search = 0;
-  while (true) {
-    const auto pos = text.find("GCLINT-TRAIT-CHECKED-BY:", search);
-    if (pos == std::string::npos) break;
-    CheckedByAnnotation c;
-    c.line =
-        base_line + static_cast<std::size_t>(
-                        std::count(text.begin(), text.begin() + static_cast<std::ptrdiff_t>(pos), '\n'));
-    std::size_t p = pos + 24;
-    while (p < text.size() && (text[p] == ' ' || text[p] == '\t')) ++p;
-    std::string fn;
-    while (p < text.size() &&
-           (std::isalnum(static_cast<unsigned char>(text[p])) != 0 ||
-            text[p] == '_' || text[p] == ':'))
-      fn += text[p++];
-    const auto sep = fn.rfind("::");
-    c.function = sep == std::string::npos ? fn : fn.substr(sep + 2);
-    if (!c.function.empty()) m.checked_by.push_back(std::move(c));
-    search = pos + 1;
   }
 }
 

@@ -1,14 +1,13 @@
 // gclint's lightweight semantic layer on top of the lexer (lexer.hpp):
 // per-file function extraction, an intra-repo call graph, the quoted
-// #include graph, hot-region extents, and the GCLINT-* comment annotations.
+// #include graph, hot-region extents, and the GCLINT-ALLOW annotations.
 //
 // This is a linter's model, not a compiler's: functions are recognized by
 // the token shape `name ( ... ) { ... }` at namespace/class scope, calls by
-// `name (` inside a body, and the call graph links by UNQUALIFIED name (the
-// same convention the trait audit has used since PR 3 — policies are
-// duck-typed against fast_step, so overload sets collapsing into one node
-// is the useful behavior, at the price of over-linking same-named methods
-// of unrelated classes). Known limits are documented in docs/ANALYSIS.md;
+// `name (` inside a body, and the call graph links by UNQUALIFIED name
+// (policies are duck-typed against fast_step, so overload sets collapsing
+// into one node is the useful behavior, at the price of over-linking
+// same-named methods of unrelated classes). Known limits are documented in docs/ANALYSIS.md;
 // rules built on this layer err toward traversing too much, and every
 // finding can be suppressed at its site with GCLINT-ALLOW.
 #pragma once
@@ -67,12 +66,6 @@ struct AllowAnnotation {
   std::string reason;  ///< trimmed; empty when the colon/reason is missing
 };
 
-/// One `GCLINT-TRAIT-CHECKED-BY: fn` annotation.
-struct CheckedByAnnotation {
-  std::size_t line = 0;
-  std::string function;  ///< unqualified (qualifiers stripped)
-};
-
 /// Everything the rules need to know about one file.
 struct FileModel {
   const SourceFile* file = nullptr;
@@ -85,7 +78,6 @@ struct FileModel {
   std::vector<std::string> includes;  ///< quoted #include targets, in order
   std::vector<std::size_t> include_lines;  ///< parallel to `includes`
   std::vector<AllowAnnotation> allows;
-  std::vector<CheckedByAnnotation> checked_by;
   /// Lines that hold comment tokens and nothing else. A GCLINT-ALLOW may be
   /// separated from the code it vouches for by the rest of its own comment
   /// block; suppression bridges these lines (and only these — a blank line
