@@ -1,6 +1,7 @@
 #include "core/block_map.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "util/contracts.hpp"
@@ -8,10 +9,40 @@
 
 namespace gcaching {
 
+namespace {
+
+/// ceil(2^64 / B) for B >= 2: with it, item / B is the high word of a
+/// 64x64-bit product, exact for every 32-bit item (Lemire, Kaser and Kurz,
+/// "Faster Remainder by Direct Computation", 2019).
+std::uint64_t reciprocal_of(std::size_t block_size) {
+  return block_size > 1 ? UINT64_MAX / block_size + 1 : 0;
+}
+
+BlockId divide(ItemId item, std::uint64_t reciprocal) {
+  return static_cast<BlockId>(
+      (static_cast<unsigned __int128>(reciprocal) * item) >> 64);
+}
+
+/// out[i] = block(items[i]); returns the largest item, which the caller
+/// checks against its universe once instead of once per access.
+template <typename BlockOf>
+ItemId transform_with_max(std::span<const ItemId> items, BlockId* out,
+                          BlockOf block) {
+  ItemId max_item = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    max_item = std::max(max_item, items[i]);
+    out[i] = block(items[i]);
+  }
+  return max_item;
+}
+
+}  // namespace
+
 UniformBlockMap::UniformBlockMap(std::size_t num_items, std::size_t block_size)
     : num_items_(num_items),
       block_size_(block_size),
-      num_blocks_(ceil_div(num_items, block_size)) {
+      num_blocks_(ceil_div(num_items, block_size)),
+      reciprocal_(reciprocal_of(block_size)) {
   GC_REQUIRE(num_items > 0, "universe must be non-empty");
   GC_REQUIRE(block_size > 0, "block size must be positive");
   all_items_.resize(num_items);
@@ -20,7 +51,18 @@ UniformBlockMap::UniformBlockMap(std::size_t num_items, std::size_t block_size)
 
 BlockId UniformBlockMap::block_of(ItemId item) const {
   GC_REQUIRE(item < num_items_, "item id out of range");
-  return static_cast<BlockId>(item / block_size_);
+  return block_size_ == 1 ? item : divide(item, reciprocal_);
+}
+
+void UniformBlockMap::block_ids_of(std::span<const ItemId> items,
+                                   BlockId* out) const {
+  const std::uint64_t r = reciprocal_;
+  const ItemId max_item =
+      block_size_ == 1
+          ? transform_with_max(items, out, [](ItemId it) { return it; })
+          : transform_with_max(items, out,
+                               [r](ItemId it) { return divide(it, r); });
+  GC_REQUIRE(max_item < num_items_, "trace references item outside the map");
 }
 
 std::span<const ItemId> UniformBlockMap::items_of(BlockId block) const {
@@ -60,6 +102,19 @@ ExplicitBlockMap::ExplicitBlockMap(std::vector<std::vector<ItemId>> blocks)
 BlockId ExplicitBlockMap::block_of(ItemId item) const {
   GC_REQUIRE(item < item_to_block_.size(), "item id out of range");
   return item_to_block_[item];
+}
+
+void ExplicitBlockMap::block_ids_of(std::span<const ItemId> items,
+                                    BlockId* out) const {
+  // The clamp keeps an out-of-range item from reading past the table before
+  // the check after the loop rejects it.
+  const BlockId* table = item_to_block_.data();
+  const std::size_t last = item_to_block_.size() - 1;
+  const ItemId max_item = transform_with_max(items, out, [=](ItemId it) {
+    return table[std::min<std::size_t>(it, last)];
+  });
+  GC_REQUIRE(max_item < item_to_block_.size(),
+             "trace references item outside the map");
 }
 
 std::span<const ItemId> ExplicitBlockMap::items_of(BlockId block) const {

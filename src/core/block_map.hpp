@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -33,6 +34,14 @@ class BlockMap {
   /// The block containing `item`. Precondition: item < num_items().
   virtual BlockId block_of(ItemId item) const = 0;
 
+  /// Bulk block_of: writes the block of items[i] to out[i], one virtual
+  /// call per trace instead of one per access. Validates in the same loop
+  /// (through the largest item) and throws ContractViolation "trace
+  /// references item outside the map" when any item is out of range, after
+  /// which the contents of `out` are unspecified.
+  virtual void block_ids_of(std::span<const ItemId> items,
+                            BlockId* out) const = 0;
+
   /// The items of `block`, in ascending id order.
   /// Precondition: block < num_blocks().
   virtual std::span<const ItemId> items_of(BlockId block) const = 0;
@@ -45,7 +54,9 @@ class BlockMap {
 };
 
 /// Block j contains items [j*B, min((j+1)*B, n)). O(1) lookups, O(n) memory
-/// only for the flattened item list (shared across blocks).
+/// only for the flattened item list (shared across blocks). item / B is a
+/// multiply-high by a reciprocal fixed at construction (Lemire, Kaser and
+/// Kurz's direct division), exact for every 32-bit item and every B >= 2.
 class UniformBlockMap final : public BlockMap {
  public:
   /// Partition `num_items` items into blocks of `block_size`; the last block
@@ -55,6 +66,8 @@ class UniformBlockMap final : public BlockMap {
   std::size_t num_items() const noexcept override { return num_items_; }
   std::size_t num_blocks() const noexcept override { return num_blocks_; }
   BlockId block_of(ItemId item) const override;
+  void block_ids_of(std::span<const ItemId> items,
+                    BlockId* out) const override;
   std::span<const ItemId> items_of(BlockId block) const override;
   std::size_t max_block_size() const noexcept override { return block_size_; }
 
@@ -62,6 +75,7 @@ class UniformBlockMap final : public BlockMap {
   std::size_t num_items_;
   std::size_t block_size_;
   std::size_t num_blocks_;
+  std::uint64_t reciprocal_;  // ceil(2^64 / B); 0 for B = 1 (the identity)
   std::vector<ItemId> all_items_;  // 0..n-1 flattened, spans index into it
 };
 
@@ -75,6 +89,8 @@ class ExplicitBlockMap final : public BlockMap {
   std::size_t num_items() const noexcept override { return item_to_block_.size(); }
   std::size_t num_blocks() const noexcept override { return blocks_.size(); }
   BlockId block_of(ItemId item) const override;
+  void block_ids_of(std::span<const ItemId> items,
+                    BlockId* out) const override;
   std::span<const ItemId> items_of(BlockId block) const override;
   std::size_t max_block_size() const noexcept override { return max_block_size_; }
 

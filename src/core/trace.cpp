@@ -23,12 +23,8 @@ void Trace::adopt_block_ids(const BlockMap& map, std::vector<BlockId> ids) {
   GC_REQUIRE(ids.size() == accesses_.size(),
              "adopt_block_ids needs exactly one block id per access");
   if constexpr (kHotChecksEnabled) {
-    for (std::size_t i = 0; i < accesses_.size(); ++i) {
-      GC_CHECK(accesses_[i] < map.num_items(),
-               "trace references item outside the map");
-      GC_CHECK(ids[i] == map.block_of(accesses_[i]),
-               "adopted block id disagrees with the map");
-    }
+    GC_CHECK(ids == compute_block_ids(map, *this),
+             "adopted block id disagrees with the map");
   }
   block_ids_ = std::move(ids);
   block_map_ = &map;
@@ -36,12 +32,8 @@ void Trace::adopt_block_ids(const BlockMap& map, std::vector<BlockId> ids) {
 
 std::vector<BlockId> compute_block_ids(const BlockMap& map,
                                        const Trace& trace) {
-  std::vector<BlockId> out;
-  out.reserve(trace.size());
-  for (ItemId it : trace) {
-    GC_REQUIRE(it < map.num_items(), "trace references item outside the map");
-    out.push_back(map.block_of(it));
-  }
+  std::vector<BlockId> out(trace.size());
+  map.block_ids_of(trace.accesses(), out.data());
   return out;
 }
 
@@ -60,7 +52,10 @@ std::size_t Trace::distinct_items() const {
 
 ItemId Trace::max_item() const {
   if (accesses_.empty()) return kInvalidItem;
-  return *std::max_element(accesses_.begin(), accesses_.end());
+  // A plain reduction, which vectorizes where std::max_element does not.
+  ItemId max_item = 0;
+  for (const ItemId it : accesses_) max_item = std::max(max_item, it);
+  return max_item;
 }
 
 std::size_t Workload::distinct_blocks() const {
@@ -72,8 +67,8 @@ std::size_t Workload::distinct_blocks() const {
 
 void Workload::validate() const {
   GC_REQUIRE(map != nullptr, "workload has no block map");
-  for (ItemId it : trace)
-    GC_REQUIRE(it < map->num_items(), "trace references item outside the map");
+  GC_REQUIRE(trace.empty() || trace.max_item() < map->num_items(),
+             "trace references item outside the map");
 }
 
 }  // namespace gcaching

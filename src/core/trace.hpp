@@ -83,7 +83,8 @@ class Trace {
 
 /// Standalone form of Trace::precompute_block_ids for callers holding a
 /// const Trace (e.g. the sweep runner): resolves every access's block id
-/// against `map`, validating item ranges as it goes.
+/// against `map` in one BlockMap::block_ids_of call, which validates item
+/// ranges as it goes.
 std::vector<BlockId> compute_block_ids(const BlockMap& map,
                                        const Trace& trace);
 

@@ -1,6 +1,8 @@
 #include "core/trace_io.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -274,20 +276,29 @@ TraceView::TraceView(const std::string& path) {
 
   const std::uint64_t records_off =
       kTraceBinHeaderSize + padded_name_len(name_len);
-  const std::uint64_t expected = records_off + num_accesses * kRecordSize;
-  if (file_size != expected) {
+  // Compare record counts, never records_off + num_accesses * kRecordSize:
+  // a header count near 2^62 wraps that sum around to a plausible size.
+  const std::uint64_t record_bytes =
+      file_size > records_off ? file_size - records_off : 0;
+  const std::uint64_t complete_records = record_bytes / kRecordSize;
+  if (file_size < records_off || num_accesses != complete_records ||
+      record_bytes % kRecordSize != 0) {
     // The single loudest failure mode of a binary format is a short file
     // read as a shorter trace. Report exactly where the stream ends.
-    const std::uint64_t record_bytes =
-        file_size > records_off ? file_size - records_off : 0;
+    const bool truncated =
+        file_size < records_off || num_accesses > complete_records;
+    const std::string expected =
+        num_accesses <= (UINT64_MAX - records_off) / kRecordSize
+            ? std::to_string(records_off + num_accesses * kRecordSize)
+            : "more than " + std::to_string(UINT64_MAX);
     bin_fail(path,
-             (file_size < expected ? "truncated: " : "trailing garbage: ") +
+             (truncated ? "truncated: " : "trailing garbage: ") +
                  std::string("file is ") + std::to_string(file_size) +
-                 " bytes, expected " + std::to_string(expected) + " (" +
+                 " bytes, expected " + expected + " (" +
                  std::to_string(num_accesses) + " records x " +
                  std::to_string(kRecordSize) + " bytes starting at byte " +
                  std::to_string(records_off) + "; file ends after " +
-                 std::to_string(record_bytes / kRecordSize) +
+                 std::to_string(complete_records) +
                  " complete records at byte " + std::to_string(file_size) +
                  ")");
   }
@@ -391,12 +402,43 @@ std::shared_ptr<const BlockMap> TraceView::make_map() const {
 }
 
 Workload TraceView::materialize() const {
+  // One pass in ~1 MiB chunks: each chunk is copied, range-checked against
+  // the header while it is still in cache, and (when mapped) its pages of
+  // the read-only mapping are released, so a load never holds the file's
+  // pages and the whole copy at once. A later accesses() re-faults them.
+  constexpr std::size_t kChunkRecords = (std::size_t{1} << 20) / kRecordSize;
+  std::vector<ItemId> acc;
+  acc.reserve(num_accesses_);
+  ItemId max_item = 0;
+#if defined(GC_TRACE_BIN_MMAP)
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::size_t released = 0;  // bytes of the mapping released so far
+#endif
+  for (std::size_t first = 0; first < num_accesses_; first += kChunkRecords) {
+    const std::size_t last = std::min(first + kChunkRecords, num_accesses_);
+    acc.insert(acc.end(), data_ + first, data_ + last);
+    for (std::size_t i = first; i < last; ++i)
+      max_item = std::max(max_item, acc[i]);
+#if defined(GC_TRACE_BIN_MMAP)
+    if (map_addr_ != nullptr) {
+      char* base = static_cast<char*>(map_addr_);
+      const auto copied = static_cast<std::size_t>(
+          reinterpret_cast<const char*>(data_ + last) - base);
+      const std::size_t upto =
+          last == num_accesses_ ? map_len_ : copied / page * page;
+      if (upto > released) {
+        ::madvise(base + released, upto - released, MADV_DONTNEED);
+        released = upto;
+      }
+    }
+#endif
+  }
+  GC_REQUIRE(max_item < num_items_, "trace references item outside the map");
+
   Workload w;
   w.map = make_map();
-  const std::span<const ItemId> acc = accesses();
-  w.trace = Trace(std::vector<ItemId>(acc.begin(), acc.end()));
+  w.trace = Trace(std::move(acc));
   w.name = name_;
-  w.validate();
   return w;
 }
 

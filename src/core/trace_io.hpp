@@ -85,7 +85,9 @@ class TraceView {
 
   /// Materialize the whole file as an in-RAM workload (copies the record
   /// array — use only when the trace is meant to fit; samplers should
-  /// filter from accesses() instead).
+  /// filter from accesses() instead). Throws ContractViolation "trace
+  /// references item outside the map" for a record >= num_items(). The
+  /// copied pages of the mapping are released as the copy proceeds.
   Workload materialize() const;
 
  private:

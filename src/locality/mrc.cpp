@@ -170,9 +170,8 @@ MissRatioCurve block_lru_mrc(const Workload& workload,
   workload.validate();
   GC_REQUIRE(std::is_sorted(sizes.begin(), sizes.end()),
              "sizes must be ascending");
-  std::vector<std::uint32_t> blocks(workload.trace.size());
-  for (std::size_t p = 0; p < workload.trace.size(); ++p)
-    blocks[p] = workload.map->block_of(workload.trace[p]);
+  const std::vector<BlockId> blocks =
+      compute_block_ids(*workload.map, workload.trace);
   const auto hist = stack_distances(blocks, workload.map->num_blocks());
   const std::size_t B = workload.map->max_block_size();
   MissRatioCurve curve;

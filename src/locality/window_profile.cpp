@@ -44,9 +44,8 @@ WorkingSetProfile compute_profile(const Workload& workload,
                                   std::vector<std::size_t> window_lengths) {
   workload.validate();
   const auto& items = workload.trace.accesses();
-  std::vector<std::uint32_t> blocks(items.size());
-  for (std::size_t p = 0; p < items.size(); ++p)
-    blocks[p] = workload.map->block_of(items[p]);
+  const std::vector<BlockId> blocks =
+      compute_block_ids(*workload.map, workload.trace);
 
   WorkingSetProfile out;
   out.window_lengths = window_lengths.empty()

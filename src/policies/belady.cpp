@@ -76,9 +76,7 @@ void BeladyBlock::attach(const BlockMap& map, CacheContents& cache) {
 }
 
 void BeladyBlock::prepare(const Trace& trace) {
-  keys_.resize(trace.size());
-  for (std::size_t p = 0; p < trace.size(); ++p)
-    keys_[p] = map().block_of(trace[p]);
+  keys_ = compute_block_ids(map(), trace);
   block_index_.build(keys_, map().num_blocks());
   prepared_ = true;
 }

@@ -1,8 +1,13 @@
 // Unit tests for core/block_map: partitions and their validation.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/block_map.hpp"
+#include "core/trace.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace gcaching {
 namespace {
@@ -110,6 +115,64 @@ TEST(BlockMapProperty, BlockSizesNeverExceedMax) {
   ExplicitBlockMap map({{0, 1, 2}, {3}, {4, 5}});
   for (BlockId b = 0; b < map.num_blocks(); ++b)
     EXPECT_LE(map.block_size(b), map.max_block_size());
+}
+
+/// A seeded random trace over `map`'s universe that also references the
+/// last item (the one a rounding slip in a bulk divide would misplace).
+Trace random_trace(const BlockMap& map, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<ItemId> acc;
+  for (int i = 0; i < 5000; ++i)
+    acc.push_back(static_cast<ItemId>(rng.below(map.num_items())));
+  acc.push_back(static_cast<ItemId>(map.num_items() - 1));
+  acc.push_back(0);
+  return Trace(std::move(acc));
+}
+
+/// Bulk ids, per-item block_of and an independent `expected` must agree.
+template <typename Expected>
+void expect_bulk_matches_per_item(const BlockMap& map, std::uint64_t seed,
+                                  Expected expected) {
+  const Trace trace = random_trace(map, seed);
+  const std::vector<BlockId> ids = compute_block_ids(map, trace);
+  ASSERT_EQ(ids.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    ASSERT_EQ(ids[i], map.block_of(trace[i])) << "access " << i;
+    ASSERT_EQ(ids[i], expected(trace[i])) << "access " << i;
+  }
+  EXPECT_TRUE(compute_block_ids(map, Trace{}).empty());
+}
+
+TEST(BlockMapProperty, BulkBlockIdsMatchPerItemBlockOf) {
+  // B = 3 leaves a ragged last block of one item (999).
+  for (const auto& [n, b] : {std::pair<std::size_t, ItemId>{1000, 1},
+                             {1000, 3}, {4096, 16}}) {
+    expect_bulk_matches_per_item(UniformBlockMap(n, b), b,
+                                 [b](ItemId it) { return it / b; });
+  }
+  const std::vector<BlockId> owner = {0, 1, 2, 2, 0, 2, 2, 2, 3, 0};
+  expect_bulk_matches_per_item(
+      ExplicitBlockMap({{4, 0, 9}, {1}, {2, 3, 5, 6, 7}, {8}}), 4,
+      [&owner](ItemId it) { return owner[it]; });
+}
+
+TEST(BlockMapProperty, BulkBlockIdsRejectAnItemOutsideTheMap) {
+  const UniformBlockMap uniform(100, 3);
+  const ExplicitBlockMap explicit_map({{0, 2}, {1}, {3}});
+  for (const BlockMap* map :
+       {static_cast<const BlockMap*>(&uniform),
+        static_cast<const BlockMap*>(&explicit_map)}) {
+    const auto n = static_cast<ItemId>(map->num_items());
+    try {
+      (void)compute_block_ids(*map, Trace(std::vector<ItemId>{0, n, 1}));
+      ADD_FAILURE() << "an item outside the map did not throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "trace references item outside the map"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -171,6 +171,57 @@ TEST(TraceBin, BadMagicAndBadVersionFailLoudly) {
             std::string::npos);
 }
 
+/// Writes a gctrace file by hand: a 40-byte header with an empty name and a
+/// declared record count, followed by `records` verbatim.
+void write_raw_trace(const std::string& path, std::uint64_t num_items,
+                     std::uint64_t num_accesses,
+                     const std::vector<std::uint32_t>& records) {
+  std::string bytes = "GCTB";
+  const auto put = [&bytes](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i)
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  };
+  put(1, 4);              // version
+  put(num_items, 8);
+  put(16, 8);             // block size
+  put(num_accesses, 8);
+  put(0, 8);              // name length
+  for (const std::uint32_t r : records) put(r, 4);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A record count whose byte size wraps around 2^64 must not pass the size
+// check: 48 bytes holding 2 records, under a header claiming 2^62 + 2.
+TEST(TraceBin, RecordCountThatOverflowsFailsLoudly) {
+  const std::string path = tmp_path("overflow.gct");
+  write_raw_trace(path, 64, (std::uint64_t{1} << 62) + 2, {1, 2});
+  ASSERT_EQ(std::filesystem::file_size(path), 48u);
+  const std::string msg = error_of(path);
+  EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("file is 48 bytes"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("4611686018427387906 records"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("starting at byte 40"), std::string::npos) << msg;
+}
+
+// A record outside the header's universe loads (the view does not scan the
+// records) but must not materialize.
+TEST(TraceBin, OutOfRangeRecordFailsLoudly) {
+  const std::string path = tmp_path("outofrange.gct");
+  write_raw_trace(path, 64, 3, {0, 63, 64});
+  const TraceView view(path);
+  try {
+    (void)view.materialize();
+    ADD_FAILURE() << "a record equal to num_items did not throw";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "trace references item outside the map"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // The text loader's counterpart guarantee, pinned alongside: a declared
 // trace length longer than the data must fail, not yield a shorter trace.
 TEST(TraceBin, TextLoaderRejectsShortTrace) {
