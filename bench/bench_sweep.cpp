@@ -99,7 +99,7 @@ struct ColumnResult {
 ColumnResult bench_column(const Options& opts, const std::string& spec,
                           const std::string& workload_name, const Workload& w,
                           const std::vector<std::size_t>& capacities) {
-  const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
+  const BlockIdVector ids = compute_block_ids(*w.map, w.trace);
   const std::span<const BlockId> ids_span(ids);
   GC_REQUIRE(stack_column_eligible(spec, *w.map),
              spec + " has no stack pass on " + workload_name);
@@ -147,7 +147,7 @@ std::vector<SimStats> static_chunk_grid(
     ThreadPool& pool, const std::vector<Workload>& ws,
     const std::vector<std::string>& policies,
     const std::vector<std::size_t>& capacities) {
-  std::vector<std::vector<BlockId>> ids(ws.size());
+  std::vector<BlockIdVector> ids(ws.size());
   pool.parallel_for(ws.size(), [&](std::size_t w) {
     ids[w] = compute_block_ids(*ws[w].map, ws[w].trace);
   });

@@ -180,7 +180,7 @@ SimStats simulate_fast(const BlockMap& map, const Trace& trace,
 template <typename Policy>
 SimStats simulate_fast(const BlockMap& map, const Trace& trace,
                        Policy& policy, std::size_t capacity) {
-  std::vector<BlockId> storage;
+  BlockIdVector storage;
   const std::span<const BlockId> ids = resolve_block_ids(map, trace, storage);
   return simulate_fast(map, trace, policy, capacity, ids);
 }

@@ -1,7 +1,13 @@
 #include "core/trace.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_set>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "util/contracts.hpp"
 
@@ -19,7 +25,33 @@ void Trace::precompute_block_ids(const BlockMap& map) {
   block_map_ = &map;
 }
 
-void Trace::adopt_block_ids(const BlockMap& map, std::vector<BlockId> ids) {
+void populate_pages_for_write(void* addr, std::size_t bytes) noexcept {
+#if defined(MADV_POPULATE_WRITE)
+  // A kernel before 5.14 rejects the advice with EINVAL, which is ignored.
+  static const auto page =
+      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(addr);
+  const std::uintptr_t first = (begin + page - 1) / page * page;
+  const std::uintptr_t last = (begin + bytes) / page * page;
+  if (last > first)
+    (void)::madvise(reinterpret_cast<void*>(first), last - first,
+                    MADV_POPULATE_WRITE);
+#else
+  (void)addr;
+  (void)bytes;
+#endif
+}
+
+void append_block_ids(const BlockMap& map, std::span<const ItemId> items,
+                      BlockIdVector& ids) {
+  const std::size_t first = ids.size();
+  ids.reserve(first + items.size());
+  populate_pages_for_write(ids.data() + first, items.size() * sizeof(BlockId));
+  ids.resize(first + items.size());  // default-initialized: writes nothing
+  map.block_ids_of(items, ids.data() + first);
+}
+
+void Trace::adopt_block_ids(const BlockMap& map, BlockIdVector ids) {
   GC_REQUIRE(ids.size() == accesses_.size(),
              "adopt_block_ids needs exactly one block id per access");
   if constexpr (kHotChecksEnabled) {
@@ -30,16 +62,21 @@ void Trace::adopt_block_ids(const BlockMap& map, std::vector<BlockId> ids) {
   block_map_ = &map;
 }
 
-std::vector<BlockId> compute_block_ids(const BlockMap& map,
-                                       const Trace& trace) {
-  std::vector<BlockId> out(trace.size());
-  map.block_ids_of(trace.accesses(), out.data());
-  return out;
+BlockIdVector compute_block_ids(const BlockMap& map, const Trace& trace) {
+  const std::span<const ItemId> items = trace.accesses();
+  BlockIdVector ids;
+  ids.reserve(items.size());
+  for (std::size_t first = 0; first < items.size();
+       first += kTraceChunkAccesses) {
+    const std::size_t n = std::min(kTraceChunkAccesses, items.size() - first);
+    append_block_ids(map, items.subspan(first, n), ids);
+  }
+  return ids;
 }
 
 std::span<const BlockId> resolve_block_ids(const BlockMap& map,
                                            const Trace& trace,
-                                           std::vector<BlockId>& storage) {
+                                           BlockIdVector& storage) {
   if (trace.has_block_ids(map)) return trace.block_ids();
   storage = compute_block_ids(map, trace);
   return storage;

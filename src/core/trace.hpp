@@ -10,6 +10,8 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/block_map.hpp"
@@ -17,6 +19,52 @@
 #include "util/contracts.hpp"
 
 namespace gcaching {
+
+/// std::allocator whose value-less construct() default-initializes, so
+/// resize() on a vector of trivial elements writes nothing: the bytes are
+/// left for the producer that is about to overwrite them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// One block id per access. Growing it leaves the new ids uninitialized
+/// until BlockMap::block_ids_of writes them (see append_block_ids).
+using BlockIdVector = std::vector<BlockId, DefaultInitAllocator<BlockId>>;
+
+/// Accesses per chunk of a chunked pass over a trace: ~1 MiB of records,
+/// so a chunk's items are still in cache when its block ids are written.
+inline constexpr std::size_t kTraceChunkAccesses =
+    (std::size_t{1} << 20) / sizeof(ItemId);
+
+/// Faults in, for writing, the whole pages inside [addr, addr + bytes) in
+/// one call (Linux MADV_POPULATE_WRITE), so the writer that follows takes
+/// no page fault per 4 KiB. Only a hint: where the call is unavailable or
+/// fails (a kernel before 5.14, a non-Linux build), the pages fault in on
+/// first touch as usual. Contents are unchanged.
+void populate_pages_for_write(void* addr, std::size_t bytes) noexcept;
+
+/// The one producer of block-id vectors: appends the block of every item
+/// of `items` under `map` to `ids`. The new ids' pages are populated first,
+/// then BlockMap::block_ids_of writes them, with no zero-fill in between.
+/// Callers pass a trace in kTraceChunkAccesses chunks, having reserved the
+/// whole trace. Throws ContractViolation "trace references item outside
+/// the map" for an out-of-range item, after which `ids` is unspecified.
+void append_block_ids(const BlockMap& map, std::span<const ItemId> items,
+                      BlockIdVector& ids);
+
+class TraceView;
 
 class Trace {
  public:
@@ -59,6 +107,8 @@ class Trace {
 
   /// Resolve and store the block id of every access against `map`. Also
   /// validates that every access is inside the map's universe. O(size).
+  /// Returns at once when the ids are already there, as they are for a
+  /// trace from TraceView::materialize() against the workload's own map.
   void precompute_block_ids(const BlockMap& map);
 
   /// True when block ids are cached for this exact map instance.
@@ -73,20 +123,28 @@ class Trace {
   /// that resolved them as a by-product) as this trace's cache for `map`.
   /// `ids` must hold exactly one id per access; in checking builds every id
   /// is verified against the map.
-  void adopt_block_ids(const BlockMap& map, std::vector<BlockId> ids);
+  void adopt_block_ids(const BlockMap& map, BlockIdVector ids);
 
  private:
+  friend class TraceView;
+
+  /// Installs ids that the caller produced from these very accesses with
+  /// append_block_ids against `map`, so they are not checked again.
+  Trace(std::vector<ItemId> accesses, const BlockMap& map, BlockIdVector ids)
+      : accesses_(std::move(accesses)),
+        block_ids_(std::move(ids)),
+        block_map_(&map) {}
+
   std::vector<ItemId> accesses_;
-  std::vector<BlockId> block_ids_;
+  BlockIdVector block_ids_;
   const BlockMap* block_map_ = nullptr;
 };
 
 /// Standalone form of Trace::precompute_block_ids for callers holding a
 /// const Trace (e.g. the sweep runner): resolves every access's block id
-/// against `map` in one BlockMap::block_ids_of call, which validates item
-/// ranges as it goes.
-std::vector<BlockId> compute_block_ids(const BlockMap& map,
-                                       const Trace& trace);
+/// against `map` with append_block_ids, chunk by chunk, which validates
+/// item ranges as it goes.
+BlockIdVector compute_block_ids(const BlockMap& map, const Trace& trace);
 
 /// The one place the "use the trace's cached ids, else resolve them once"
 /// decision lives (previously repeated across the fast-engine setup, the
@@ -96,7 +154,7 @@ std::vector<BlockId> compute_block_ids(const BlockMap& map,
 /// as both `trace` and `storage` are.
 std::span<const BlockId> resolve_block_ids(const BlockMap& map,
                                            const Trace& trace,
-                                           std::vector<BlockId>& storage);
+                                           BlockIdVector& storage);
 
 // ---- One-pass filtered-trace materialization ------------------------------
 // Support for trace sampling (locality/sample.hpp): a single pass over an
@@ -110,7 +168,7 @@ std::span<const BlockId> resolve_block_ids(const BlockMap& map,
 /// ids (same length), and the length of the unfiltered input.
 struct FilteredTrace {
   std::vector<ItemId> accesses;
-  std::vector<BlockId> block_ids;
+  BlockIdVector block_ids;
   std::uint64_t total_accesses = 0;
 };
 

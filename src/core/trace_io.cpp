@@ -402,23 +402,31 @@ std::shared_ptr<const BlockMap> TraceView::make_map() const {
 }
 
 Workload TraceView::materialize() const {
-  // One pass in ~1 MiB chunks: each chunk is copied, range-checked against
-  // the header while it is still in cache, and (when mapped) its pages of
+  // One pass in ~1 MiB chunks. Each chunk's pages of the items vector are
+  // populated and the records copied in; (when mapped) the copied pages of
   // the read-only mapping are released, so a load never holds the file's
-  // pages and the whole copy at once. A later accesses() re-faults them.
-  constexpr std::size_t kChunkRecords = (std::size_t{1} << 20) / kRecordSize;
+  // pages and the whole copy at once (a later accesses() re-faults them);
+  // then the chunk's block ids are written while its items are in cache.
+  // Populating per chunk, after the release, keeps the peak footprint that
+  // of the two vectors.
+  Workload w;
+  w.map = make_map();
+  w.name = name_;
   std::vector<ItemId> acc;
   acc.reserve(num_accesses_);
-  ItemId max_item = 0;
+  BlockIdVector ids;
+  ids.reserve(num_accesses_);
 #if defined(GC_TRACE_BIN_MMAP)
   const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   std::size_t released = 0;  // bytes of the mapping released so far
 #endif
-  for (std::size_t first = 0; first < num_accesses_; first += kChunkRecords) {
-    const std::size_t last = std::min(first + kChunkRecords, num_accesses_);
+  for (std::size_t first = 0; first < num_accesses_;
+       first += kTraceChunkAccesses) {
+    const std::size_t last =
+        std::min(first + kTraceChunkAccesses, num_accesses_);
+    populate_pages_for_write(acc.data() + first,
+                             (last - first) * sizeof(ItemId));
     acc.insert(acc.end(), data_ + first, data_ + last);
-    for (std::size_t i = first; i < last; ++i)
-      max_item = std::max(max_item, acc[i]);
 #if defined(GC_TRACE_BIN_MMAP)
     if (map_addr_ != nullptr) {
       char* base = static_cast<char*>(map_addr_);
@@ -432,13 +440,10 @@ Workload TraceView::materialize() const {
       }
     }
 #endif
+    // Range-checks the chunk against the header's universe too.
+    append_block_ids(*w.map, std::span(acc).subspan(first), ids);
   }
-  GC_REQUIRE(max_item < num_items_, "trace references item outside the map");
-
-  Workload w;
-  w.map = make_map();
-  w.trace = Trace(std::move(acc));
-  w.name = name_;
+  w.trace = Trace(std::move(acc), *w.map, std::move(ids));
   return w;
 }
 

@@ -85,9 +85,12 @@ class TraceView {
 
   /// Materialize the whole file as an in-RAM workload (copies the record
   /// array — use only when the trace is meant to fit; samplers should
-  /// filter from accesses() instead). Throws ContractViolation "trace
-  /// references item outside the map" for a record >= num_items(). The
-  /// copied pages of the mapping are released as the copy proceeds.
+  /// filter from accesses() instead). The returned trace carries its block
+  /// ids against the returned map, produced in the same chunked pass, so a
+  /// later `w.trace.precompute_block_ids(*w.map)` returns at once. Throws
+  /// ContractViolation "trace references item outside the map" for a
+  /// record >= num_items(). The copied pages of the mapping are released
+  /// as the copy proceeds (docs/FORMATS.md).
   Workload materialize() const;
 
  private:

@@ -132,7 +132,7 @@ std::size_t StackDistanceWalker::next(std::uint32_t key) {
 }
 GC_HOT_REGION_END(stack_distance_walker_next)
 
-StackDistanceHistogram stack_distances(const std::vector<std::uint32_t>& keys,
+StackDistanceHistogram stack_distances(std::span<const std::uint32_t> keys,
                                        std::size_t key_universe) {
   StackDistanceHistogram out;
   out.accesses = keys.size();
@@ -170,7 +170,7 @@ MissRatioCurve block_lru_mrc(const Workload& workload,
   workload.validate();
   GC_REQUIRE(std::is_sorted(sizes.begin(), sizes.end()),
              "sizes must be ascending");
-  const std::vector<BlockId> blocks =
+  const BlockIdVector blocks =
       compute_block_ids(*workload.map, workload.trace);
   const auto hist = stack_distances(blocks, workload.map->num_blocks());
   const std::size_t B = workload.map->max_block_size();

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/trace.hpp"
@@ -103,7 +104,7 @@ class StackDistanceWalker {
 };
 
 /// One-pass exact stack distances of a whole key stream (histogram form).
-StackDistanceHistogram stack_distances(const std::vector<std::uint32_t>& keys,
+StackDistanceHistogram stack_distances(std::span<const std::uint32_t> keys,
                                        std::size_t key_universe);
 
 /// Item-granularity LRU curve of a workload at the given sizes.

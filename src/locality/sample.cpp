@@ -151,7 +151,7 @@ SampledTrace sample_trace_uniform(std::span<const ItemId> accesses,
 
 SampledTrace sample_workload(const Workload& w, const SampleConfig& cfg) {
   GC_REQUIRE(w.map != nullptr, "workload has no block map");
-  std::vector<BlockId> storage;
+  BlockIdVector storage;
   const std::span<const BlockId> ids =
       resolve_block_ids(*w.map, w.trace, storage);
   return sample_trace(w.trace.accesses(), ids, cfg);

@@ -103,7 +103,7 @@ double realized_rate(const BlockFilter& f, std::size_t num_blocks);
 /// produced it, and the observed distinct-block count.
 struct SampledTrace {
   std::vector<ItemId> accesses;
-  std::vector<BlockId> block_ids;
+  BlockIdVector block_ids;
   std::uint64_t total_accesses = 0;  ///< length of the unfiltered input
   BlockFilter filter;                ///< reusable accept predicate
   std::size_t sampled_blocks = 0;    ///< distinct blocks in the sample

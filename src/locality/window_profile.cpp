@@ -8,7 +8,7 @@
 
 namespace gcaching::locality {
 
-std::size_t max_distinct_in_windows(const std::vector<std::uint32_t>& keys,
+std::size_t max_distinct_in_windows(std::span<const std::uint32_t> keys,
                                     std::size_t n, std::size_t key_universe) {
   GC_REQUIRE(n >= 1, "window length must be positive");
   if (keys.empty()) return 0;
@@ -44,7 +44,7 @@ WorkingSetProfile compute_profile(const Workload& workload,
                                   std::vector<std::size_t> window_lengths) {
   workload.validate();
   const auto& items = workload.trace.accesses();
-  const std::vector<BlockId> blocks =
+  const BlockIdVector blocks =
       compute_block_ids(*workload.map, workload.trace);
 
   WorkingSetProfile out;

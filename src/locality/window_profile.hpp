@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bounds/locality_bounds.hpp"
@@ -29,7 +30,7 @@ struct WorkingSetProfile {
 
 /// Exact max-distinct count over all windows of length `n` of `keys`.
 /// `key_universe` bounds the key values (items or blocks).
-std::size_t max_distinct_in_windows(const std::vector<std::uint32_t>& keys,
+std::size_t max_distinct_in_windows(std::span<const std::uint32_t> keys,
                                     std::size_t n, std::size_t key_universe);
 
 /// Default log-spaced window lengths: 1, 2, 3, 4, 6, 8, ... up to the trace

@@ -6,7 +6,7 @@ namespace gcaching {
 
 namespace detail {
 
-void NextUseIndex::build(const std::vector<std::uint32_t>& keys,
+void NextUseIndex::build(std::span<const std::uint32_t> keys,
                          std::size_t key_universe) {
   next_use_.assign(keys.size(), kNever);
   std::vector<std::uint64_t> last_seen(key_universe, kNever);
@@ -76,8 +76,7 @@ void BeladyBlock::attach(const BlockMap& map, CacheContents& cache) {
 }
 
 void BeladyBlock::prepare(const Trace& trace) {
-  keys_ = compute_block_ids(map(), trace);
-  block_index_.build(keys_, map().num_blocks());
+  block_index_.build(compute_block_ids(map(), trace), map().num_blocks());
   prepared_ = true;
 }
 

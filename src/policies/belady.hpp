@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,7 @@ class NextUseIndex {
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
   /// keys[p] = the key of access p (item id, or block id of the item).
-  void build(const std::vector<std::uint32_t>& keys, std::size_t key_universe);
+  void build(std::span<const std::uint32_t> keys, std::size_t key_universe);
 
   std::uint64_t next_after(std::size_t pos) const { return next_use_[pos]; }
   std::size_t trace_length() const { return next_use_.size(); }
@@ -137,7 +138,6 @@ class BeladyBlock final : public ReplacementPolicy {
  private:
   detail::NextUseIndex block_index_;  // keyed by block id
   detail::FurthestQueue queue_;       // over blocks
-  std::vector<std::uint32_t> keys_;   // trace positions -> block ids
   std::size_t pos_ = 0;
   bool prepared_ = false;
 };

@@ -185,7 +185,7 @@ SimStats simulate_fast_spec(const std::string& spec, const BlockMap& map,
 
 SimStats simulate_fast_spec(const std::string& spec, const BlockMap& map,
                             const Trace& trace, std::size_t capacity) {
-  std::vector<BlockId> storage;
+  BlockIdVector storage;
   const std::span<const BlockId> ids = resolve_block_ids(map, trace, storage);
   return simulate_fast_spec(spec, map, trace, ids, capacity);
 }

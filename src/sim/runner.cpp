@@ -110,7 +110,7 @@ std::vector<SweepCell> run_sweep(const SweepSpec& spec) {
   // traces carry adopted ids from the filter pass, so resolve_block_ids
   // reuses them for free. The resolution itself is memory-bound and
   // per-workload independent, so it runs across the pool too.
-  std::vector<std::vector<BlockId>> block_id_storage(nw);
+  std::vector<BlockIdVector> block_id_storage(nw);
   std::vector<std::span<const BlockId>> block_ids(nw);
   if (spec.use_fast_path)
     pool.parallel_for(nw, [&](std::size_t w) {

@@ -15,7 +15,7 @@ namespace {
 
 TEST(NextUseIndex, BasicNextPositions) {
   detail::NextUseIndex idx;
-  idx.build({0, 1, 0, 2, 1}, 3);
+  idx.build(std::vector<std::uint32_t>{0, 1, 0, 2, 1}, 3);
   EXPECT_EQ(idx.next_after(0), 2u);
   EXPECT_EQ(idx.next_after(1), 4u);
   EXPECT_EQ(idx.next_after(2), detail::NextUseIndex::kNever);

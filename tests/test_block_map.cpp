@@ -134,7 +134,7 @@ template <typename Expected>
 void expect_bulk_matches_per_item(const BlockMap& map, std::uint64_t seed,
                                   Expected expected) {
   const Trace trace = random_trace(map, seed);
-  const std::vector<BlockId> ids = compute_block_ids(map, trace);
+  const BlockIdVector ids = compute_block_ids(map, trace);
   ASSERT_EQ(ids.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     ASSERT_EQ(ids[i], map.block_of(trace[i])) << "access " << i;

@@ -96,7 +96,7 @@ TEST(FastSim, BlockIdCacheInvalidatedByMutation) {
 
 TEST(FastSim, ExplicitSpanOverloadAgrees) {
   const Workload w = traces::zipf_blocks(32, 8, 2000, 0.8, 3, 5);
-  const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
+  const BlockIdVector ids = compute_block_ids(*w.map, w.trace);
   const SimStats via_span = simulate_fast_spec(
       "iblp", *w.map, w.trace, std::span<const BlockId>(ids), 32);
   const SimStats via_workload = simulate_fast_spec("iblp", w, 32);

@@ -14,7 +14,8 @@ namespace {
 
 TEST(StackDistances, HandComputedExample) {
   // keys: a b a c b a  ->  distances: a:inf b:inf a:2 c:inf b:3 a:3
-  const auto hist = stack_distances({0, 1, 0, 2, 1, 0}, 3);
+  const auto hist =
+      stack_distances(std::vector<std::uint32_t>{0, 1, 0, 2, 1, 0}, 3);
   EXPECT_EQ(hist.cold, 3u);
   ASSERT_GE(hist.hist.size(), 4u);
   EXPECT_EQ(hist.hist[1], 0u);
@@ -23,13 +24,14 @@ TEST(StackDistances, HandComputedExample) {
 }
 
 TEST(StackDistances, RepeatIsDistanceOne) {
-  const auto hist = stack_distances({5, 5, 5}, 8);
+  const auto hist = stack_distances(std::vector<std::uint32_t>{5, 5, 5}, 8);
   EXPECT_EQ(hist.cold, 1u);
   EXPECT_EQ(hist.hist[1], 2u);
 }
 
 TEST(StackDistances, MissesAtMatchesDefinition) {
-  const auto hist = stack_distances({0, 1, 0, 2, 1, 0}, 3);
+  const auto hist =
+      stack_distances(std::vector<std::uint32_t>{0, 1, 0, 2, 1, 0}, 3);
   // c=1: hits need distance <= 1 -> none; all 6 accesses miss.
   EXPECT_EQ(hist.misses_at(1), 6u);
   // c=2: the distance-2 access hits -> 5 misses.

@@ -153,7 +153,7 @@ TEST(SampleFixedSize, EquivalentToFixedRateAtFinalThreshold) {
   ASSERT_FALSE(s.filter.all);
   EXPECT_LE(s.sampled_blocks, cfg.max_blocks);
 
-  const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
+  const BlockIdVector ids = compute_block_ids(*w.map, w.trace);
   const FilteredTrace refiltered = filter_trace(
       w.trace.accesses(), ids,
       [&](BlockId b) { return s.filter.accepts(b); });

@@ -62,7 +62,7 @@ TEST_P(ColumnDifferential, AllThreePathsBitIdentical) {
   const std::string spec = GetParam();
   for (const std::uint64_t seed : {1u, 2u}) {
     const Workload w = traces::zipf_blocks(64, 8, 4000, 0.9, 4, seed);
-    const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
+    const BlockIdVector ids = compute_block_ids(*w.map, w.trace);
     const std::span<const BlockId> ids_span(ids);
     const std::vector<SimStats> column =
         simulate_column_spec(spec, *w.map, w.trace, ids_span, kCapacities);
@@ -99,7 +99,7 @@ TEST(StackColumn, MatchesPerCellAcrossWorkloadShapes) {
       traces::strided_scan(256, 8, 3000, 8),
   };
   for (const Workload& w : workloads) {
-    const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
+    const BlockIdVector ids = compute_block_ids(*w.map, w.trace);
     for (const std::string spec : {"item-lru", "block-lru"}) {
       const std::vector<SimStats> column = simulate_column_spec(
           spec, *w.map, w.trace, std::span<const BlockId>(ids), kCapacities);
@@ -145,7 +145,7 @@ TEST(StackColumn, EligibilityFollowsTheStackTrait) {
 // simulate_column_spec must fall back to per-cell runs and still match.
 TEST(StackColumn, NonUniformPartitionFallsBackToPerCell) {
   const Workload w = nonuniform_workload();
-  const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
+  const BlockIdVector ids = compute_block_ids(*w.map, w.trace);
   const std::vector<SimStats> column =
       simulate_column_spec("block-lru", *w.map, w.trace,
                            std::span<const BlockId>(ids), kCapacities);
@@ -160,7 +160,7 @@ TEST(StackColumn, NonUniformPartitionFallsBackToPerCell) {
 
 TEST(StackColumn, RejectsUnknownSpec) {
   const Workload w = traces::zipf_blocks(8, 4, 50, 0.8, 2, 1);
-  const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
+  const BlockIdVector ids = compute_block_ids(*w.map, w.trace);
   const std::vector<std::size_t> caps = {8};
   EXPECT_THROW(simulate_column_spec("no-such-policy", *w.map, w.trace,
                                     std::span<const BlockId>(ids), caps),

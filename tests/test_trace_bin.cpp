@@ -6,15 +6,18 @@
 // where the stream ends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/trace_io.hpp"
 #include "traces/synthetic.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace gcaching {
 namespace {
@@ -220,6 +223,94 @@ TEST(TraceBin, OutOfRangeRecordFailsLoudly) {
               std::string::npos)
         << e.what();
   }
+}
+
+// ---- materialize: one chunked pass that also yields the block ids --------
+
+// 600,000 records span three ~1 MiB materialize chunks, the last ragged.
+constexpr std::size_t kMultiChunkRecords = 600'000;
+static_assert(kMultiChunkRecords > 2 * kTraceChunkAccesses &&
+              kMultiChunkRecords < 3 * kTraceChunkAccesses &&
+              kMultiChunkRecords % kTraceChunkAccesses != 0);
+
+/// A uniform-partition workload of `length` random accesses over
+/// `num_items` items, whose last access is the universe's top item.
+Workload random_uniform_workload(std::size_t num_items, std::size_t B,
+                                 std::size_t length, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<ItemId> acc(length);
+  for (ItemId& it : acc) it = static_cast<ItemId>(rng.below(num_items));
+  acc.back() = static_cast<ItemId>(num_items - 1);
+  Workload w;
+  w.map = make_uniform_blocks(num_items, B);
+  w.trace = Trace(std::move(acc));
+  w.name = "multi-chunk";
+  return w;
+}
+
+// The materialized trace carries its block ids against the returned map,
+// so a later precompute_block_ids is a no-op, and every id (in every
+// chunk, across the ragged last block) is the map's block_of.
+TEST(TraceBin, MaterializeCarriesBlockIdsAcrossChunks) {
+  constexpr std::size_t kItems = 100'003;  // divisible by neither B
+  for (const std::size_t B : {std::size_t{1}, std::size_t{16}}) {
+    SCOPED_TRACE("B = " + std::to_string(B));
+    const Workload src =
+        random_uniform_workload(kItems, B, kMultiChunkRecords, 11 + B);
+    const std::string path = tmp_path("multichunk.gct");
+    save_trace_bin_file(path, src);
+
+    Workload w = TraceView(path).materialize();
+    ASSERT_EQ(w.trace.accesses(), src.trace.accesses());
+    ASSERT_TRUE(w.trace.has_block_ids(*w.map));
+    const std::span<const BlockId> ids = w.trace.block_ids();
+    ASSERT_EQ(ids.size(), kMultiChunkRecords);
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      ASSERT_EQ(ids[i], w.map->block_of(w.trace[i])) << "access " << i;
+    EXPECT_EQ(ids.back(), (kItems - 1) / B);
+
+    const BlockIdVector again = compute_block_ids(*w.map, w.trace);
+    EXPECT_TRUE(std::equal(again.begin(), again.end(), ids.begin(),
+                           ids.end()));
+    const BlockId* before = ids.data();
+    w.trace.precompute_block_ids(*w.map);
+    EXPECT_EQ(w.trace.block_ids().data(), before)
+        << "precompute_block_ids recomputed ids materialize produced";
+  }
+}
+
+// The range check rides on the id pass, so it must cover every chunk: a
+// record equal to num_items in the ragged last chunk still throws.
+TEST(TraceBin, OutOfRangeRecordInLastChunkFailsLoudly) {
+  constexpr std::size_t kItems = 4099;
+  const Workload src =
+      random_uniform_workload(kItems, 16, kMultiChunkRecords, 5);
+  std::vector<std::uint32_t> records(src.trace.begin(), src.trace.end());
+  records[kMultiChunkRecords - 7] = kItems;
+  const std::string path = tmp_path("outofrange_last_chunk.gct");
+  write_raw_trace(path, kItems, records.size(), records);
+  const TraceView view(path);
+  try {
+    (void)view.materialize();
+    ADD_FAILURE() << "a record equal to num_items did not throw";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "trace references item outside the map"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceBin, EmptyTraceMaterializesWithEmptyIds) {
+  const std::string path = tmp_path("empty.gct");
+  write_raw_trace(path, 64, 0, {});
+  const TraceView view(path);
+  ASSERT_EQ(view.size(), 0u);
+  const Workload w = view.materialize();
+  EXPECT_TRUE(w.trace.empty());
+  EXPECT_TRUE(w.trace.block_ids().empty());
+  EXPECT_TRUE(w.trace.has_block_ids(*w.map));
+  EXPECT_EQ(w.map->num_items(), 64u);
 }
 
 // The text loader's counterpart guarantee, pinned alongside: a declared
