@@ -17,11 +17,13 @@ namespace gcaching::gcached {
 namespace {
 
 /// Every timed wait in a client thread — backend fills and open-loop
-/// arrival sleeps — is tens of microseconds, but Linux pads
-/// timer expirations by the thread's timer slack (default 50us), so a
-/// 50us fill actually sleeps 100-200us and every measured latency and
-/// throughput number inherits the padding. Tighten the slack to 1us on
-/// each client thread; harmless no-op elsewhere.
+/// arrivals — is a deadline_wait (shard_lock.hpp): a sleep to kFillSpinNs
+/// before the deadline, then a spin. The spin covers only the kernel's
+/// wake-up; Linux also pads each timer expiration by the thread's timer
+/// slack (default 50us), which would overshoot the sleep past the deadline
+/// itself, so a 20us fill would take 50-150us and every measured latency
+/// and throughput number would inherit the padding. Tighten the slack to
+/// 1us on each client thread; harmless no-op elsewhere.
 void tighten_timer_slack() {
 #if defined(__linux__)
   prctl(PR_SET_TIMERSLACK, 1000UL, 0, 0, 0);

@@ -50,7 +50,7 @@
 // detail::replay_closed_loop.
 //
 // The OPEN loop still times every op: its recorded value is completion −
-// scheduled arrival, and it already sleeps before each op.
+// scheduled arrival, and it already waits for each op's arrival.
 //
 // Lock-contention telemetry, and the count of hits served without a lock,
 // accumulate in each thread's count slot in the cache (shard_lock.hpp) and
@@ -71,10 +71,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <thread>
 
 #include "core/stats.hpp"
 #include "core/trace.hpp"
+#include "gcached/shard_lock.hpp"
 #include "gcached/sharded_cache.hpp"
 #include "obs/gcmon.hpp"
 #include "obs/hdr_histogram.hpp"
@@ -234,8 +234,10 @@ std::uint64_t replay_closed_loop(AccessFn&& access_one, std::size_t start,
 /// One thread's open-loop strided replay: arrival op's scheduled instant is
 /// t_start + sum of exponential inter-arrival draws (rate `rate_ops_per_sec`
 /// for THIS thread) from `rng` — deterministic given the seed, independent
-/// of how long any access takes. The thread sleeps until each scheduled
-/// arrival (a no-op once it is running behind) and records
+/// of how long any access takes. The thread waits until each scheduled
+/// arrival with deadline_wait (shard_lock.hpp), the backend fill's wait, so
+/// an op starts within a clock read of its arrival rather than a kernel
+/// wake-up after it (a no-op once it is running behind), and records
 /// completion − scheduled arrival for every op, so queuing delay shows up
 /// in the percentiles instead of silently deflating the offered load.
 /// Returns the number of ops replayed. Templated on the clock like
@@ -256,7 +258,7 @@ std::uint64_t replay_open_loop(AccessFn&& access_one, std::size_t start,
     const auto arrival =
         t_start +
         std::chrono::nanoseconds(static_cast<std::int64_t>(scheduled_ns));
-    std::this_thread::sleep_until(arrival);
+    deadline_wait(arrival);
     access_one(i);
     const auto lag = Clock::now() - arrival;
     hist.record(

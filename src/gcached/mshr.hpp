@@ -2,7 +2,7 @@
 //
 // One fixed-size table per shard tracks the blocks whose backend fill is
 // currently in flight — registered by the thread that took the miss before
-// it releases the shard lock to sleep the fill (src/gcached/
+// it releases the shard lock to wait the fill out (src/gcached/
 // sharded_cache.hpp). A concurrent access that misses on
 // an in-flight block *coalesces*: it parks on the entry's FillGate instead
 // of issuing a second fill, and is charged a delayed hit whose queuing cost

@@ -29,12 +29,14 @@
 // It is also the sanctioned *blocking* home: gclint's lock-discipline rule is
 // unconditional ("no blocking while a shard guard is live — period", not
 // suppressible with GCLINT-ALLOW), so every primitive that parks a thread —
-// the simulated backend fill sleep (`backend_fill`) and the MSHR fill-gate
-// wait/notify pair (`FillGate`) — lives here, callable only with no guard
-// held. The gate's wait helper is likewise the only place the fill path may
-// read a clock (gclint's hot-path rule exempts this file from its lock,
-// clock and blocking bans): the delayed-hit queuing cost is measured inside
-// `FillGate::await_past`, never in the access transition itself.
+// the simulated backend fill (`backend_fill`, a `deadline_wait` that sleeps
+// and then spins) and the MSHR fill-gate wait/notify pair (`FillGate`) —
+// lives here, callable only with no guard held. These waits are likewise
+// the only places the fill path may read a clock (gclint's hot-path rule
+// exempts this file from its lock, clock and blocking bans): the fill's
+// deadline is taken inside `backend_fill` and the delayed-hit queuing cost
+// is measured inside `FillGate::await_past`, never in the access
+// transition itself.
 //
 // See docs/CONCURRENCY.md for the full locking discipline.
 #pragma once
@@ -214,15 +216,44 @@ class ShardGuard {
   const std::uint64_t trylock_failures_;
 };
 
-/// The simulated backend fill, slept with NO shard guard held (the fill
-/// path's unlocked window). Centralized here because this file is the one
-/// blocking home the lock-discipline rule recognises — a sleep token
-/// anywhere else in a gcached hot path is a lint error, with no ALLOW
-/// escape.
+/// How much of a deadline wait is spun rather than slept: a compile-time
+/// constant, not a knob. Waking a sleeping thread on an idle vCPU takes the
+/// kernel ~3 us past the requested instant even with a 1 us timer slack,
+/// so a bare sleep charges a 20 us fill ~23 us. 6 us of spin absorbs the
+/// wake-up to the p99 for ~1.2 us of CPU per wait (docs/CONCURRENCY.md has
+/// the probe of margins 0-10 us).
+inline constexpr std::uint64_t kFillSpinNs = 6'000;
+
+/// Returns once `Clock` reads `deadline` or later, never before: sleeps
+/// until kFillSpinNs before the deadline, then spins on the clock with a
+/// CPU pause hint. The one timed wait of a client thread — the backend fill
+/// and the open loop's arrivals — so both end within a clock read of their
+/// instant, not a kernel wake-up after it. Out of line, so the access path
+/// that inlines backend_fill does not grow. Callable only with no shard
+/// guard held.
+template <typename Clock, typename Duration>
+[[gnu::noinline]] void deadline_wait(
+    std::chrono::time_point<Clock, Duration> deadline) {
+  std::this_thread::sleep_until(deadline -
+                                std::chrono::nanoseconds(kFillSpinNs));
+  while (Clock::now() < deadline) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+}
+
+/// The simulated backend fill: a deadline wait of `fill_latency_ns`, made
+/// with NO shard guard held (the fill path's unlocked window). A fill of 0
+/// returns before any clock read. Centralized here because this file is
+/// the one blocking home the lock-discipline rule recognises — a sleep
+/// token anywhere else in a gcached hot path is a lint error, with no
+/// ALLOW escape.
 GC_HOT_REGION_BEGIN(backend_fill)
 inline void backend_fill(std::uint64_t fill_latency_ns) {
   if (fill_latency_ns == 0) return;
-  std::this_thread::sleep_for(std::chrono::nanoseconds(fill_latency_ns));
+  using Clock = std::chrono::steady_clock;
+  deadline_wait(Clock::now() + std::chrono::nanoseconds(fill_latency_ns));
 }
 GC_HOT_REGION_END(backend_fill)
 

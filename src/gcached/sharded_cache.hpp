@@ -59,10 +59,11 @@
 // "Shard-local ids").
 //
 // Misses may be charged a simulated backend fill latency
-// (`GcachedConfig::fill_latency_ns`), slept on the MSHR path: the missing
-// thread registers an in-flight entry for the block in its shard's
-// MshrTable (gcached/mshr.hpp), RELEASES the shard lock, sleeps the fill
-// unlocked (shard_lock.hpp's `backend_fill`), then re-acquires to commit
+// (`GcachedConfig::fill_latency_ns`), waited out on the MSHR path: the
+// missing thread registers an in-flight entry for the block in its shard's
+// MshrTable (gcached/mshr.hpp), RELEASES the shard lock, waits the fill
+// out unlocked (shard_lock.hpp's `backend_fill`: it sleeps, then spins
+// its last few microseconds), then re-acquires to commit
 // the load/sideloads and wake coalesced waiters. A concurrent access that
 // misses on an in-flight block parks on the entry's FillGate instead of
 // issuing a second fill and is charged a *delayed hit* (queuing cost =
@@ -334,7 +335,7 @@ class ShardedCache final : public ConcurrentCache {
   /// fast_step transition inside that hold. A miss with a fill either
   /// coalesces onto the block's in-flight fill (parks on its FillGate, then
   /// re-classifies) or owns a fill: it claims an MSHR register — or, with
-  /// every register busy, takes an unqueued fill — sleeps the fill
+  /// every register busy, takes an unqueued fill — waits the fill out
   /// UNLOCKED and re-acquires to commit. No thread ever sleeps while
   /// holding the shard. docs/CONCURRENCY.md documents the protocol;
   /// tests/test_gcached.cpp pins coalescing, conservation, and the
@@ -587,10 +588,11 @@ class ShardedCache final : public ConcurrentCache {
     deferred.size = 0;
   }
 
-  /// Commit of a fill this thread slept; `fill_entry` is its MSHR register,
-  /// or null for an unqueued fill. Re-acquires the shard; the residency
-  /// RE-CHECK is load-bearing: an unqueued (MSHR-overflow) fill of the same
-  /// block may have committed our item during the unlocked window, and
+  /// Commit of a fill this thread waited out; `fill_entry` is its MSHR
+  /// register, or null for an unqueued fill. Re-acquires the shard; the
+  /// residency RE-CHECK is load-bearing: an unqueued (MSHR-overflow) fill
+  /// of the same block may have committed our item during the unlocked
+  /// window, and
   /// `begin_miss` on a resident item is a contract violation — the access
   /// then lands as a delayed hit that waited the full fill.
   void commit_fill(ClientContext& ctx, Shard& shard, std::size_t s,

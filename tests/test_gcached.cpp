@@ -29,8 +29,14 @@
 #include <thread>
 #include <vector>
 
+#include <time.h>
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include "gcached/gcached.hpp"
 #include "gcached/loadgen.hpp"
+#include "gcached/shard_lock.hpp"
 #include "gcached/sharded_cache.hpp"
 #include "policies/factory.hpp"
 #include "traces/synthetic.hpp"
@@ -884,6 +890,65 @@ TEST(GcachedMshr, SingleClientAsyncFillPreservesSequentialStats) {
     const SimStats expected = simulate_fast_spec(spec, w, 512);
     EXPECT_EQ(res.stats, expected);
   }
+}
+
+// ---- The backend fill's deadline wait ---------------------------------------
+
+/// Runs `body` on a fresh thread with the load generator's 1 us timer
+/// slack, so the wait's sleep ends as early as a client's does: under the
+/// default 50 us slack a sleep that stopped short of its deadline would be
+/// padded past it and hide the fault.
+template <typename Body>
+void on_client_like_thread(Body&& body) {
+  std::thread t([&body] {
+#if defined(__linux__)
+    prctl(PR_SET_TIMERSLACK, 1000UL, 0, 0, 0);
+#endif
+    body();
+  });
+  t.join();
+}
+
+TEST(GcachedBackendFill, NeverReturnsBeforeItsLatency) {
+  // Every fill takes at least its latency of steady_clock time, on both
+  // sides of the split: a fill no longer than kFillSpinNs only spins, a
+  // longer one sleeps to kFillSpinNs before its deadline and spins the
+  // rest. Only this lower bound is asserted; how far past it a fill ends is
+  // up to the scheduler.
+  using Clock = std::chrono::steady_clock;
+  const std::uint64_t latencies[] = {
+      1, 1'000, kFillSpinNs - 1, kFillSpinNs, kFillSpinNs + 1, 20'000,
+      2'000'000};
+  for (const std::uint64_t z : latencies) {
+    SCOPED_TRACE("fill of " + std::to_string(z) + " ns");
+    std::uint64_t early = 0;
+    on_client_like_thread([z, &early] {
+      for (int i = 0; i < 200; ++i) {
+        const auto t0 = Clock::now();
+        backend_fill(z);
+        if (Clock::now() - t0 < std::chrono::nanoseconds(z)) ++early;
+      }
+    });
+    EXPECT_EQ(early, 0u);
+  }
+}
+
+TEST(GcachedBackendFill, SleepsTheBulkOfALongFill) {
+  // A 50 ms fill costs its thread under 10 ms of CPU time: everything but
+  // the last kFillSpinNs is slept. A fill that spun its whole latency would
+  // burn ~50 ms.
+  std::int64_t cpu_ns = 0;
+  on_client_like_thread([&cpu_ns] {
+    const auto thread_cpu_ns = [] {
+      timespec ts{};
+      clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+      return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+    };
+    const std::int64_t before = thread_cpu_ns();
+    backend_fill(50'000'000);
+    cpu_ns = thread_cpu_ns() - before;
+  });
+  EXPECT_LT(cpu_ns, 10'000'000);
 }
 
 // ---- Open-loop (Poisson) arrivals -------------------------------------------
