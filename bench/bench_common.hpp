@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -96,9 +97,22 @@ inline std::string first_line_of_command(const char* cmd) {
   return line.empty() ? "unknown" : line;
 }
 
-/// Short git commit of the working tree the bench binary runs in.
+/// Marks a commit stamp taken from a working tree that differs from it.
+inline constexpr std::string_view kDirtySuffix = "-dirty";
+
+/// Short git commit of the working tree the bench binary runs in, with
+/// kDirtySuffix when a tracked file other than the BENCH_*.json outputs
+/// differs from HEAD: that run measured code no commit holds. The outputs
+/// are left out so that regenerating one in place does not mark itself.
 inline std::string current_git_commit() {
-  return first_line_of_command("git rev-parse --short HEAD 2>/dev/null");
+  const std::string head =
+      first_line_of_command("git rev-parse --short HEAD 2>/dev/null");
+  if (head == "unknown") return head;
+  const bool dirty =
+      first_line_of_command(
+          "git diff --quiet HEAD -- ':(top)' ':(top,exclude)BENCH_*.json' "
+          "2>/dev/null || echo dirty") == "dirty";
+  return dirty ? head + std::string(kDirtySuffix) : head;
 }
 
 /// Host identity for cross-machine staleness detection.
@@ -107,6 +121,13 @@ inline std::string machine_name() {
   if (::gethostname(buf, sizeof(buf) - 1) != 0 || buf[0] == '\0')
     return "unknown";
   return buf;
+}
+
+/// The provenance lines of a bench JSON, each ending in a comma: its
+/// `"git_commit"` and `"machine"` stamps.
+inline std::string provenance_json_lines() {
+  return "  \"git_commit\": \"" + current_git_commit() + "\",\n" +
+         "  \"machine\": \"" + machine_name() + "\",\n";
 }
 
 /// Pulls `"key": "value"` out of one serialized result line. The benches'
@@ -132,27 +153,38 @@ inline std::optional<double> json_line_number(const std::string& line,
   return std::stod(line.substr(at + needle.size()));
 }
 
+/// Why a --compare baseline stamped (`baseline_commit`, `baseline_machine`)
+/// may not be comparable with a run stamped (`commit`, `machine`); empty
+/// when it is. A dirty baseline is always suspect, even at the current
+/// hash: no commit holds the code it measured.
+inline std::vector<std::string> baseline_problems(
+    const std::string& baseline_commit, const std::string& baseline_machine,
+    const std::string& commit, const std::string& machine) {
+  if (baseline_commit.empty() || baseline_machine.empty())
+    return {"baseline has no git_commit/machine stamp (predates provenance "
+            "stamping) — it may be arbitrarily stale"};
+  std::vector<std::string> problems;
+  if (baseline_commit.ends_with(kDirtySuffix))
+    problems.push_back("baseline commit " + baseline_commit +
+                       " was measured with uncommitted changes");
+  if (baseline_commit != commit)
+    problems.push_back("baseline commit " + baseline_commit + " != current " +
+                       commit);
+  if (baseline_machine != machine)
+    problems.push_back("baseline machine " + baseline_machine +
+                       " != current " + machine);
+  return problems;
+}
+
 /// Loud stderr banner when a --compare baseline has no provenance stamp or
-/// was measured elsewhere/elsewhen. Ratios against such a baseline can
-/// reflect machine or commit drift rather than the change under test.
+/// was measured elsewhere/elsewhen (baseline_problems). Ratios against such
+/// a baseline can reflect machine or commit drift rather than the change
+/// under test.
 inline void warn_if_stale_baseline(const std::string& path,
                                    const std::string& baseline_commit,
                                    const std::string& baseline_machine) {
-  const std::string commit = current_git_commit();
-  const std::string machine = machine_name();
-  std::vector<std::string> problems;
-  if (baseline_commit.empty() || baseline_machine.empty()) {
-    problems.push_back(
-        "baseline has no git_commit/machine stamp (predates provenance "
-        "stamping) — it may be arbitrarily stale");
-  } else {
-    if (baseline_commit != commit)
-      problems.push_back("baseline commit " + baseline_commit +
-                         " != current " + commit);
-    if (baseline_machine != machine)
-      problems.push_back("baseline machine " + baseline_machine +
-                         " != current " + machine);
-  }
+  const std::vector<std::string> problems = baseline_problems(
+      baseline_commit, baseline_machine, current_git_commit(), machine_name());
   if (problems.empty()) return;
   std::cerr << "\n"
             << "=========================== WARNING ==========================="

@@ -3,15 +3,16 @@
 //
 // Each grid cell builds a fresh ShardedCache and replays the same Zipf
 // workload through N closed-loop client threads (bench/loadgen). Misses pay
-// a simulated backend fill (--fill-us) on the MSHR path: the fill sleeps
-// with no lock held, concurrent accesses to the same shard proceed, and
-// accesses to the in-flight block coalesce as delayed hits. Fills therefore
-// overlap across shards AND within one shard.
+// a simulated backend fill (--fill-us) on the fill-register path: the fill
+// sleeps with no lock held, concurrent accesses to the same shard proceed,
+// and accesses to the in-flight block coalesce as delayed hits. Each client
+// has one fill register, so fills overlap across shards AND, up to N of
+// them, within one shard.
 //
 // Ratios keep the scaling signal machine-independent — the CI perf-smoke
 // gates assert (8 shards, 4 threads) >= 2x (1, 1) and (1 shard, 8 threads)
-// >= 2x (1, 1), never an absolute number; the second is MSHR overlap inside
-// a single shard. Alongside throughput, each cell reports AMAT (average
+// >= 2x (1, 1), never an absolute number; the second is fill overlap
+// inside a single shard. Alongside throughput, each cell reports AMAT (average
 // memory access time charged to fills: (misses*fill + delayed-hit waits) /
 // accesses) and the delayed-hit counters.
 //
@@ -47,7 +48,6 @@ struct Options {
   std::uint64_t ops = 0;             // 0 = default per-cell op count
   double fill_us = 50.0;
   std::uint64_t fill_ns = 0;  ///< fill_us in ns, set by parse (checked)
-  std::size_t mshrs = 8;  ///< MSHR registers per shard
   std::uint64_t seed = 1;
   /// Attach a live gcmon monitor (snapshot thread) to every cell —
   /// the configuration the CI overhead gate measures against a plain run.
@@ -91,8 +91,6 @@ Options parse(int argc, char** argv) {
       opts.ops = std::stoull(argv[++a]);
     } else if (arg == "--fill-us" && a + 1 < argc) {
       opts.fill_us = std::stod(argv[++a]);
-    } else if (arg == "--mshrs" && a + 1 < argc) {
-      opts.mshrs = static_cast<std::size_t>(std::stoull(argv[++a]));
     } else if (arg == "--seed" && a + 1 < argc) {
       opts.seed = std::stoull(argv[++a]);
     } else if (arg == "--compare" && a + 1 < argc) {
@@ -110,8 +108,9 @@ Options parse(int argc, char** argv) {
                 << " [--csv DIR] [--json PATH] [--compare OLD.json]"
                 << " [--quick] [--policy SPEC] [--shards S[,S...]]"
                 << " [--threads N[,N...]] [--ops N] [--fill-us F]"
-                << " [--mshrs N]"
-                << " [--seed S] [--mon] [--mon-interval-ms M] [--perf]\n";
+                << " [--seed S] [--mon] [--mon-interval-ms M] [--perf]\n"
+                << "each client thread has one fill register, so up to N "
+                   "fills of --fill-us overlap in one shard\n";
       std::exit(0);
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
@@ -228,8 +227,7 @@ void write_json(const Options& opts, const Workload& workload,
   GC_REQUIRE(out.good(), "cannot open " + opts.json_path + " for writing");
   out << "{\n"
       << "  \"bench\": \"gcached\",\n"
-      << "  \"git_commit\": \"" << current_git_commit() << "\",\n"
-      << "  \"machine\": \"" << machine_name() << "\",\n"
+      << provenance_json_lines()
       << "  \"gc_fast_sim\": " << (kHotChecksEnabled ? "false" : "true")
       << ",\n"
       << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n"
@@ -237,7 +235,6 @@ void write_json(const Options& opts, const Workload& workload,
       << "  \"workload_accesses\": " << workload.trace.size() << ",\n"
       << "  \"capacity\": " << capacity << ",\n"
       << "  \"fill_latency_us\": " << opts.fill_us << ",\n"
-      << "  \"mshrs\": " << opts.mshrs << ",\n"
       << "  \"ops_per_cell\": " << opts.ops << ",\n"
       << "  \"mon\": " << (opts.mon ? "true" : "false") << ",\n"
       << "  \"results\": [\n";
@@ -292,7 +289,6 @@ int run(int argc, char** argv) {
   gcached::GcachedConfig cfg;
   cfg.capacity = capacity;
   cfg.fill_latency_ns = opts.fill_ns;
-  cfg.mshr_entries = opts.mshrs;
 
   TableSink table(table_opts, "gcached closed-loop scaling (" + opts.policy +
                                   ", fill " + fmt(opts.fill_us, 1) + "us)",

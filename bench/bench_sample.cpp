@@ -91,6 +91,7 @@ void write_json(const Options& opts, const Workload& w,
   GC_REQUIRE(out.good(), "cannot open " + opts.json_path + " for writing");
   out << "{\n"
       << "  \"bench\": \"sample\",\n"
+      << provenance_json_lines()
       << "  \"gc_fast_sim\": " << (kHotChecksEnabled ? "false" : "true")
       << ",\n"
       << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n"

@@ -209,6 +209,7 @@ void write_json(const Options& opts, const std::vector<ColumnResult>& columns,
   GC_REQUIRE(out.good(), "cannot open " + opts.json_path + " for writing");
   out << "{\n"
       << "  \"bench\": \"sweep\",\n"
+      << provenance_json_lines()
       << "  \"gc_fast_sim\": " << (kHotChecksEnabled ? "false" : "true")
       << ",\n"
       << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n"

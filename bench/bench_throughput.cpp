@@ -14,6 +14,7 @@
 // verifying build. See docs/PERF.md.
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -267,14 +268,15 @@ void write_json(const Options& opts, const std::vector<Cell>& cells,
   GC_REQUIRE(out.good(), "cannot open " + opts.json_path + " for writing");
   out << "{\n"
       << "  \"bench\": \"throughput\",\n"
-      << "  \"git_commit\": \"" << current_git_commit() << "\",\n"
-      << "  \"machine\": \"" << machine_name() << "\",\n"
+      << provenance_json_lines()
       << "  \"gc_fast_sim\": " << (kHotChecksEnabled ? "false" : "true")
       << ",\n"
       << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n"
       << "  \"repeats\": " << opts.repeats << ",\n";
   if (opts.compare_path)
-    out << "  \"compare\": \"" << *opts.compare_path << "\",\n";
+    out << "  \"compare\": \""
+        << std::filesystem::path(*opts.compare_path).filename().string()
+        << "\",\n";
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];

@@ -17,7 +17,7 @@
 // scheduled instant whether or not the previous one has finished being
 // slow. Closed-loop back-pressure throttles the offered load to whatever
 // the cache sustains — which HIDES fill overlap, because a client parked on
-// a fill offers nothing. Open loop keeps offering, so queueing (and MSHR
+// a fill offers nothing. Open loop keeps offering, so queueing (and fill
 // coalescing under async fills) becomes visible: recorded latency is
 // completion − *scheduled arrival*, i.e. service time plus queuing delay,
 // and LoadResult reports offered vs achieved throughput so saturation is

@@ -21,16 +21,16 @@
 // kDeferredHits hits whose policy update its next hold on the shard
 // applies, so a temporal hit takes no hold; in the cache's ClientSlots, its
 // lock-free hits, holds, contended holds and failed try_locks, counted
-// once. Both are set up on the client's first access, before any hold,
-// because nothing may allocate under a guard; enrolling its slot takes the
-// one non-shard lock of the access path, which is why ClientSlots lives
-// here.
+// once, and its one fill register (`FillRegister`, the client's MSHR). Both
+// are set up on the client's first access, before any hold, because
+// nothing may allocate under a guard; enrolling them takes the one
+// non-shard lock of the access path, which is why ClientSlots lives here.
 //
 // It is also the sanctioned *blocking* home: gclint's lock-discipline rule is
 // unconditional ("no blocking while a shard guard is live — period", not
 // suppressible with GCLINT-ALLOW), so every primitive that parks a thread —
 // the simulated backend fill (`backend_fill`, a `deadline_wait` that sleeps
-// and then spins) and the MSHR fill-gate wait/notify pair (`FillGate`) —
+// and then spins) and the fill register's wait/notify pair (`FillGate`) —
 // lives here, callable only with no guard held. These waits are likewise
 // the only places the fill path may read a clock (gclint's hot-path rule
 // exempts this file from its lock, clock and blocking bans): the fill's
@@ -47,6 +47,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -93,16 +94,104 @@ struct alignas(64) SlotCounts {
   }
 };
 
+/// A fill register's completion gate: coalesced waiters park here while the
+/// filling client waits out its backend fill, and the filler's commit
+/// releases them all at once. Epoch-based so the hand-off is race-free
+/// without the waiter ever holding two locks:
+///
+///   waiter (under shard guard):  seen = gate.epoch()        — register linked
+///   waiter (guard RELEASED):     ns = gate.await_past(seen) — parks
+///   filler (commit, under guard): gate.advance()            — epoch++, wake
+///
+/// If the commit lands between the waiter's epoch read and its await_past
+/// call, the epoch has already moved past `seen` and await_past returns
+/// immediately — the waiter can never sleep through a wake-up. Reuse of the
+/// register, on its shard or on any other, keeps this. A waiter reads the
+/// epoch only under the shard guard and only while the register is on that
+/// shard's in-flight list. The owner has no other fill in flight then, so
+/// the only write that can follow is that fill's commit `advance`, made
+/// under the same guard that unlinks the register. A later fill of the
+/// register, on any shard, only advances the epoch further past `seen`. So
+/// a waiter can neither sleep through its wake nor wake early.
+///
+/// await_past also *measures* the wait with a steady clock — the delayed
+/// hit's queuing cost (remaining fill time at arrival). That read is legal
+/// only because this file is exempt from gclint's hot-path clock ban; the
+/// measurement belongs to the blocking primitive, not to the cache
+/// transition that consumes it.
+class FillGate {
+ public:
+  FillGate() = default;
+  FillGate(const FillGate&) = delete;
+  FillGate& operator=(const FillGate&) = delete;
+
+  GC_HOT_REGION_BEGIN(fill_gate)
+  /// Current completion epoch. Callable under the shard guard (relaxed
+  /// atomic load; never blocks).
+  std::uint64_t epoch() const noexcept {
+    return epoch_.load(std::memory_order_relaxed);
+  }
+
+  /// Parks until the epoch moves past `seen`; returns the measured wait in
+  /// nanoseconds. MUST be called with no shard guard held.
+  std::uint64_t await_past(std::uint64_t seen) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] {
+      return epoch_.load(std::memory_order_relaxed) != seen;
+    });
+    lk.unlock();
+    const auto t1 = std::chrono::steady_clock::now();
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count());
+  }
+
+  /// Commit hand-off: bumps the epoch and releases every parked waiter.
+  /// Called by the filling thread under the shard guard (the cv mutex is
+  /// internal and held only for the store — waiters in cv_.wait have
+  /// released it, so this never blocks meaningfully).
+  void advance() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+    }
+    cv_.notify_all();
+  }
+  GC_HOT_REGION_END(fill_gate)
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::atomic<std::uint64_t> epoch_{0};
+};
+
+/// One client's fill register, its MSHR (Miss Status Holding Register): the
+/// block its in-flight fill loads and the gate that fill's coalesced
+/// waiters park on. A client has at most one fill in flight, so one
+/// register per client bounds a shard's in-flight fills by the client
+/// count, with no table to fill up. While its fill is in flight the
+/// register is linked into its shard's list; `block` and `next` are read
+/// and written only under that shard's lock.
+struct FillRegister {
+  BlockId block = 0;             ///< shard-local id of the block being filled
+  FillRegister* next = nullptr;  ///< next in-flight register on the shard
+  FillGate gate;
+};
+
 /// Per-client state. Never shared between threads — that is what makes it
 /// free. Its first access binds it to one cache (access on another is a
 /// GC_HOT_REQUIRE violation): one DeferredHits buffer per shard, and its
-/// slot in the cache's ClientSlots, the only home of its lock counts.
+/// slot in the cache's ClientSlots, the only home of its lock counts, next
+/// to its fill register.
 /// ConcurrentCache::drain applies what is still pending when the client is
 /// done; a context destroyed undrained only loses those recency updates.
 struct ClientContext {
   const void* cache = nullptr;         ///< the cache this context serves
   std::vector<DeferredHits> deferred;  ///< one per shard of `cache`
   SlotCounts* slot = nullptr;          ///< one per shard, in `cache`
+  FillRegister* fill = nullptr;        ///< its one fill register, in `cache`
 
   GC_HOT_REGION_BEGIN(client_counts)
   /// Counts one hit served without a hold on shard `s`.
@@ -137,19 +226,21 @@ struct ClientContext {
 };
 
 /// The count slots of every client a cache has bound, one SlotCounts per
-/// shard each. The cache owns them, so a client's counts outlive its
-/// ClientContext. Enrolment (once per client) and reads (the cold snapshot
-/// paths) take `mu_`, a cold lock.
+/// shard each, and their fill registers. The cache owns them, so a client's
+/// counts and register outlive its ClientContext. Enrolment (once per
+/// client) and reads (the cold snapshot paths) take `mu_`, a cold lock.
 class ClientSlots {
  public:
   explicit ClientSlots(std::size_t num_shards) : num_shards_(num_shards) {}
   ClientSlots(const ClientSlots&) = delete;
   ClientSlots& operator=(const ClientSlots&) = delete;
 
-  /// A new client's slot, every count zero. The slot's storage never moves.
-  SlotCounts* enroll() {
+  /// Points `ctx` at a new slot, every count zero, and a new fill
+  /// register. Neither's storage ever moves.
+  void enroll(ClientContext& ctx) {
     std::lock_guard<std::mutex> lk(mu_);
-    return slots_.emplace_back(num_shards_).data();
+    ctx.slot = slots_.emplace_back(num_shards_).data();
+    ctx.fill = &fills_.emplace_back();
   }
 
   /// Per shard, the sum of every client's counts: exact once the clients
@@ -166,6 +257,7 @@ class ClientSlots {
   const std::size_t num_shards_;
   mutable std::mutex mu_;
   std::vector<std::vector<SlotCounts>> slots_;  ///< one per client
+  std::deque<FillRegister> fills_;              ///< one per client
 };
 
 /// One shard's lock, always taken exclusively: every shard transition is
@@ -256,74 +348,5 @@ inline void backend_fill(std::uint64_t fill_latency_ns) {
   deadline_wait(Clock::now() + std::chrono::nanoseconds(fill_latency_ns));
 }
 GC_HOT_REGION_END(backend_fill)
-
-/// One MSHR entry's completion gate: coalesced waiters park here while the
-/// filling thread sleeps its backend fill, and the filler's commit releases
-/// them all at once. Epoch-based so the hand-off is race-free without the
-/// waiter ever holding two locks:
-///
-///   waiter (under shard guard):  seen = gate.epoch()        — entry in flight
-///   waiter (guard RELEASED):     ns = gate.await_past(seen) — parks
-///   filler (commit, under guard): gate.advance()            — epoch++, wake
-///
-/// If the commit lands between the waiter's epoch read and its await_past
-/// call, the epoch has already moved past `seen` and await_past returns
-/// immediately — the waiter can never sleep through a wake-up. Entry reuse
-/// is safe for the same reason: reserve/advance both happen under the shard
-/// guard, so a new waiter of a recycled entry always reads the post-advance
-/// epoch.
-///
-/// await_past also *measures* the wait with a steady clock — the delayed
-/// hit's queuing cost (remaining fill time at arrival). That read is legal
-/// only because this file is exempt from gclint's hot-path clock ban; the
-/// measurement belongs to the blocking primitive, not to the cache
-/// transition that consumes it.
-class FillGate {
- public:
-  FillGate() = default;
-  FillGate(const FillGate&) = delete;
-  FillGate& operator=(const FillGate&) = delete;
-
-  GC_HOT_REGION_BEGIN(fill_gate)
-  /// Current completion epoch. Callable under the shard guard (relaxed
-  /// atomic load; never blocks).
-  std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_relaxed);
-  }
-
-  /// Parks until the epoch moves past `seen`; returns the measured wait in
-  /// nanoseconds. MUST be called with no shard guard held.
-  std::uint64_t await_past(std::uint64_t seen) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] {
-      return epoch_.load(std::memory_order_relaxed) != seen;
-    });
-    lk.unlock();
-    const auto t1 = std::chrono::steady_clock::now();
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-  }
-
-  /// Commit hand-off: bumps the epoch and releases every parked waiter.
-  /// Called by the filling thread under the shard guard (the cv mutex is
-  /// internal and held only for the store — waiters in cv_.wait have
-  /// released it, so this never blocks meaningfully).
-  void advance() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
-    }
-    cv_.notify_all();
-  }
-  GC_HOT_REGION_END(fill_gate)
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::atomic<std::uint64_t> epoch_{0};
-};
 
 }  // namespace gcaching::gcached

@@ -49,8 +49,8 @@
 //
 // Each shard lives in its own id space (`ShardLocalIds`): its blocks are
 // numbered 0..b_s-1 in ascending global block id and its items 0..n_s-1 in
-// ascending global item id, once, at construction. A shard's CacheContents,
-// policy and MshrTable are sized to its own n_s items and b_s blocks, not
+// ascending global item id, once, at construction. A shard's CacheContents
+// and policy are sized to its own n_s items and b_s blocks, not
 // to the whole universe, so S shards together hold one universe rather
 // than S. `access` translates the caller's global ids before taking the
 // lock; nothing behind it sees a global id. Both numberings preserve
@@ -59,23 +59,26 @@
 // "Shard-local ids").
 //
 // Misses may be charged a simulated backend fill latency
-// (`GcachedConfig::fill_latency_ns`), waited out on the MSHR path: the
-// missing thread registers an in-flight entry for the block in its shard's
-// MshrTable (gcached/mshr.hpp), RELEASES the shard lock, waits the fill
-// out unlocked (shard_lock.hpp's `backend_fill`: it sleeps, then spins
-// its last few microseconds), then re-acquires to commit
-// the load/sideloads and wake coalesced waiters. A concurrent access that
-// misses on an in-flight block parks on the entry's FillGate instead of
-// issuing a second fill and is charged a *delayed hit* (queuing cost =
-// measured remaining fill time); when the fill sideloaded the waiter's
-// item, the commit-time hit taxonomy classifies it a *free* delayed hit.
-// Fills to distinct blocks of ONE shard overlap (up to `mshr_entries` of
-// them), so fill-bound cells scale with offered concurrency, not just with
-// the shard count. With no fill latency nothing is ever in flight: a miss
-// claims and commits its fill in the same hold that classified it.
+// (`GcachedConfig::fill_latency_ns`), waited out on the fill-register
+// path: the missing client links its own fill register (FillRegister in
+// shard_lock.hpp, its MSHR) for the block into its shard's in-flight
+// list, RELEASES the shard lock, waits the fill out unlocked
+// (shard_lock.hpp's `backend_fill`: it sleeps, then spins its last few
+// microseconds), then re-acquires to commit the load/sideloads, unlink the
+// register and wake coalesced waiters. A concurrent access that misses on
+// an in-flight block parks on the register's FillGate instead of issuing a
+// second fill and is charged a *delayed hit* (queuing cost = measured
+// remaining fill time); when the fill sideloaded the waiter's item, the
+// commit-time hit taxonomy classifies it a *free* delayed hit. A client
+// has at most one fill in flight, so every miss finds either the block's
+// register or its own free one, and fills to distinct blocks of ONE shard
+// overlap up to the client count: fill-bound cells scale with offered
+// concurrency, not just with the shard count. With no fill latency nothing
+// is ever in flight: a miss commits its fill in the same hold that
+// classified it.
 //
-// docs/CONCURRENCY.md ("Asynchronous fills and the MSHR table") documents
-// the lock hand-off protocol and the delayed-hit accounting.
+// docs/CONCURRENCY.md ("Asynchronous fills and the fill registers")
+// documents the lock hand-off protocol and the delayed-hit accounting.
 //
 // The access path carries no telemetry. Each shard's SimStats share and
 // coalesced waiters, kept under its lock, plus the clients' count slots for
@@ -95,7 +98,6 @@
 #include "core/simulator.hpp"
 #include "core/stats.hpp"
 #include "core/types.hpp"
-#include "gcached/mshr.hpp"
 #include "gcached/shard_lock.hpp"
 #include "locality/sample.hpp"
 #include "obs/gcmon.hpp"
@@ -224,11 +226,11 @@ inline std::size_t shard_capacity_share(std::size_t capacity,
   return capacity / num_shards + (s < capacity % num_shards ? 1 : 0);
 }
 
-/// How a miss's simulated backend fill is slept. The MSHR path is the only
-/// one; the enum and `GcachedConfig::fill_mode` stay so existing callers
-/// that name it keep compiling.
+/// How a miss's simulated backend fill is slept. The fill-register path is
+/// the only one; the enum and `GcachedConfig::fill_mode` stay so existing
+/// callers that name it keep compiling.
 enum class FillMode {
-  kAsync,  ///< MSHR path: lock released across the fill, misses coalesce
+  kAsync,  ///< lock released across the fill, misses coalesce
 };
 
 struct GcachedConfig {
@@ -238,10 +240,6 @@ struct GcachedConfig {
   /// transitions (the differential-test configuration).
   std::uint64_t fill_latency_ns = 0;
   FillMode fill_mode = FillMode::kAsync;  ///< unread: one fill path
-  /// Per-shard MSHR entries: max concurrently in-flight block fills per
-  /// shard. A miss arriving with every register busy falls back to an
-  /// unqueued (non-coalescible) fill rather than waiting for a register.
-  std::size_t mshr_entries = 8;
 };
 
 /// Type-erased runtime handle (the template below is the only
@@ -317,7 +315,7 @@ class ShardedCache final : public ConcurrentCache {
       shards_.push_back(std::make_unique<Shard>(
           ids_.shard_map(s),
           shard_capacity_share(cfg_.capacity, cfg_.num_shards, s),
-          cfg_.mshr_entries, make_policy));
+          make_policy));
       Shard& shard = *shards_.back();
       // The exact setup sequence of simulate_fast, minus prepare() (online
       // policies only — enforced by the factory's escape hatch).
@@ -334,12 +332,11 @@ class ShardedCache final : public ConcurrentCache {
   /// the shard. A hit, or any miss when fills are free, is the exact
   /// fast_step transition inside that hold. A miss with a fill either
   /// coalesces onto the block's in-flight fill (parks on its FillGate, then
-  /// re-classifies) or owns a fill: it claims an MSHR register — or, with
-  /// every register busy, takes an unqueued fill — waits the fill out
-  /// UNLOCKED and re-acquires to commit. No thread ever sleeps while
-  /// holding the shard. docs/CONCURRENCY.md documents the protocol;
-  /// tests/test_gcached.cpp pins coalescing, conservation, and the
-  /// free-delayed-hit taxonomy.
+  /// re-classifies) or owns a fill: it links the client's own fill
+  /// register, waits the fill out UNLOCKED and re-acquires to commit. No
+  /// thread ever sleeps while holding the shard. docs/CONCURRENCY.md
+  /// documents the protocol; tests/test_gcached.cpp pins coalescing,
+  /// conservation, and the free-delayed-hit taxonomy.
   void access(ClientContext& ctx, ItemId global_item,
               BlockId global_block) override {
     if (ctx.cache != this) bind_client(ctx);
@@ -364,7 +361,6 @@ class ShardedCache final : public ConcurrentCache {
     for (;;) {
       FillGate* wait_gate = nullptr;
       std::uint64_t wait_epoch = 0;
-      Mshr* fill_entry = nullptr;
       {
         ShardHold hold(shard, ctx, s);
         const bool resident = shard.cache.contains(item);
@@ -385,15 +381,14 @@ class ShardedCache final : public ConcurrentCache {
           return;
         }
         // Miss. Coalesce onto an in-flight fill of this block if there is
-        // one; otherwise claim an MSHR register; when every register is
-        // busy, fall back to an unqueued fill (fill_entry stays null —
-        // never wait for a register while holding the shard).
-        if (Mshr* inflight = shard.mshr.find(block)) {
+        // one; otherwise this client's own register takes the fill. It is
+        // free: the client has no other fill in flight.
+        if (FillRegister* inflight = find_fill(shard, block)) {
           ++shard.coalesced;
           wait_gate = &inflight->gate;
           wait_epoch = wait_gate->epoch();
         } else {
-          fill_entry = shard.mshr.claim(block);
+          link_fill(shard, *ctx.fill, block);
         }
       }  // shard released — nothing below blocks while holding it.
       if (wait_gate != nullptr) {
@@ -410,7 +405,7 @@ class ShardedCache final : public ConcurrentCache {
       // re-acquire to commit. Other threads hit/miss/fill this shard's
       // OTHER blocks during the sleep — that overlap is the whole point.
       backend_fill(cfg_.fill_latency_ns);
-      commit_fill(ctx, shard, s, item, block, fill_entry);
+      commit_fill(ctx, shard, s, item, block);
       return;
     }
   }
@@ -448,7 +443,7 @@ class ShardedCache final : public ConcurrentCache {
       v.lock_acquisitions = counts.holds;
       v.trylock_failures = counts.trylock_failures;
       v.residency = shard.cache.occupancy();
-      v.mshr_inflight = shard.mshr.inflight();
+      v.mshr_inflight = inflight_fills(shard);
     });
     return values;
   }
@@ -476,8 +471,6 @@ class ShardedCache final : public ConcurrentCache {
     GC_REQUIRE(cfg.num_shards >= 1, "gcached needs at least one shard");
     GC_REQUIRE(cfg.capacity >= cfg.num_shards,
                "gcached needs at least one item of capacity per shard");
-    GC_REQUIRE(cfg.mshr_entries >= 1,
-               "gcached needs at least one MSHR entry per shard");
     return cfg;
   }
 
@@ -494,31 +487,31 @@ class ShardedCache final : public ConcurrentCache {
     std::uint64_t accesses = 0;  ///< accesses classified under a hold
     CacheContents cache;
     Policy policy;
-    MshrTable mshr;         ///< in-flight fills; mutated under `lock` only
+    /// Head of the in-flight fill registers' list; under `lock` only.
+    FillRegister* fills = nullptr;
     SimStats partial;       ///< non-derivable counters only (fast_step)
-    std::uint64_t coalesced = 0;  ///< accesses that parked on an MSHR gate
+    std::uint64_t coalesced = 0;  ///< accesses that parked on a fill's gate
     bool writer_active = false;  ///< checking builds only; guarded by `lock`
 
-    Shard(const BlockMap& map, std::size_t capacity, std::size_t mshrs,
-          MakePolicy& make)
-        : cache(map, capacity), policy(make()), mshr(mshrs) {}
+    Shard(const BlockMap& map, std::size_t capacity, MakePolicy& make)
+        : cache(map, capacity), policy(make()) {}
   };
   static_assert(sizeof(ShardLock) + sizeof(std::uint64_t) <= 64,
                 "a hold's access count must share the lock's line");
 
   /// Binds a client's first access to this cache: one DeferredHits buffer
   /// per shard, sized here, before any hold (nothing allocates under a
-  /// guard), and a fresh count slot enrolled in `slots_`. A context already
-  /// bound to another cache is rejected; a build without hot checks
-  /// rebinds it and drops its pending hits, which loses recency updates but
-  /// never applies a foreign id (its counts stay in the first cache's
-  /// slot).
+  /// guard), and a fresh count slot and fill register enrolled in `slots_`.
+  /// A context already bound to another cache is rejected; a build without
+  /// hot checks rebinds it and drops its pending hits, which loses recency
+  /// updates but never applies a foreign id (its counts stay in the first
+  /// cache's slot).
   void bind_client(ClientContext& ctx) {
     GC_HOT_REQUIRE(ctx.cache == nullptr,
                    "a ClientContext serves exactly one cache");
     ctx.cache = this;
     ctx.deferred.assign(shards_.size(), DeferredHits{});
-    ctx.slot = slots_.enroll();
+    slots_.enroll(ctx);
   }
 
   /// Calls `fn(shard, stats, counts)` for every shard under one uncounted
@@ -539,6 +532,13 @@ class ShardedCache final : public ConcurrentCache {
                                     shard.accesses + counts[s].lockfree_hits);
       fn(shard, stats, counts[s]);
     }
+  }
+
+  /// The registers linked on `shard`: its fills in flight. Under its lock.
+  static std::size_t inflight_fills(const Shard& shard) {
+    std::size_t n = 0;
+    for (const FillRegister* r = shard.fills; r != nullptr; r = r->next) ++n;
+    return n;
   }
 
   GC_HOT_REGION_BEGIN(gcached_hold)
@@ -588,36 +588,52 @@ class ShardedCache final : public ConcurrentCache {
     deferred.size = 0;
   }
 
-  /// Commit of a fill this thread waited out; `fill_entry` is its MSHR
-  /// register, or null for an unqueued fill. Re-acquires the shard; the
-  /// residency RE-CHECK is load-bearing: an unqueued (MSHR-overflow) fill
-  /// of the same block may have committed our item during the unlocked
-  /// window, and
-  /// `begin_miss` on a resident item is a contract violation — the access
-  /// then lands as a delayed hit that waited the full fill.
-  void commit_fill(ClientContext& ctx, Shard& shard, std::size_t s,
-                   ItemId item, BlockId block, Mshr* fill_entry) {
-    ShardHold hold(shard, ctx, s);
-    if (!shard.cache.contains(item)) {
-      // fast_step re-probes residency under this same hold and takes its
-      // miss arm: begin_miss/on_miss/end_miss, the exact sequential
-      // transition, now merely time-shifted to the fill's completion.
-      step(shard, item, block);
-    } else {
-      commit_delayed_hit(shard, item, cfg_.fill_latency_ns);
-    }
-    if (fill_entry != nullptr) {
-      // Release the register and wake every coalesced waiter. Both happen
-      // under this same hold, so a recycled entry can never be observed
-      // with a stale epoch (see FillGate's protocol comment).
-      FillGate& gate = fill_entry->gate;
-      shard.mshr.release(fill_entry);
-      gate.advance();
-    }
+  /// The in-flight register filling `block` on `shard`, or null. A block
+  /// has at most one: a miss on a linked block coalesces instead of linking
+  /// its own. The list holds at most one register per client. Like
+  /// link_fill and unlink_fill, must run under the shard's lock.
+  static FillRegister* find_fill(const Shard& shard, BlockId block) {
+    for (FillRegister* r = shard.fills; r != nullptr; r = r->next)
+      if (r->block == block) return r;
+    return nullptr;
   }
 
-  /// The delayed-hit transition, shared by the waiter-wake and double-fill
-  /// paths. Must run inside a ShardHold. Mirrors fast_step's hit arm for
+  static void link_fill(Shard& shard, FillRegister& reg, BlockId block) {
+    reg.block = block;
+    reg.next = shard.fills;
+    shard.fills = &reg;
+  }
+
+  static void unlink_fill(Shard& shard, FillRegister& reg) {
+    FillRegister** at = &shard.fills;
+    while (*at != &reg) {
+      GC_HOT_CHECK(*at != nullptr, "unlinked a fill register not in flight");
+      at = &(*at)->next;
+    }
+    *at = reg.next;
+  }
+
+  /// Commit of the fill this client waited out on its linked register.
+  /// Re-acquires the shard. The item is still absent: only a fill of its
+  /// block loads it, and every other miss on the block coalesced onto this
+  /// register. fast_step re-probes residency under this same hold and
+  /// takes its miss arm: begin_miss/on_miss/end_miss, the exact sequential
+  /// transition, now merely time-shifted to the fill's completion.
+  void commit_fill(ClientContext& ctx, Shard& shard, std::size_t s,
+                   ItemId item, BlockId block) {
+    ShardHold hold(shard, ctx, s);
+    GC_HOT_CHECK(!shard.cache.contains(item),
+                 "a fill's item was loaded while its fill was in flight");
+    step(shard, item, block);
+    // Unlink the register and wake every coalesced waiter. Both happen
+    // under this same hold, so a waiter never reads the epoch of a
+    // register it cannot find (see FillGate's protocol comment).
+    unlink_fill(shard, *ctx.fill);
+    ctx.fill->gate.advance();
+  }
+
+  /// The delayed-hit transition of a woken waiter whose item the fill
+  /// loaded. Must run inside a ShardHold. Mirrors fast_step's hit arm for
   /// the cache/policy transition, but charges the dedicated delayed-hit
   /// counters instead of the hit taxonomy: delayed hits are excluded from
   /// hits (and thus from temporal/spatial) by `fast_finalize`'s

@@ -206,10 +206,10 @@ std::string Monitor::prometheus_text(const Snapshot& snap) const {
          "Items sideloaded into this shard by block fills.",
          &ShardValues::sideloads);
   family(os, snap, "gcached_shard_delayed_hits_total", "counter",
-         "Accesses served by an in-flight fill (MSHR coalescing).",
+         "Accesses served by an in-flight fill (fill coalescing).",
          &ShardValues::delayed_hits);
   family(os, snap, "gcached_shard_coalesced_waiters_total", "counter",
-         "Waiters parked on an in-flight MSHR entry.",
+         "Waiters parked on an in-flight fill register.",
          &ShardValues::coalesced);
   family(os, snap, "gcached_shard_lock_acquisitions_total", "counter",
          "Exclusive shard-lock acquisitions.",
@@ -221,7 +221,7 @@ std::string Monitor::prometheus_text(const Snapshot& snap) const {
          "Items currently resident in this shard's cache.",
          &ShardValues::residency);
   family(os, snap, "gcached_shard_mshr_inflight", "gauge",
-         "Block fills currently in flight in this shard's MSHR table.",
+         "Block fills currently in flight on this shard (fill registers).",
          &ShardValues::mshr_inflight);
   scalar(os, "gcached_latency_count", "gauge",
          "Sampled operations (about 1 in 16, closed loop) recorded by the "

@@ -766,12 +766,12 @@ TEST(GcachedConcurrent, PercentilesAreOrdered) {
   EXPECT_LE(res.p999_us, res.max_us);
 }
 
-// ---- MSHR semantics (fills slept unlocked) ----------------------------------
+// ---- Fill registers (fills slept unlocked) ----------------------------------
 
 TEST(GcachedMshr, CoalescingOneFillManyDelayedHits) {
   // K threads missing on one block must produce exactly 1 fill and K-1
   // delayed hits. The 300ms fill dwarfs every scheduling latency in the
-  // setup: the filler registers its MSHR entry within the first 50ms (it
+  // setup: the filler links its fill register within the first 50ms (it
   // only needs one uncontended lock acquisition), so all three waiters
   // provably arrive mid-fill and coalesce.
   const Workload w = small_zipf();
@@ -841,12 +841,51 @@ TEST(GcachedMshr, SideloadedWaiterIsAFreeDelayedHit) {
   EXPECT_GT(stats.delayed_hit_wait_ns, 0u);
 }
 
-TEST(GcachedMshr, AsyncConservationHoldsOnEverySchedule) {
-  // hits + misses + delayed_hits == accesses on EVERY schedule of the MSHR
-  // fill path — the delayed-hit extension of the closed-loop conservation
-  // law. block-lru exercises the sideload (free-delayed-hit) commits too.
+TEST(GcachedMshr, TenFillsInFlightOnOneShardAllCoalesce) {
+  // Ten clients miss ten distinct blocks of one shard, so ten fills are in
+  // flight at once, each on its client's own register: the shard lists all
+  // ten. A second client per block, arriving mid-fill, coalesces onto that
+  // block's fill, so every block costs one miss and one delayed hit. Any
+  // per-shard cap on in-flight fills below ten would list fewer and send
+  // the extra second clients to fills of their own. The 300ms fill dwarfs
+  // the setup's scheduling latencies, as above.
+  constexpr std::size_t kFills = 10;
   const Workload w = small_zipf();
-  for (const std::size_t threads : {std::size_t{2}, hardware_threads()}) {
+  GcachedConfig cfg;
+  cfg.num_shards = 1;
+  cfg.capacity = 64;
+  cfg.fill_latency_ns = 300'000'000;
+  const auto cache = make_concurrent_cache("item-lru", w.map, cfg);
+  const auto miss_block = [&cache, &w](BlockId block) {
+    ClientContext ctx;
+    cache->access(ctx, w.map->items_of(block)[0], block);
+  };
+  std::vector<std::thread> clients;
+  for (BlockId b = 0; b < kFills; ++b) clients.emplace_back(miss_block, b);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(150);
+  while (cache->shard_values()[0].mshr_inflight < kFills &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(cache->shard_values()[0].mshr_inflight, kFills);
+  for (BlockId b = 0; b < kFills; ++b) clients.emplace_back(miss_block, b);
+  for (std::thread& th : clients) th.join();
+  const obs::ShardValues v = cache->shard_values()[0];
+  EXPECT_EQ(v.coalesced, kFills);
+  EXPECT_EQ(v.misses, kFills);
+  EXPECT_EQ(v.delayed_hits, kFills);
+  EXPECT_EQ(v.mshr_inflight, 0u);
+}
+
+TEST(GcachedMshr, AsyncConservationHoldsOnEverySchedule) {
+  // hits + misses + delayed_hits == accesses on EVERY schedule of the fill
+  // path — the delayed-hit extension of the closed-loop conservation law.
+  // block-lru exercises the sideload (free-delayed-hit) commits too. With
+  // 12 clients up to twelve fills are in flight on one shard, and at 8
+  // shards each client's one register moves from shard to shard.
+  const Workload w = small_zipf();
+  for (const std::size_t threads :
+       {std::size_t{2}, hardware_threads(), std::size_t{12}}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
       SCOPED_TRACE(std::to_string(threads) + " threads, " +
                    std::to_string(shards) + " shards");
@@ -862,6 +901,14 @@ TEST(GcachedMshr, AsyncConservationHoldsOnEverySchedule) {
       EXPECT_EQ(res.stats.temporal_hits + res.stats.spatial_hits,
                 res.stats.hits);
       EXPECT_LE(res.stats.free_delayed_hits, res.stats.delayed_hits);
+      // Every delayed hit parked on a fill first; a woken waiter whose item
+      // the fill did not load retries, so parks can outnumber them.
+      std::uint64_t coalesced = 0;
+      for (const obs::ShardValues& v : cache->shard_values()) {
+        coalesced += v.coalesced;
+        EXPECT_EQ(v.mshr_inflight, 0u);
+      }
+      EXPECT_LE(res.stats.delayed_hits, coalesced);
       std::size_t occupancy = 0;
       for (std::size_t s = 0; s < cache->num_shards(); ++s) {
         EXPECT_LE(cache->shard_occupancy(s), cache->shard_capacity(s));

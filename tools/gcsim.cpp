@@ -7,7 +7,6 @@
 //                   [--threads T] [--csv FILE] [--obs DIR] [--progress]
 //   gcsim gcached   --workload FILE --capacity N [--policy SPEC]
 //                   [--shards S] [--threads N] [--ops N] [--fill-us F]
-//                   [--mshrs N]
 //                   [--arrival closed|poisson] [--rate OPS]
 //                   [--metrics-out FILE] [--mon-jsonl FILE] [--perf]
 //   gcsim profile   --workload FILE [--windows N1,N2,..]
@@ -562,8 +561,6 @@ int cmd_gcached(const Args& args) {
   gcached::GcachedConfig cfg;
   cfg.capacity = args.get_u64("capacity");
   const double fill_us = args.get_f64("fill-us", 0.0);
-  cfg.mshr_entries =
-      static_cast<std::size_t>(args.get_u64("mshrs", cfg.mshr_entries));
   const std::string spec = args.get("policy", std::string("item-lru"));
 
   gcached::LoadSpec load;
@@ -980,10 +977,14 @@ subcommands:
   gcached    replay a workload through the concurrent sharded runtime with
              closed-loop or poisson client threads — see docs/CONCURRENCY.md
              --workload FILE --capacity N [--policy SPEC] [--shards S]
-             [--threads N] [--ops N] [--fill-us F] [--mshrs N]
+             [--threads N] [--ops N] [--fill-us F]
              [--arrival closed|poisson] [--rate OPS] [--seed S]
              [--obs DIR] [--metrics-out FILE] [--mon-jsonl FILE]
              [--mon-interval-ms M] [--mon-ring N] [--perf]
+             a miss waits --fill-us with its shard unlocked; each client
+             thread has one fill register, so up to --threads fills
+             overlap in one shard and misses on an in-flight block wait
+             for it as delayed hits
              live monitoring (gcmon): --metrics-out rewrites a Prometheus
              exposition atomically every M ms, --mon-jsonl appends one
              snapshot per harvest, --perf captures per-thread hardware
