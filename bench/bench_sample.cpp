@@ -2,18 +2,18 @@
 // (locality/sample.hpp) against the exact batched sweep.
 //
 // One large rank-scrambled zipf workload is swept exactly (the baseline)
-// and then end-to-end through `SweepSpec::sample_rate` at 1.0, 0.1 and
-// 0.01 — the sampled timings INCLUDE the filter pass, so the speedups are
-// what a caller actually gets. For every rate the bench reports the max
-// absolute miss-ratio error across all (policy, capacity) cells; rate 1.0
-// is additionally required to be bit-identical (GC_REQUIRE, not just
+// and then end-to-end at rates 1.0, 0.1 and 0.01: locality::sample_trace
+// followed by run_sweep over the sample (SweepSpec::presampled). The
+// sampled timings INCLUDE the sampler pass, so the speedups are what a
+// caller actually gets. For every rate the bench reports the max absolute
+// miss-ratio error across all (policy, capacity) cells; rate 1.0 is
+// additionally required to be bit-identical (GC_REQUIRE, not just
 // reported). Acceptance headline: >= 5x end-to-end speedup at rate 0.01
 // with max error <= 0.02 on a >= 10^8-access trace.
 //
-// Timings only mean something under GC_FAST_SIM (the `fast` preset): in
-// checking builds the stack path re-runs the lane engine as a cross-check.
-// The JSON records which configuration ran. Output: aligned table,
-// optional CSV, and BENCH_sample.json. See docs/PERF.md.
+// Timings only mean something under GC_FAST_SIM (the `fast` preset). The
+// JSON records which configuration ran. Output: aligned table, optional
+// CSV, and BENCH_sample.json. See docs/PERF.md.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -131,17 +131,16 @@ int run(int argc, char** argv) {
   // a long MRC with the heaviest block well under the 1% rate.
   const std::size_t len = opts.quick ? 4'000'000 : 100'000'000;
   std::cout << "generating " << len << "-access zipf-scramble trace...\n";
-  const Workload w = traces::zipf_scramble(1u << 20, 16, len, 0.5, 42);
+  const std::vector<Workload> workloads = {
+      traces::zipf_scramble(1u << 20, 16, len, 0.5, 42)};
+  const Workload& w = workloads[0];
 
   sim::SweepSpec spec;
-  std::vector<Workload> workloads;  // filled below; SweepSpec borrows it
+  spec.workloads = &workloads;
   spec.policy_specs = {"item-lru", "block-lru", "iblp"};
   spec.capacities = {8192, 16384, 32768, 65536, 131072, 262144, 524288};
   spec.threads = opts.threads;
   const std::size_t threads = ThreadPool(opts.threads).num_threads();
-
-  workloads.push_back(w);
-  spec.workloads = &workloads;
 
   std::cout << "exact sweep (" << spec.policy_specs.size() << " policies x "
             << spec.capacities.size() << " capacities)...\n";
@@ -163,20 +162,28 @@ int run(int argc, char** argv) {
 
   std::vector<RateResult> results;
   for (const double rate : {1.0, 0.1, 0.01}) {
-    sim::SweepSpec sampled_spec = spec;
-    sampled_spec.sample_rate = rate;
-    sampled_spec.sample_seed = 42;
+    locality::SampleConfig cfg;
+    cfg.rate = rate;
+    cfg.seed = 42;
+    RateResult r;
+    r.rate = rate;
     double secs = 1e300;
     std::vector<sim::SweepCell> sampled;
     for (int rep = 0; rep < opts.repeats; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
+      locality::SampledTrace s =
+          locality::sample_trace(*w.map, w.trace.accesses(), cfg);
+      r.kept_accesses = s.accesses.size();
+      sim::SweepSpec sampled_spec = spec;
+      sampled_spec.presampled = {{s.realized_rate, s.total_accesses}};
+      const std::vector<Workload> sample = {
+          locality::make_sampled_workload(w, std::move(s))};
+      sampled_spec.workloads = &sample;
       sampled = sim::run_sweep(sampled_spec);
       secs = std::min(secs, seconds_since(t0));
     }
     GC_REQUIRE(sampled.size() == exact.size(), "sweep size mismatch");
 
-    RateResult r;
-    r.rate = rate;
     r.seconds = secs;
     r.speedup = exact_s / secs;
     r.bit_identical = true;
@@ -193,14 +200,6 @@ int run(int argc, char** argv) {
     // scale, re-checked here at bench scale.
     if (rate >= 1.0)
       GC_REQUIRE(r.bit_identical, "rate-1.0 sweep diverged from exact");
-    // kept_accesses: re-derive from the filter rather than plumbing it out
-    // of the runner — the sampled stats are rescaled to full-trace scale.
-    locality::SampleConfig cfg;
-    cfg.rate = rate;
-    cfg.seed = 42;
-    r.kept_accesses = rate >= 1.0
-                          ? w.trace.size()
-                          : locality::sample_workload(w, cfg).accesses.size();
     results.push_back(r);
     table.add_row({fmt(rate, 2), fmti(r.kept_accesses), fmt(r.seconds),
                    fmt(r.speedup, 2), fmt(r.max_err, 4),

@@ -156,68 +156,6 @@ std::span<const BlockId> resolve_block_ids(const BlockMap& map,
                                            const Trace& trace,
                                            BlockIdVector& storage);
 
-// ---- One-pass filtered-trace materialization ------------------------------
-// Support for trace sampling (locality/sample.hpp): a single pass over an
-// access stream keeps the accesses whose *block* a predicate accepts,
-// materializing the filtered accesses and their block ids together. Keeping
-// the filter block-level is what makes sampling block-consistent: an item
-// is kept iff its whole block is, so item- and block-granularity policies
-// see a coherent sub-universe.
-
-/// A filtered view of an access stream: the surviving accesses, their block
-/// ids (same length), and the length of the unfiltered input.
-struct FilteredTrace {
-  std::vector<ItemId> accesses;
-  BlockIdVector block_ids;
-  std::uint64_t total_accesses = 0;
-};
-
-/// One-pass materializer over parallel (access, block id) streams: keeps
-/// accesses[i] iff keep_block(block_ids[i]). The spans may be mmap-backed
-/// (core/trace_io TraceView) — the pass is strictly sequential and never
-/// writes, so a billion-request file streams through the page cache.
-template <typename KeepBlock>
-FilteredTrace filter_trace(std::span<const ItemId> accesses,
-                           std::span<const BlockId> block_ids,
-                           KeepBlock&& keep_block) {
-  GC_REQUIRE(block_ids.size() == accesses.size(),
-             "one block id per access is required");
-  FilteredTrace out;
-  out.total_accesses = accesses.size();
-  GC_HOT_REGION_BEGIN(filter_trace_loop)
-  for (std::size_t i = 0; i < accesses.size(); ++i) {
-    if (keep_block(block_ids[i])) {
-      out.accesses.push_back(accesses[i]);
-      out.block_ids.push_back(block_ids[i]);
-    }
-  }
-  GC_HOT_REGION_END(filter_trace_loop)
-  return out;
-}
-
-/// Uniform-partition overload: block ids are derived as item / block_size on
-/// the fly, so only the (possibly mmap-backed) access stream is read. This
-/// is the path that lets the sampler stream a binary trace file without a
-/// precomputed block-id array.
-template <typename KeepBlock>
-FilteredTrace filter_trace_uniform(std::span<const ItemId> accesses,
-                                   std::size_t block_size,
-                                   KeepBlock&& keep_block) {
-  GC_REQUIRE(block_size > 0, "block size must be positive");
-  FilteredTrace out;
-  out.total_accesses = accesses.size();
-  GC_HOT_REGION_BEGIN(filter_trace_uniform_loop)
-  for (const ItemId item : accesses) {
-    const BlockId block = static_cast<BlockId>(item / block_size);
-    if (keep_block(block)) {
-      out.accesses.push_back(item);
-      out.block_ids.push_back(block);
-    }
-  }
-  GC_HOT_REGION_END(filter_trace_uniform_loop)
-  return out;
-}
-
 /// A trace plus the partition it is defined over. The map is shared because
 /// many traces (e.g. a parameter sweep) reference one partition.
 struct Workload {

@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/trace_io.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching::locality {
@@ -27,6 +26,10 @@ BlockFilter make_filter(double rate, std::uint64_t seed) {
   return f;
 }
 
+namespace {
+
+/// The fraction of a concrete `num_blocks`-block universe the filter
+/// accepts (SampledTrace::realized_rate).
 double realized_rate(const BlockFilter& f, std::size_t num_blocks) {
   GC_REQUIRE(num_blocks > 0, "block universe must be non-empty");
   if (f.all) return 1.0;
@@ -39,127 +42,76 @@ double realized_rate(const BlockFilter& f, std::size_t num_blocks) {
   return static_cast<double>(accepted) / static_cast<double>(num_blocks);
 }
 
-namespace {
+}  // namespace
 
-/// Wrap a finished filter pass: move the survivors over, count the distinct
-/// blocks that actually appear (one pass over the sample, not the input).
-SampledTrace finalize(FilteredTrace ft, const BlockFilter& f) {
+SampledTrace sample_trace(const BlockMap& map,
+                          std::span<const ItemId> accesses,
+                          const SampleConfig& cfg) {
+  const bool fixed_size = cfg.max_blocks > 0;
   SampledTrace s;
-  s.accesses = std::move(ft.accesses);
-  s.block_ids = std::move(ft.block_ids);
-  s.total_accesses = ft.total_accesses;
-  s.filter = f;
-  const std::unordered_set<BlockId> distinct(s.block_ids.begin(),
-                                             s.block_ids.end());
-  s.sampled_blocks = distinct.size();
-  return s;
-}
-
-/// Fixed-size (adaptive SHARDS) pass, generic over how the block id of
-/// access `i` is obtained. The threshold starts at accept-everything and is
-/// lowered by evicting the largest-hash member whenever the distinct-block
-/// budget overflows; because it only ever decreases, accesses admitted
-/// early under a looser threshold can be compacted out afterwards by
-/// re-testing against the final one — the whole input is read exactly once.
-template <typename BlockAt>
-SampledTrace sample_fixed_size(std::span<const ItemId> accesses,
-                               BlockAt&& block_at, const SampleConfig& cfg) {
-  GC_REQUIRE(cfg.max_blocks > 0, "fixed-size sampling needs a block budget");
-  FilteredTrace out;
-  out.total_accesses = accesses.size();
-  BlockFilter f;
-  f.seed = cfg.seed;
-  // Largest hash on top: the member to shed when the budget overflows.
+  s.total_accesses = accesses.size();
+  BlockFilter& f = s.filter;
+  if (fixed_size)
+    f.seed = cfg.seed;
+  else
+    f = make_filter(cfg.rate, cfg.seed);
+  // Fixed-size (adaptive SHARDS) state, carried across chunks. The
+  // threshold starts at accept-everything and is lowered by evicting the
+  // largest-hash member whenever the distinct-block budget overflows;
+  // because it only ever decreases, accesses admitted early under a looser
+  // threshold are compacted out after the pass by re-testing against the
+  // final one. Largest hash on top: the member to shed.
   std::priority_queue<std::pair<std::uint64_t, BlockId>> heap;
   std::unordered_set<BlockId> in_sample;
   // Distinct blocks can't exceed the access count, so an over-generous
   // budget (e.g. "effectively unlimited") must not pre-allocate for it.
-  in_sample.reserve(
-      std::min<std::size_t>(cfg.max_blocks, accesses.size()) + 1);
-  GC_HOT_REGION_BEGIN(adaptive_sample_loop)
-  for (std::size_t i = 0; i < accesses.size(); ++i) {
-    const BlockId block = block_at(i);
-    const std::uint64_t h = sample_hash(block, cfg.seed);
-    if (!f.all && h >= f.threshold) continue;
-    if (in_sample.insert(block).second) {
-      heap.emplace(h, block);
-      if (in_sample.size() > cfg.max_blocks) {
-        const auto [hmax, bmax] = heap.top();
-        heap.pop();
-        in_sample.erase(bmax);
-        f.threshold = hmax;
-        f.all = false;
-        if (bmax == block) continue;  // the newcomer itself was the largest
+  if (fixed_size)
+    in_sample.reserve(
+        std::min<std::size_t>(cfg.max_blocks, accesses.size()) + 1);
+  BlockIdVector ids(std::min(kTraceChunkAccesses, accesses.size()));
+  for (std::size_t first = 0; first < accesses.size();
+       first += kTraceChunkAccesses) {
+    const std::span<const ItemId> items = accesses.subspan(
+        first, std::min(kTraceChunkAccesses, accesses.size() - first));
+    map.block_ids_of(items, ids.data());  // range-checks every item
+    GC_HOT_REGION_BEGIN(sample_chunk)
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const BlockId block = ids[i];
+      if (!f.accepts(block)) continue;
+      if (fixed_size && in_sample.insert(block).second) {
+        heap.emplace(sample_hash(block, cfg.seed), block);
+        if (in_sample.size() > cfg.max_blocks) {
+          const auto [hmax, bmax] = heap.top();
+          heap.pop();
+          in_sample.erase(bmax);
+          f.threshold = hmax;
+          f.all = false;
+          if (bmax == block) continue;  // the newcomer itself was the largest
+        }
       }
+      s.accesses.push_back(items[i]);
+      s.block_ids.push_back(block);
     }
-    out.accesses.push_back(accesses[i]);
-    out.block_ids.push_back(block);
+    GC_HOT_REGION_END(sample_chunk)
   }
-  GC_HOT_REGION_END(adaptive_sample_loop)
-  if (!f.all) {
+  if (fixed_size && !f.all) {
     // Compact: drop survivors of looser early thresholds.
     std::size_t w = 0;
-    for (std::size_t i = 0; i < out.accesses.size(); ++i) {
-      if (sample_hash(out.block_ids[i], cfg.seed) < f.threshold) {
-        out.accesses[w] = out.accesses[i];
-        out.block_ids[w] = out.block_ids[i];
+    for (std::size_t i = 0; i < s.accesses.size(); ++i) {
+      if (f.accepts(s.block_ids[i])) {
+        s.accesses[w] = s.accesses[i];
+        s.block_ids[w] = s.block_ids[i];
         ++w;
       }
     }
-    out.accesses.resize(w);
-    out.block_ids.resize(w);
+    s.accesses.resize(w);
+    s.block_ids.resize(w);
   }
-  return finalize(std::move(out), f);
-}
-
-}  // namespace
-
-SampledTrace sample_trace(std::span<const ItemId> accesses,
-                          std::span<const BlockId> block_ids,
-                          const SampleConfig& cfg) {
-  GC_REQUIRE(block_ids.size() == accesses.size(),
-             "one block id per access is required");
-  if (cfg.max_blocks > 0) {
-    return sample_fixed_size(
-        accesses, [&](std::size_t i) { return block_ids[i]; }, cfg);
-  }
-  const BlockFilter f = make_filter(cfg.rate, cfg.seed);
-  return finalize(
-      filter_trace(accesses, block_ids,
-                   [&](BlockId b) { return f.accepts(b); }),
-      f);
-}
-
-SampledTrace sample_trace_uniform(std::span<const ItemId> accesses,
-                                  std::size_t block_size,
-                                  const SampleConfig& cfg) {
-  GC_REQUIRE(block_size > 0, "block size must be positive");
-  if (cfg.max_blocks > 0) {
-    return sample_fixed_size(
-        accesses,
-        [&](std::size_t i) {
-          return static_cast<BlockId>(accesses[i] / block_size);
-        },
-        cfg);
-  }
-  const BlockFilter f = make_filter(cfg.rate, cfg.seed);
-  return finalize(
-      filter_trace_uniform(accesses, block_size,
-                           [&](BlockId b) { return f.accepts(b); }),
-      f);
-}
-
-SampledTrace sample_workload(const Workload& w, const SampleConfig& cfg) {
-  GC_REQUIRE(w.map != nullptr, "workload has no block map");
-  BlockIdVector storage;
-  const std::span<const BlockId> ids =
-      resolve_block_ids(*w.map, w.trace, storage);
-  return sample_trace(w.trace.accesses(), ids, cfg);
-}
-
-SampledTrace sample_view(const TraceView& view, const SampleConfig& cfg) {
-  return sample_trace_uniform(
-      view.accesses(), static_cast<std::size_t>(view.block_size()), cfg);
+  const std::unordered_set<BlockId> distinct(s.block_ids.begin(),
+                                             s.block_ids.end());
+  s.sampled_blocks = distinct.size();
+  s.realized_rate = realized_rate(f, map.num_blocks());
+  return s;
 }
 
 Workload make_sampled_workload(const Workload& original, SampledTrace sample) {

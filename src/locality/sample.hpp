@@ -29,6 +29,12 @@
 // `rate == 1.0` (and fixed-size with a budget no smaller than the distinct
 // block count) keeps every access, and downstream results are bit-identical
 // to the exact engines — pinned by tests/test_sample.cpp.
+//
+// The caller runs the sampler: `sample_trace` takes a map and its accesses
+// (a Workload's trace or a TraceView's mapped records alike), and
+// sim::run_sweep takes the sampled workloads plus each one's realized rate
+// and unfiltered length through SweepSpec::presampled, which it uses to
+// scale capacities and rescale counters.
 #pragma once
 
 #include <cstddef>
@@ -36,12 +42,9 @@
 #include <span>
 #include <vector>
 
+#include "core/block_map.hpp"
 #include "core/stats.hpp"
 #include "core/trace.hpp"
-
-namespace gcaching {
-class TraceView;  // core/trace_io.hpp
-}
 
 namespace gcaching::locality {
 
@@ -69,8 +72,7 @@ struct SampleConfig {
 
 /// The block-accept predicate: accept iff hash < threshold (or everything,
 /// for the exact-identity rate-1.0 case, where `threshold * 2^-64` could
-/// not represent "all"). Exposed so the sweep runner and tools can share
-/// one filter definition with the sampler.
+/// not represent "all").
 struct BlockFilter {
   std::uint64_t threshold = 0;
   std::uint64_t seed = 1;
@@ -89,14 +91,6 @@ struct BlockFilter {
 /// Fixed-rate filter for `rate`; rates >= 1.0 yield the accept-all filter.
 BlockFilter make_filter(double rate, std::uint64_t seed);
 
-/// The fraction of a concrete `num_blocks`-block universe the filter
-/// actually accepts — counted, not expected. The realized fraction differs
-/// from the nominal rate by binomial noise (sd ~ sqrt(rate / num_blocks)
-/// relative), and that error feeds straight into the capacity scaling, so
-/// the sweep runner scales by this instead of `BlockFilter::rate()`
-/// whenever the universe is known. Returns exactly 1.0 for accept-all.
-double realized_rate(const BlockFilter& f, std::size_t num_blocks);
-
 /// A sampled trace plus everything needed to interpret results against the
 /// original: the surviving accesses with their block ids (ready for
 /// Trace::adopt_block_ids), the unfiltered access count, the filter that
@@ -107,35 +101,30 @@ struct SampledTrace {
   std::uint64_t total_accesses = 0;  ///< length of the unfiltered input
   BlockFilter filter;                ///< reusable accept predicate
   std::size_t sampled_blocks = 0;    ///< distinct blocks in the sample
+  /// The fraction of the map's block universe the filter accepts: counted,
+  /// not expected. It differs from the nominal rate by binomial noise (sd
+  /// ~ sqrt(rate / num_blocks) relative), and that error feeds straight
+  /// into the capacity scaling, so a sweep scales capacities by this
+  /// (sim::SweepSpec::Presampled::rate). Exactly 1.0 for accept-all.
+  double realized_rate = 1.0;
 
   double rate() const noexcept { return filter.rate(); }
 };
 
-/// One-pass sample of an access stream with precomputed per-access block
-/// ids (the in-RAM Workload path). Fixed-rate or fixed-size per `cfg`.
-SampledTrace sample_trace(std::span<const ItemId> accesses,
-                          std::span<const BlockId> block_ids,
+/// The sampler: one pass over `accesses`, fixed-rate or fixed-size per
+/// `cfg`. The accesses are read in kTraceChunkAccesses chunks, each mapped
+/// to its block ids with BlockMap::block_ids_of into one reused chunk
+/// buffer, so a memory-mapped trace (TraceView::accesses) is sampled in
+/// the memory of the sample plus one chunk. Throws ContractViolation
+/// "trace references item outside the map" for an item outside `map`.
+SampledTrace sample_trace(const BlockMap& map,
+                          std::span<const ItemId> accesses,
                           const SampleConfig& cfg);
-
-/// Uniform-partition overload: block = item / block_size, derived on the
-/// fly, so only the access stream is read. This is the streaming path for
-/// mmap-backed binary traces — one sequential pass, nothing materialized
-/// but the sample itself.
-SampledTrace sample_trace_uniform(std::span<const ItemId> accesses,
-                                  std::size_t block_size,
-                                  const SampleConfig& cfg);
-
-/// Sample a whole workload (any partition; block ids are taken from the
-/// trace's cache or resolved once).
-SampledTrace sample_workload(const Workload& w, const SampleConfig& cfg);
-
-/// Stream-sample a binary trace file view (core/trace_io.hpp) without
-/// materializing it.
-SampledTrace sample_view(const TraceView& view, const SampleConfig& cfg);
 
 /// Build the sampled sub-workload: the filtered trace over the ORIGINAL
 /// partition (ids untouched, so geometry and block membership are exactly
-/// the original's), with block ids adopted for the fast engines.
+/// the original's), with block ids adopted for the fast engines. Only
+/// `original`'s map and name are read.
 Workload make_sampled_workload(const Workload& original, SampledTrace sample);
 
 /// Cache capacity to simulate the sample at: round(capacity * rate),

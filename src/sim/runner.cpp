@@ -17,8 +17,6 @@ std::vector<SweepCell> run_sweep(const SweepSpec& spec) {
   GC_REQUIRE(spec.workloads != nullptr, "sweep needs workloads");
   GC_REQUIRE(!spec.policy_specs.empty(), "sweep needs at least one policy");
   GC_REQUIRE(!spec.capacities.empty(), "sweep needs at least one capacity");
-  GC_REQUIRE(spec.sample_rate > 0.0 && spec.sample_rate <= 1.0,
-             "sample_rate must be in (0, 1]");
 
   const std::size_t nw = spec.workloads->size();
   const std::size_t np = spec.policy_specs.size();
@@ -35,80 +33,39 @@ std::vector<SweepCell> run_sweep(const SweepSpec& spec) {
 
   ThreadPool pool(spec.threads);
 
-  // Sampling pass: filter each workload ONCE through the block-consistent
-  // spatial-hash sampler; every engine below then runs on the filtered
-  // trace. The per-workload effective rate drives capacity scaling and the
-  // final counter rescale. Workloads are independent, so the (memory-bound)
-  // filter passes run across the pool. Alternatively the caller already
-  // filtered (spec.presampled, e.g. streamed from a binary trace file) and
-  // only the scaling/rescale half applies here.
-  const bool cfg_sampling = spec.sample_rate < 1.0 || spec.sample_blocks > 0;
-  const bool presampled = !spec.presampled.empty();
-  GC_REQUIRE(!(cfg_sampling && presampled),
-             "presampled workloads cannot be sampled again");
-  GC_REQUIRE(!presampled || spec.presampled.size() == nw,
+  // Presampled workloads: each cell runs at its capacity scaled by the
+  // workload's sample rate, floored at the partition's max block size so
+  // block-granularity policies stay legal, and its counters are rescaled
+  // to the unfiltered length. Both maps are the identity, bit for bit, when
+  // the caller did not sample.
+  const std::vector<Workload>& work = *spec.workloads;
+  const bool sampled = !spec.presampled.empty();
+  GC_REQUIRE(!sampled || spec.presampled.size() == nw,
              "presampled info must cover every workload");
-  const bool sampling = cfg_sampling || presampled;
-  std::vector<Workload> sampled;
-  std::vector<std::uint64_t> sample_totals(nw, 0);
-  std::vector<double> sample_rates(nw, 1.0);
-  if (presampled) {
-    for (std::size_t w = 0; w < nw; ++w) {
-      const SweepSpec::Presampled& info = spec.presampled[w];
-      GC_REQUIRE(info.rate > 0.0 && info.rate <= 1.0,
-                 "presampled rate must be in (0, 1]");
-      GC_REQUIRE(info.total_accesses >= (*spec.workloads)[w].trace.size(),
-                 "presampled total is smaller than the filtered trace");
-      sample_totals[w] = info.total_accesses;
-      sample_rates[w] = info.rate;
-    }
+  for (std::size_t w = 0; w < spec.presampled.size(); ++w) {
+    const SweepSpec::Presampled& info = spec.presampled[w];
+    GC_REQUIRE(info.rate > 0.0 && info.rate <= 1.0,
+               "presampled rate must be in (0, 1]");
+    GC_REQUIRE(info.total_accesses >= work[w].trace.size(),
+               "presampled total is smaller than the filtered trace");
   }
-  if (cfg_sampling) {
-    sampled.resize(nw);
-    pool.parallel_for(nw, [&](std::size_t w) {
-      const Workload& workload = (*spec.workloads)[w];
-      GC_REQUIRE(workload.map != nullptr, "workload has no block map");
-      GC_OBS_SPAN(span, "sample_workload", "sweep");
-      GC_OBS_SPAN_ARG(span, "workload", std::to_string(w));
-      locality::SampleConfig cfg;
-      cfg.rate = spec.sample_rate;
-      cfg.max_blocks = spec.sample_blocks;
-      cfg.seed = spec.sample_seed;
-      locality::SampledTrace s = locality::sample_workload(workload, cfg);
-      sample_totals[w] = s.total_accesses;
-      // Scale capacities by the fraction of this universe the filter
-      // actually accepted, not the nominal rate: the binomial gap between
-      // the two shifts every scaled capacity and is the dominant
-      // controllable error at small rates.
-      sample_rates[w] =
-          locality::realized_rate(s.filter, workload.map->num_blocks());
-      sampled[w] = locality::make_sampled_workload(workload, std::move(s));
-    });
-  }
-  const std::vector<Workload>& work =
-      cfg_sampling ? sampled : *spec.workloads;
-
-  // Maps an original capacity to the one simulated for workload `w` —
-  // scaled by the sample rate, floored at the partition's max block size so
-  // block-granularity policies stay legal. Identity when not sampling.
   const auto effective_capacity = [&](std::size_t w, std::size_t capacity) {
-    return sampling ? locality::scaled_capacity(
-                          capacity, sample_rates[w],
-                          work[w].map->max_block_size())
-                    : capacity;
+    return sampled ? locality::scaled_capacity(
+                         capacity, spec.presampled[w].rate,
+                         work[w].map->max_block_size())
+                   : capacity;
   };
-  // Rescales a sampled run's counters to full-trace estimates; identity
-  // (bit-for-bit) when not sampling.
   const auto correct_stats = [&](std::size_t w, const SimStats& stats) {
-    return sampling ? locality::unsample_stats(stats, sample_totals[w])
-                    : stats;
+    return sampled ? locality::unsample_stats(
+                         stats, spec.presampled[w].total_accesses)
+                   : stats;
   };
 
   // Resolve each workload's per-access block ids once, up front: every
   // fast-path cell of the same workload shares one read-only array, so no
   // cell pays a virtual BlockMap::block_of call in its hot loop. Sampled
-  // traces carry adopted ids from the filter pass, so resolve_block_ids
-  // reuses them for free. The resolution itself is memory-bound and
+  // traces carry adopted ids from the sampler, so resolve_block_ids reuses
+  // them for free. The resolution itself is memory-bound and
   // per-workload independent, so it runs across the pool too.
   std::vector<BlockIdVector> block_id_storage(nw);
   std::vector<std::span<const BlockId>> block_ids(nw);

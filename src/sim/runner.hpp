@@ -14,6 +14,10 @@
 // simulate_column_spec / simulate_fast_spec; the verifying path runs
 // `simulate` per cell. Both produce bit-identical SimStats in identical
 // row-major order.
+//
+// The runner does not sample: a caller that wants a sampled sweep samples
+// each workload itself (locality/sample.hpp) and passes the samples with
+// their provenance in SweepSpec::presampled.
 #pragma once
 
 #include <cstddef>
@@ -48,33 +52,17 @@ struct SweepSpec {
   /// the verifying engine — switch off to exercise the step-wise
   /// `Simulation` path instead (e.g. when debugging a new policy).
   bool use_fast_path = true;
-  // ---- Spatial-hash sampling (locality/sample.hpp) ------------------------
-  // When active, each workload is filtered ONCE through the block-consistent
-  // SHARDS sampler, every engine (stack pass, per-cell, verifying) runs on
-  // the filtered trace at capacities scaled by the workload's effective rate,
-  // and the resulting counters are rescaled back to full-trace estimates.
-  // Cells still report the ORIGINAL capacity. `sample_rate == 1.0` with
-  // `sample_blocks == 0` bypasses sampling entirely — results are
-  // bit-identical to an unsampled sweep (pinned by tests/test_sample.cpp).
-  /// Fixed-rate sampling: keep blocks with hash < rate * 2^64. In (0, 1].
-  double sample_rate = 1.0;
-  /// Fixed-size sampling when > 0: cap on distinct sampled blocks per
-  /// workload (adaptive threshold); `sample_rate` is then ignored.
-  std::size_t sample_blocks = 0;
-  /// Sampler hash seed; distinct seeds give independent samples.
-  std::uint64_t sample_seed = 1;
-  /// Provenance of a workload the CALLER already ran through the sampler
-  /// (e.g. gcsim streaming a binary trace through locality::sample_view so
-  /// the full trace is never materialized): the effective rate and the
-  /// unfiltered access count, which the runner still needs for capacity
-  /// scaling and counter rescale.
+  /// Provenance of workloads the caller ran through the sampler
+  /// (locality::sample_trace), one entry per workload: the realized rate
+  /// and the unfiltered access count. Each cell then runs at its capacity
+  /// scaled by the rate, its counters are rescaled to full-trace estimates,
+  /// and it still reports the ORIGINAL capacity. Empty: no sampling, and
+  /// an entry of rate 1.0 at the full length is bit-identical to that
+  /// (pinned by tests/test_sample.cpp).
   struct Presampled {
     double rate = 1.0;
     std::uint64_t total_accesses = 0;
   };
-  /// One entry per workload when the caller pre-filtered them; must be
-  /// empty otherwise, and is mutually exclusive with sample_rate /
-  /// sample_blocks (the runner would sample an already-sampled trace).
   std::vector<Presampled> presampled;
   /// Optional coarse progress hook, invoked as tasks complete with
   /// (done, total) — a task is a stack-pass row or a single cell.

@@ -977,8 +977,8 @@ const Mutation kMutations[] = {
      "    GC_HOT_REQUIRE(shard.cache.map().block_of(item) == block,",
      "    GC_REQUIRE(shard.cache.map().block_of(item) == block,",
      "hot-region-cold-contract"},
-    {"unclosed region", "src/core/trace.hpp",
-     "  GC_HOT_REGION_END(filter_trace_uniform_loop)\n", "",
+    {"unclosed region", "src/core/cache_contents.hpp",
+     "  GC_HOT_REGION_END(cache_contents_mutators)\n", "",
      "hot-region-balance"},
     {"make_unique in gcached access", "src/gcached/sharded_cache.hpp",
      "    if (ctx.cache != this) bind_client(ctx);",

@@ -7,8 +7,8 @@
 // must each fail with a descriptive message. The sweep integration tests
 // check the actual instrumentation sites: a run_sweep under an installed
 // log yields named pool workers and exactly one span per row, cell,
-// block-id precompute, stack-column pass and sample pass — and records
-// nothing at all when no log is installed.
+// block-id precompute and stack-column pass — and records nothing at all
+// when no log is installed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -285,7 +285,6 @@ TEST(SweepObsIntegration, TraceCapturesTheSchedule) {
   EXPECT_EQ(count_spans(log, "sweep_cell"), cell_tasks);
   EXPECT_EQ(count_spans(log, "precompute_block_ids"), workloads.size());
   EXPECT_EQ(count_spans(log, "stack_column_pass"), stack_rows);
-  EXPECT_EQ(count_spans(log, "sample_workload"), 0u);
   EXPECT_GE(count_spans(log, "pool_task"), stack_rows + cell_tasks);
   std::size_t worker_names = 0;
   for (const obs::TraceEvent& e : log.events())
@@ -297,26 +296,6 @@ TEST(SweepObsIntegration, TraceCapturesTheSchedule) {
 
   const std::string json = exported(log);
   EXPECT_EQ(validate_chrome_trace(json), "") << json.substr(0, 2000);
-}
-
-TEST(SweepObsIntegration, SampledSweepTracesOneSamplePassPerWorkload) {
-  const std::vector<Workload> workloads = {
-      traces::zipf_blocks(64, 8, 3000, 0.9, 3, 5),
-      traces::zipf_blocks(64, 8, 3000, 0.8, 3, 6)};
-  sim::SweepSpec spec = small_sweep(workloads);
-  spec.sample_rate = 0.5;
-  TraceLog log;
-  {
-    obs::TraceLogScope tscope(log);
-    (void)run_sweep(spec);
-  }
-  if (!obs::kObsEnabled) {
-    EXPECT_EQ(log.size(), 0u);
-    return;
-  }
-  EXPECT_EQ(count_spans(log, "sample_workload"), workloads.size());
-  EXPECT_EQ(count_spans(log, "precompute_block_ids"), workloads.size());
-  EXPECT_EQ(validate_chrome_trace(exported(log)), "");
 }
 
 TEST(SweepObsIntegration, NoSinksMeansNoRecords) {

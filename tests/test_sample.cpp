@@ -16,17 +16,21 @@
 //      section).
 // Like test_fast_sim, this binary is built a second time against the
 // GC_FAST_SIM library copy (test_sample_nochecks), so both contract
-// configurations cover the rate-1.0 identity.
+// configurations cover the rate-1.0 identity and the loud failure on a
+// record outside the map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "core/trace_io.hpp"
 #include "locality/sample.hpp"
 #include "policies/factory.hpp"
 #include "sim/runner.hpp"
@@ -51,13 +55,31 @@ void expect_identical(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.wasted_sideloads, b.wasted_sideloads);
 }
 
+SampledTrace sample_of(const Workload& w, const SampleConfig& cfg) {
+  return locality::sample_trace(*w.map, w.trace.accesses(), cfg);
+}
+
+/// Samples every workload up front, as a sweep's caller does: returns the
+/// sampled workloads and appends each one's provenance to `presampled`.
+std::vector<Workload> presample(
+    const std::vector<Workload>& workloads, const SampleConfig& cfg,
+    std::vector<sim::SweepSpec::Presampled>& presampled) {
+  std::vector<Workload> sampled;
+  for (const Workload& w : workloads) {
+    SampledTrace s = sample_of(w, cfg);
+    presampled.push_back({s.realized_rate, s.total_accesses});
+    sampled.push_back(locality::make_sampled_workload(w, std::move(s)));
+  }
+  return sampled;
+}
+
 // ---- filter basics --------------------------------------------------------
 
 TEST(SampleFilter, RateOneKeepsEverything) {
   const Workload w = traces::zipf_blocks(64, 8, 3000, 0.9, 4, 1);
   SampleConfig cfg;
   cfg.rate = 1.0;
-  const SampledTrace s = locality::sample_workload(w, cfg);
+  const SampledTrace s = sample_of(w, cfg);
   EXPECT_EQ(s.accesses, w.trace.accesses());
   EXPECT_EQ(s.total_accesses, w.trace.size());
   EXPECT_TRUE(s.filter.all);
@@ -80,8 +102,8 @@ TEST(SampleFilter, DistinctSeedsGiveDifferentSamples) {
   a.rate = b.rate = 0.3;
   a.seed = 1;
   b.seed = 2;
-  const SampledTrace sa = locality::sample_workload(w, a);
-  const SampledTrace sb = locality::sample_workload(w, b);
+  const SampledTrace sa = sample_of(w, a);
+  const SampledTrace sb = sample_of(w, b);
   EXPECT_NE(sa.accesses, sb.accesses);
 }
 
@@ -93,7 +115,7 @@ TEST(SampleFilter, SampleIsBlockConsistent) {
   SampleConfig cfg;
   cfg.rate = 0.3;
   cfg.seed = 11;
-  const SampledTrace s = locality::sample_workload(w, cfg);
+  const SampledTrace s = sample_of(w, cfg);
   ASSERT_GT(s.accesses.size(), 0u);
   ASSERT_LT(s.accesses.size(), w.trace.size());
   ASSERT_EQ(s.block_ids.size(), s.accesses.size());
@@ -114,19 +136,97 @@ TEST(SampleFilter, SampleIsBlockConsistent) {
   EXPECT_EQ(s.accesses.size(), expected);
 }
 
-// The uniform streaming overload must agree exactly with the precomputed
-// block-id path on a uniform partition.
-TEST(SampleFilter, UniformOverloadMatchesGeneralPath) {
-  const Workload w = traces::zipf_items(4096, 16, 20000, 0.9, 3);
-  SampleConfig cfg;
-  cfg.rate = 0.2;
-  cfg.seed = 5;
-  const SampledTrace general = locality::sample_workload(w, cfg);
-  const SampledTrace uniform = locality::sample_trace_uniform(
-      w.trace.accesses(), w.map->max_block_size(), cfg);
-  EXPECT_EQ(general.accesses, uniform.accesses);
-  EXPECT_EQ(general.block_ids, uniform.block_ids);
-  EXPECT_EQ(general.filter.threshold, uniform.filter.threshold);
+// Sampling a gctrace's mapped records must equal sampling its materialized
+// workload, at a rate and in fixed-size mode, and both must match a
+// chunk-free reference. 600,000 accesses span three sampler chunks, the
+// last ragged. Scrambled zipf over 2^18 blocks touches most blocks about
+// twice, so most appear in one chunk only: the fixed-size heap and
+// threshold must carry across chunks to end where one unchunked pass would.
+TEST(SampleFilter, GctraceViewMatchesMaterializedWorkload) {
+  const Workload w = traces::zipf_scramble(1u << 22, 16, 600'000, 0.5, 3);
+  ASSERT_GT(w.trace.size(), 2 * kTraceChunkAccesses);
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "sample_view.gct")
+          .string();
+  save_trace_bin_file(path, w);
+  const TraceView view(path);
+  const Workload loaded = view.materialize();
+  SampleConfig at_rate, fixed_size;
+  at_rate.rate = 0.2;
+  at_rate.seed = 5;
+  fixed_size.max_blocks = 40;
+  fixed_size.seed = 13;
+  for (const SampleConfig& cfg : {at_rate, fixed_size}) {
+    SCOPED_TRACE(cfg.max_blocks > 0 ? "fixed-size" : "rate");
+    const SampledTrace from_view =
+        locality::sample_trace(*view.make_map(), view.accesses(), cfg);
+    const SampledTrace from_workload = sample_of(loaded, cfg);
+    EXPECT_EQ(from_view.accesses, from_workload.accesses);
+    EXPECT_EQ(from_view.block_ids, from_workload.block_ids);
+    EXPECT_EQ(from_view.filter.threshold, from_workload.filter.threshold);
+    EXPECT_EQ(from_view.realized_rate, from_workload.realized_rate);
+
+    // Reference: every access whose block the final filter accepts.
+    std::size_t kept = 0;
+    std::unordered_set<BlockId> blocks;
+    for (const ItemId item : w.trace) {
+      const BlockId b = w.map->block_of(item);
+      blocks.insert(b);
+      if (from_view.filter.accepts(b)) ++kept;
+    }
+    EXPECT_EQ(from_view.accesses.size(), kept);
+    ASSERT_LT(kept, w.trace.size());
+    if (cfg.max_blocks == 0) continue;
+    // Adaptive SHARDS keeps the max_blocks smallest-hash blocks of the whole
+    // trace; its threshold is the next hash up.
+    std::vector<std::uint64_t> hashes;
+    for (const BlockId b : blocks)
+      hashes.push_back(locality::sample_hash(b, cfg.seed));
+    std::sort(hashes.begin(), hashes.end());
+    EXPECT_EQ(from_view.sampled_blocks, cfg.max_blocks);
+    EXPECT_EQ(from_view.filter.threshold, hashes[cfg.max_blocks]);
+  }
+}
+
+// A record outside the header's universe must fail loudly in both sampling
+// modes, as materializing the same file does, in every build.
+TEST(SampleFilter, OutOfRangeRecordFailsLoudly) {
+  // The gctrace layout (docs/FORMATS.md): magic, u32 version, u64
+  // num_items, u64 block size, u64 record count, u64 name length, then one
+  // u32 record per access. Record 64 is outside a 64-item universe.
+  const std::vector<std::uint32_t> records = {0, 5, 63, 64, 1};
+  std::string bytes = "GCTB";
+  const auto put = [&bytes](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i)
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  };
+  put(1, 4);
+  put(64, 8);
+  put(16, 8);
+  put(records.size(), 8);
+  put(0, 8);
+  for (const std::uint32_t r : records) put(r, 4);
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "sample_bad.gct")
+          .string();
+  std::ofstream(path, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  const TraceView view(path);
+  SampleConfig at_rate, fixed_size;
+  at_rate.rate = 0.99;
+  fixed_size.max_blocks = 2;
+  for (const SampleConfig& cfg : {at_rate, fixed_size}) {
+    SCOPED_TRACE(cfg.max_blocks > 0 ? "fixed-size" : "rate");
+    try {
+      (void)locality::sample_trace(*view.make_map(), view.accesses(), cfg);
+      ADD_FAILURE() << "a record equal to num_items did not throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "trace references item outside the map"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- fixed-size (adaptive) mode -------------------------------------------
@@ -135,7 +235,7 @@ TEST(SampleFixedSize, GenerousBudgetNeverEvicts) {
   const Workload w = traces::zipf_blocks(128, 8, 5000, 0.9, 4, 1);
   SampleConfig cfg;
   cfg.max_blocks = 1u << 30;  // far above the distinct-block count
-  const SampledTrace s = locality::sample_workload(w, cfg);
+  const SampledTrace s = sample_of(w, cfg);
   EXPECT_TRUE(s.filter.all);
   EXPECT_DOUBLE_EQ(s.rate(), 1.0);
   EXPECT_EQ(s.accesses, w.trace.accesses());
@@ -149,16 +249,20 @@ TEST(SampleFixedSize, EquivalentToFixedRateAtFinalThreshold) {
   SampleConfig cfg;
   cfg.max_blocks = 40;
   cfg.seed = 13;
-  const SampledTrace s = locality::sample_workload(w, cfg);
+  const SampledTrace s = sample_of(w, cfg);
   ASSERT_FALSE(s.filter.all);
   EXPECT_LE(s.sampled_blocks, cfg.max_blocks);
 
-  const BlockIdVector ids = compute_block_ids(*w.map, w.trace);
-  const FilteredTrace refiltered = filter_trace(
-      w.trace.accesses(), ids,
-      [&](BlockId b) { return s.filter.accepts(b); });
-  EXPECT_EQ(s.accesses, refiltered.accesses);
-  EXPECT_EQ(s.block_ids, refiltered.block_ids);
+  std::vector<ItemId> refiltered;
+  BlockIdVector refiltered_ids;
+  for (const ItemId item : w.trace) {
+    const BlockId b = w.map->block_of(item);
+    if (!s.filter.accepts(b)) continue;
+    refiltered.push_back(item);
+    refiltered_ids.push_back(b);
+  }
+  EXPECT_EQ(s.accesses, refiltered);
+  EXPECT_EQ(s.block_ids, refiltered_ids);
 }
 
 // ---- capacity scaling & counter rescale -----------------------------------
@@ -221,11 +325,11 @@ std::vector<SimStats> sweep_stats(const sim::SweepSpec& spec) {
   return out;
 }
 
-// run_sweep at rate 1.0 — explicitly requested but a no-op — and with a
-// never-evicting fixed-size budget — which DOES exercise the full sampling
-// machinery (filter pass, adopted block ids, capacity scaling, counter
-// rescale) — must both be bit-identical to the exact sweep, for stack and
-// non-stack policies, at 1, 2, and hardware threads.
+// run_sweep on workloads sampled at rate 1.0 and with a never-evicting
+// fixed-size budget — both exercise the full sampling machinery (sampler
+// pass, adopted block ids, capacity scaling, counter rescale) — must be
+// bit-identical to the exact sweep, for stack and non-stack policies, at 1,
+// 2, and hardware threads.
 TEST(SampleSweepIdentity, RateOneBitIdenticalAllThreadCounts) {
   // B = 8 throughout: the smallest capacity (16) must satisfy IBLP's
   // block-layer >= B requirement at its default half/half split.
@@ -243,11 +347,17 @@ TEST(SampleSweepIdentity, RateOneBitIdenticalAllThreadCounts) {
     const std::vector<SimStats> base = sweep_stats(exact);
 
     sim::SweepSpec rate_one = exact;
-    rate_one.sample_rate = 1.0;  // explicit no-op
+    const std::vector<Workload> all_kept =
+        presample(workloads, SampleConfig{}, rate_one.presampled);
+    rate_one.workloads = &all_kept;  // the accept-all filter at rate 1.0
     const std::vector<SimStats> same = sweep_stats(rate_one);
 
     sim::SweepSpec sampled = exact;
-    sampled.sample_blocks = 1u << 30;  // active sampler, zero evictions
+    SampleConfig budget;
+    budget.max_blocks = 1u << 30;  // active sampler, zero evictions
+    const std::vector<Workload> in_budget =
+        presample(workloads, budget, sampled.presampled);
+    sampled.workloads = &in_budget;
     const std::vector<SimStats> via_sampler = sweep_stats(sampled);
 
     ASSERT_EQ(base.size(), same.size());
@@ -273,7 +383,11 @@ TEST(SampleSweepIdentity, RateOneBitIdenticalVerifyingEngine) {
   exact.threads = 2;
   const std::vector<SimStats> base = sweep_stats(exact);
   sim::SweepSpec sampled = exact;
-  sampled.sample_blocks = 1u << 30;
+  SampleConfig budget;
+  budget.max_blocks = 1u << 30;
+  const std::vector<Workload> in_budget =
+      presample(workloads, budget, sampled.presampled);
+  sampled.workloads = &in_budget;
   const std::vector<SimStats> via_sampler = sweep_stats(sampled);
   ASSERT_EQ(base.size(), via_sampler.size());
   for (std::size_t i = 0; i < base.size(); ++i)
@@ -322,8 +436,12 @@ TEST(SampleErrorBound, RatePercentWithinTwoPercentMissRatio) {
   const std::vector<sim::SweepCell> exact = sim::run_sweep(spec);
 
   sim::SweepSpec sampled_spec = spec;
-  sampled_spec.sample_rate = 0.01;
-  sampled_spec.sample_seed = 42;
+  SampleConfig cfg;
+  cfg.rate = 0.01;
+  cfg.seed = 42;
+  const std::vector<Workload> samples =
+      presample(workloads, cfg, sampled_spec.presampled);
+  sampled_spec.workloads = &samples;
   const std::vector<sim::SweepCell> sampled = sim::run_sweep(sampled_spec);
 
   ASSERT_EQ(exact.size(), sampled.size());

@@ -17,9 +17,11 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/simulator.hpp"
+#include "locality/sample.hpp"
 #include "locality/stack_column.hpp"
 #include "policies/factory.hpp"
 #include "sim/runner.hpp"
@@ -222,17 +224,22 @@ TEST(SweepBatched, FastMatchesVerifyingAcrossThreadCounts) {
 // the fast sweep at 1 / 2 / hardware threads matches the verifying sweep,
 // which runs the same sampled traces at the same scaled capacities.
 TEST(SweepBatched, SampledFastMatchesVerifyingForEveryFactorySpec) {
-  const std::vector<Workload> workloads = {
-      traces::zipf_blocks(64, 8, 3000, 0.9, 4, 3)};
+  const Workload workload = traces::zipf_blocks(64, 8, 3000, 0.9, 4, 3);
   sim::SweepSpec spec;
-  spec.workloads = &workloads;
   spec.policy_specs = specs_under_test();
   // Large enough that every scaled capacity keeps IBLP's block layer >= B.
   spec.capacities = {48, 96, 192};
   for (const bool fixed_size : {false, true}) {
-    SCOPED_TRACE(fixed_size ? "sample_blocks=32" : "sample_rate=0.5");
-    spec.sample_rate = fixed_size ? 1.0 : 0.5;
-    spec.sample_blocks = fixed_size ? 32 : 0;
+    SCOPED_TRACE(fixed_size ? "max_blocks=32" : "rate=0.5");
+    locality::SampleConfig cfg;
+    cfg.rate = fixed_size ? 1.0 : 0.5;
+    cfg.max_blocks = fixed_size ? 32 : 0;
+    locality::SampledTrace s =
+        locality::sample_trace(*workload.map, workload.trace.accesses(), cfg);
+    spec.presampled = {{s.realized_rate, s.total_accesses}};
+    const std::vector<Workload> sampled = {
+        locality::make_sampled_workload(workload, std::move(s))};
+    spec.workloads = &sampled;
     spec.use_fast_path = false;
     spec.threads = 0;
     const std::vector<sim::SweepCell> verified = sim::run_sweep(spec);

@@ -28,6 +28,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -461,57 +462,32 @@ int cmd_simulate(const Args& args) {
 int cmd_sweep(const Args& args) {
   // Sampling (--sample-rate R | --sample-size N, plus --sample-seed) runs
   // the whole sweep on a SHARDS-style block-consistent sample: gcsim
-  // filters each workload up front — binary gctrace inputs stream through
-  // the mmap'd file, so the full trace is never materialized — and the
-  // runner scales capacities / rescales counters via spec.presampled.
+  // samples each workload up front — a binary gctrace's records are read
+  // straight off the mapped file, so the full trace is never materialized —
+  // and the runner scales capacities / rescales counters via
+  // spec.presampled.
+  if (args.has("sample-rate") && args.has("sample-size")) {
+    std::cerr << "--sample-rate and --sample-size are exclusive; give one\n";
+    return 2;
+  }
   locality::SampleConfig sample_cfg;
   sample_cfg.rate = args.get_f64("sample-rate", 1.0);
   sample_cfg.max_blocks = args.get_u64("sample-size", 0);
-  sample_cfg.seed = args.get_u64("sample-seed", 1);
-  const bool sampling = sample_cfg.rate < 1.0 || sample_cfg.max_blocks > 0;
   if (sample_cfg.rate <= 0.0 || sample_cfg.rate > 1.0) {
     std::cerr << "--sample-rate must be in (0, 1]\n";
     return 2;
   }
+  const bool sampling = sample_cfg.rate < 1.0 || sample_cfg.max_blocks > 0;
+  // --sample-seed is read only when sampling, so alone it is refused as
+  // unused.
+  if (sampling) sample_cfg.seed = args.get_u64("sample-seed", 1);
 
-  std::vector<Workload> workloads;
-  std::vector<sim::SweepSpec::Presampled> presampled;
-  for (const auto& path : args.get_all("workload")) {
-    if (!sampling) {
-      workloads.push_back(load_any_workload(path));
-      continue;
-    }
-    Workload w;
-    locality::SampledTrace s;
-    if (is_trace_bin_file(path)) {
-      const TraceView view(path);
-      s = locality::sample_view(view, sample_cfg);
-      w.map = view.make_map();
-      w.name = view.name();
-      w.trace = Trace(std::move(s.accesses));
-      w.trace.adopt_block_ids(*w.map, std::move(s.block_ids));
-    } else {
-      const Workload full = load_workload_file(path);
-      s = locality::sample_workload(full, sample_cfg);
-      w = locality::make_sampled_workload(full, std::move(s));
-    }
-    // Realized (counted) acceptance fraction, not the nominal rate — see
-    // locality::realized_rate.
-    const double rate =
-        locality::realized_rate(s.filter, w.map->num_blocks());
-    std::cerr << "sample: " << path << " kept " << w.trace.size() << "/"
-              << s.total_accesses << " accesses (" << s.sampled_blocks
-              << " blocks, rate " << rate << ")\n";
-    presampled.push_back({rate, s.total_accesses});
-    workloads.push_back(std::move(w));
-  }
-  if (workloads.empty()) {
+  const std::vector<std::string> paths = args.get_all("workload");
+  if (paths.empty()) {
     std::cerr << "need at least one --workload\n";
     return 2;
   }
   sim::SweepSpec spec;
-  spec.workloads = &workloads;
-  spec.presampled = std::move(presampled);
   spec.policy_specs = split_csv(args.get("policies"));
   spec.capacities = args.get_sizes("capacities");
   spec.threads = args.get_u64("threads", 0);
@@ -520,6 +496,40 @@ int cmd_sweep(const Args& args) {
   const bool progress = args.has("progress");
   require_obs_build(args);
   args.reject_unread("sweep");
+
+  std::vector<Workload> workloads;
+  for (const std::string& path : paths) {
+    if (!sampling) {
+      workloads.push_back(load_any_workload(path));
+      continue;
+    }
+    // Both formats give the sampler a map and its accesses; `source` holds
+    // the map and name (and, for a text file, the trace).
+    std::optional<TraceView> view;
+    Workload source;
+    std::span<const ItemId> accesses;
+    if (is_trace_bin_file(path)) {
+      view.emplace(path);
+      source.map = view->make_map();
+      source.name = view->name();
+      accesses = view->accesses();
+    } else {
+      source = load_workload_file(path);
+      accesses = source.trace.accesses();
+    }
+    locality::SampledTrace s =
+        locality::sample_trace(*source.map, accesses, sample_cfg);
+    std::cerr << "sample: " << path << " kept " << s.accesses.size() << "/"
+              << s.total_accesses << " accesses (" << s.sampled_blocks
+              << " blocks, rate " << s.realized_rate << ")\n";
+    spec.presampled.push_back({s.realized_rate, s.total_accesses});
+    workloads.push_back(locality::make_sampled_workload(source, std::move(s)));
+    // Rows name a gctrace by its header name and a text workload by its
+    // name plus the sample label, so CSVs of earlier runs compare row for
+    // row.
+    if (view) workloads.back().name = source.name;
+  }
+  spec.workloads = &workloads;
   std::optional<ObsSinks> sinks;
   if (args.has("obs")) sinks.emplace(args.get("obs"));
   std::shared_ptr<ProgressPrinter> printer;
