@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -79,8 +80,9 @@ inline std::string fmti(std::uint64_t v) { return TextTable::fmt_int(v); }
 // Committed bench JSONs are only comparable against baselines from the same
 // commit and machine; PR 6's item-lfu baseline went stale silently because
 // nothing recorded where its numbers came from. Every JSON writer stamps
-// these two fields, and `--compare` warns loudly on a missing or mismatched
-// stamp (see warn_if_stale_baseline).
+// the commit, the machine and the host's transparent-huge-page mode, and
+// `--compare` warns loudly on a missing or mismatched stamp (see
+// warn_if_stale_baseline).
 
 /// First output line of `cmd`, trimmed; "unknown" when the command fails or
 /// prints nothing.
@@ -123,11 +125,45 @@ inline std::string machine_name() {
   return buf;
 }
 
+/// The bracketed word of a THP mode line such as "always [madvise] never",
+/// or "unknown" when there is none.
+inline std::string thp_mode_of(std::string_view line) {
+  const std::size_t open = line.find('[');
+  const std::size_t close = line.find(']', open);
+  if (open == std::string_view::npos || close == std::string_view::npos ||
+      close == open + 1)
+    return "unknown";
+  return std::string(line.substr(open + 1, close - open - 1));
+}
+
+/// The host's transparent-huge-page mode (always, madvise or never), on
+/// which the speed of a trace load depends; "unknown" off Linux.
+inline std::string thp_mode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(in, line);
+  return thp_mode_of(line);
+}
+
+/// Where and from what a bench JSON was measured. An empty field is a
+/// stamp the JSON does not carry.
+struct Provenance {
+  std::string git_commit;
+  std::string machine;
+  std::string thp;
+};
+
+inline Provenance current_provenance() {
+  return {current_git_commit(), machine_name(), thp_mode()};
+}
+
 /// The provenance lines of a bench JSON, each ending in a comma: its
-/// `"git_commit"` and `"machine"` stamps.
+/// `"git_commit"`, `"machine"` and `"thp"` stamps.
 inline std::string provenance_json_lines() {
-  return "  \"git_commit\": \"" + current_git_commit() + "\",\n" +
-         "  \"machine\": \"" + machine_name() + "\",\n";
+  const Provenance p = current_provenance();
+  return "  \"git_commit\": \"" + p.git_commit + "\",\n" +
+         "  \"machine\": \"" + p.machine + "\",\n" +
+         "  \"thp\": \"" + p.thp + "\",\n";
 }
 
 /// Pulls `"key": "value"` out of one serialized result line. The benches'
@@ -153,26 +189,39 @@ inline std::optional<double> json_line_number(const std::string& line,
   return std::stod(line.substr(at + needle.size()));
 }
 
-/// Why a --compare baseline stamped (`baseline_commit`, `baseline_machine`)
-/// may not be comparable with a run stamped (`commit`, `machine`); empty
-/// when it is. A dirty baseline is always suspect, even at the current
-/// hash: no commit holds the code it measured.
-inline std::vector<std::string> baseline_problems(
-    const std::string& baseline_commit, const std::string& baseline_machine,
-    const std::string& commit, const std::string& machine) {
-  if (baseline_commit.empty() || baseline_machine.empty())
+/// Reads the provenance stamps a bench JSON line carries into `p`.
+inline void read_provenance_line(const std::string& line, Provenance& p) {
+  if (const auto commit = json_line_string(line, "git_commit"))
+    p.git_commit = *commit;
+  if (const auto machine = json_line_string(line, "machine"))
+    p.machine = *machine;
+  if (const auto thp = json_line_string(line, "thp")) p.thp = *thp;
+}
+
+/// Why a --compare baseline stamped `baseline` may not be comparable with
+/// a run stamped `current`; empty when it is. A dirty baseline is always
+/// suspect, even at the current hash: no commit holds the code it
+/// measured. The THP mode is compared only when both sides carry it, since
+/// baselines written before it was stamped do not.
+inline std::vector<std::string> baseline_problems(const Provenance& baseline,
+                                                  const Provenance& current) {
+  if (baseline.git_commit.empty() || baseline.machine.empty())
     return {"baseline has no git_commit/machine stamp (predates provenance "
             "stamping) — it may be arbitrarily stale"};
   std::vector<std::string> problems;
-  if (baseline_commit.ends_with(kDirtySuffix))
-    problems.push_back("baseline commit " + baseline_commit +
+  if (baseline.git_commit.ends_with(kDirtySuffix))
+    problems.push_back("baseline commit " + baseline.git_commit +
                        " was measured with uncommitted changes");
-  if (baseline_commit != commit)
-    problems.push_back("baseline commit " + baseline_commit + " != current " +
-                       commit);
-  if (baseline_machine != machine)
-    problems.push_back("baseline machine " + baseline_machine +
-                       " != current " + machine);
+  if (baseline.git_commit != current.git_commit)
+    problems.push_back("baseline commit " + baseline.git_commit +
+                       " != current " + current.git_commit);
+  if (baseline.machine != current.machine)
+    problems.push_back("baseline machine " + baseline.machine +
+                       " != current " + current.machine);
+  if (!baseline.thp.empty() && !current.thp.empty() &&
+      baseline.thp != current.thp)
+    problems.push_back("baseline THP mode " + baseline.thp + " != current " +
+                       current.thp);
   return problems;
 }
 
@@ -181,10 +230,9 @@ inline std::vector<std::string> baseline_problems(
 /// a baseline can reflect machine or commit drift rather than the change
 /// under test.
 inline void warn_if_stale_baseline(const std::string& path,
-                                   const std::string& baseline_commit,
-                                   const std::string& baseline_machine) {
-  const std::vector<std::string> problems = baseline_problems(
-      baseline_commit, baseline_machine, current_git_commit(), machine_name());
+                                   const Provenance& baseline) {
+  const std::vector<std::string> problems =
+      baseline_problems(baseline, current_provenance());
   if (problems.empty()) return;
   std::cerr << "\n"
             << "=========================== WARNING ==========================="

@@ -155,8 +155,7 @@ struct OldCell {
 /// line-oriented scan bench_throughput uses — the format is our own
 /// line-per-cell serialization, so this is exact).
 struct OldJson {
-  std::string git_commit;  // empty when the baseline predates stamping
-  std::string machine;
+  Provenance stamp;  // empty fields when the baseline predates stamping
   std::vector<OldCell> cells;
 };
 
@@ -166,10 +165,7 @@ OldJson read_old_json(const std::string& path) {
   OldJson old;
   std::string line;
   while (std::getline(in, line)) {
-    if (const auto commit = json_line_string(line, "git_commit"))
-      old.git_commit = *commit;
-    if (const auto machine = json_line_string(line, "machine"))
-      old.machine = *machine;
+    read_provenance_line(line, old.stamp);
     const auto shards = json_line_number(line, "shards");
     const auto threads = json_line_number(line, "threads");
     const auto ops = json_line_number(line, "ops_per_sec");
@@ -360,7 +356,7 @@ int run(int argc, char** argv) {
   OldJson old;
   if (opts.compare_path) {
     old = read_old_json(*opts.compare_path);
-    warn_if_stale_baseline(*opts.compare_path, old.git_commit, old.machine);
+    warn_if_stale_baseline(*opts.compare_path, old.stamp);
     print_compare(*opts.compare_path, old.cells, cells);
   }
   write_json(opts, workload, capacity, cells, old.cells);

@@ -146,8 +146,7 @@ struct OldCell {
 
 /// A previous run's JSON: provenance header plus result cells.
 struct OldJson {
-  std::string git_commit;  // empty when the baseline predates stamping
-  std::string machine;
+  Provenance stamp;  // empty fields when the baseline predates stamping
   std::vector<OldCell> cells;
 };
 
@@ -161,10 +160,7 @@ OldJson read_old_json(const std::string& path) {
   OldJson old;
   std::string line;
   while (std::getline(in, line)) {
-    if (const auto commit = json_line_string(line, "git_commit"))
-      old.git_commit = *commit;
-    if (const auto machine = json_line_string(line, "machine"))
-      old.machine = *machine;
+    read_provenance_line(line, old.stamp);
     const auto workload = json_line_string(line, "workload");
     const auto policy = json_line_string(line, "policy");
     const auto aps = json_line_number(line, "fast_accesses_per_sec");
@@ -352,7 +348,7 @@ int run(int argc, char** argv) {
   OldJson old;
   if (opts.compare_path) {
     old = read_old_json(*opts.compare_path);
-    warn_if_stale_baseline(*opts.compare_path, old.git_commit, old.machine);
+    warn_if_stale_baseline(*opts.compare_path, old.stamp);
     print_compare(*opts.compare_path, old.cells, cells);
   }
   write_json(opts, cells, old.cells);

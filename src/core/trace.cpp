@@ -28,14 +28,27 @@ void Trace::precompute_block_ids(const BlockMap& map) {
 void populate_pages_for_write(void* addr, std::size_t bytes) noexcept {
 #if defined(MADV_POPULATE_WRITE)
   // A kernel before 5.14 rejects the advice with EINVAL, which is ignored.
-  static const auto page =
-      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  const auto begin = reinterpret_cast<std::uintptr_t>(addr);
-  const std::uintptr_t first = (begin + page - 1) / page * page;
-  const std::uintptr_t last = (begin + bytes) / page * page;
-  if (last > first)
-    (void)::madvise(reinterpret_cast<void*>(first), last - first,
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const PageRun run =
+      whole_pages_in(reinterpret_cast<std::uintptr_t>(addr), bytes, page);
+  if (run.bytes > 0)
+    (void)::madvise(reinterpret_cast<void*>(run.first), run.bytes,
                     MADV_POPULATE_WRITE);
+#else
+  (void)addr;
+  (void)bytes;
+#endif
+}
+
+void advise_huge_pages(void* addr, std::size_t bytes) noexcept {
+#if defined(MADV_HUGEPAGE)
+  // A kernel built without THP rejects the advice with EINVAL, which is
+  // ignored.
+  const PageRun run = whole_pages_in(reinterpret_cast<std::uintptr_t>(addr),
+                                     bytes, kHugePageBytes);
+  if (run.bytes > 0)
+    (void)::madvise(reinterpret_cast<void*>(run.first), run.bytes,
+                    MADV_HUGEPAGE);
 #else
   (void)addr;
   (void)bytes;

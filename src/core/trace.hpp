@@ -48,12 +48,42 @@ using BlockIdVector = std::vector<BlockId, DefaultInitAllocator<BlockId>>;
 inline constexpr std::size_t kTraceChunkAccesses =
     (std::size_t{1} << 20) / sizeof(ItemId);
 
+/// Size of the transparent huge pages advise_huge_pages asks for (a PMD
+/// on x86-64, and on arm64 with 4 KiB base pages).
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// A run of whole pages: `bytes` (a multiple of the page) from `first`.
+struct PageRun {
+  std::uintptr_t first;
+  std::size_t bytes;
+  bool operator==(const PageRun&) const = default;
+};
+
+/// The whole `page`-aligned pages inside [begin, begin + bytes): the start
+/// rounded up, the end rounded down. Empty (`bytes` 0) where no whole page
+/// fits, so it never names a byte outside the range. `page` is a power of
+/// two.
+constexpr PageRun whole_pages_in(std::uintptr_t begin, std::size_t bytes,
+                                 std::size_t page) noexcept {
+  const std::uintptr_t first = (begin + page - 1) & ~(page - 1);
+  const std::uintptr_t last = (begin + bytes) & ~(page - 1);
+  return {first, last > first ? last - first : 0};
+}
+
 /// Faults in, for writing, the whole pages inside [addr, addr + bytes) in
 /// one call (Linux MADV_POPULATE_WRITE), so the writer that follows takes
 /// no page fault per 4 KiB. Only a hint: where the call is unavailable or
 /// fails (a kernel before 5.14, a non-Linux build), the pages fault in on
 /// first touch as usual. Contents are unchanged.
 void populate_pages_for_write(void* addr, std::size_t bytes) noexcept;
+
+/// Asks for transparent huge pages (Linux MADV_HUGEPAGE) on the whole
+/// kHugePageBytes extents inside [addr, addr + bytes), so that an array
+/// written end to end faults in 2 MiB at a time. Call it on a fresh
+/// reservation, before its first page is populated. Only a hint: where the
+/// call is unavailable or fails, or the host's THP mode is `never`, the
+/// pages stay 4 KiB. Contents are unchanged.
+void advise_huge_pages(void* addr, std::size_t bytes) noexcept;
 
 /// The one producer of block-id vectors: appends the block of every item
 /// of `items` under `map` to `ids`. The new ids' pages are populated first,

@@ -408,14 +408,17 @@ Workload TraceView::materialize() const {
   // pages and the whole copy at once (a later accesses() re-faults them);
   // then the chunk's block ids are written while its items are in cache.
   // Populating per chunk, after the release, keeps the peak footprint that
-  // of the two vectors.
+  // of the two vectors. Both are written end to end, so both are advised
+  // huge pages before their first chunk is populated.
   Workload w;
   w.map = make_map();
   w.name = name_;
   std::vector<ItemId> acc;
   acc.reserve(num_accesses_);
+  advise_huge_pages(acc.data(), num_accesses_ * sizeof(ItemId));
   BlockIdVector ids;
   ids.reserve(num_accesses_);
+  advise_huge_pages(ids.data(), num_accesses_ * sizeof(BlockId));
 #if defined(GC_TRACE_BIN_MMAP)
   const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   std::size_t released = 0;  // bytes of the mapping released so far

@@ -88,6 +88,63 @@ TEST(TraceBin, ExplicitPartitionsAreRejected) {
                ContractViolation);
 }
 
+// ---- whole_pages_in: the extents advise_huge_pages names -------------------
+
+constexpr std::size_t kH = kHugePageBytes;
+constexpr std::uintptr_t kAligned = 64 * kH;
+
+TEST(WholePagesIn, HandCases) {
+  // An unaligned start rounds up; the end rounds down.
+  EXPECT_EQ(whole_pages_in(kAligned + 1, 3 * kH, kH),
+            (PageRun{kAligned + kH, 2 * kH}));
+  // Fewer bytes than one page, or a short range across a boundary: none.
+  EXPECT_EQ(whole_pages_in(kAligned + 4096, kH - 1, kH).bytes, 0u);
+  EXPECT_EQ(whole_pages_in(kAligned, kH - 1, kH).bytes, 0u);
+  EXPECT_EQ(whole_pages_in(kAligned + kH - 10, 20, kH).bytes, 0u);
+  // An aligned exact multiple is named whole.
+  EXPECT_EQ(whole_pages_in(kAligned, 4 * kH, kH), (PageRun{kAligned, 4 * kH}));
+  // Zero bytes, aligned or not.
+  EXPECT_EQ(whole_pages_in(kAligned, 0, kH).bytes, 0u);
+  EXPECT_EQ(whole_pages_in(kAligned + 5, 0, kH).bytes, 0u);
+  // An unaligned start whose end falls on a boundary.
+  EXPECT_EQ(whole_pages_in(kAligned + kH / 2, 2 * kH + kH / 2, kH),
+            (PageRun{kAligned + kH, 2 * kH}));
+  // The same rule at the base page size that populate_pages_for_write uses.
+  EXPECT_EQ(whole_pages_in(kAligned + 100, 3 * 4096, 4096),
+            (PageRun{kAligned + 4096, 2 * 4096}));
+}
+
+// Over a grid of starts and lengths around page boundaries, the run is
+// aligned, lies inside the range, and leaves less than a page at each end.
+TEST(WholePagesIn, NeverNamesAByteOutsideTheRange) {
+  for (const std::size_t page : {std::size_t{4096}, kH}) {
+    for (const std::uintptr_t off :
+         {std::uintptr_t{0}, std::uintptr_t{1}, std::uintptr_t{4095},
+          std::uintptr_t{4096}, kH - 1, kH, kH + 1}) {
+      for (const std::size_t bytes :
+           {std::size_t{0}, std::size_t{1}, page - 1, page, page + 1,
+            2 * page - 1, 2 * page, 3 * page + 7}) {
+        const std::uintptr_t begin = kAligned + off;
+        const PageRun run = whole_pages_in(begin, bytes, page);
+        SCOPED_TRACE("page " + std::to_string(page) + " offset " +
+                     std::to_string(off) + " bytes " + std::to_string(bytes));
+        EXPECT_EQ(run.bytes % page, 0u);
+        if (run.bytes == 0) {
+          // No whole page fits: the first boundary after begin plus a page
+          // lies past the end.
+          EXPECT_GT((begin + page - 1) / page * page + page, begin + bytes);
+          continue;
+        }
+        EXPECT_EQ(run.first % page, 0u);
+        EXPECT_GE(run.first, begin);
+        EXPECT_LE(run.first + run.bytes, begin + bytes);
+        EXPECT_LT(run.first - begin, page);
+        EXPECT_LT(begin + bytes - (run.first + run.bytes), page);
+      }
+    }
+  }
+}
+
 // ---- loud corruption errors -----------------------------------------------
 
 /// Writes a valid file and returns (path, expected total size).
@@ -233,6 +290,13 @@ static_assert(kMultiChunkRecords > 2 * kTraceChunkAccesses &&
               kMultiChunkRecords < 3 * kTraceChunkAccesses &&
               kMultiChunkRecords % kTraceChunkAccesses != 0);
 
+// 1,600,003 records: each 6.4 MB array holds at least two whole 2 MiB
+// extents wherever the allocator places it, so materialize advises and
+// populates huge pages in both, and the last chunk is ragged.
+constexpr std::size_t kHugeExtentRecords = 1'600'003;
+static_assert(kHugeExtentRecords * sizeof(ItemId) >= 3 * kHugePageBytes &&
+              kHugeExtentRecords % kTraceChunkAccesses != 0);
+
 /// A uniform-partition workload of `length` random accesses over
 /// `num_items` items, whose last access is the universe's top item.
 Workload random_uniform_workload(std::size_t num_items, std::size_t B,
@@ -250,32 +314,36 @@ Workload random_uniform_workload(std::size_t num_items, std::size_t B,
 
 // The materialized trace carries its block ids against the returned map,
 // so a later precompute_block_ids is a no-op, and every id (in every
-// chunk, across the ragged last block) is the map's block_of.
+// chunk, across the ragged last block) is the map's block_of. The larger
+// input is advised huge pages (kHugeExtentRecords), which must change
+// nothing the trace holds.
 TEST(TraceBin, MaterializeCarriesBlockIdsAcrossChunks) {
   constexpr std::size_t kItems = 100'003;  // divisible by neither B
-  for (const std::size_t B : {std::size_t{1}, std::size_t{16}}) {
-    SCOPED_TRACE("B = " + std::to_string(B));
-    const Workload src =
-        random_uniform_workload(kItems, B, kMultiChunkRecords, 11 + B);
-    const std::string path = tmp_path("multichunk.gct");
-    save_trace_bin_file(path, src);
+  for (const std::size_t records : {kMultiChunkRecords, kHugeExtentRecords}) {
+    for (const std::size_t B : {std::size_t{1}, std::size_t{16}}) {
+      SCOPED_TRACE("records = " + std::to_string(records) +
+                   ", B = " + std::to_string(B));
+      const Workload src = random_uniform_workload(kItems, B, records, 11 + B);
+      const std::string path = tmp_path("multichunk.gct");
+      save_trace_bin_file(path, src);
 
-    Workload w = TraceView(path).materialize();
-    ASSERT_EQ(w.trace.accesses(), src.trace.accesses());
-    ASSERT_TRUE(w.trace.has_block_ids(*w.map));
-    const std::span<const BlockId> ids = w.trace.block_ids();
-    ASSERT_EQ(ids.size(), kMultiChunkRecords);
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      ASSERT_EQ(ids[i], w.map->block_of(w.trace[i])) << "access " << i;
-    EXPECT_EQ(ids.back(), (kItems - 1) / B);
+      Workload w = TraceView(path).materialize();
+      ASSERT_EQ(w.trace.accesses(), src.trace.accesses());
+      ASSERT_TRUE(w.trace.has_block_ids(*w.map));
+      const std::span<const BlockId> ids = w.trace.block_ids();
+      ASSERT_EQ(ids.size(), records);
+      for (std::size_t i = 0; i < ids.size(); ++i)
+        ASSERT_EQ(ids[i], w.map->block_of(w.trace[i])) << "access " << i;
+      EXPECT_EQ(ids.back(), (kItems - 1) / B);
 
-    const BlockIdVector again = compute_block_ids(*w.map, w.trace);
-    EXPECT_TRUE(std::equal(again.begin(), again.end(), ids.begin(),
-                           ids.end()));
-    const BlockId* before = ids.data();
-    w.trace.precompute_block_ids(*w.map);
-    EXPECT_EQ(w.trace.block_ids().data(), before)
-        << "precompute_block_ids recomputed ids materialize produced";
+      const BlockIdVector again = compute_block_ids(*w.map, w.trace);
+      EXPECT_TRUE(std::equal(again.begin(), again.end(), ids.begin(),
+                             ids.end()));
+      const BlockId* before = ids.data();
+      w.trace.precompute_block_ids(*w.map);
+      EXPECT_EQ(w.trace.block_ids().data(), before)
+          << "precompute_block_ids recomputed ids materialize produced";
+    }
   }
 }
 

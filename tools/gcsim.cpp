@@ -524,10 +524,6 @@ int cmd_sweep(const Args& args) {
               << " blocks, rate " << s.realized_rate << ")\n";
     spec.presampled.push_back({s.realized_rate, s.total_accesses});
     workloads.push_back(locality::make_sampled_workload(source, std::move(s)));
-    // Rows name a gctrace by its header name and a text workload by its
-    // name plus the sample label, so CSVs of earlier runs compare row for
-    // row.
-    if (view) workloads.back().name = source.name;
   }
   spec.workloads = &workloads;
   std::optional<ObsSinks> sinks;
