@@ -36,6 +36,13 @@ ItemId transform_with_max(std::span<const ItemId> items, BlockId* out,
   return max_item;
 }
 
+/// True when table[i] == i for every i < n.
+bool starts_with_identity(const std::vector<ItemId>& table, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (table[i] != i) return false;
+  return true;
+}
+
 }  // namespace
 
 UniformBlockMap::UniformBlockMap(std::size_t num_items, std::size_t block_size)
@@ -45,8 +52,30 @@ UniformBlockMap::UniformBlockMap(std::size_t num_items, std::size_t block_size)
       reciprocal_(reciprocal_of(block_size)) {
   GC_REQUIRE(num_items > 0, "universe must be non-empty");
   GC_REQUIRE(block_size > 0, "block size must be positive");
-  all_items_.resize(num_items);
-  std::iota(all_items_.begin(), all_items_.end(), ItemId{0});
+}
+
+UniformBlockMap::UniformBlockMap(
+    std::size_t num_items, std::size_t block_size,
+    std::shared_ptr<const std::vector<ItemId>> identity)
+    : UniformBlockMap(num_items, block_size) {
+  GC_REQUIRE(identity != nullptr && identity->size() >= num_items,
+             "a borrowed item table must cover the universe");
+  GC_HOT_REQUIRE(starts_with_identity(*identity, num_items),
+                 "a borrowed item table must be the identity 0..n-1");
+  identity_ = std::move(identity);
+  items_.store(identity_->data(), std::memory_order_release);
+}
+
+const ItemId* UniformBlockMap::build_items() const {
+  // GCLINT-ALLOW(hot-path): runs once per map, on its first items_of; every later call returns at the acquire load in items_of before reaching here
+  const std::lock_guard<std::mutex> lock(build_mutex_);
+  if (const ItemId* built = items_.load(std::memory_order_relaxed))
+    return built;  // another reader built it while this one waited
+  auto identity = std::make_shared<std::vector<ItemId>>(num_items_);
+  std::iota(identity->begin(), identity->end(), ItemId{0});
+  identity_ = std::move(identity);
+  items_.store(identity_->data(), std::memory_order_release);
+  return identity_->data();
 }
 
 BlockId UniformBlockMap::block_of(ItemId item) const {
@@ -63,13 +92,6 @@ void UniformBlockMap::block_ids_of(std::span<const ItemId> items,
           : transform_with_max(items, out,
                                [r](ItemId it) { return divide(it, r); });
   GC_REQUIRE(max_item < num_items_, "trace references item outside the map");
-}
-
-std::span<const ItemId> UniformBlockMap::items_of(BlockId block) const {
-  GC_REQUIRE(block < num_blocks_, "block id out of range");
-  const std::size_t first = static_cast<std::size_t>(block) * block_size_;
-  const std::size_t last = std::min(first + block_size_, num_items_);
-  return std::span<const ItemId>(all_items_.data() + first, last - first);
 }
 
 ExplicitBlockMap::ExplicitBlockMap(std::vector<std::vector<ItemId>> blocks)

@@ -9,13 +9,17 @@
 //     reduction (active sets of varying size) and by irregular workloads.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
 #include "core/types.hpp"
+#include "util/contracts.hpp"
 
 namespace gcaching {
 
@@ -49,34 +53,73 @@ class BlockMap {
   /// The model parameter B: an upper bound on every block's size.
   virtual std::size_t max_block_size() const noexcept = 0;
 
-  /// Size of a specific block (<= max_block_size()).
-  std::size_t block_size(BlockId block) const { return items_of(block).size(); }
+  /// Size of a specific block (<= max_block_size()). A uniform map answers
+  /// without reading its item lists. Precondition: block < num_blocks().
+  virtual std::size_t block_size(BlockId block) const {
+    return items_of(block).size();
+  }
 };
 
-/// Block j contains items [j*B, min((j+1)*B, n)). O(1) lookups, O(n) memory
-/// only for the flattened item list (shared across blocks). item / B is a
-/// multiply-high by a reciprocal fixed at construction (Lemire, Kaser and
-/// Kurz's direct division), exact for every 32-bit item and every B >= 2.
+/// Block j contains items [j*B, min((j+1)*B, n)). O(1) lookups; block_of,
+/// block_ids_of and block_size are arithmetic. item / B is a multiply-high
+/// by a reciprocal fixed at construction (Lemire, Kaser and Kurz's direct
+/// division), exact for every 32-bit item and every B >= 2.
+///
+/// `items_of` returns spans into one identity table 0..n-1, shared across
+/// blocks, so `items_of(0).data()` starts a table of at least n ids. The
+/// table is either borrowed from the caller (the second constructor), or
+/// owned and built by the first `items_of` call: a map whose item lists are
+/// never read never writes it. The build is race-free, so concurrent readers
+/// of one map may make the first call together; every later call costs one
+/// acquire load.
 class UniformBlockMap final : public BlockMap {
  public:
   /// Partition `num_items` items into blocks of `block_size`; the last block
   /// may be smaller when block_size does not divide num_items.
   UniformBlockMap(std::size_t num_items, std::size_t block_size);
 
+  /// The same partition, whose item lists alias `identity`, a table with at
+  /// least `num_items` entries and identity[i] == i (checked in checking
+  /// builds). Maps over prefixes of one universe can thus share one table.
+  UniformBlockMap(std::size_t num_items, std::size_t block_size,
+                  std::shared_ptr<const std::vector<ItemId>> identity);
+
   std::size_t num_items() const noexcept override { return num_items_; }
   std::size_t num_blocks() const noexcept override { return num_blocks_; }
   BlockId block_of(ItemId item) const override;
   void block_ids_of(std::span<const ItemId> items,
                     BlockId* out) const override;
-  std::span<const ItemId> items_of(BlockId block) const override;
   std::size_t max_block_size() const noexcept override { return block_size_; }
 
+  std::span<const ItemId> items_of(BlockId block) const override {
+    GC_REQUIRE(block < num_blocks_, "block id out of range");
+    const ItemId* items = items_.load(std::memory_order_acquire);
+    if (items == nullptr) [[unlikely]]
+      items = build_items();
+    const std::size_t first = std::size_t{block} * block_size_;
+    return {items + first, std::min(block_size_, num_items_ - first)};
+  }
+
+  std::size_t block_size(BlockId block) const override {
+    GC_REQUIRE(block < num_blocks_, "block id out of range");
+    return std::min(block_size_, num_items_ - std::size_t{block} * block_size_);
+  }
+
  private:
+  /// Builds the owned table on the first items_of call and returns it.
+  const ItemId* build_items() const;
+
   std::size_t num_items_;
   std::size_t block_size_;
   std::size_t num_blocks_;
   std::uint64_t reciprocal_;  // ceil(2^64 / B); 0 for B = 1 (the identity)
-  std::vector<ItemId> all_items_;  // 0..n-1 flattened, spans index into it
+  /// identity_->data() once the table exists; null until the first
+  /// items_of of a map that owns its table. Published with release order
+  /// after identity_ is written, so a reader that sees it non-null may
+  /// read the table without the mutex.
+  mutable std::atomic<const ItemId*> items_{nullptr};
+  mutable std::mutex build_mutex_;  // serializes the one build
+  mutable std::shared_ptr<const std::vector<ItemId>> identity_;
 };
 
 /// Arbitrary partition given as an explicit list of blocks.

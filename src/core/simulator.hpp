@@ -131,8 +131,9 @@ template <typename Policy>
 inline void fast_finalize(const CacheContents& cache, SimStats& stats,
                           std::uint64_t num_accesses) {
   stats.accesses = num_accesses;
-  // delayed_hits is only ever non-zero for the gcached MSHR fill path
-  // (src/gcached/sharded_cache.hpp), which reuses this finalizer; the
+  // delayed_hits is only ever non-zero in the gcached runtime, where an
+  // access parks on another client's fill register for its block
+  // (src/gcached/sharded_cache.hpp); it reuses this finalizer, and the
   // sequential engines keep it at zero, so `hits = accesses - misses` holds
   // there unchanged.
   stats.hits = stats.accesses - stats.misses - stats.delayed_hits;

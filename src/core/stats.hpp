@@ -22,10 +22,11 @@ struct SimStats {
   std::uint64_t sideloads = 0;
   std::uint64_t evictions = 0;
   std::uint64_t wasted_sideloads = 0;
-  /// Accesses served by a fill already in flight (MSHR coalescing in the
-  /// gcached runtime): neither a hit (the item was not resident at access
-  /// time) nor a miss (no new block load was issued). Always zero in the
-  /// sequential engines and with no fill latency. Conservation law:
+  /// Accesses served by a fill already in flight (in the gcached runtime,
+  /// a miss on a block that another client's fill register is filling
+  /// waits for that fill): neither a hit (the item was not resident at
+  /// access time) nor a miss (no new block load was issued). Always zero
+  /// in the sequential engines and with no fill latency. Conservation law:
   /// hits + misses + delayed_hits == accesses.
   std::uint64_t delayed_hits = 0;
   /// Subset of delayed_hits whose item the pending fill *sideloaded* — the

@@ -87,9 +87,11 @@
 // which reads it through the same uncounted hold.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -139,7 +141,11 @@ inline std::size_t shard_of_item(const BlockMap& map, ItemId item,
 ///   * a uniform map gives `UniformBlockMap(n_s, B)`. A partial last block
 ///     has the largest global block id, so it ranks last in its shard and
 ///     the sub-map is uniform too. The item remap is then arithmetic (an
-///     item keeps its offset in its block), with no per-item table.
+///     item keeps its offset in its block), with no per-item table. Every
+///     shard's items 0..n_s-1 are a prefix of one identity table of
+///     max_s n_s ids, built here, which all the shard maps share.
+///     Counting the shards' items reads only the global map's block
+///     sizes, never its item lists, so its own table is never built.
 ///   * any other map gives an `ExplicitBlockMap` and a per-item table.
 /// A shard that owns no block gets a one-item placeholder map with the
 /// global B (a BlockMap cannot be empty); no access ever reaches it.
@@ -159,10 +165,13 @@ class ShardLocalIds {
     maps_.reserve(num_shards);
     if (dynamic_cast<const UniformBlockMap*>(&map) != nullptr) {
       block_size_ = map.max_block_size();
+      auto identity = std::make_shared<std::vector<ItemId>>(
+          *std::max_element(items.begin(), items.end()));
+      std::iota(identity->begin(), identity->end(), ItemId{0});
       for (std::size_t s = 0; s < num_shards; ++s)
         maps_.push_back(items[s] == 0 ? placeholder(map)
                                       : std::make_unique<UniformBlockMap>(
-                                            items[s], block_size_));
+                                            items[s], block_size_, identity));
       return;
     }
     local_item_.resize(map.num_items());

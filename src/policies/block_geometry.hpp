@@ -9,8 +9,8 @@
 //
 //   * Uniform power-of-two geometry (a UniformBlockMap whose B is a power
 //     of two — every synthetic and address-trace workload): block and
-//     position are a shift and a mask, and member lists alias the map's own
-//     flattened item array. No per-item storage at all — this matters on
+//     position are a shift and a mask, and member lists alias the map's
+//     identity table. The index stores nothing per item — this matters on
 //     large universes, where a materialized item->block array would add a
 //     cold cache miss per query that the arithmetic avoids.
 //   * Anything else: dense snapshot arrays built once at attach time, an
@@ -48,8 +48,10 @@ class FlatBlockIndex {
       shift_ = 0;
       while ((std::size_t{1} << shift_) < b) ++shift_;
       mask_ = static_cast<std::uint32_t>(b - 1);
-      // UniformBlockMap flattens the whole universe contiguously; the span
-      // for block 0 starts that array, so every block is base_ + block * B.
+      // A UniformBlockMap's item lists alias one identity table: the span
+      // for block 0 starts a table of at least n ids, owned by the map (and
+      // built by this first read) or borrowed (gcached's shard maps share
+      // one), so every block is base_ + block * B.
       base_ = map.items_of(0).data();
       block_of_.clear();
       pos_of_.clear();
@@ -109,7 +111,7 @@ class FlatBlockIndex {
   std::size_t block_size(BlockId block) const { return items_of(block).size(); }
 
  private:
-  // Uniform power-of-two mode: base_ aliases the map's flattened items.
+  // Uniform power-of-two mode: base_ aliases the map's identity table.
   const ItemId* base_ = nullptr;
   std::uint32_t shift_ = 0;
   std::uint32_t mask_ = 0;

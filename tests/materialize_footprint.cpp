@@ -9,26 +9,12 @@
 // Exits 0 within the bound, 1 over it, 2 on bad usage, and 77 (skipped)
 // where the process has no /proc/self/status to read.
 #include <cstddef>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <string>
 
 #include "core/trace.hpp"
 #include "core/trace_io.hpp"
-
-namespace {
-
-/// The process's peak resident set in KiB, from /proc/self/status.
-std::optional<std::size_t> vm_hwm_kib() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line))
-    if (line.starts_with("VmHWM:")) return std::stoul(line.substr(6));
-  return std::nullopt;
-}
-
-}  // namespace
+#include "vm_hwm.hpp"
 
 int main(int argc, char** argv) {
   using namespace gcaching;

@@ -1,6 +1,10 @@
 // Unit tests for core/block_map: partitions and their validation.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -60,6 +64,100 @@ TEST(UniformBlockMap, OutOfRangeThrows) {
 TEST(UniformBlockMap, DegenerateInputsThrow) {
   EXPECT_THROW(UniformBlockMap(0, 4), ContractViolation);
   EXPECT_THROW(UniformBlockMap(4, 0), ContractViolation);
+}
+
+/// (n, B) pairs for the identity-table cases: B = 1, and B = 3 and 16 with
+/// a ragged last block (100 = 33 * 3 + 1 = 6 * 16 + 4).
+constexpr std::pair<std::size_t, std::size_t> kTableGeometries[] = {
+    {37, 1}, {100, 3}, {100, 16}};
+
+/// items_of(j) is exactly [jB, min((j+1)B, n)) for every block, and
+/// block_size(j) is its length.
+void expect_identity_items(const UniformBlockMap& map) {
+  const std::size_t n = map.num_items();
+  const std::size_t b = map.max_block_size();
+  for (BlockId j = 0; j < map.num_blocks(); ++j) {
+    const auto items = map.items_of(j);
+    std::vector<ItemId> expected(std::min((j + 1) * b, n) - j * b);
+    std::iota(expected.begin(), expected.end(), static_cast<ItemId>(j * b));
+    ASSERT_EQ(std::vector<ItemId>(items.begin(), items.end()), expected)
+        << "n " << n << " B " << b << " block " << j;
+    EXPECT_EQ(map.block_size(j), expected.size());
+  }
+}
+
+TEST(UniformBlockMap, LazyTableHoldsEachBlocksItems) {
+  for (const auto& [n, b] : kTableGeometries) {
+    const UniformBlockMap map(n, b);
+    // Sizes first: they are arithmetic and must agree before any table.
+    EXPECT_EQ(map.block_size(static_cast<BlockId>(map.num_blocks() - 1)),
+              n - (map.num_blocks() - 1) * b);
+    expect_identity_items(map);
+    // One table: every block's span lies in the one block 0 starts.
+    const ItemId* base = map.items_of(0).data();
+    for (BlockId j = 0; j < map.num_blocks(); ++j)
+      EXPECT_EQ(map.items_of(j).data(), base + j * b);
+  }
+}
+
+TEST(UniformBlockMap, BorrowedLongerTableHoldsEachBlocksItems) {
+  for (const auto& [n, b] : kTableGeometries) {
+    auto table = std::make_shared<std::vector<ItemId>>(n + 29);
+    std::iota(table->begin(), table->end(), ItemId{0});
+    const UniformBlockMap map(n, b, table);
+    expect_identity_items(map);
+    for (BlockId j = 0; j < map.num_blocks(); ++j)
+      EXPECT_EQ(map.items_of(j).data(), table->data() + j * b);
+  }
+}
+
+TEST(UniformBlockMap, BorrowedTableMustCoverTheUniverse) {
+  auto shorter = std::make_shared<std::vector<ItemId>>(9);
+  std::iota(shorter->begin(), shorter->end(), ItemId{0});
+  EXPECT_THROW(UniformBlockMap(10, 4, shorter), ContractViolation);
+  EXPECT_THROW(UniformBlockMap(10, 4, nullptr), ContractViolation);
+  if (kHotChecksEnabled) {
+    auto shifted = std::make_shared<std::vector<ItemId>>(10);
+    std::iota(shifted->begin(), shifted->end(), ItemId{1});
+    EXPECT_THROW(UniformBlockMap(10, 4, shifted), ContractViolation);
+  }
+}
+
+// Readers of one shared map (a sweep's pool threads) may make the first
+// items_of calls together; each must see the one complete table. Run under
+// ThreadSanitizer by the -L gcached CI job.
+TEST(UniformBlockMap, ConcurrentFirstReadsSeeOneCompleteTable) {
+  constexpr std::size_t kThreads = 4;
+  for (const auto& [n, b] : kTableGeometries) {
+    for (int round = 0; round < 20; ++round) {
+      const UniformBlockMap map(n, b);
+      std::atomic<std::size_t> ready{0};
+      std::vector<const ItemId*> bases(kThreads, nullptr);
+      std::vector<int> wrong(kThreads, 0);
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          ready.fetch_add(1);
+          while (ready.load() < kThreads) std::this_thread::yield();
+          // Start at a different block per thread, so the first call races.
+          for (std::size_t k = 0; k < map.num_blocks(); ++k) {
+            const auto j = static_cast<BlockId>((k + t) % map.num_blocks());
+            const auto items = map.items_of(j);
+            if (k == 0) bases[t] = items.data() - std::size_t{j} * b;
+            for (std::size_t p = 0; p < items.size(); ++p)
+              wrong[t] += items[p] != j * b + p;
+            wrong[t] += items.size() != std::min((j + 1) * b, n) - j * b;
+          }
+        });
+      }
+      for (std::thread& th : threads) th.join();
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(wrong[t], 0) << "thread " << t;
+        EXPECT_EQ(bases[t], map.items_of(0).data()) << "thread " << t;
+      }
+      expect_identity_items(map);
+    }
+  }
 }
 
 TEST(ExplicitBlockMap, BasicPartition) {
