@@ -1,6 +1,7 @@
 #include "core/block_map.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 
@@ -11,11 +12,19 @@ namespace gcaching {
 
 namespace {
 
+/// s when B = 2^s fits a shift of a 32-bit id (s <= 31).
+std::optional<unsigned> shift_of(std::size_t block_size) {
+  if (!std::has_single_bit(block_size) || block_size > (std::size_t{1} << 31))
+    return std::nullopt;
+  return static_cast<unsigned>(std::countr_zero(block_size));
+}
+
 /// ceil(2^64 / B) for B >= 2: with it, item / B is the high word of a
 /// 64x64-bit product, exact for every 32-bit item (Lemire, Kaser and Kurz,
-/// "Faster Remainder by Direct Computation", 2019).
+/// "Faster Remainder by Direct Computation", 2019). For B >= 2^32 the
+/// product stays below 2^64, so every item lands in block 0.
 std::uint64_t reciprocal_of(std::size_t block_size) {
-  return block_size > 1 ? UINT64_MAX / block_size + 1 : 0;
+  return UINT64_MAX / block_size + 1;
 }
 
 BlockId divide(ItemId item, std::uint64_t reciprocal) {
@@ -49,9 +58,10 @@ UniformBlockMap::UniformBlockMap(std::size_t num_items, std::size_t block_size)
     : num_items_(num_items),
       block_size_(block_size),
       num_blocks_(ceil_div(num_items, block_size)),
-      reciprocal_(reciprocal_of(block_size)) {
+      shift_(shift_of(block_size)) {
   GC_REQUIRE(num_items > 0, "universe must be non-empty");
   GC_REQUIRE(block_size > 0, "block size must be positive");
+  reciprocal_ = shift_ ? 0 : reciprocal_of(block_size);
 }
 
 UniformBlockMap::UniformBlockMap(
@@ -80,17 +90,17 @@ const ItemId* UniformBlockMap::build_items() const {
 
 BlockId UniformBlockMap::block_of(ItemId item) const {
   GC_REQUIRE(item < num_items_, "item id out of range");
-  return block_size_ == 1 ? item : divide(item, reciprocal_);
+  return shift_ ? item >> *shift_ : divide(item, reciprocal_);
 }
 
 void UniformBlockMap::block_ids_of(std::span<const ItemId> items,
                                    BlockId* out) const {
   const std::uint64_t r = reciprocal_;
   const ItemId max_item =
-      block_size_ == 1
-          ? transform_with_max(items, out, [](ItemId it) { return it; })
-          : transform_with_max(items, out,
-                               [r](ItemId it) { return divide(it, r); });
+      shift_ ? transform_with_max(items, out,
+                                  [s = *shift_](ItemId it) { return it >> s; })
+             : transform_with_max(items, out,
+                                  [r](ItemId it) { return divide(it, r); });
   GC_REQUIRE(max_item < num_items_, "trace references item outside the map");
 }
 

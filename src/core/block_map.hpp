@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -61,9 +62,16 @@ class BlockMap {
 };
 
 /// Block j contains items [j*B, min((j+1)*B, n)). O(1) lookups; block_of,
-/// block_ids_of and block_size are arithmetic. item / B is a multiply-high
-/// by a reciprocal fixed at construction (Lemire, Kaser and Kurz's direct
-/// division), exact for every 32-bit item and every B >= 2.
+/// block_ids_of and block_size are arithmetic. The map decides once, at
+/// construction, how to divide by B:
+///   * B = 2^s with s <= 31 (B = 1 is s = 0): item / B is item >> s, which
+///     the bulk loop of block_ids_of vectorizes. `block_shift()` hands s to
+///     other flat views of the geometry (FlatBlockIndex), so this is the one
+///     place that tells a power of two.
+///   * every other B, including B >= 2^32 (a 32-bit id shifted by 32 would
+///     be undefined): a multiply-high by a reciprocal fixed at construction
+///     (Lemire, Kaser and Kurz's direct division), exact for every 32-bit
+///     item and every B >= 2.
 ///
 /// `items_of` returns spans into one identity table 0..n-1, shared across
 /// blocks, so `items_of(0).data()` starts a table of at least n ids. The
@@ -91,6 +99,10 @@ class UniformBlockMap final : public BlockMap {
                     BlockId* out) const override;
   std::size_t max_block_size() const noexcept override { return block_size_; }
 
+  /// s when B = 2^s with s <= 31, so that block_of(item) == item >> s;
+  /// empty for every other B.
+  std::optional<unsigned> block_shift() const noexcept { return shift_; }
+
   std::span<const ItemId> items_of(BlockId block) const override {
     GC_REQUIRE(block < num_blocks_, "block id out of range");
     const ItemId* items = items_.load(std::memory_order_acquire);
@@ -112,7 +124,8 @@ class UniformBlockMap final : public BlockMap {
   std::size_t num_items_;
   std::size_t block_size_;
   std::size_t num_blocks_;
-  std::uint64_t reciprocal_;  // ceil(2^64 / B); 0 for B = 1 (the identity)
+  std::optional<unsigned> shift_;  // s for B = 2^s, s <= 31
+  std::uint64_t reciprocal_;       // ceil(2^64 / B) when shift_ is empty
   /// identity_->data() once the table exists; null until the first
   /// items_of of a map that owns its table. Published with release order
   /// after identity_ is written, so a reader that sees it non-null may

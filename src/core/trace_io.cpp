@@ -268,7 +268,10 @@ TraceView::TraceView(const std::string& path) {
   const std::uint64_t name_len = get_u64(header + 32);
   if (num_items_ == 0 || num_items_ > std::uint64_t{1} << 32)
     bin_fail(path, "invalid num_items " + std::to_string(num_items_));
-  if (block_size_ == 0 || block_size_ > num_items_)
+  // B is the model's bound on a block's size, not a block count, so a B
+  // above num_items is one block of num_items items: the text format and
+  // UniformBlockMap accept it, and so does this reader.
+  if (block_size_ == 0)
     bin_fail(path, "invalid block_size " + std::to_string(block_size_));
   if (name_len > kMaxNameLen)
     bin_fail(path, "name length " + std::to_string(name_len) +

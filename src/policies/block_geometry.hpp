@@ -7,13 +7,16 @@
 // call per query — on the simulation hot path, per access. FlatBlockIndex
 // resolves every query without a virtual call, in one of two modes:
 //
-//   * Uniform power-of-two geometry (a UniformBlockMap whose B is a power
-//     of two — every synthetic and address-trace workload): block and
-//     position are a shift and a mask, and member lists alias the map's
-//     identity table. The index stores nothing per item — this matters on
-//     large universes, where a materialized item->block array would add a
-//     cold cache miss per query that the arithmetic avoids.
-//   * Anything else: dense snapshot arrays built once at attach time, an
+//   * Uniform power-of-two geometry (a UniformBlockMap with a
+//     `block_shift()`, B = 2^s with s <= 31 — every synthetic and
+//     address-trace workload): block and position are a shift and a mask,
+//     and member lists alias the map's identity table. The map alone decides
+//     which B has a shift; the index takes s from it. The index stores
+//     nothing per item — this matters on large universes, where a
+//     materialized item->block array would add a cold cache miss per query
+//     that the arithmetic avoids.
+//   * Anything else (an explicit partition, or a B with no shift, B >= 2^32
+//     included): dense snapshot arrays built once at attach time, an
 //     indexed load per query.
 //
 // Block maps are immutable for the lifetime of a policy attachment and the
@@ -23,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,12 +46,11 @@ class FlatBlockIndex {
     const std::size_t num_items = map.num_items();
     const std::size_t num_blocks = map.num_blocks();
     num_items_ = num_items;
-    const std::size_t b = map.max_block_size();
-    const bool pow2 = b > 0 && (b & (b - 1)) == 0;
-    if (pow2 && num_blocks > 0 && dynamic_cast<const UniformBlockMap*>(&map)) {
-      shift_ = 0;
-      while ((std::size_t{1} << shift_) < b) ++shift_;
-      mask_ = static_cast<std::uint32_t>(b - 1);
+    const auto* uniform = dynamic_cast<const UniformBlockMap*>(&map);
+    if (const std::optional<unsigned> shift =
+            uniform != nullptr ? uniform->block_shift() : std::nullopt) {
+      shift_ = *shift;
+      mask_ = (std::uint32_t{1} << shift_) - 1;
       // A UniformBlockMap's item lists alias one identity table: the span
       // for block 0 starts a table of at least n ids, owned by the map (and
       // built by this first read) or borrowed (gcached's shard maps share
@@ -111,13 +114,13 @@ class FlatBlockIndex {
   std::size_t block_size(BlockId block) const { return items_of(block).size(); }
 
  private:
-  // Uniform power-of-two mode: base_ aliases the map's identity table.
+  // Shift mode (the map's block_shift()): base_ aliases its identity table.
   const ItemId* base_ = nullptr;
   std::uint32_t shift_ = 0;
   std::uint32_t mask_ = 0;
   std::size_t num_items_ = 0;
 
-  // Snapshot mode (irregular or non-power-of-two geometry).
+  // Snapshot mode (an explicit partition, or a B with no shift).
   std::vector<BlockId> block_of_;
   std::vector<std::uint32_t> pos_of_;
   std::vector<ItemId> items_;         // members flattened, block-major

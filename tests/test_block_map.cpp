@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +23,17 @@ TEST(UniformBlockMap, BasicGeometry) {
   EXPECT_EQ(map.num_items(), 12u);
   EXPECT_EQ(map.num_blocks(), 3u);
   EXPECT_EQ(map.max_block_size(), 4u);
+}
+
+TEST(UniformBlockMap, BlockShiftOnlyForPowersOfTwoThatFitAShift) {
+  constexpr std::size_t k31 = std::size_t{1} << 31;
+  EXPECT_EQ(UniformBlockMap(100, 1).block_shift(), 0u);
+  EXPECT_EQ(UniformBlockMap(100, 16).block_shift(), 4u);
+  EXPECT_EQ(UniformBlockMap(100, k31).block_shift(), 31u);
+  for (const std::size_t b : {std::size_t{3}, std::size_t{1000}, k31 - 1,
+                              k31 + 1, 2 * k31, 4 * k31})
+    EXPECT_FALSE(UniformBlockMap(100, b).block_shift().has_value())
+        << "B = " << b;
 }
 
 TEST(UniformBlockMap, BlockOf) {
@@ -242,11 +255,24 @@ void expect_bulk_matches_per_item(const BlockMap& map, std::uint64_t seed,
 }
 
 TEST(BlockMapProperty, BulkBlockIdsMatchPerItemBlockOf) {
-  // B = 3 leaves a ragged last block of one item (999).
-  for (const auto& [n, b] : {std::pair<std::size_t, ItemId>{1000, 1},
-                             {1000, 3}, {4096, 16}}) {
-    expect_bulk_matches_per_item(UniformBlockMap(n, b), b,
-                                 [b](ItemId it) { return it / b; });
+  // B = 3 leaves a ragged last block of one item (999). The rest cover both
+  // divisions: a shift for B = 2^s with s <= 31, the reciprocal for every
+  // other B, on either side of 2^31 and 2^32 (B >= 2^32 puts the whole
+  // 32-bit universe in block 0), over universes up to 2^32 items (the item
+  // table is built only on items_of, so none is allocated here).
+  constexpr std::uint64_t k31 = std::uint64_t{1} << 31;
+  constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+  for (const auto& [n, b] : {std::pair<std::size_t, std::uint64_t>{1000, 1},
+                             {1000, 3}, {4096, 16}, {1001, 2}, {1000, 7},
+                             {k32, 17}, {k32 - 3, 64}, {k32, 65537},
+                             {k32, k31 - 1}, {k32, k31}, {k32 - 1, k31},
+                             {k32, k31 + 1}, {k32, k32 - 1}, {k32, k32},
+                             {k32 - 1, k32}, {k32, k32 + 1}}) {
+    SCOPED_TRACE("n = " + std::to_string(n) + ", B = " + std::to_string(b));
+    expect_bulk_matches_per_item(
+        UniformBlockMap(n, b), b, [b](ItemId it) {
+          return static_cast<BlockId>(std::uint64_t{it} / b);
+        });
   }
   const std::vector<BlockId> owner = {0, 1, 2, 2, 0, 2, 2, 2, 3, 0};
   expect_bulk_matches_per_item(

@@ -2,7 +2,13 @@
 // marking ablations (Section 6).
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <utility>
+#include <vector>
+
 #include "core/simulator.hpp"
+#include "policies/block_geometry.hpp"
+#include "policies/factory.hpp"
 #include "policies/gcm.hpp"
 #include "traces/synthetic.hpp"
 
@@ -77,6 +83,26 @@ TEST(Gcm, BeatsGranularityObliviousMarkingOnBlockScans) {
   const auto s_gcm = simulate(w, gcm, 128);
   const auto s_classic = simulate(w, classic, 128);
   EXPECT_LT(s_gcm.misses * 2, s_classic.misses);
+}
+
+// B = 2^32 has no 32-bit shift, so the flat index takes it as a snapshot:
+// a 100-item universe is one block, and gcm runs on it in the fast engine.
+TEST(Gcm, BlockOfTwoToThe32IsOneBlock) {
+  const UniformBlockMap map(100, std::size_t{1} << 32);
+  FlatBlockIndex index;
+  index.build(map);
+  for (ItemId it = 0; it < 100; ++it) {
+    ASSERT_EQ(index.block_of(it), 0u) << "item " << it;
+    ASSERT_EQ(index.position_of(it), it);
+  }
+  EXPECT_EQ(index.block_size(0), 100u);
+
+  std::vector<ItemId> acc;
+  for (ItemId i = 0; i < 1000; ++i) acc.push_back((i * 37) % 100);
+  const Trace trace(std::move(acc));
+  const SimStats stats = simulate_fast_spec("gcm", map, trace, 10);
+  EXPECT_EQ(stats.accesses, 1000u);
+  EXPECT_EQ(stats, simulate(map, trace, *make_policy("gcm", 10), 10));
 }
 
 TEST(MarkingItem, NeverSideloads) {

@@ -369,6 +369,37 @@ TEST(TraceBin, OutOfRangeRecordInLastChunkFailsLoudly) {
   }
 }
 
+// The largest universe a gctrace holds, with B = num_items = 2^32: B has no
+// 32-bit shift, so the reciprocal divides, and the top item stays in block 0.
+TEST(TraceBin, TwoToThe32ItemsInOneBlockMaterializeToBlockZero) {
+  constexpr std::size_t k32 = std::size_t{1} << 32;
+  Workload src;
+  src.map = make_uniform_blocks(k32, k32);
+  src.trace = Trace(std::vector<ItemId>{0, ItemId{0xFFFFFFFF}, 0});
+  src.name = "one block";
+  const std::string path = tmp_path("one_block.gct");
+  save_trace_bin_file(path, src);
+
+  const Workload w = TraceView(path).materialize();
+  EXPECT_EQ(w.map->num_items(), k32);
+  EXPECT_EQ(w.map->max_block_size(), k32);
+  ASSERT_EQ(w.trace.accesses(), src.trace.accesses());
+  ASSERT_TRUE(w.trace.has_block_ids(*w.map));
+  for (const BlockId id : w.trace.block_ids()) EXPECT_EQ(id, 0u);
+}
+
+// B above num_items is one block, in the gctrace as in the text format: what
+// the writer writes, the reader loads with the B it was given.
+TEST(TraceBin, BlockSizeAboveNumItemsRoundTrips) {
+  const Workload src = traces::zipf_items(100, 128, 400, 0.9, 3);
+  const std::string path = tmp_path("b_over_items.gct");
+  save_trace_bin_file(path, src);
+  const Workload w = TraceView(path).materialize();
+  EXPECT_EQ(w.map->num_blocks(), 1u);
+  EXPECT_EQ(w.map->max_block_size(), 128u);
+  EXPECT_EQ(w.trace.accesses(), src.trace.accesses());
+}
+
 TEST(TraceBin, EmptyTraceMaterializesWithEmptyIds) {
   const std::string path = tmp_path("empty.gct");
   write_raw_trace(path, 64, 0, {});
