@@ -98,8 +98,11 @@ inline constexpr bool kRequestedOnly = [] {
 /// kHitPathEvictions policies) the per-miss eviction deltas.
 /// accesses / hits / temporal_hits follow arithmetically in
 /// `fast_finalize`, and the load counters live in CacheContents already.
-template <typename Policy>
-inline void fast_step(CacheContents& cache, Policy& policy, SimStats& stats,
+/// `Stats` is SimStats, or any struct with its `misses` and `spatial_hits`
+/// counters (and `evictions` and `wasted_sideloads` for kHitPathEvictions
+/// policies), such as gcached's per-shard HoldCounts.
+template <typename Policy, typename Stats>
+inline void fast_step(CacheContents& cache, Policy& policy, Stats& stats,
                       ItemId item, BlockId block) {
   if (cache.contains(item)) {
     if constexpr (kRequestedOnly<Policy>) {

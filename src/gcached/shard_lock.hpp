@@ -309,30 +309,30 @@ class ShardGuard {
 };
 
 /// How much of a deadline wait is spun rather than slept: a compile-time
-/// constant, not a knob. Waking a sleeping thread on an idle vCPU takes the
-/// kernel ~3 us past the requested instant even with a 1 us timer slack,
-/// so a bare sleep charges a 20 us fill ~23 us. 6 us of spin absorbs the
-/// wake-up to the p99 for ~1.2 us of CPU per wait (docs/CONCURRENCY.md has
-/// the probe of margins 0-10 us).
-inline constexpr std::uint64_t kFillSpinNs = 6'000;
+/// constant, not a knob. A sleeping thread wakes late, and later when other
+/// clients are busy: with 2-4 threads waiting at once, a wait that sleeps to
+/// 6-14 us before its deadline ends ~5 us late on average, one that sleeps
+/// to 20 us before it ~1-2 us late, and a larger margin buys nothing more
+/// (docs/CONCURRENCY.md has the probe of 1, 2 and 4 waiters). A wait no
+/// longer than this is never slept.
+inline constexpr std::uint64_t kFillSpinNs = 20'000;
 
 /// Returns once `Clock` reads `deadline` or later, never before: sleeps
-/// until kFillSpinNs before the deadline, then spins on the clock with a
-/// CPU pause hint. The one timed wait of a client thread — the backend fill
-/// and the open loop's arrivals — so both end within a clock read of their
-/// instant, not a kernel wake-up after it. Out of line, so the access path
-/// that inlines backend_fill does not grow. Callable only with no shard
-/// guard held.
+/// until kFillSpinNs before the deadline, then spins on the clock, yielding
+/// the CPU between reads. A PAUSE spin instead stalled a wait for
+/// milliseconds now and then on a KVM guest with 2-8 threads waiting at
+/// once, most likely the host descheduling a vCPU that loops on PAUSE
+/// (pause-loop exiting).
+/// The one timed wait of a client thread — the backend fill and the open
+/// loop's arrivals — so both end within a clock read of their instant, not
+/// a kernel wake-up after it. Out of line, so the access path that inlines
+/// backend_fill does not grow. Callable only with no shard guard held.
 template <typename Clock, typename Duration>
 [[gnu::noinline]] void deadline_wait(
     std::chrono::time_point<Clock, Duration> deadline) {
   std::this_thread::sleep_until(deadline -
                                 std::chrono::nanoseconds(kFillSpinNs));
-  while (Clock::now() < deadline) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  }
+  while (Clock::now() < deadline) std::this_thread::yield();
 }
 
 /// The simulated backend fill: a deadline wait of `fill_latency_ns`, made

@@ -11,7 +11,7 @@
 // never crosses a shard boundary.
 //
 // Per-shard state transitions are *externalized*: a shard bundles
-// {ShardLock, CacheContents, Policy, partial SimStats, access count} and the
+// {ShardLock and its hold counters, CacheContents, Policy} and the
 // only mutation is `detail::fast_step` — the exact per-access transition of
 // `simulate_fast` (core/simulator.hpp) — applied under the shard's exclusive
 // lock. The existing policies therefore run unmodified, still assuming
@@ -234,6 +234,25 @@ inline std::size_t shard_capacity_share(std::size_t capacity,
   GC_REQUIRE(s < num_shards, "shard index out of range");
   return capacity / num_shards + (s < capacity % num_shards ? 1 : 0);
 }
+
+/// The counters a hold writes when it classifies an access without a
+/// fill: the accesses it classified, and the two SimStats counters of
+/// fast_step, which counts them here as it does in a SimStats.
+struct HoldCounts {
+  std::uint64_t accesses = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t spatial_hits = 0;
+};
+
+/// A shard's first cache line: the lock and the counters every hold that
+/// classifies an access writes. Under concurrent clients each line a hold
+/// writes migrates to the holder's core, so these share one; a temporal
+/// hit takes no hold and writes none of it.
+struct alignas(64) HoldLine {
+  ShardLock lock;
+  HoldCounts counts;  ///< under `lock`
+};
+static_assert(sizeof(HoldLine) == 64, "a hold's counters fit the lock's line");
 
 /// How a miss's simulated backend fill is slept. The fill-register path is
 /// the only one; the enum and `GcachedConfig::fill_mode` stay so existing
@@ -483,30 +502,41 @@ class ShardedCache final : public ConcurrentCache {
     return cfg;
   }
 
-  // One cache line per shard header keeps neighbouring shards' locks from
-  // false-sharing under cross-shard traffic, and a hold's one shared
-  // counter, `accesses`, on the lock's own line. A temporal hit takes no
-  // hold and writes none of it. CacheContents starts on the next line (it
+  // A shard starts with its HoldLine, the lock's line, which also keeps
+  // neighbouring shards' locks from false-sharing under cross-shard
+  // traffic. `counts.accesses` is counted there, not in a slot: hits are
+  // derived as accesses - misses - delayed hits, so a snapshot reads it in
+  // the hold that reads misses. CacheContents starts on the next line (it
   // is 64-aligned), with the header a temporal hit reads apart from the
-  // fields a miss writes.
-  struct alignas(64) Shard {
-    ShardLock lock;
-    // Under `lock`, not in a slot: hits are derived as accesses - misses -
-    // delayed hits, so a snapshot reads it in the hold that reads misses.
-    std::uint64_t accesses = 0;  ///< accesses classified under a hold
+  // fields a miss writes. The fill path's fields come last: only a hold
+  // with a fill latency writes them. docs/CONCURRENCY.md, "What a hold
+  // writes", maps every line a hold writes.
+  struct Shard : HoldLine {
     CacheContents cache;
     Policy policy;
     /// Head of the in-flight fill registers' list; under `lock` only.
     FillRegister* fills = nullptr;
-    SimStats partial;       ///< non-derivable counters only (fast_step)
+    // The SimStats delayed-hit counters of the same names; under `lock`.
+    std::uint64_t delayed_hits = 0;
+    std::uint64_t free_delayed_hits = 0;
+    std::uint64_t delayed_hit_wait_ns = 0;
     std::uint64_t coalesced = 0;  ///< accesses that parked on a fill's gate
     bool writer_active = false;  ///< checking builds only; guarded by `lock`
 
     Shard(const BlockMap& map, std::size_t capacity, MakePolicy& make)
         : cache(map, capacity), policy(make()) {}
+
+    /// Its SimStats counters that fast_finalize cannot derive.
+    SimStats partial() const noexcept {
+      SimStats stats;
+      stats.misses = counts.misses;
+      stats.spatial_hits = counts.spatial_hits;
+      stats.delayed_hits = delayed_hits;
+      stats.free_delayed_hits = free_delayed_hits;
+      stats.delayed_hit_wait_ns = delayed_hit_wait_ns;
+      return stats;
+    }
   };
-  static_assert(sizeof(ShardLock) + sizeof(std::uint64_t) <= 64,
-                "a hold's access count must share the lock's line");
 
   /// Binds a client's first access to this cache: one DeferredHits buffer
   /// per shard, sized here, before any hold (nothing allocates under a
@@ -529,16 +559,17 @@ class ShardedCache final : public ConcurrentCache {
   /// SimStats share finalized with its accesses under holds plus those
   /// lock-free hits. Each lock-free hit is temporal, so fast_finalize's
   /// derivation of hits and temporal hits stays exact. It finalizes a COPY
-  /// of the partial stats, so the shard keeps counting from its partials.
+  /// of the hold counters, so the shard keeps counting in them.
   template <typename Fn>
   void for_each_snapshot(Fn&& fn) {
     const std::vector<LockCounts> counts = slots_.per_shard();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard& shard = *shards_[s];
       ShardGuard guard(shard.lock);
-      SimStats stats = shard.partial;
-      detail::fast_finalize<Policy>(shard.cache, stats,
-                                    shard.accesses + counts[s].lockfree_hits);
+      SimStats stats = shard.partial();
+      detail::fast_finalize<Policy>(
+          shard.cache, stats,
+          shard.counts.accesses + counts[s].lockfree_hits);
       fn(shard, stats, counts[s]);
     }
   }
@@ -583,8 +614,8 @@ class ShardedCache final : public ConcurrentCache {
   /// fast_step maintains only the non-derivable counters (misses, spatial
   /// hits); fast_finalize derives the rest from the access count.
   static void step(Shard& shard, ItemId item, BlockId block) {
-    detail::fast_step(shard.cache, shard.policy, shard.partial, item, block);
-    ++shard.accesses;
+    detail::fast_step(shard.cache, shard.policy, shard.counts, item, block);
+    ++shard.counts.accesses;
   }
 
   /// Replays a client's deferred hits on `shard` in hit order, skipping
@@ -657,10 +688,10 @@ class ShardedCache final : public ConcurrentCache {
       kind = shard.cache.record_hit(item);
     }
     shard.policy.on_hit(item);
-    ++shard.partial.delayed_hits;
-    if (kind == HitKind::kSpatial) ++shard.partial.free_delayed_hits;
-    shard.partial.delayed_hit_wait_ns += wait_ns;
-    ++shard.accesses;
+    ++shard.delayed_hits;
+    if (kind == HitKind::kSpatial) ++shard.free_delayed_hits;
+    shard.delayed_hit_wait_ns += wait_ns;
+    ++shard.counts.accesses;
   }
   GC_HOT_REGION_END(gcached_hold)
 

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -27,6 +28,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <time.h>
@@ -376,6 +378,26 @@ TEST(GcachedDeferredHits, AContextServesExactlyOneCache) {
 }
 
 // ---- Lock-free temporal hits --------------------------------------------
+
+// ---- Line layout ---------------------------------------------------------
+
+// The counters every hold that classifies an access writes are on the
+// shard's first line with the lock: under concurrent clients each line a
+// hold writes migrates to the holder's core.
+TEST(GcachedLayout, HoldCountersShareTheLockLine) {
+  static_assert(alignof(HoldLine) == 64 && sizeof(HoldLine) == 64);
+  static_assert(std::is_standard_layout_v<HoldLine>);
+  static_assert(offsetof(HoldLine, lock) == 0);
+  static_assert(offsetof(HoldLine, counts) >= sizeof(ShardLock));
+  static_assert(offsetof(HoldLine, counts) + sizeof(HoldCounts) <= 64);
+  // The counters a hold writes when it classifies an access without a
+  // fill, and nothing else.
+  static_assert(offsetof(HoldCounts, accesses) < sizeof(HoldCounts) &&
+                offsetof(HoldCounts, misses) < sizeof(HoldCounts) &&
+                offsetof(HoldCounts, spatial_hits) < sizeof(HoldCounts));
+  static_assert(sizeof(HoldCounts) == 3 * sizeof(std::uint64_t));
+  SUCCEED();
+}
 
 TEST(GcachedLockFreeHits, ExactHoldCountOnAHandComputedTrace) {
   // item-lru, one-item blocks, one shard of 2 items, one client. Every hit

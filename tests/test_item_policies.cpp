@@ -1,7 +1,11 @@
 // Unit tests for the Item Cache family: LRU, FIFO, LFU, CLOCK, Random, SLRU.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -73,6 +77,55 @@ TEST(IndexedList, PushBack) {
   l.push_front(1);
   l.push_back(2);
   EXPECT_EQ(l.back(), 2u);
+}
+
+// The list header (sentinel node and size) is on one 64-byte line, so a
+// transition under gcached's concurrent clients moves one header line.
+TEST(IndexedList, HeaderSharesOneLine) {
+  const auto line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / 64;
+  };
+  for (const std::size_t universe :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+        std::size_t{9}, std::size_t{32768}, std::size_t{32769}}) {
+    SCOPED_TRACE("universe " + std::to_string(universe));
+    IndexedList l(universe);
+    const auto* size_first = static_cast<const char*>(l.size_address());
+    EXPECT_EQ(line(l.sentinel_address()), line(size_first));
+    EXPECT_EQ(line(l.sentinel_address()),
+              line(size_first + sizeof(std::size_t) - 1));
+    if (universe == 0) continue;
+    l.push_front(0);
+    EXPECT_EQ(l.size(), 1u);
+    EXPECT_EQ(l.front(), 0u);
+    EXPECT_EQ(l.back(), 0u);
+  }
+}
+
+// No transition writes the list object itself, only the nodes and header
+// its pointers reach: its bytes are the same before and after each one.
+TEST(IndexedList, TransitionsLeaveTheObjectUnwritten) {
+  IndexedList l(16);
+  std::array<unsigned char, sizeof(IndexedList)> before{};
+  std::memcpy(before.data(), static_cast<const void*>(&l), sizeof l);
+  const auto unchanged = [&] {
+    return std::memcmp(before.data(), static_cast<const void*>(&l),
+                       sizeof l) == 0;
+  };
+  l.push_front(3);
+  EXPECT_TRUE(unchanged());
+  l.push_back(5);
+  EXPECT_TRUE(unchanged());
+  l.push_front(7);
+  l.move_to_front(5);
+  EXPECT_TRUE(unchanged());
+  l.remove(3);
+  EXPECT_TRUE(unchanged());
+  EXPECT_EQ(l.pop_back(), 7u);
+  EXPECT_TRUE(unchanged());
+  l.clear();
+  EXPECT_TRUE(unchanged());
+  EXPECT_TRUE(l.empty());
 }
 
 TEST(IndexedList, DoubleInsertThrows) {
