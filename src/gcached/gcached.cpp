@@ -1,33 +1,33 @@
 #include "gcached/gcached.hpp"
 
 #include <cmath>
+#include <type_traits>
 
-#include "policies/block_fifo.hpp"
-#include "policies/block_lru.hpp"
-#include "policies/item_clock.hpp"
-#include "policies/item_fifo.hpp"
-#include "policies/item_lru.hpp"
-#include "policies/item_slru.hpp"
+#include "policies/factory.hpp"
+#include "policies/policy_table.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching::gcached {
 
 namespace {
 
-template <typename Policy>
-std::unique_ptr<ConcurrentCache> make_sharded(
-    std::shared_ptr<const BlockMap> map, const GcachedConfig& cfg,
-    const std::string& name) {
-  auto make = [] { return Policy(); };
-  return std::make_unique<ShardedCache<Policy, decltype(make)>>(
-      std::move(map), cfg, make, name);
-}
+/// The classes that shard: their state is a function of (map, own-shard
+/// cache, own-shard accesses) alone (see gcached.hpp).
+template <typename P>
+constexpr bool kShardable =
+    std::is_same_v<P, ItemLru> || std::is_same_v<P, ItemFifo> ||
+    std::is_same_v<P, ItemClock> || std::is_same_v<P, ItemSlru> ||
+    std::is_same_v<P, BlockLru> || std::is_same_v<P, BlockFifo>;
 
 }  // namespace
 
 std::vector<std::string> supported_concurrent_specs() {
-  return {"item-lru",   "item-fifo",  "item-clock",
-          "item-slru",  "block-lru",  "block-fifo"};
+  std::vector<std::string> specs;
+  for (std::string& spec : known_policy_names())
+    if (visit_policy(spec, 0,
+                     [](auto make) { return kShardable<decltype(make())>; }))
+      specs.push_back(std::move(spec));
+  return specs;
 }
 
 std::string validate_gcached_request(long long shards, long long threads) {
@@ -52,26 +52,26 @@ std::optional<std::uint64_t> fill_us_to_ns(double fill_us) {
 std::unique_ptr<ConcurrentCache> make_concurrent_cache(
     const std::string& spec, std::shared_ptr<const BlockMap> map,
     const GcachedConfig& cfg) {
-  if (spec == "item-lru") return make_sharded<ItemLru>(std::move(map), cfg, spec);
-  if (spec == "item-fifo")
-    return make_sharded<ItemFifo>(std::move(map), cfg, spec);
-  if (spec == "item-clock")
-    return make_sharded<ItemClock>(std::move(map), cfg, spec);
-  if (spec == "item-slru")
-    return make_sharded<ItemSlru>(std::move(map), cfg, spec);
-  if (spec == "block-lru")
-    return make_sharded<BlockLru>(std::move(map), cfg, spec);
-  if (spec == "block-fifo")
-    return make_sharded<BlockFifo>(std::move(map), cfg, spec);
-  GC_REQUIRE(false,
-             "policy spec '" + spec +
-                 "' cannot run under gcached: only policies whose state is a "
-                 "function of (map, own-shard cache, own-shard accesses) "
-                 "shard — offline (belady-*), capacity-coupled (iblp*, "
-                 "athreshold) and globally-stateful (item-arc, footprint) "
-                 "policies are excluded; see docs/CONCURRENCY.md and "
-                 "supported_concurrent_specs()");
-  return nullptr;  // unreachable
+  return visit_policy(
+      spec, cfg.capacity, [&](auto make) -> std::unique_ptr<ConcurrentCache> {
+        using P = decltype(make());
+        if constexpr (kShardable<P>)
+          return std::make_unique<ShardedCache<P, decltype(make)>>(map, cfg,
+                                                                   make, spec);
+        std::string shardable;
+        for (const std::string& s : supported_concurrent_specs())
+          shardable += (shardable.empty() ? "" : ", ") + s;
+        GC_REQUIRE(false,
+                   "policy spec '" + spec +
+                       "' cannot run under gcached: only policies whose state "
+                       "is a function of (map, own-shard cache, own-shard "
+                       "accesses) shard, which are " +
+                       shardable +
+                       " — offline, capacity-coupled and globally-stateful "
+                       "policies are excluded; see docs/CONCURRENCY.md and "
+                       "supported_concurrent_specs()");
+        return nullptr;  // unreachable
+      });
 }
 
 }  // namespace gcaching::gcached

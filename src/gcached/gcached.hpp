@@ -1,8 +1,9 @@
 // Spec-string construction of gcached runtimes.
 //
-// `make_concurrent_cache` is the gcached analogue of the policy factory's
-// `simulate_fast_spec` type switch: it instantiates `ShardedCache<Policy>`
-// for the concrete class a spec names, so the per-shard transitions are the
+// `make_concurrent_cache` visits the policy table as the factory's
+// `simulate_fast_spec` does (visit_policy, policies/policy_table.hpp): it
+// instantiates `ShardedCache<Policy>` for the concrete class a spec names,
+// with the spec's parameters, so the per-shard transitions are the
 // devirtualized fast_step the differential tests pin.
 //
 // The ported set and the escape hatch: a policy can shard iff its decisions
@@ -18,9 +19,10 @@
 //   * policies whose published numbers depend on a single global structure
 //     (item-arc's ghost lists, footprint's global frequency state): sharding
 //     them is a research question, not an adapter.
-// Such specs throw ContractViolation naming this list; the supported set is
-// enumerated by `supported_concurrent_specs()` so tests and tools never
-// hard-code it. See docs/CONCURRENCY.md ("Which policies shard").
+// Such specs throw ContractViolation naming the shardable ones; the
+// supported set is `supported_concurrent_specs()` (known_policy_names()
+// filtered by gcached.cpp's list of shardable classes), so tests and tools
+// never hard-code it. See docs/CONCURRENCY.md ("Which policies shard").
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,8 @@
 #include "offline/opt_portfolio.hpp"
 
-#include <vector>
-
 #include "core/simulator.hpp"
-#include "policies/factory.hpp"
+#include "policies/belady.hpp"
+#include "policies/iblp.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching {
@@ -12,8 +11,18 @@ PortfolioResult opt_portfolio_upper(const BlockMap& map, const Trace& trace,
                                     std::size_t capacity,
                                     bool include_iblp_sweep) {
   GC_REQUIRE(capacity >= 1, "capacity must be positive");
-  std::vector<std::string> specs = {"belady-item", "belady-greedy-gc"};
-  if (capacity >= map.max_block_size()) specs.push_back("belady-block");
+  PortfolioResult best;
+  best.misses = ~std::uint64_t{0};
+  const auto consider = [&](ReplacementPolicy&& policy) {
+    const SimStats s = simulate(map, trace, policy, capacity);
+    if (s.misses < best.misses) {
+      best.misses = s.misses;
+      best.best_policy = policy.name();
+    }
+  };
+  consider(BeladyItem());
+  consider(BeladyGreedyGc());
+  if (capacity >= map.max_block_size()) consider(BeladyBlock());
   if (include_iblp_sweep && capacity >= 2 * map.max_block_size()) {
     // A small split grid; IBLP is online but still yields legal schedules,
     // and its layered structure often beats the pure clairvoyant policies
@@ -23,19 +32,7 @@ PortfolioResult opt_portfolio_upper(const BlockMap& map, const Trace& trace,
                                               static_cast<double>(capacity));
       const std::size_t b = capacity - i;
       if (b < map.max_block_size()) continue;
-      specs.push_back("iblp:i=" + std::to_string(i) +
-                      ",b=" + std::to_string(b));
-    }
-  }
-
-  PortfolioResult best;
-  best.misses = ~std::uint64_t{0};
-  for (const auto& spec : specs) {
-    auto policy = make_policy(spec, capacity);
-    const SimStats s = simulate(map, trace, *policy, capacity);
-    if (s.misses < best.misses) {
-      best.misses = s.misses;
-      best.best_policy = spec;
+      consider(Iblp(IblpConfig{i, b}));
     }
   }
   return best;

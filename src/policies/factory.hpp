@@ -1,18 +1,25 @@
 // Policy construction by name — the registry used by benches, examples and
-// parameterized tests.
+// parameterized tests. Every spec is one row of kPolicyTable
+// (policies/policy_table.hpp); each function here reads that table.
 //
 // Spec grammar:  <name>[:key=value[,key=value...]]
-//   item-lru | item-fifo | item-lfu | item-clock | item-random |
+//   item-lru | item-fifo | item-lfu | item-clock | item-random[:seed=<n>] |
 //   item-slru[:p=<frac>] | item-arc |
 //   footprint[:cold_block=<0|1>] |
 //   block-lru | block-fifo |
-//   iblp:i=<n>,b=<n> | iblp-excl:i=<n>,b=<n> | iblp-blockfirst:i=<n>,b=<n> |
-//   gcm[:seed=<n>] | marking-item[:seed=<n>] | marking-blockmark[:seed=<n>] |
-//   athreshold:a=<n> |
+//   iblp[:i=<n>,b=<n>] | iblp-excl[:i=<n>,b=<n>] |
+//   iblp-blockfirst[:i=<n>,b=<n>] |
+//   gcm[:seed=<n>,sideload=<n>] | marking-item[:seed=<n>] |
+//   marking-blockmark[:seed=<n>] |
+//   athreshold[:a=<n>] |
 //   belady-item | belady-block | belady-greedy-gc
 //
-// For IBLP specs, `i`/`b` may be omitted when a capacity is supplied to
-// `make_policy`: the split defaults to i = b = capacity/2.
+// Keys are optional and may come in any order. An unknown key, a repeated
+// key, or a value that does not parse fully into its key's type (unsigned
+// decimal integers, `a` below 2^32, `cold_block` 0 or 1, `p` a decimal real)
+// throws ContractViolation naming the spec and the key. For IBLP specs, `i`
+// defaults to capacity/2 and `b` to capacity - i; each must be at most the
+// capacity, and i + b must equal it.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +46,8 @@ std::vector<std::string> known_policy_names();
 
 /// Fast-path simulation of a policy spec: constructs the *concrete* policy
 /// class the spec names and dispatches to the devirtualized
-/// `simulate_fast<Policy>` engine (core/simulator.hpp) via a type switch
-/// over the registry. SimStats are bit-identical to
+/// `simulate_fast<Policy>` engine (core/simulator.hpp) through
+/// visit_policy. SimStats are bit-identical to
 /// `simulate(map, trace, *make_policy(spec, capacity), capacity)`; the
 /// differential harness in tests/test_fast_sim.cpp enforces this for every
 /// spec. `block_ids` must hold each access's block id (see

@@ -34,7 +34,7 @@ void expect_identical(const SimStats& verify, const SimStats& fast) {
 }
 
 /// Every bare factory name plus parameterized variants that exercise the
-/// fast path's argument plumbing through the type switch.
+/// fast path's argument plumbing through visit_policy.
 std::vector<std::string> specs_under_test() {
   std::vector<std::string> specs = known_policy_names();
   specs.push_back("item-slru:p=0.25");

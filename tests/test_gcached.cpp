@@ -211,8 +211,11 @@ TEST(GcachedSharding, CapacityShareSumsExactly) {
 TEST(GcachedDifferential, OneShardOneThreadMatchesSimulateFastExactly) {
   // Fill 0 runs through the same access() as real fills: one hold per
   // access, claim and commit of every miss inside it.
+  // A spec with parameters reaches the shards as the factory parses it.
+  std::vector<std::string> specs = supported_concurrent_specs();
+  specs.push_back("item-slru:p=0.25");
   for (const Workload& w : map_cases()) {
-    for (const std::string& spec : supported_concurrent_specs()) {
+    for (const std::string& spec : specs) {
       for (const std::size_t capacity : {std::size_t{64}, std::size_t{512}}) {
         SCOPED_TRACE(spec + " @ " + std::to_string(capacity) + " over " +
                      std::to_string(w.map->num_items()) + " items");

@@ -138,6 +138,36 @@ TEST(PolicyFactory, UnknownNameThrows) {
 TEST(PolicyFactory, MalformedParamsThrow) {
   EXPECT_THROW(make_policy("iblp:i=10,b=20", 64), ContractViolation);
   EXPECT_THROW(make_policy("athreshold:a", 64), ContractViolation);
+  // Each refusal names the spec and the offending key. An IBLP layer above
+  // the capacity is refused before i + b is summed, where b = capacity - i
+  // would wrap and pass the sum check. A key the spec does not accept, a
+  // value with trailing junk or a sign, and a value wider than its type
+  // (athreshold's a is 32-bit) are refused, not ignored or truncated.
+  const auto expect_refused = [](const std::string& spec, const char* key) {
+    SCOPED_TRACE(spec);
+    try {
+      make_policy(spec, 256);
+      ADD_FAILURE() << "accepted";
+    } catch (const ContractViolation& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + spec + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("key '" + std::string(key) + "'"), std::string::npos)
+          << msg;
+    }
+  };
+  expect_refused("iblp:i=300", "i");
+  expect_refused("iblp-excl:i=257", "i");
+  expect_refused("iblp-blockfirst:b=300", "b");
+  expect_refused("gcm:seed=abc", "seed");
+  expect_refused("gcm:sed=5", "sed");
+  expect_refused("iblp:i=100,b=156,zz=1", "zz");
+  expect_refused("item-lru:seed=1", "seed");
+  expect_refused("marking-item:seed=-5", "seed");
+  expect_refused("gcm:sideload=2x", "sideload");
+  expect_refused("athreshold:a=4294967297", "a");
+  expect_refused("item-slru:p=0.25x", "p");
+  expect_refused("footprint:cold_block=2", "cold_block");
+  expect_refused("gcm:seed=1,seed=2", "seed");
 }
 
 TEST(PolicyFactory, IblpDefaultsToEvenSplit) {

@@ -228,10 +228,10 @@ void check_lock_discipline(const FileModel& m, std::vector<Finding>& out) {
     int depth = 0;
     std::size_t last_line = 0;  // one finding per line
     // Deliberately bypasses add(): lock-discipline is NOT suppressible.
-    // Since the MSHR fill path proved every blocking case can release the
-    // shard first (register in flight, sleep unlocked, re-acquire to
-    // commit), there is no legitimate residual use of GCLINT-ALLOW here —
-    // no blocking under a shard guard, period.
+    // Since the fill-register protocol proved every blocking case can
+    // release the shard first (register in flight, sleep unlocked,
+    // re-acquire to commit), there is no legitimate residual use of
+    // GCLINT-ALLOW here — no blocking under a shard guard, period.
     const auto flag = [&](std::size_t line, const std::string& what) {
       if (line == last_line) return;
       last_line = line;
@@ -241,8 +241,8 @@ void check_lock_discipline(const FileModel& m, std::vector<Finding>& out) {
            what + " while shard guard '" + g.name + "' (line " +
                std::to_string(g.line) +
                ") is live — the shard's clients all stall behind this; move "
-               "the work outside the guard (the MSHR pattern: publish "
-               "in-flight state, release, re-acquire to commit)"});
+               "the work outside the guard (the fill-register protocol: "
+               "publish in-flight state, release, re-acquire to commit)"});
     };
     for (std::size_t i = f.body_begin; i < f.body_end && i < m.tokens.size();
          ++i) {
@@ -502,104 +502,23 @@ void check_layering(const Program& prog, const std::string& spec,
 
 // ---- rule: factory registration ---------------------------------------------
 
-/// String literals compared with `==` inside a function body (the factory's
-/// dispatch pattern `if (spec == "item-lru") ...`).
-std::set<std::string> compared_specs(const FileModel& m,
-                                     const FunctionDef& f) {
-  std::set<std::string> specs;
-  for (std::size_t i = f.body_begin + 1;
-       i < f.body_end && i < m.tokens.size(); ++i) {
-    const Token& t = m.tokens[i];
-    if (t.kind != Tok::kString || t.in_directive) continue;
-    for (std::size_t p = i; p-- > f.body_begin;) {
-      if (m.tokens[p].kind == Tok::kComment) continue;
-      if (is_punct(m.tokens[p], "==")) specs.insert(t.text);
-      break;
-    }
-  }
-  return specs;
-}
-
-/// Every string literal inside a function body (known_policy_names' table).
-std::set<std::string> all_specs(const FileModel& m, const FunctionDef& f) {
-  std::set<std::string> specs;
-  for (std::size_t i = f.body_begin;
-       i < f.body_end && i < m.tokens.size(); ++i)
-    if (m.tokens[i].kind == Tok::kString && !m.tokens[i].in_directive)
-      specs.insert(m.tokens[i].text);
-  return specs;
-}
-
-void report_spec_diff(const FileModel& m, std::size_t anchor,
-                      const std::set<std::string>& expected,
-                      const std::set<std::string>& actual,
-                      const std::string& expected_name,
-                      const std::string& actual_name,
-                      std::vector<Finding>& out) {
-  for (const std::string& spec : expected)
-    if (actual.find(spec) == actual.end())
-      add(out, m, anchor, "factory-registration",
-          "policy spec \"" + spec + "\" is handled by " + expected_name +
-              " but missing from " + actual_name +
-              " — every spec table of the factory must agree");
-}
-
+/// Each differential suite must enumerate the policy table rather than
+/// hard-code a spec list that silently goes stale.
 void check_factory(const Program& prog, std::vector<Finding>& out) {
-  constexpr const char* kRule = "factory-registration";
-  const FileModel* factory = nullptr;
-  for (const FileModel& m : prog.files)
-    if (ends_with_path(m.file->path, "src/policies/factory.cpp")) factory = &m;
-  if (factory == nullptr) return;
-  const FileModel& m = *factory;
-
-  const auto find_fn = [&](const char* name) -> const FunctionDef* {
-    for (const FunctionDef& f : m.functions)
-      if (f.name == name) return &f;
-    return nullptr;
-  };
-  const FunctionDef* f_make = find_fn("make_policy");
-  const FunctionDef* f_fast = find_fn("simulate_fast_spec");
-  const FunctionDef* f_known = find_fn("known_policy_names");
-  if (f_make == nullptr || f_fast == nullptr || f_known == nullptr) {
-    add(out, m, 1, kRule,
-        "could not locate the factory's spec tables (make_policy / "
-        "simulate_fast_spec / known_policy_names) — update gclint's anchors "
-        "if the factory was restructured");
-    return;
-  }
-
-  const std::set<std::string> make_specs = compared_specs(m, *f_make);
-  const std::set<std::string> fast_specs = compared_specs(m, *f_fast);
-  const std::set<std::string> known_specs = all_specs(m, *f_known);
-
-  report_spec_diff(m, f_make->line, make_specs, fast_specs, "make_policy",
-                   "simulate_fast_spec", out);
-  report_spec_diff(m, f_make->line, make_specs, known_specs, "make_policy",
-                   "known_policy_names", out);
-  report_spec_diff(m, f_known->line, known_specs, make_specs,
-                   "known_policy_names", "make_policy", out);
-
-  // The differential suites must enumerate the factory rather than hard-code
-  // a spec list that silently goes stale.
-  bool diff_test_enumerates = false;
-  bool saw_diff_test = false;
   for (const FileModel& t : prog.files) {
-    if (!is_test_file(t.file->path)) continue;
-    if (t.file->path.find("fast_sim") == std::string::npos &&
-        t.file->path.find("sweep_batched") == std::string::npos)
-      continue;
-    saw_diff_test = true;
-    for (const Token& tk : t.tokens)
-      if (is_code(tk) && is_ident(tk, "known_policy_names")) {
-        diff_test_enumerates = true;
-        break;
-      }
+    const std::string& path = t.file->path;
+    const bool differential = path.find("fast_sim") != std::string::npos ||
+                              path.find("sweep_batched") != std::string::npos;
+    if (!is_test_file(path) || !differential) continue;
+    const bool enumerates =
+        std::any_of(t.tokens.begin(), t.tokens.end(), [](const Token& tk) {
+          return is_code(tk) && is_ident(tk, "known_policy_names");
+        });
+    if (!enumerates)
+      add(out, t, 1, "factory-registration",
+          "differential test does not enumerate known_policy_names() — "
+          "policies added to the table would not be differentially tested");
   }
-  if (saw_diff_test && !diff_test_enumerates)
-    add(out, m, f_known->line, kRule,
-        "no differential test (tests/*fast_sim*, tests/*sweep_batched*) "
-        "enumerates known_policy_names() — new factory policies would not be "
-        "differentially tested");
 }
 
 // ---- rules: rng-discipline / no-cout ----------------------------------------
@@ -653,7 +572,7 @@ void check_allow_hygiene(const Program& prog, std::vector<Finding>& out) {
           out.push_back(
               {m.file->path, a.line, kRule,
                "GCLINT-ALLOW(lock-discipline) has no effect — the rule is "
-               "non-suppressible since the async MSHR fill path removed the "
+               "non-suppressible since the fill-register protocol removed the "
                "last sanctioned blocking-under-guard site; restructure the "
                "code to release the shard instead (docs/ANALYSIS.md)"});
         }
@@ -683,13 +602,14 @@ const std::vector<RuleInfo>& rule_catalog() {
        "While a ShardGuard/ShardHold is live: no blocking calls, no "
        "file I/O, no allocation or container growth, no second shard guard "
        "(deadlock risk). Non-suppressible — no blocking under a guard, "
-       "period; fills go through the MSHR release/re-acquire protocol."},
+       "period; fills go through the fill-register protocol (register, "
+       "release, re-acquire to commit)."},
       {"layering",
        "The src/ include graph must respect the layer DAG declared in "
        "tools/gclint/layers.txt: no back-edges, no undeclared directories, "
        "no include cycles."},
       {"factory-registration",
-       "The factory's spec tables must agree and the differential tests "
+       "Each differential test (tests/*fast_sim*, tests/*sweep_batched*) "
        "must enumerate known_policy_names()."},
       {"rng-discipline",
        "No raw RNG primitives outside util/rng.hpp; all randomness flows "

@@ -49,11 +49,10 @@
 //                             same-line directories may include each other).
 //                             Back-edges, undeclared directories, and
 //                             file-level include cycles all fail.
-//   factory-registration      The factory's spec tables (make_policy,
-//                             simulate_fast_spec, known_policy_names) must
-//                             agree, and the differential tests must
-//                             enumerate the factory (known_policy_names) so
-//                             every registered spec is diff-tested.
+//   factory-registration      Each differential test (tests/*fast_sim*,
+//                             tests/*sweep_batched*) must enumerate the
+//                             policy table (known_policy_names) so every
+//                             registered spec is diff-tested.
 //   rng-discipline            No rand()/srand()/std::random_device/
 //                             std::mt19937/... outside util/rng.hpp —
 //                             determinism given a seed is a hard requirement.
