@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace gcaching::bench {
@@ -69,6 +70,15 @@ class TableSink {
   TextTable table_;
   std::optional<CsvWriter> csv_;
 };
+
+/// Parses one numeric flag value with the shared rule of util/parse.hpp; a
+/// value it refuses exits 2 naming the flag.
+template <typename T>
+T flag_number(std::string_view flag, std::string_view raw) {
+  if (const std::optional<T> v = parse_number<T>(raw)) return *v;
+  std::cerr << "invalid value for " << flag << ": '" << raw << "'\n";
+  std::exit(2);
+}
 
 inline std::string fmt(double v, int precision = 3) {
   return TextTable::fmt(v, precision);
@@ -180,13 +190,17 @@ inline std::optional<std::string> json_line_string(const std::string& line,
   return line.substr(begin, end - begin);
 }
 
-/// Pulls `"key": number` out of one serialized result line.
+/// Pulls `"key": number` out of one serialized result line; nullopt when
+/// the key is absent or its value is not a number.
 inline std::optional<double> json_line_number(const std::string& line,
                                               const std::string& key) {
   const std::string needle = "\"" + key + "\": ";
   const std::size_t at = line.find(needle);
   if (at == std::string::npos) return std::nullopt;
-  return std::stod(line.substr(at + needle.size()));
+  const std::size_t begin = at + needle.size();
+  const std::size_t end = line.find_first_of(",}", begin);
+  return parse_number<double>(
+      std::string_view(line).substr(begin, end - begin));
 }
 
 /// Reads the provenance stamps a bench JSON line carries into `p`.

@@ -24,6 +24,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,18 +59,11 @@ struct Options {
   bool perf = false;
 };
 
-std::vector<std::size_t> parse_size_list(const std::string& arg) {
+std::vector<std::size_t> parse_size_list(std::string_view flag,
+                                         std::string_view arg) {
   std::vector<std::size_t> out;
-  std::size_t start = 0;
-  while (start <= arg.size()) {
-    const std::size_t comma = arg.find(',', start);
-    const std::size_t end = comma == std::string::npos ? arg.size() : comma;
-    if (end > start)
-      out.push_back(static_cast<std::size_t>(
-          std::stoull(arg.substr(start, end - start))));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
+  for (const std::string_view token : split_list(arg))
+    out.push_back(flag_number<std::size_t>(flag, token));
   return out;
 }
 
@@ -84,19 +78,19 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--policy" && a + 1 < argc) {
       opts.policy = argv[++a];
     } else if (arg == "--shards" && a + 1 < argc) {
-      opts.shards = parse_size_list(argv[++a]);
+      opts.shards = parse_size_list(arg, argv[++a]);
     } else if (arg == "--threads" && a + 1 < argc) {
-      opts.threads = parse_size_list(argv[++a]);
+      opts.threads = parse_size_list(arg, argv[++a]);
     } else if (arg == "--ops" && a + 1 < argc) {
-      opts.ops = std::stoull(argv[++a]);
+      opts.ops = flag_number<std::uint64_t>(arg, argv[++a]);
     } else if (arg == "--fill-us" && a + 1 < argc) {
-      opts.fill_us = std::stod(argv[++a]);
+      opts.fill_us = flag_number<double>(arg, argv[++a]);
     } else if (arg == "--seed" && a + 1 < argc) {
-      opts.seed = std::stoull(argv[++a]);
+      opts.seed = flag_number<std::uint64_t>(arg, argv[++a]);
     } else if (arg == "--compare" && a + 1 < argc) {
       opts.compare_path = argv[++a];
     } else if (arg == "--mon-interval-ms" && a + 1 < argc) {
-      opts.mon_interval_ms = std::stoull(argv[++a]);
+      opts.mon_interval_ms = flag_number<std::uint64_t>(arg, argv[++a]);
     } else if (arg == "--mon") {
       opts.mon = true;
     } else if (arg == "--perf") {

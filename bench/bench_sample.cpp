@@ -50,9 +50,9 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--json" && a + 1 < argc) {
       opts.json_path = argv[++a];
     } else if (arg == "--threads" && a + 1 < argc) {
-      opts.threads = std::stoull(argv[++a]);
+      opts.threads = flag_number<std::size_t>(arg, argv[++a]);
     } else if (arg == "--repeats" && a + 1 < argc) {
-      opts.repeats = std::stoi(argv[++a]);
+      opts.repeats = flag_number<int>(arg, argv[++a]);
     } else if (arg == "--quick") {
       opts.quick = true;
       opts.repeats = 1;

@@ -13,14 +13,21 @@
 #include "bounds/partition.hpp"
 #include "policies/factory.hpp"
 #include "traces/adversary.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace gcaching;
 
-  const std::size_t k = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1024;
-  const std::size_t B = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 16;
-  const std::size_t h = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 64;
+  const auto arg = [&](int index, std::size_t fallback) -> std::size_t {
+    if (argc <= index) return fallback;
+    if (const auto v = parse_number<std::size_t>(argv[index])) return *v;
+    std::cerr << "usage: adversarial_gap [k] [B] [h] (unsigned integers)\n";
+    std::exit(2);
+  };
+  const std::size_t k = arg(1, 1024);
+  const std::size_t B = arg(2, 16);
+  const std::size_t h = arg(3, 64);
   const double kd = static_cast<double>(k), Bd = static_cast<double>(B),
                hd = static_cast<double>(h);
 

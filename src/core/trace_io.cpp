@@ -6,9 +6,11 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define GC_TRACE_BIN_MMAP 1
@@ -19,6 +21,7 @@
 #endif
 
 #include "util/contracts.hpp"
+#include "util/parse.hpp"
 
 namespace gcaching {
 
@@ -37,6 +40,19 @@ bool next_content_line(std::istream& is, std::string& line) {
     return true;
   }
   return false;
+}
+
+/// Reads the next whitespace-separated token of `is` as an unsigned T
+/// under the shared rule of util/parse.hpp. False at the end of the input;
+/// a token that is not one fails the load naming `what`.
+template <typename T>
+bool read_number(std::istream& is, T& out, const char* what) {
+  std::string token;
+  if (!(is >> token)) return false;
+  const std::optional<T> v = parse_number<T>(token);
+  if (!v) parse_fail(std::string("malformed ") + what + ": '" + token + "'");
+  out = *v;
+  return true;
 }
 
 }  // namespace
@@ -86,27 +102,33 @@ Workload load_workload(std::istream& is) {
       w.name = (first == std::string::npos) ? "" : rest.substr(first);
     } else if (key == "items") {
       std::string kw1, kw2;
-      if (!(ls >> n_items >> kw1 >> n_blocks >> kw2 >> max_block) ||
+      if (!(read_number(ls, n_items, "item count") && ls >> kw1 &&
+            read_number(ls, n_blocks, "block count") && ls >> kw2 &&
+            read_number(ls, max_block, "maxblock")) ||
           kw1 != "blocks" || kw2 != "maxblock")
         parse_fail("malformed 'items' line: " + line);
     } else if (key == "uniform") {
-      if (!(ls >> uniform_b)) parse_fail("malformed 'uniform' line");
+      if (!read_number(ls, uniform_b, "uniform block size"))
+        parse_fail("malformed 'uniform' line");
       uniform = true;
     } else if (key == "block") {
       BlockId j = 0;
-      if (!(ls >> j)) parse_fail("malformed 'block' line");
+      if (!read_number(ls, j, "block id"))
+        parse_fail("malformed 'block' line");
       if (j != blocks.size()) parse_fail("block ids must appear in order");
       std::vector<ItemId> items;
       ItemId it = 0;
-      while (ls >> it) items.push_back(it);
+      while (read_number(ls, it, "item id")) items.push_back(it);
       if (items.empty()) parse_fail("empty block in input");
       blocks.push_back(std::move(items));
     } else if (key == "trace") {
-      if (!(ls >> trace_len)) parse_fail("malformed 'trace' line");
+      if (!read_number(ls, trace_len, "trace length"))
+        parse_fail("malformed 'trace' line");
       std::vector<ItemId> acc;
       acc.reserve(trace_len);
       ItemId it = 0;
-      while (acc.size() < trace_len && is >> it) acc.push_back(it);
+      while (acc.size() < trace_len && read_number(is, it, "trace id"))
+        acc.push_back(it);
       if (acc.size() != trace_len)
         parse_fail("trace shorter than declared length");
       w.trace = Trace(std::move(acc));

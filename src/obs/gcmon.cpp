@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "obs/trace_event.hpp"
 #include "util/contracts.hpp"
+#include "util/parse.hpp"
 
 namespace gcaching::obs {
 
@@ -327,17 +327,6 @@ bool valid_metric_name(const std::string& s) {
   return std::all_of(s.begin() + 1, s.end(), tail);
 }
 
-bool parse_finite_number(const std::string& s) {
-  if (s.empty()) return false;
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    return used == s.size() && std::isfinite(v);
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 }  // namespace
 
 std::string validate_prometheus_text(const std::string& text) {
@@ -394,7 +383,7 @@ std::string validate_prometheus_text(const std::string& text) {
     if (value_begin == std::string::npos)
       return at + ": sample has no value";
     const std::string value = line.substr(value_begin);
-    if (!parse_finite_number(value))
+    if (!parse_number<double>(value))
       return at + ": value \"" + value + "\" is not a finite number";
     any_sample = true;
   }

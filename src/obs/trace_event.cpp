@@ -4,9 +4,13 @@
 #include <cctype>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/parse.hpp"
 
 namespace gcaching::obs {
 
@@ -324,11 +328,13 @@ class JsonParser {
       fail("malformed value");
       return v;
     }
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
+    const std::optional<double> number = ::gcaching::parse_number<double>(
+        std::string_view(text_).substr(start, pos_ - start));
+    if (!number) {
       fail("malformed number");
+      return v;
     }
+    v.number = *number;
     return v;
   }
 

@@ -1,8 +1,7 @@
 #include "policies/factory.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <system_error>
+#include <optional>
 #include <type_traits>
 
 #include "core/simulator.hpp"
@@ -10,6 +9,7 @@
 #include "obs/obs.hpp"
 #include "policies/policy_table.hpp"
 #include "util/contracts.hpp"
+#include "util/parse.hpp"
 
 namespace gcaching {
 
@@ -42,16 +42,14 @@ template <typename T>
 T SpecArgs::get(std::string_view key, T fallback, T max) const {
   for (const auto& [k, value] : params_) {
     if (k != key) continue;
-    T v{};
-    const char* end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-    GC_REQUIRE(ec == std::errc() && ptr == end && v <= max,
+    const std::optional<T> v = parse_number<T>(value);
+    GC_REQUIRE(v && *v <= max,
                "policy spec '" + spec_ + "': key '" + k + "' needs " +
                    (std::is_integral_v<T>
                         ? "an unsigned integer <= " + std::to_string(max)
                         : std::string("a number")) +
                    ", got '" + value + "'");
-    return v;
+    return *v;
   }
   return fallback;
 }

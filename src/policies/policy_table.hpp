@@ -52,9 +52,10 @@ class SpecArgs {
   /// Throws unless every given key is one of `keys`.
   void require_known(const SpecKeys& keys) const;
 
-  /// `key`'s value parsed fully as a T (std::from_chars: no sign on an
-  /// unsigned, no trailing text) and at most `max`, or `fallback` when the
-  /// spec omits it; otherwise throws naming the spec and the key.
+  /// `key`'s value parsed as a T by util/parse.hpp's parse_number (no sign
+  /// on an unsigned, no trailing text, finite) and at most `max`, or
+  /// `fallback` when the spec omits it; otherwise throws naming the spec
+  /// and the key.
   template <typename T>
   T get(std::string_view key, T fallback,
         T max = std::numeric_limits<T>::max()) const;

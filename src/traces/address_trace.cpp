@@ -1,13 +1,17 @@
 #include "traces/address_trace.hpp"
 
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "util/contracts.hpp"
 #include "util/mathx.hpp"
+#include "util/parse.hpp"
 
 namespace gcaching::traces {
 
@@ -33,14 +37,14 @@ std::vector<std::string> split_line(const std::string& line, char delim) {
   return out;
 }
 
+/// A decimal or 0x-prefixed hexadecimal unsigned field.
 std::uint64_t parse_u64(const std::string& s, std::size_t line_no) {
-  try {
-    if (s.rfind("0x", 0) == 0 || s.rfind("0X", 0) == 0)
-      return std::stoull(s.substr(2), nullptr, 16);
-    return std::stoull(s);
-  } catch (const std::exception&) {
-    fail(line_no, "cannot parse number: '" + s + "'");
-  }
+  const bool hex = s.starts_with("0x") || s.starts_with("0X");
+  const std::optional<std::uint64_t> v =
+      parse_number<std::uint64_t>(std::string_view(s).substr(hex ? 2 : 0),
+                                  hex ? 16 : 10);
+  if (!v) fail(line_no, "cannot parse number: '" + s + "'");
+  return *v;
 }
 
 }  // namespace
@@ -72,6 +76,8 @@ Workload load_address_trace(std::istream& is,
       bytes = parse_u64(fields[fmt.size_field], line_no);
       if (bytes == 0) continue;  // zero-length records are no-ops
     }
+    if (bytes - 1 > std::numeric_limits<std::uint64_t>::max() - address)
+      fail(line_no, "record ends past 2^64");
     const std::uint64_t first_item = address / fmt.item_bytes;
     const std::uint64_t last_item = (address + bytes - 1) / fmt.item_bytes;
     for (std::uint64_t it = first_item; it <= last_item; ++it) {

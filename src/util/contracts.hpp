@@ -19,14 +19,27 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace gcaching {
 
-/// Thrown when a GC_REQUIRE / GC_ENSURE / GC_CHECK contract fails.
+/// Thrown when a GC_REQUIRE / GC_ENSURE / GC_CHECK contract fails. what()
+/// names the failed expression and its source line, for tests and crash
+/// reports; message() is the sentence a user reads.
 class ContractViolation : public std::logic_error {
  public:
   explicit ContractViolation(const std::string& what_arg)
       : std::logic_error(what_arg) {}
+
+  /// The text after " — ", or all of what() when it has none.
+  std::string message() const {
+    constexpr std::string_view kDash = " — ";
+    const std::string_view text = what();
+    const std::size_t at = text.find(kDash);
+    return std::string(at == std::string_view::npos
+                           ? text
+                           : text.substr(at + kDash.size()));
+  }
 };
 
 namespace detail {

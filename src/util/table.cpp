@@ -6,8 +6,10 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "util/contracts.hpp"
+#include "util/parse.hpp"
 
 namespace gcaching {
 
@@ -26,17 +28,12 @@ void TextTable::add_separator() { rows_.push_back(Row{true, {}}); }
 
 namespace {
 
-bool looks_numeric(const std::string& s) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  std::strtod(s.c_str(), &end);
-  if (end == s.c_str()) return s == "inf" || s == "-inf" || s == "nan";
-  // allow trailing unit-ish suffixes like "x" or "%"
-  while (end && *end != '\0') {
-    if (*end != 'x' && *end != '%' && *end != ' ') return false;
-    ++end;
-  }
-  return true;
+/// A number, with a sign and trailing unit-ish suffixes like "x" or "%"
+/// allowed; fmt's "inf", "-inf" and "nan" count too.
+bool looks_numeric(std::string_view s) {
+  s = s.substr(0, s.find_last_not_of("x% ") + 1);
+  if (s.starts_with('+') || s.starts_with('-')) s.remove_prefix(1);
+  return s == "inf" || s == "nan" || parse_number<double>(s).has_value();
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "bounds/randomized.hpp"
 #include "core/simulator.hpp"
@@ -98,6 +100,33 @@ TEST(AddressTrace, MalformedRecordFailsLoudly) {
   std::istringstream empty("# only comments\n");
   EXPECT_THROW(load_address_trace(empty, line64_row8()),
                std::runtime_error);
+}
+
+TEST(AddressTrace, RecordPastTheAddressSpaceFailsLoudly) {
+  // 0xfffffffffffffff0 + 64 passes 2^64; the wrapped end used to drop the
+  // record without a word.
+  AddressTraceFormat fmt = line64_row8();
+  fmt.has_size = false;
+  std::istringstream wraps("0\n0xfffffffffffffff0\n64\n");
+  EXPECT_THROW(load_address_trace(wraps, fmt), std::runtime_error);
+  std::istringstream huge("0x1000 0xffffffffffffffff\n");
+  EXPECT_THROW(load_address_trace(huge, line64_row8()), std::runtime_error);
+  std::istringstream last("0xffffffffffffffc0 64\n");
+  EXPECT_EQ(load_address_trace(last, line64_row8()).trace.size(), 1u);
+}
+
+TEST(AddressTrace, SignedOrSuffixedAddressFailsLoudly) {
+  for (const char* address : {"-5", "+7", "12abc"}) {
+    SCOPED_TRACE(address);
+    std::istringstream is("0 64\n" + std::string(address) + " 64\n");
+    try {
+      load_address_trace(is, line64_row8());
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(AddressTrace, ImportedWorkloadSimulatesCleanly) {

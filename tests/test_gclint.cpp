@@ -354,6 +354,30 @@ TEST(GclintHygiene, RngHomeAndTestsAreExempt) {
   EXPECT_TRUE(gclint::lint(files).empty());
 }
 
+TEST(GclintHygiene, NumberParsingOutsideParseHeaderIsFlagged) {
+  // parse.hpp itself, tests, tools and lookalike identifiers stay clean.
+  const std::vector<SourceFile> files = {
+      {"src/traces/reader.cpp",
+       "auto a = std::stoull(tok);\n"
+       "auto [p, ec] = std::from_chars(b, e, v);\n"
+       "double d = std::strtod(s, nullptr);\n"
+       "int i = atoi(s);\n"},
+      {"src/util/parse.hpp", "auto r = std::from_chars(f, l, v);\n"},
+      {"src/core/x.cpp",
+       "std::from_chars_result r{};\nint stoi_count = 0;\n"},
+      {"tests/test_x.cpp", "int n = std::stoi(s);\n"},
+      {"tools/gcsim/main.cpp", "auto v = std::stoull(s);\n"}};
+  const auto findings = gclint::lint(files);
+  ASSERT_EQ(findings.size(), 4u);
+  for (std::size_t n = 0; n < findings.size(); ++n) {
+    EXPECT_EQ(findings[n].rule, "parse-discipline");
+    EXPECT_EQ(findings[n].path, "src/traces/reader.cpp");
+    EXPECT_EQ(findings[n].line, n + 1);
+  }
+  EXPECT_NE(findings[0].message.find("stoull"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("util/parse.hpp"), std::string::npos);
+}
+
 TEST(GclintHygiene, TerminalOutputInLibraryIsFlagged) {
   const std::vector<SourceFile> files = {
       {"src/sim/runner.cpp", "std::cout << cell;\nprintf(fmt, x);\n"},
@@ -962,6 +986,9 @@ const Mutation kMutations[] = {
      "  nm << \"zipf-items(n=\"",
      "  std::mt19937 gen(seed);\n  nm << \"zipf-items(n=\"",
      "rng-discipline"},
+    {"stod back in the Prometheus validator", "src/obs/gcmon.cpp",
+     "    if (!parse_number<double>(value))",
+     "    if (!std::isfinite(std::stod(value)))", "parse-discipline"},
     {"printf in trace_io", "src/core/trace_io.cpp",
      "    if (line[first] == '#') continue;",
      "    if (line[first] == '#') continue;\n    printf(\"%s\", line.c_str());",

@@ -150,6 +150,10 @@ TEST(TraceValidator, RejectsMalformedInput) {
   EXPECT_NE(validate_chrome_trace(R"({"traceEvents": [{}]})"), "");
   // Truncated file (the crash-mid-write shape).
   EXPECT_NE(validate_chrome_trace(R"({"traceEvents": [{"name": "a")"), "");
+  // A number with text left over (it once read as 1).
+  EXPECT_NE(validate_chrome_trace(R"({"traceEvents": [
+        {"name": "a", "ph": "X", "ts": 1-2, "dur": 1, "pid": 1, "tid": 0}]})"),
+            "");
 }
 
 TEST(TraceValidator, RejectsSchemaViolations) {

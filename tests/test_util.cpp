@@ -1,14 +1,25 @@
 // Unit tests for src/util: rng, zipf, mathx, table, csv, contracts.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string_view>
+#include <vector>
 
+#include "core/trace_io.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/mathx.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/zipf.hpp"
@@ -25,6 +36,17 @@ TEST(Contracts, RequireThrowsWithContext) {
     EXPECT_NE(what.find("math broke"), std::string::npos);
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
   }
+}
+
+TEST(Contracts, MessageIsTheTextAfterTheDash) {
+  try {
+    GC_REQUIRE(1 == 2, "math broke");
+    FAIL() << "should have thrown";
+  } catch (const ContractViolation& e) {
+    EXPECT_EQ(e.message(), "math broke");
+    EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
+  }
+  EXPECT_EQ(ContractViolation("no dash here").message(), "no dash here");
 }
 
 TEST(Contracts, PassingChecksAreSilent) {
@@ -245,6 +267,133 @@ TEST(Mathx, BisectRejectsUnrepresentableSentinel) {
             kMax);
 }
 
+// ---- parse_number: one accept/reject table per type ------------------------
+
+/// Inputs every type refuses: nothing, surrounding space, a '+', trailing
+/// text, non-finite spellings, an out-of-range exponent and a hex float.
+const std::vector<std::string_view> kRejectedByAll = {
+    "",    " 1",  "1 ",  "+1",    "1x",   "12abc", "inf",
+    "-inf", "nan", "1e999", "0x1p3", "1 2", "\t1"};
+
+template <typename T>
+void expect_table(const std::vector<std::pair<std::string_view, T>>& accepted,
+                  const std::vector<std::string_view>& rejected,
+                  int base = 10) {
+  for (const auto& [text, value] : accepted) {
+    const std::optional<T> v = parse_number<T>(text, base);
+    ASSERT_TRUE(v.has_value()) << "refused '" << text << "'";
+    EXPECT_EQ(*v, value) << text;
+  }
+  for (const std::string_view text : rejected) {
+    EXPECT_FALSE(parse_number<T>(text, base).has_value())
+        << "accepted '" << text << "'";
+  }
+  if (base != 10) return;
+  for (const std::string_view text : kRejectedByAll) {
+    EXPECT_FALSE(parse_number<T>(text).has_value())
+        << "accepted '" << text << "'";
+  }
+}
+
+TEST(ParseNumber, Uint32Table) {
+  expect_table<std::uint32_t>(
+      {{"0", 0u}, {"7", 7u}, {"007", 7u}, {"4294967295", 4294967295u}},
+      {"-1", "-0", "4294967296", "99999999999", "1.5", "1e3", "0x10"});
+}
+
+TEST(ParseNumber, Uint64Table) {
+  expect_table<std::uint64_t>(
+      {{"0", 0u},
+       {"18446744073709551615", std::numeric_limits<std::uint64_t>::max()}},
+      {"-5", "-0", "18446744073709551616", "1.0", "0x10"});
+}
+
+TEST(ParseNumber, LongLongTable) {
+  expect_table<long long>(
+      {{"-5", -5},
+       {"0", 0},
+       {"9223372036854775807", std::numeric_limits<long long>::max()},
+       {"-9223372036854775808", std::numeric_limits<long long>::min()}},
+      {"9223372036854775808", "-9223372036854775809", "--5", "5.0"});
+}
+
+TEST(ParseNumber, DoubleTable) {
+  expect_table<double>({{"0.5", 0.5},
+                        {"-2.5", -2.5},
+                        {"1e3", 1000.0},
+                        {"1E-3", 0.001},
+                        {".5", 0.5},
+                        {"5.", 5.0},
+                        {"2e16", 2e16}},
+                       {"1e", "1-2", "--1", ".", "e5", "infinity", "-nan"});
+}
+
+TEST(ParseNumber, Base16Table) {
+  expect_table<std::uint64_t>(
+      {{"0", 0u},
+       {"ff", 255u},
+       {"FF", 255u},
+       {"ffffffffffffffff", std::numeric_limits<std::uint64_t>::max()}},
+      {"", "-1", "+1", " f", "f ", "0x10", "fg", "10000000000000000"}, 16);
+}
+
+template <typename T>
+void expect_round_trip(T value, int base = 10) {
+  char buf[64];
+  const std::to_chars_result r = [&] {
+    if constexpr (std::is_floating_point_v<T>)
+      return std::to_chars(buf, buf + sizeof buf, value);
+    else
+      return std::to_chars(buf, buf + sizeof buf, value, base);
+  }();
+  ASSERT_EQ(r.ec, std::errc());
+  const std::string_view text(buf, static_cast<std::size_t>(r.ptr - buf));
+  const std::optional<T> back = parse_number<T>(text, base);
+  ASSERT_TRUE(back.has_value()) << "refused its own rendering '" << text
+                                << "'";
+  if constexpr (std::is_floating_point_v<T>)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*back),
+              std::bit_cast<std::uint64_t>(value))
+        << text;
+  else
+    EXPECT_EQ(*back, value) << text;
+}
+
+TEST(ParseNumber, SeededRoundTripThroughToChars) {
+  SplitMix64 rng(36);
+  for (int n = 0; n < 20000; ++n) {
+    const std::uint64_t bits = rng();
+    expect_round_trip<std::uint64_t>(bits);
+    expect_round_trip<std::uint64_t>(bits, 16);
+    expect_round_trip<std::uint32_t>(static_cast<std::uint32_t>(bits));
+    expect_round_trip<long long>(std::bit_cast<long long>(bits));
+    const double d = std::bit_cast<double>(bits);
+    if (std::isfinite(d)) expect_round_trip<double>(d);
+    expect_round_trip<double>(rng.uniform01());
+  }
+}
+
+TEST(ParseNumber, SplitListKeepsEmptyTokens) {
+  using V = std::vector<std::string_view>;
+  EXPECT_EQ(split_list("64,128"), (V{"64", "128"}));
+  EXPECT_EQ(split_list("64,,128"), (V{"64", "", "128"}));
+  EXPECT_EQ(split_list("64,"), (V{"64", ""}));
+  EXPECT_EQ(split_list(""), (V{""}));
+  EXPECT_EQ(split_list("a:b", ':'), (V{"a", "b"}));
+}
+
+TEST(ParseNumber, WorkloadTextRefusesAttachedText) {
+  const std::string head = "gcworkload v1\nitems 4 blocks 1 maxblock 4\n";
+  std::istringstream ok(head + "uniform 4\ntrace 2\n1 3\n");
+  EXPECT_EQ(load_workload(ok).trace.size(), 2u);
+  std::istringstream trace_id(head + "uniform 4\ntrace 2\n1 3x\n");
+  EXPECT_THROW(load_workload(trace_id), std::runtime_error);
+  std::istringstream header(head + "uniform 4x\ntrace 2\n1 3\n");
+  EXPECT_THROW(load_workload(header), std::runtime_error);
+  std::istringstream negative(head + "uniform 4\ntrace 2\n1 -3\n");
+  EXPECT_THROW(load_workload(negative), std::runtime_error);
+}
+
 TEST(TextTable, RendersHeadersAndRows) {
   TextTable t({"name", "value"});
   t.add_row({"alpha", "1.5"});
@@ -265,6 +414,16 @@ TEST(TextTable, FormatHelpers) {
   EXPECT_EQ(TextTable::fmt_ratio(std::numeric_limits<double>::infinity()),
             "inf");
   EXPECT_EQ(TextTable::fmt_int(42), "42");
+}
+
+TEST(TextTable, AlignsNumbersRightAndTextLeft) {
+  TextTable t({"v"});
+  for (const char* cell : {"1.5x", "-inf", "+3%", "n/a", "1-2", "12abc"})
+    t.add_row({cell});
+  const std::string out = t.render();
+  for (const char* row : {"|  1.5x |", "|  -inf |", "|   +3% |", "| n/a   |",
+                          "| 1-2   |", "| 12abc |"})
+    EXPECT_NE(out.find(row), std::string::npos) << row << "\n" << out;
 }
 
 TEST(TextTable, SeparatorRows) {

@@ -89,6 +89,17 @@ const std::set<std::string>& rng_tokens() {
   return kTokens;
 }
 
+/// The standard library's text-to-number readers; each has its own idea of
+/// leading space, signs, trailing text and range.
+const std::set<std::string>& number_parse_tokens() {
+  static const std::set<std::string> kTokens = {
+      "stoi",   "stol",    "stoll",    "stoul",     "stoull",    "stof",
+      "stod",   "stold",   "strtol",   "strtoll",   "strtoul",   "strtoull",
+      "strtof", "strtod",  "strtold",  "strtoimax", "strtoumax", "atoi",
+      "atol",   "atoll",   "atof",     "from_chars"};
+  return kTokens;
+}
+
 bool is_lock_home(const FileModel& m) {
   return ends_with_path(m.file->path, "src/gcached/shard_lock.hpp");
 }
@@ -521,12 +532,13 @@ void check_factory(const Program& prog, std::vector<Finding>& out) {
   }
 }
 
-// ---- rules: rng-discipline / no-cout ----------------------------------------
+// ---- rules: rng-discipline / parse-discipline / no-cout ---------------------
 
 void check_library_hygiene(const FileModel& m, std::vector<Finding>& out) {
   const std::string& path = m.file->path;
   if (!is_library_file(path)) return;
   const bool is_rng_home = ends_with_path(path, "src/util/rng.hpp");
+  const bool is_parse_home = ends_with_path(path, "src/util/parse.hpp");
   std::size_t last_cout_line = 0;
   for (std::size_t i = 0; i < m.tokens.size(); ++i) {
     const Token& t = m.tokens[i];
@@ -536,6 +548,12 @@ void check_library_hygiene(const FileModel& m, std::vector<Finding>& out) {
           "'" + t.text + "' outside util/rng.hpp — all randomness must flow " +
               "through the seeded SplitMix64 (determinism across thread " +
               "schedules is a hard requirement)");
+    }
+    if (!is_parse_home && number_parse_tokens().count(t.text) > 0) {
+      add(out, m, t.line, "parse-discipline",
+          "'" + t.text + "' outside util/parse.hpp — every number read " +
+              "from text goes through parse_number, so all inputs refuse " +
+              "the same malformed values");
     }
     const bool is_cout = t.text == "cout";
     const bool is_printf = t.text == "printf" && is_call_at(m.tokens, i);
@@ -614,6 +632,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"rng-discipline",
        "No raw RNG primitives outside util/rng.hpp; all randomness flows "
        "through the seeded SplitMix64."},
+      {"parse-discipline",
+       "No std::sto*/strto*/ato*/from_chars outside util/parse.hpp; every "
+       "number read from text goes through parse_number."},
       {"no-cout",
        "No std::cout/printf in library code; tools own the terminal."},
       {"build-coverage",

@@ -56,6 +56,9 @@
 //   rng-discipline            No rand()/srand()/std::random_device/
 //                             std::mt19937/... outside util/rng.hpp —
 //                             determinism given a seed is a hard requirement.
+//   parse-discipline          No std::sto*/strto*/ato*/from_chars outside
+//                             util/parse.hpp — every number read from text
+//                             goes through parse_number's one strict rule.
 //   no-cout                   No std::cout / printf in library code (src/);
 //                             libraries report through return values and
 //                             exceptions, tools own the terminal.

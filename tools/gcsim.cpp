@@ -20,6 +20,7 @@
 // a stale flag never runs silently with the defaults.
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -32,6 +33,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -61,11 +63,27 @@
 #include "traces/layout.hpp"
 #include "traces/locality_trace.hpp"
 #include "traces/synthetic.hpp"
+#include "util/contracts.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace gcaching::cli {
 namespace {
+
+/// Parses one numeric value with the shared rule of util/parse.hpp; a value
+/// it refuses exits 2 naming `what` (a flag, or a field of one). Every real
+/// value gcsim reads is a size, a rate, a weight or a cost, so a negative
+/// one is refused too.
+template <typename T>
+T number(std::string_view what, std::string_view raw) {
+  const std::optional<T> v = parse_number<T>(raw);
+  if (v && !(std::is_floating_point_v<T> && std::signbit(*v))) return *v;
+  std::cerr << "invalid "
+            << (std::is_floating_point_v<T> ? "number" : "integer") << " for "
+            << what << ": '" << raw << "'\n";
+  std::exit(2);
+}
 
 // ---------------------------------------------------------------------------
 // Tiny argument parser: --key value pairs, repeated keys accumulate. A few
@@ -121,7 +139,7 @@ class Args {
   std::uint64_t get_u64(const std::string& key,
                         std::optional<std::uint64_t> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    return parse_u64(key, get(key));
+    return number<std::uint64_t>("--" + key, get(key));
   }
 
   /// Signed integer, so `--shards -4` can be validated as -4 rather than
@@ -129,19 +147,13 @@ class Args {
   long long get_i64(const std::string& key,
                     std::optional<long long> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    return parse_number<long long>(
-        key, get(key), [](const std::string& s, std::size_t* used) {
-          return std::stoll(s, used);
-        });
+    return number<long long>("--" + key, get(key));
   }
 
   double get_f64(const std::string& key,
                  std::optional<double> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    return parse_number<double>(
-        key, get(key), [](const std::string& s, std::size_t* used) {
-          return std::stod(s, used);
-        });
+    return number<double>("--" + key, get(key));
   }
 
   /// Comma-separated unsigned integers. Every token, empty ones included,
@@ -149,12 +161,9 @@ class Args {
   std::vector<std::size_t> get_sizes(const std::string& key) const {
     const std::string raw = get(key);
     std::vector<std::size_t> out;
-    for (std::size_t start = 0;;) {
-      const std::size_t comma = raw.find(',', start);
-      out.push_back(parse_u64(key, raw.substr(start, comma - start)));
-      if (comma == std::string::npos) return out;
-      start = comma + 1;
-    }
+    for (const std::string_view token : split_list(raw))
+      out.push_back(number<std::uint64_t>("--" + key, token));
+    return out;
   }
 
   /// Exits 2 naming the first given option that no lookup has read yet.
@@ -179,42 +188,6 @@ class Args {
       std::abort();
     }
     read_.insert(key);
-  }
-
-  /// The one checked numeric parse behind every numeric getter: `parse` (a
-  /// std::sto* call) must consume the whole token, so trailing junk ("64x")
-  /// and empty tokens fail instead of being dropped. Unsigned and real
-  /// values must also start with a digit (or '.'), which rejects a sign —
-  /// std::stoull would wrap "-64" to 2^64-64 — and inf/nan. Any failure
-  /// exits 2 naming the flag.
-  template <typename T, typename Parse>
-  static T parse_number(const std::string& key, const std::string& raw,
-                        Parse parse) {
-    constexpr bool kReal = std::is_floating_point_v<T>;
-    const bool lead_ok =
-        std::is_same_v<T, long long> ||
-        (!raw.empty() && (std::isdigit(static_cast<unsigned char>(raw[0])) ||
-                          (kReal && raw[0] == '.')));
-    if (lead_ok) {
-      try {
-        std::size_t used = 0;
-        const T v = parse(raw, &used);
-        if (used == raw.size()) return v;
-      } catch (const std::exception&) {
-        // std::invalid_argument or std::out_of_range: reported below.
-      }
-    }
-    std::cerr << "invalid " << (kReal ? "number" : "integer") << " for --"
-              << key << ": '" << raw << "'\n";
-    std::exit(2);
-  }
-
-  static std::uint64_t parse_u64(const std::string& key,
-                                 const std::string& raw) {
-    return parse_number<std::uint64_t>(
-        key, raw, [](const std::string& s, std::size_t* used) {
-          return std::stoull(s, used);
-        });
   }
 
   static bool is_flag(const std::string& key) {
@@ -869,20 +842,19 @@ int cmd_hierarchy(const Args& args) {
   }
   std::vector<hierarchy::LevelConfig> levels;
   for (const auto& spec : level_specs) {
-    std::vector<std::string> parts;
-    std::istringstream is(spec);
-    std::string tok;
-    while (std::getline(is, tok, ':')) parts.push_back(tok);
+    const std::vector<std::string_view> parts = split_list(spec, ':');
     if (parts.size() != 5) {
       std::cerr << "malformed --level " << spec << "\n";
       return 2;
     }
     hierarchy::LevelConfig cfg;
     cfg.name = parts[0];
-    cfg.capacity = std::stoull(parts[1]);
+    cfg.capacity = number<std::uint64_t>("--level CAPACITY", parts[1]);
     cfg.policy_spec = parts[2];
-    cfg.map = make_uniform_blocks(w.map->num_items(), std::stoull(parts[3]));
-    cfg.miss_penalty = std::stod(parts[4]);
+    cfg.map = make_uniform_blocks(
+        w.map->num_items(),
+        number<std::uint64_t>("--level GRANULARITY", parts[3]));
+    cfg.miss_penalty = number<double>("--level PENALTY", parts[4]);
     levels.push_back(std::move(cfg));
   }
   const double probe_cost = args.get_f64("probe_cost", 1.0);
@@ -1058,6 +1030,9 @@ int main(int argc, char** argv) {
     if (cmd == "bounds") return cmd_bounds(args);
     std::cerr << "unknown subcommand: " << cmd << " (try `gcsim help`)\n";
     return 2;
+  } catch (const gcaching::ContractViolation& e) {
+    std::cerr << "error: " << e.message() << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
