@@ -306,7 +306,7 @@ int run(int argc, char** argv) {
         obs::MonitorConfig mcfg;
         mcfg.interval = std::chrono::milliseconds(opts.mon_interval_ms);
         monitor.emplace(mcfg);
-        monitor->attach_shards([&cache] { return cache->shard_values(); });
+        monitor->attach_shards([&cache] { return cache->shard_counters(); });
         monitor->start();
         spec.monitor = &*monitor;
       }

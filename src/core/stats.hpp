@@ -121,4 +121,23 @@ struct SimStats {
   std::string summary() const;
 };
 
+/// A gcached client's lock events on one shard, or a sum of them: the
+/// runtime's share of a shard's counters that no SimStats field holds.
+struct LockCounts {
+  std::uint64_t lockfree_hits = 0;     ///< temporal hits served with no hold
+  std::uint64_t holds = 0;             ///< counted holds (ShardHold)
+  std::uint64_t contended_holds = 0;   ///< holds whose first try_lock failed
+  std::uint64_t trylock_failures = 0;  ///< failed try_locks, one yield each
+
+  friend bool operator==(const LockCounts&, const LockCounts&) = default;
+
+  LockCounts& operator+=(const LockCounts& o) {
+    lockfree_hits += o.lockfree_hits;
+    holds += o.holds;
+    contended_holds += o.contended_holds;
+    trylock_failures += o.trylock_failures;
+    return *this;
+  }
+};
+
 }  // namespace gcaching

@@ -95,6 +95,11 @@ Workload load_workload(std::istream& is) {
     std::istringstream ls(line);
     std::string key;
     ls >> key;
+    // A header line ends after its last field.
+    const auto ended = [&ls] {
+      std::string extra;
+      return !(ls >> extra);
+    };
     if (key == "name") {
       std::string rest;
       std::getline(ls, rest);
@@ -104,11 +109,11 @@ Workload load_workload(std::istream& is) {
       std::string kw1, kw2;
       if (!(read_number(ls, n_items, "item count") && ls >> kw1 &&
             read_number(ls, n_blocks, "block count") && ls >> kw2 &&
-            read_number(ls, max_block, "maxblock")) ||
+            read_number(ls, max_block, "maxblock") && ended()) ||
           kw1 != "blocks" || kw2 != "maxblock")
         parse_fail("malformed 'items' line: " + line);
     } else if (key == "uniform") {
-      if (!read_number(ls, uniform_b, "uniform block size"))
+      if (!(read_number(ls, uniform_b, "uniform block size") && ended()))
         parse_fail("malformed 'uniform' line");
       uniform = true;
     } else if (key == "block") {
@@ -122,7 +127,7 @@ Workload load_workload(std::istream& is) {
       if (items.empty()) parse_fail("empty block in input");
       blocks.push_back(std::move(items));
     } else if (key == "trace") {
-      if (!read_number(ls, trace_len, "trace length"))
+      if (!(read_number(ls, trace_len, "trace length") && ended()))
         parse_fail("malformed 'trace' line");
       std::vector<ItemId> acc;
       acc.reserve(trace_len);

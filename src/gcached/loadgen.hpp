@@ -107,7 +107,7 @@ struct LoadSpec {
   /// latency histogram with it for the duration of the run and takes one
   /// synchronous harvest after the clients quiesce (so even a sub-interval
   /// run exports a final snapshot with complete latency and counters).
-  /// The caller owns the monitor and attaches `cache`'s shard_values.
+  /// The caller owns the monitor and attaches `cache`'s shard_counters.
   obs::Monitor* monitor = nullptr;
   /// Capture per-thread hardware counters (perf_event_open) around each
   /// client's replay loop. Falls back loudly to perf_valid=false totals on

@@ -52,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/stats.hpp"
 #include "core/types.hpp"
 #include "util/contracts.hpp"
 
@@ -67,14 +68,6 @@ inline constexpr std::size_t kDeferredHits = 32;
 struct DeferredHits {
   std::array<ItemId, kDeferredHits> items;
   std::uint32_t size = 0;
-};
-
-/// A client's lock events on one shard, or a sum of them.
-struct LockCounts {
-  std::uint64_t lockfree_hits = 0;     ///< temporal hits served with no hold
-  std::uint64_t holds = 0;             ///< counted holds (ShardHold)
-  std::uint64_t contended_holds = 0;   ///< holds whose first try_lock failed
-  std::uint64_t trylock_failures = 0;  ///< failed try_locks, one yield each
 };
 
 /// One client's LockCounts on one shard, on a cache line of its own so no

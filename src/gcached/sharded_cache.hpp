@@ -83,8 +83,8 @@
 // The access path carries no telemetry. Each shard's SimStats share and
 // coalesced waiters, kept under its lock, plus the clients' count slots for
 // the shard, IS the counter model: collect_stats sums it, and
-// `shard_values` hands it per shard to the gcmon monitor (obs/gcmon.hpp),
-// which reads it through the same uncounted hold.
+// `shard_counters` hands it per shard to the gcmon monitor (obs/gcmon.hpp)
+// as one obs::ShardCounters record, read through the same uncounted hold.
 #pragma once
 
 #include <algorithm>
@@ -102,7 +102,7 @@
 #include "core/types.hpp"
 #include "gcached/shard_lock.hpp"
 #include "locality/sample.hpp"
-#include "obs/gcmon.hpp"
+#include "obs/counters.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching::gcached {
@@ -302,9 +302,10 @@ class ConcurrentCache {
 
   /// Per-shard counters for the gcmon monitor, from the same per-shard
   /// snapshot as collect_stats (one uncounted hold of each shard lock):
-  /// the shard's SimStats share, its occupancy and in-flight fills, and
-  /// its lock and coalescing counts. Cold path; safe during traffic.
-  virtual std::vector<obs::ShardValues> shard_values() = 0;
+  /// the shard's SimStats share, its clients' lock counts, its coalesced
+  /// waiters, occupancy and in-flight fills. Cold path; safe during
+  /// traffic.
+  virtual std::vector<obs::ShardCounters> shard_counters() = 0;
 
   virtual std::size_t num_shards() const = 0;
   virtual std::size_t capacity() const = 0;
@@ -457,23 +458,15 @@ class ShardedCache final : public ConcurrentCache {
     return total;
   }
 
-  std::vector<obs::ShardValues> shard_values() override {
-    std::vector<obs::ShardValues> values(shards_.size());
-    std::size_t s = 0;
-    for_each_snapshot([&values, &s](const Shard& shard, const SimStats& stats,
-                                    const LockCounts& counts) {
-      obs::ShardValues& v = values[s++];
-      v.hits = stats.hits;
-      v.misses = stats.misses;
-      v.sideloads = stats.sideloads;
-      v.delayed_hits = stats.delayed_hits;
-      v.coalesced = shard.coalesced;
-      v.lock_acquisitions = counts.holds;
-      v.trylock_failures = counts.trylock_failures;
-      v.residency = shard.cache.occupancy();
-      v.mshr_inflight = inflight_fills(shard);
+  std::vector<obs::ShardCounters> shard_counters() override {
+    std::vector<obs::ShardCounters> out;
+    out.reserve(shards_.size());  // nothing allocates under a guard
+    for_each_snapshot([&out](const Shard& shard, const SimStats& stats,
+                             const LockCounts& locks) {
+      out.push_back({stats, locks, shard.coalesced, shard.cache.occupancy(),
+                     inflight_fills(shard)});
     });
-    return values;
+    return out;
   }
 
   std::size_t num_shards() const override { return shards_.size(); }

@@ -15,7 +15,6 @@ namespace gcaching::obs {
 Monitor::Monitor(MonitorConfig cfg)
     : cfg_(std::move(cfg)), started_(std::chrono::steady_clock::now()) {
   GC_REQUIRE(cfg_.interval.count() > 0, "monitor interval must be positive");
-  GC_REQUIRE(cfg_.ring_capacity > 0, "monitor ring needs capacity >= 1");
 }
 
 Monitor::~Monitor() { stop(); }
@@ -23,7 +22,6 @@ Monitor::~Monitor() { stop(); }
 void Monitor::attach_shards(ShardSource source) {
   std::lock_guard<std::mutex> lock(mu_);
   source_ = std::move(source);
-  prev_.clear();
 }
 
 void Monitor::add_histogram(const HdrHistogram* h) {
@@ -81,7 +79,7 @@ void Monitor::run_loop() {
 
 Snapshot Monitor::build_snapshot() {
   // Runs under mu_ (harvest_now). The source takes each shard's lock for
-  // one SimStats copy; the histograms are relaxed-atomic reads that never
+  // one read of its counters; the histograms are relaxed-atomic reads that never
   // block a recording thread (docs/CONCURRENCY.md).
   Snapshot s;
   s.seq = seq_++;
@@ -91,19 +89,8 @@ Snapshot Monitor::build_snapshot() {
   s.uptime_s = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - started_)
                    .count();
-  if (source_) {
-    s.shards = source_();
-    const std::size_t n = s.shards.size();
-    prev_.resize(n);
-    s.shard_deltas.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      s.shard_deltas[i] = s.shards[i] - prev_[i];
-      s.totals += s.shards[i];
-    }
-    prev_ = s.shards;
-    // totals.residency summed occupancy across shards is meaningful; the
-    // other gauges difference to zero-delta by construction.
-  }
+  if (source_) s.shards = source_();
+  for (const ShardCounters& shard : s.shards) s.totals += shard;
   if (!histograms_.empty()) {
     // Merge into a scratch histogram (~34 KB) so percentile queries see one
     // consistent local table; sources may still be recording (tearing is
@@ -123,12 +110,6 @@ Snapshot Monitor::build_snapshot() {
     // observed summary persists instead of snapping to zero.
     s.latency = last_latency_;
   }
-  ring_.push_back(s);
-  if (ring_.size() > cfg_.ring_capacity)
-    ring_.erase(ring_.begin(),
-                ring_.begin() +
-                    static_cast<std::ptrdiff_t>(ring_.size() -
-                                                cfg_.ring_capacity));
   return s;
 }
 
@@ -163,27 +144,7 @@ std::string Monitor::export_error() const {
   return export_error_;
 }
 
-std::size_t Monitor::snapshot_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-std::vector<Snapshot> Monitor::snapshots() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_;
-}
-
 namespace {
-
-/// One Prometheus metric family: HELP/TYPE header plus one sample per shard.
-void family(std::ostringstream& os, const Snapshot& snap, const char* name,
-            const char* type, const char* help,
-            std::uint64_t ShardValues::* field) {
-  os << "# HELP " << name << ' ' << help << '\n';
-  os << "# TYPE " << name << ' ' << type << '\n';
-  for (std::size_t i = 0; i < snap.shards.size(); ++i)
-    os << name << "{shard=\"" << i << "\"} " << snap.shards[i].*field << '\n';
-}
 
 void scalar(std::ostringstream& os, const char* name, const char* type,
             const char* help, double value) {
@@ -192,37 +153,31 @@ void scalar(std::ostringstream& os, const char* name, const char* type,
   os << name << ' ' << value << '\n';
 }
 
+void json_object(std::ostringstream& os, const ShardCounters& c) {
+  os << '{';
+  write_json_fields(os, counters(c));
+  os << '}';
+}
+
 }  // namespace
 
 std::string Monitor::prometheus_text(const Snapshot& snap) const {
   std::ostringstream os;
   os.setf(std::ios::fixed, std::ios::floatfield);
   os.precision(1);
-  family(os, snap, "gcached_shard_hits_total", "counter",
-         "Cache hits served by this shard.", &ShardValues::hits);
-  family(os, snap, "gcached_shard_misses_total", "counter",
-         "Cache misses (fills) taken by this shard.", &ShardValues::misses);
-  family(os, snap, "gcached_shard_sideloads_total", "counter",
-         "Items sideloaded into this shard by block fills.",
-         &ShardValues::sideloads);
-  family(os, snap, "gcached_shard_delayed_hits_total", "counter",
-         "Accesses served by an in-flight fill (fill coalescing).",
-         &ShardValues::delayed_hits);
-  family(os, snap, "gcached_shard_coalesced_waiters_total", "counter",
-         "Waiters parked on an in-flight fill register.",
-         &ShardValues::coalesced);
-  family(os, snap, "gcached_shard_lock_acquisitions_total", "counter",
-         "Exclusive shard-lock acquisitions.",
-         &ShardValues::lock_acquisitions);
-  family(os, snap, "gcached_shard_trylock_failures_total", "counter",
-         "Failed try-lock attempts (contention events).",
-         &ShardValues::trylock_failures);
-  family(os, snap, "gcached_shard_residency_items", "gauge",
-         "Items currently resident in this shard's cache.",
-         &ShardValues::residency);
-  family(os, snap, "gcached_shard_mshr_inflight", "gauge",
-         "Block fills currently in flight on this shard (fill registers).",
-         &ShardValues::mshr_inflight);
+  // One family per counter of the record, one sample per shard.
+  std::vector<std::vector<Counter>> shards;
+  for (const ShardCounters& shard : snap.shards)
+    shards.push_back(counters(shard));
+  const std::vector<Counter> fields = counters(ShardCounters{});
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    const std::string name = std::string("gcached_shard_") + fields[k].key +
+                             (fields[k].gauge ? "" : "_total");
+    os << "# HELP " << name << ' ' << fields[k].help << '\n';
+    os << "# TYPE " << name << (fields[k].gauge ? " gauge\n" : " counter\n");
+    for (std::size_t i = 0; i < shards.size(); ++i)
+      os << name << "{shard=\"" << i << "\"} " << shards[i][k].value << '\n';
+  }
   scalar(os, "gcached_latency_count", "gauge",
          "Sampled operations (about 1 in 16, closed loop) recorded by the "
          "merged latency histogram.",
@@ -244,21 +199,6 @@ std::string Monitor::prometheus_text(const Snapshot& snap) const {
   return os.str();
 }
 
-namespace {
-
-void json_shard(std::ostringstream& os, const ShardValues& v) {
-  os << "{\"hits\": " << v.hits << ", \"misses\": " << v.misses
-     << ", \"sideloads\": " << v.sideloads
-     << ", \"delayed_hits\": " << v.delayed_hits
-     << ", \"coalesced\": " << v.coalesced
-     << ", \"lock_acquisitions\": " << v.lock_acquisitions
-     << ", \"trylock_failures\": " << v.trylock_failures
-     << ", \"residency\": " << v.residency
-     << ", \"mshr_inflight\": " << v.mshr_inflight << '}';
-}
-
-}  // namespace
-
 std::string Monitor::jsonl_line(const Snapshot& snap) const {
   std::ostringstream os;
   os.setf(std::ios::fixed, std::ios::floatfield);
@@ -266,7 +206,7 @@ std::string Monitor::jsonl_line(const Snapshot& snap) const {
   os << "{\"seq\": " << snap.seq << ", \"wall_ms\": " << snap.wall_ms
      << ", \"uptime_s\": " << snap.uptime_s;
   os << ", \"totals\": ";
-  json_shard(os, snap.totals);
+  json_object(os, snap.totals);
   os << ", \"latency\": {\"count\": " << snap.latency.count
      << ", \"p50_ns\": " << snap.latency.p50_ns
      << ", \"p99_ns\": " << snap.latency.p99_ns
@@ -275,12 +215,7 @@ std::string Monitor::jsonl_line(const Snapshot& snap) const {
   os << ", \"shards\": [";
   for (std::size_t i = 0; i < snap.shards.size(); ++i) {
     if (i > 0) os << ", ";
-    json_shard(os, snap.shards[i]);
-  }
-  os << "], \"deltas\": [";
-  for (std::size_t i = 0; i < snap.shard_deltas.size(); ++i) {
-    if (i > 0) os << ", ";
-    json_shard(os, snap.shard_deltas[i]);
+    json_object(os, snap.shards[i]);
   }
   os << "]}";
   return os.str();

@@ -1,15 +1,16 @@
 // gcmon — live runtime monitor for the gcached concurrent runtime.
 //
 // A `Monitor` owns a background snapshot thread that periodically harvests
-//   * an attached shard source — a callback returning one `ShardValues` per
-//     shard; gcached's is `ConcurrentCache::shard_values`, which copies each
-//     shard's own SimStats under one uncounted hold of that shard's lock —
-//     and
+//   * an attached shard source — a callback returning one `ShardCounters`
+//     per shard (obs/counters.hpp); gcached's is
+//     `ConcurrentCache::shard_counters`, which reads each shard's own
+//     counters under one uncounted hold of that shard's lock — and
 //   * any registered HdrHistograms (per-load-thread latency tables),
-// into a timestamped ring of `Snapshot`s. Harvests are serialized, so every
-// shard's cumulative counters are non-decreasing across the ring; the
-// histograms are read with relaxed loads and never block a recording thread
-// (docs/CONCURRENCY.md, "gcmon read discipline").
+// into a timestamped `Snapshot` of cumulative counters. Harvests are
+// serialized, so every shard's counters are non-decreasing from one
+// snapshot to the next; the histograms are read with relaxed loads and
+// never block a recording thread (docs/CONCURRENCY.md, "gcmon read
+// discipline").
 //
 // Each snapshot can be exported three ways, all optional:
 //   * Prometheus text exposition rewritten atomically (tmp + rename) to a
@@ -21,15 +22,16 @@
 // that could not be written, and the tools turn it into a non-zero exit.
 //
 // Lifecycle: attach/register while stopped, `start()`, run traffic,
-// `stop()` (takes one final snapshot so short runs still export), read the
-// ring. The monitor is itself cold-path code — it lives beside the GC_OBS_*
-// sinks in the obs tier and is attached from tools/benches, never from
-// engine internals.
+// `stop()` (takes one final snapshot so short runs still export). The
+// monitor keeps no history: the exports and `harvest_now()`'s return value
+// are the record, and consecutive snapshots give the exact deltas. The
+// monitor is itself cold-path code — it lives beside the GC_OBS_* sinks in
+// the obs tier and is attached from tools/benches, never from engine
+// internals.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -37,57 +39,18 @@
 #include <thread>
 #include <vector>
 
+#include "obs/counters.hpp"
 #include "obs/hdr_histogram.hpp"
 
 namespace gcaching::obs {
 
-/// Plain-value snapshot of one shard's counters (what a shard source
-/// returns and what gcmon's ring stores as totals and deltas).
-struct ShardValues {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t sideloads = 0;
-  std::uint64_t delayed_hits = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t lock_acquisitions = 0;
-  std::uint64_t trylock_failures = 0;
-  std::uint64_t residency = 0;
-  std::uint64_t mshr_inflight = 0;
-
-  friend ShardValues operator-(const ShardValues& a, const ShardValues& b) {
-    return ShardValues{a.hits - b.hits,
-                       a.misses - b.misses,
-                       a.sideloads - b.sideloads,
-                       a.delayed_hits - b.delayed_hits,
-                       a.coalesced - b.coalesced,
-                       a.lock_acquisitions - b.lock_acquisitions,
-                       a.trylock_failures - b.trylock_failures,
-                       a.residency,        // gauges don't difference
-                       a.mshr_inflight};   // gauges don't difference
-  }
-  ShardValues& operator+=(const ShardValues& o) {
-    hits += o.hits;
-    misses += o.misses;
-    sideloads += o.sideloads;
-    delayed_hits += o.delayed_hits;
-    coalesced += o.coalesced;
-    lock_acquisitions += o.lock_acquisitions;
-    trylock_failures += o.trylock_failures;
-    residency += o.residency;
-    mshr_inflight += o.mshr_inflight;
-    return *this;
-  }
-};
-
 /// Reads every shard's cumulative counters, one entry per shard.
-using ShardSource = std::function<std::vector<ShardValues>()>;
+using ShardSource = std::function<std::vector<ShardCounters>()>;
 
 struct MonitorConfig {
   /// Harvest period. The thread uses a condition variable timed wait, so
   /// stop() never waits out a full interval.
   std::chrono::milliseconds interval{50};
-  /// Ring capacity: oldest snapshots are dropped once exceeded.
-  std::size_t ring_capacity = 256;
   /// Prometheus text exposition target ("" = disabled). Rewritten whole on
   /// every harvest via tmp + rename so scrapers never see a torn file.
   std::string prometheus_path;
@@ -105,13 +68,12 @@ struct LatencySummary {
 };
 
 struct Snapshot {
-  std::uint64_t seq = 0;          ///< 0-based harvest index
-  std::int64_t wall_ms = 0;       ///< system_clock ms since epoch
-  double uptime_s = 0.0;          ///< steady seconds since start()
-  std::vector<ShardValues> shards;        ///< cumulative totals per shard
-  std::vector<ShardValues> shard_deltas;  ///< since previous snapshot
-  ShardValues totals;             ///< cumulative, summed over shards
-  LatencySummary latency;         ///< merged over registered histograms
+  std::uint64_t seq = 0;              ///< 0-based harvest index
+  std::int64_t wall_ms = 0;           ///< system_clock ms since epoch
+  double uptime_s = 0.0;              ///< steady seconds since start()
+  std::vector<ShardCounters> shards;  ///< cumulative, per shard
+  ShardCounters totals;               ///< cumulative, summed over shards
+  LatencySummary latency;             ///< merged over registered histograms
 };
 
 class Monitor {
@@ -144,13 +106,9 @@ class Monitor {
   /// deterministic tests.
   Snapshot harvest_now();
 
-  const MonitorConfig& config() const noexcept { return cfg_; }
   /// "" while every export succeeded, else "cannot write <path>" for the
   /// first file that could not be written (sticky).
   std::string export_error() const;
-  std::size_t snapshot_count() const;
-  /// Copy of the ring, oldest first.
-  std::vector<Snapshot> snapshots() const;
 
   /// Prometheus text exposition for `snap` (also what the file exporter
   /// writes). Exposed for tests and the CI validator.
@@ -165,14 +123,12 @@ class Monitor {
 
   MonitorConfig cfg_;
 
-  // Harvests run whole under mu_ (source read, ring append, file export),
-  // so two concurrent harvest_now() calls can neither interleave their
-  // reads nor write the stream out of seq order.
-  mutable std::mutex mu_;  // source, ring, histograms, prev totals, exports
+  // Harvests run whole under mu_ (source read, file export), so two
+  // concurrent harvest_now() calls can neither interleave their reads nor
+  // write the stream out of seq order.
+  mutable std::mutex mu_;  // source, histograms, exports
   ShardSource source_;
-  std::vector<Snapshot> ring_;
   std::vector<const HdrHistogram*> histograms_;
-  std::vector<ShardValues> prev_;
   LatencySummary last_latency_;  // persists across histogram deregistration
   std::uint64_t seq_ = 0;
   std::string export_error_;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/simulator.hpp"
+#include "obs/counters.hpp"
 
 namespace gcaching::obs {
 
@@ -32,16 +33,10 @@ void StatsTimeline::write_jsonl(const std::string& path) const {
     const TimelineWindow& w = windows[i];
     out << "{\"capacity\": " << capacity << ", \"window\": " << i
         << ", \"start\": " << w.start << ", \"length\": " << w.length
-        << ", \"accesses\": " << w.delta.accesses
-        << ", \"misses\": " << w.delta.misses
-        << ", \"miss_rate\": " << fmt_rate(w.miss_rate())
-        << ", \"temporal_hits\": " << w.delta.temporal_hits
-        << ", \"spatial_hits\": " << w.delta.spatial_hits
+        << ", ";
+    write_json_fields(out, counters(w.delta));
+    out << ", \"miss_rate\": " << fmt_rate(w.miss_rate())
         << ", \"spatial_hit_share\": " << fmt_rate(w.spatial_hit_share())
-        << ", \"items_loaded\": " << w.delta.items_loaded
-        << ", \"sideloads\": " << w.delta.sideloads
-        << ", \"evictions\": " << w.delta.evictions
-        << ", \"wasted_sideloads\": " << w.delta.wasted_sideloads
         << ", \"wasted_sideload_share\": "
         << fmt_rate(w.wasted_sideload_share()) << "}\n";
   }

@@ -53,7 +53,8 @@ struct StatsTimeline {
   SimStats window_sum() const;
 
   /// JSON-lines sink, one object per window: capacity, window, start,
-  /// length, raw deltas, derived rates. Throws std::runtime_error("cannot
+  /// length, every SimStats counter's delta (obs/counters.hpp), derived
+  /// rates. Throws std::runtime_error("cannot
   /// write <path>") when the file cannot be opened or fully written.
   void write_jsonl(const std::string& path) const;
 };

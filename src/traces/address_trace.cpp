@@ -80,6 +80,13 @@ Workload load_address_trace(std::istream& is,
       fail(line_no, "record ends past 2^64");
     const std::uint64_t first_item = address / fmt.item_bytes;
     const std::uint64_t last_item = (address + bytes - 1) / fmt.item_bytes;
+    // Item ids number frames x block_items, so a record whose frames could
+    // take that universe to kInvalidItem is refused before a single item of
+    // it is stored.
+    const std::uint64_t frames =
+        last_item / fmt.block_items - first_item / fmt.block_items + 1;
+    if (frames > kInvalidItem / fmt.block_items - frame_of.size())
+      fail(line_no, "record spans more items than an item id can number");
     for (std::uint64_t it = first_item; it <= last_item; ++it) {
       const std::uint64_t frame = it / fmt.block_items;
       const auto ins = frame_of.emplace(

@@ -113,6 +113,16 @@ TEST(AddressTrace, RecordPastTheAddressSpaceFailsLoudly) {
   EXPECT_THROW(load_address_trace(huge, line64_row8()), std::runtime_error);
   std::istringstream last("0xffffffffffffffc0 64\n");
   EXPECT_EQ(load_address_trace(last, line64_row8()).trace.size(), 1u);
+  // 0 .. 2^64-2 does not wrap, but its 2^58 items have no item ids: the
+  // record is refused by its size, before any of its items is stored.
+  std::istringstream wide("0 64\n0 0xffffffffffffffff\n");
+  try {
+    load_address_trace(wide, line64_row8());
+    ADD_FAILURE() << "accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(AddressTrace, SignedOrSuffixedAddressFailsLoudly) {

@@ -283,10 +283,10 @@ TEST(GcachedOracle, ShardsThatOwnNoBlockConstructAndServe) {
       const auto cache = make_concurrent_cache(spec, w.map, cfg);
       const LoadResult res = replay(*cache, w, 1);
       EXPECT_EQ(res.stats, sharded_oracle(spec, w, kShards, cfg.capacity));
-      const std::vector<obs::ShardValues> values = cache->shard_values();
+      const std::vector<obs::ShardCounters> values = cache->shard_counters();
       for (std::size_t s = 0; s < kShards; ++s) {
         if (owns[s]) continue;
-        EXPECT_EQ(values[s].hits + values[s].misses, 0u) << "shard " << s;
+        EXPECT_EQ(values[s].stats.accesses, 0u) << "shard " << s;
         EXPECT_EQ(cache->shard_occupancy(s), 0u) << "shard " << s;
       }
     }
@@ -432,9 +432,9 @@ TEST(GcachedLockFreeHits, ExactHoldCountOnAHandComputedTrace) {
   EXPECT_EQ(res.stats, expected);
   EXPECT_EQ(res.stats, simulate_fast_spec("item-lru", w, cfg.capacity));
   // The cache's own count of the same holds: one client, never contended.
-  const obs::ShardValues v = cache->shard_values()[0];
-  EXPECT_EQ(v.lock_acquisitions, 5u);
-  EXPECT_EQ(v.trylock_failures, 0u);
+  const obs::ShardCounters v = cache->shard_counters()[0];
+  EXPECT_EQ(v.locks.holds, 5u);
+  EXPECT_EQ(v.locks.trylock_failures, 0u);
 }
 
 TEST(GcachedLockFreeHits, AnUntouchedSideloadIsALockedSpatialHit) {
@@ -538,17 +538,9 @@ TEST(GcachedLockFreeHits, HitsRacingEvictionsConserve) {
     EXPECT_LE(cache->shard_occupancy(0), cfg.capacity);
     const SimStats stats = cache->collect_stats();
     EXPECT_EQ(stats, res.stats);
-    obs::ShardValues sum;
-    for (const obs::ShardValues& v : cache->shard_values()) {
-      sum.hits += v.hits;
-      sum.misses += v.misses;
-      sum.sideloads += v.sideloads;
-      sum.delayed_hits += v.delayed_hits;
-    }
-    EXPECT_EQ(sum.hits, stats.hits);
-    EXPECT_EQ(sum.misses, stats.misses);
-    EXPECT_EQ(sum.sideloads, stats.sideloads);
-    EXPECT_EQ(sum.delayed_hits, stats.delayed_hits);
+    obs::ShardCounters sum;
+    for (const obs::ShardCounters& v : cache->shard_counters()) sum += v;
+    EXPECT_EQ(sum.stats, stats);
   }
 }
 
@@ -889,17 +881,17 @@ TEST(GcachedMshr, TenFillsInFlightOnOneShardAllCoalesce) {
   for (BlockId b = 0; b < kFills; ++b) clients.emplace_back(miss_block, b);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(150);
-  while (cache->shard_values()[0].mshr_inflight < kFills &&
+  while (cache->shard_counters()[0].fills_inflight < kFills &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(cache->shard_values()[0].mshr_inflight, kFills);
+  EXPECT_EQ(cache->shard_counters()[0].fills_inflight, kFills);
   for (BlockId b = 0; b < kFills; ++b) clients.emplace_back(miss_block, b);
   for (std::thread& th : clients) th.join();
-  const obs::ShardValues v = cache->shard_values()[0];
+  const obs::ShardCounters v = cache->shard_counters()[0];
   EXPECT_EQ(v.coalesced, kFills);
-  EXPECT_EQ(v.misses, kFills);
-  EXPECT_EQ(v.delayed_hits, kFills);
-  EXPECT_EQ(v.mshr_inflight, 0u);
+  EXPECT_EQ(v.stats.misses, kFills);
+  EXPECT_EQ(v.stats.delayed_hits, kFills);
+  EXPECT_EQ(v.fills_inflight, 0u);
 }
 
 TEST(GcachedMshr, AsyncConservationHoldsOnEverySchedule) {
@@ -929,9 +921,9 @@ TEST(GcachedMshr, AsyncConservationHoldsOnEverySchedule) {
       // Every delayed hit parked on a fill first; a woken waiter whose item
       // the fill did not load retries, so parks can outnumber them.
       std::uint64_t coalesced = 0;
-      for (const obs::ShardValues& v : cache->shard_values()) {
+      for (const obs::ShardCounters& v : cache->shard_counters()) {
         coalesced += v.coalesced;
-        EXPECT_EQ(v.mshr_inflight, 0u);
+        EXPECT_EQ(v.fills_inflight, 0u);
       }
       EXPECT_LE(res.stats.delayed_hits, coalesced);
       std::size_t occupancy = 0;

@@ -9,16 +9,19 @@
 //     merge order never changes any percentile;
 //   * concurrent record/merge/query never corrupts counts (the tsan preset
 //     runs this suite via the `gcached` label);
-//   * the monitor's harvest (fed by a fake shard source here): deltas are
-//     exact between consecutive snapshots, gauges don't difference, the ring
-//     trims oldest-first, and the latency summary persists across histogram
+//   * the monitor's harvest (fed by a fake shard source here): snapshots
+//     carry each shard's cumulative counters and their sum, gauges
+//     included, and the latency summary persists across histogram
 //     deregistration (final-export gauge semantics);
-//   * the Prometheus exposition round-trips its own validator,
-//     write_file_atomic leaves no debris on failure, and a failed export is
-//     sticky and readable from the monitor;
-//   * attaching a monitor to a 1-shard 1-thread run changes NOTHING:
-//     SimStats stay bit-identical to simulate_fast (the differential anchor
-//     with monitoring attached), and its lock counters equal the client's;
+//   * the Prometheus exposition round-trips its own validator with one
+//     family per counter of obs/counters.hpp, write_file_atomic leaves no
+//     debris on failure, and a failed export is sticky and readable from
+//     the monitor;
+//   * attaching a monitor changes NOTHING: at 1 and 4 clients, with and
+//     without a fill latency, the final harvest's SimStats are
+//     collect_stats bit for bit and its lock counts the LoadResult's, and
+//     1 client stays bit-identical to simulate_fast (the differential
+//     anchor with monitoring attached);
 //   * under load every shard's harvested counters never decrease, and the
 //     final snapshot is the shards' collect_stats split;
 //   * detail::replay_closed_loop times exactly the jittered sample that
@@ -52,11 +55,11 @@ namespace {
 using obs::HdrHistogram;
 using obs::Monitor;
 using obs::MonitorConfig;
-using obs::ShardValues;
+using obs::ShardCounters;
 using obs::Snapshot;
 
 /// Attaches a fake shard source serving `shards` (read at every harvest).
-void attach_fake(Monitor& mon, const std::vector<ShardValues>& shards) {
+void attach_fake(Monitor& mon, const std::vector<ShardCounters>& shards) {
   mon.attach_shards([&shards] { return shards; });
 }
 
@@ -254,58 +257,34 @@ TEST(HdrHistogram, ConcurrentRecordAndMergeStress) {
   EXPECT_EQ(merged.count(), kThreads * kPerThread);
 }
 
-// ---- ShardValues ------------------------------------------------------------
-
-TEST(ShardValues, DifferenceSubtractsCountersButCarriesGauges) {
-  ShardValues now, before;
-  now.hits = 10;
-  now.trylock_failures = 500;
-  now.residency = 64;
-  before.hits = 4;
-  before.trylock_failures = 100;
-  before.residency = 99;  // stale gauge must NOT difference
-  const ShardValues d = now - before;
-  EXPECT_EQ(d.hits, 6u);
-  EXPECT_EQ(d.trylock_failures, 400u);
-  EXPECT_EQ(d.residency, 64u);  // gauge: current value, not now-before
-}
-
-// ---- Monitor harvest / ring -------------------------------------------------
+// ---- Monitor harvest --------------------------------------------------------
 
 TEST(GcmonMonitor, HarvestComputesExactDeltasBetweenSnapshots) {
-  std::vector<ShardValues> shards(2);
+  // Snapshots are cumulative: consecutive ones give the exact deltas.
+  std::vector<ShardCounters> shards(2);
   Monitor mon;
   attach_fake(mon, shards);
 
-  shards[0].hits = 5;
-  shards[1].misses = 3;
+  shards[0].stats.hits = 5;
+  shards[1].stats.misses = 3;
+  shards[1].residency = 4;
   const Snapshot s1 = mon.harvest_now();
   EXPECT_EQ(s1.seq, 0u);
   ASSERT_EQ(s1.shards.size(), 2u);
-  EXPECT_EQ(s1.shards[0].hits, 5u);
-  EXPECT_EQ(s1.shard_deltas[0].hits, 5u);
-  EXPECT_EQ(s1.totals.hits, 5u);
-  EXPECT_EQ(s1.totals.misses, 3u);
+  EXPECT_EQ(s1.shards[0], shards[0]);
+  EXPECT_EQ(s1.shards[1], shards[1]);
+  EXPECT_EQ(s1.totals.stats.hits, 5u);
+  EXPECT_EQ(s1.totals.stats.misses, 3u);
 
-  shards[0].hits = 7;
+  shards[0].stats.hits = 7;
+  shards[0].residency = 9;
   const Snapshot s2 = mon.harvest_now();
   EXPECT_EQ(s2.seq, 1u);
-  EXPECT_EQ(s2.shards[0].hits, 7u);       // cumulative
-  EXPECT_EQ(s2.shard_deltas[0].hits, 2u);  // since s1
-  EXPECT_EQ(s2.shard_deltas[1].misses, 0u);
+  EXPECT_EQ(s2.shards[0].stats.hits, 7u);  // cumulative
+  EXPECT_EQ(s2.shards[0].stats.hits - s1.shards[0].stats.hits, 2u);
+  EXPECT_EQ(s2.shards[1].stats.misses - s1.shards[1].stats.misses, 0u);
+  EXPECT_EQ(s2.totals.residency, 13u);  // gauges sum over shards
   EXPECT_GE(s2.uptime_s, s1.uptime_s);
-}
-
-TEST(GcmonMonitor, RingTrimsOldestFirst) {
-  MonitorConfig cfg;
-  cfg.ring_capacity = 3;
-  Monitor mon(cfg);
-  for (int i = 0; i < 5; ++i) mon.harvest_now();
-  EXPECT_EQ(mon.snapshot_count(), 3u);
-  const std::vector<Snapshot> ring = mon.snapshots();
-  ASSERT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring[0].seq, 2u);
-  EXPECT_EQ(ring[2].seq, 4u);
 }
 
 TEST(GcmonMonitor, LatencySummaryPersistsAfterDeregistration) {
@@ -329,6 +308,11 @@ TEST(GcmonMonitor, BackgroundThreadHarvestsAndStopTakesFinalSnapshot) {
   MonitorConfig cfg;
   cfg.interval = std::chrono::milliseconds(1);
   Monitor mon(cfg);
+  std::size_t harvests = 0;  // harvests are serialized under the monitor
+  mon.attach_shards([&harvests] {
+    ++harvests;
+    return std::vector<ShardCounters>{};
+  });
   EXPECT_FALSE(mon.running());
   mon.start();
   EXPECT_TRUE(mon.running());
@@ -336,7 +320,7 @@ TEST(GcmonMonitor, BackgroundThreadHarvestsAndStopTakesFinalSnapshot) {
   mon.stop();
   EXPECT_FALSE(mon.running());
   // At least the immediate first tick plus stop()'s final harvest.
-  EXPECT_GE(mon.snapshot_count(), 2u);
+  EXPECT_GE(harvests, 2u);
   // stop() is idempotent and start() can relaunch.
   mon.stop();
   mon.start();
@@ -346,9 +330,9 @@ TEST(GcmonMonitor, BackgroundThreadHarvestsAndStopTakesFinalSnapshot) {
 // ---- Prometheus / JSONL export ----------------------------------------------
 
 TEST(GcmonExport, PrometheusTextRoundTripsTheValidator) {
-  std::vector<ShardValues> shards(2);
-  shards[0].hits = 11;
-  shards[1].trylock_failures = 12'345;
+  std::vector<ShardCounters> shards(2);
+  shards[0].stats.hits = 11;
+  shards[1].locks.trylock_failures = 12'345;
   HdrHistogram h;
   h.record(5'000);
   Monitor mon;
@@ -362,7 +346,13 @@ TEST(GcmonExport, PrometheusTextRoundTripsTheValidator) {
   EXPECT_NE(text.find("gcached_shard_trylock_failures_total{shard=\"1\"} "
                       "12345"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE gcached_shard_residency_items gauge"),
+  // One family per counter of the record, named by its JSON key.
+  for (const obs::Counter& c : obs::counters(ShardCounters{})) {
+    const std::string family = std::string("# TYPE gcached_shard_") + c.key +
+                               (c.gauge ? " gauge\n" : "_total counter\n");
+    EXPECT_NE(text.find(family), std::string::npos) << family;
+  }
+  EXPECT_NE(text.find("# TYPE gcached_shard_fills_inflight gauge"),
             std::string::npos);
   EXPECT_NE(text.find("gcached_latency_count 1"), std::string::npos);
   EXPECT_NE(text.find("gcmon_snapshot_seq"), std::string::npos);
@@ -384,17 +374,21 @@ TEST(GcmonExport, ValidatorRejectsMalformedExpositions) {
 }
 
 TEST(GcmonExport, JsonlLineCarriesTotalsLatencyAndPerShardArrays) {
-  std::vector<ShardValues> shards(2);
-  shards[0].hits = 4;
+  std::vector<ShardCounters> shards(2);
+  shards[0].stats.hits = 4;
+  shards[1].locks.holds = 6;
   Monitor mon;
   attach_fake(mon, shards);
   const Snapshot snap = mon.harvest_now();
   const std::string line = mon.jsonl_line(snap);
   EXPECT_NE(line.find("\"seq\": 0"), std::string::npos);
-  EXPECT_NE(line.find("\"totals\": {\"hits\": 4"), std::string::npos);
+  EXPECT_NE(line.find("\"totals\": {\"accesses\": 0, \"hits\": 4, "),
+            std::string::npos);
+  EXPECT_NE(line.find("\"lock_acquisitions\": 6"), std::string::npos);
   EXPECT_NE(line.find("\"latency\": {\"count\": 0"), std::string::npos);
-  EXPECT_NE(line.find("\"shards\": ["), std::string::npos);
-  EXPECT_NE(line.find("\"deltas\": ["), std::string::npos);
+  EXPECT_NE(line.find("\"shards\": [{\"accesses\": 0, \"hits\": 4, "),
+            std::string::npos);
+  EXPECT_EQ(line.find("deltas"), std::string::npos);
 }
 
 TEST(GcmonExport, WriteFileAtomicWritesWholeFileAndFailsCleanly) {
@@ -577,52 +571,61 @@ TEST(LoadgenBracketing, SampledQuantilesMatchEveryOpOnBimodalAndLogSpread) {
 // ---- Differential anchor with monitoring attached ---------------------------
 
 TEST(GcmonDifferential, AttachedMonitorNeverPerturbsTheRun) {
-  // The gcached anchor again, now with a live monitor harvesting on a tight
-  // interval: 1 shard / 1 thread must STILL be bit-identical to
-  // simulate_fast. Monitoring reads must not change what the run computes.
+  // A live monitor harvesting on a tight interval must not change what the
+  // run computes: the final harvest is the run's own statistics. One client
+  // on one shard stays bit-identical to simulate_fast (the gcached anchor),
+  // with or without a fill latency, since nothing can coalesce.
   Workload w = traces::zipf_items(2048, 16, 30'000, 0.9, 7);
   w.trace.precompute_block_ids(*w.map);
   const std::size_t capacity = 256;
-
-  gcached::GcachedConfig cfg;
-  cfg.num_shards = 1;
-  cfg.capacity = capacity;
-  const auto cache = gcached::make_concurrent_cache("item-lru", w.map, cfg);
-
-  MonitorConfig mcfg;
-  mcfg.interval = std::chrono::milliseconds(1);
-  Monitor mon(mcfg);
-  mon.attach_shards([&cache] { return cache->shard_values(); });
-  mon.start();
-
-  gcached::LoadSpec spec;
-  spec.threads = 1;
-  spec.monitor = &mon;
-  const gcached::LoadResult res =
-      run_load(*cache, w.trace, w.trace.block_ids(), spec);
-  mon.stop();
-
   const SimStats expected = simulate_fast_spec("item-lru", w, capacity);
-  EXPECT_EQ(res.stats, expected);
 
-  // The final harvest (taken by run_load after quiesce) is the run's own
-  // statistics, with complete latency. Its lock counters are the client's
-  // slot summed per shard, and the LoadResult's the same slot summed per
-  // client: the monitor's reads are uncounted, so the two sums agree.
-  const std::vector<Snapshot> ring = mon.snapshots();
-  ASSERT_FALSE(ring.empty());
-  const ShardValues& totals = ring.back().totals;
-  EXPECT_EQ(totals.hits, expected.hits);
-  EXPECT_EQ(totals.misses, expected.misses);
-  EXPECT_EQ(totals.sideloads, expected.sideloads);
-  EXPECT_EQ(totals.hits + totals.misses, res.ops);
-  EXPECT_EQ(totals.lock_acquisitions, res.lock_acquisitions);
-  EXPECT_EQ(totals.trylock_failures, res.backoff_rounds);
-  // The closed loop timed its jittered sample, recomputed here.
-  EXPECT_EQ(ring.back().latency.count, res.latency_samples);
-  EXPECT_EQ(res.latency_samples,
-            gcached::detail::timed_ops(
-                res.ops, gcached::detail::thread_rng(spec.seed, 0)));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::uint64_t fill_ns :
+         {std::uint64_t{0}, std::uint64_t{5'000}}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, fill " +
+                   std::to_string(fill_ns) + " ns");
+      gcached::GcachedConfig cfg;
+      cfg.num_shards = threads;
+      cfg.capacity = capacity;
+      cfg.fill_latency_ns = fill_ns;
+      const auto cache =
+          gcached::make_concurrent_cache("item-lru", w.map, cfg);
+
+      MonitorConfig mcfg;
+      mcfg.interval = std::chrono::milliseconds(1);
+      Monitor mon(mcfg);
+      mon.attach_shards([&cache] { return cache->shard_counters(); });
+      mon.start();
+      gcached::LoadSpec spec;
+      spec.threads = threads;
+      spec.monitor = &mon;
+      const gcached::LoadResult res =
+          run_load(*cache, w.trace, w.trace.block_ids(), spec);
+      mon.stop();
+      if (threads == 1) {
+        EXPECT_EQ(res.stats, expected);
+      }
+
+      // The lock counts are the clients' slots summed per shard, and the
+      // LoadResult's the same slots summed per client: the monitor's reads
+      // are uncounted, so the two sums agree.
+      const Snapshot last = mon.harvest_now();
+      EXPECT_EQ(last.totals.stats, cache->collect_stats());
+      EXPECT_EQ(last.totals.stats, res.stats);
+      EXPECT_EQ(last.totals.locks,
+                (LockCounts{res.lockfree_hits, res.lock_acquisitions,
+                            res.lock_contended, res.backoff_rounds}));
+      EXPECT_EQ(last.totals.fills_inflight, 0u);
+      EXPECT_EQ(last.latency.count, res.latency_samples);
+      if (threads == 1) {
+        // The closed loop timed its jittered sample, recomputed here.
+        EXPECT_EQ(res.latency_samples,
+                  gcached::detail::timed_ops(
+                      res.ops, gcached::detail::thread_rng(spec.seed, 0)));
+      }
+    }
+  }
 }
 
 // Per-shard consistency under load: the tsan and asan presets run this via
@@ -639,9 +642,14 @@ TEST(GcmonDifferential, HarvestsAreConsistentPerShardUnderLoad) {
 
   MonitorConfig mcfg;
   mcfg.interval = std::chrono::milliseconds(1);
-  mcfg.ring_capacity = 100'000;
   Monitor mon(mcfg);
-  mon.attach_shards([&cache] { return cache->shard_values(); });
+  // Every harvest, as the source read it; harvests are serialized under
+  // the monitor, so appending here needs no lock of its own.
+  std::vector<std::vector<ShardCounters>> harvests;
+  mon.attach_shards([&cache, &harvests] {
+    harvests.push_back(cache->shard_counters());
+    return harvests.back();
+  });
   mon.start();
   gcached::LoadSpec spec;
   spec.threads = 4;
@@ -650,50 +658,34 @@ TEST(GcmonDifferential, HarvestsAreConsistentPerShardUnderLoad) {
       run_load(*cache, w.trace, w.trace.block_ids(), spec);
   mon.stop();
 
-  const std::vector<Snapshot> ring = mon.snapshots();
-  ASSERT_GE(ring.size(), 2u);
-  for (std::size_t k = 1; k < ring.size(); ++k) {
-    ASSERT_EQ(ring[k].shards.size(), cfg.num_shards);
+  ASSERT_GE(harvests.size(), 2u);
+  for (std::size_t k = 1; k < harvests.size(); ++k) {
+    ASSERT_EQ(harvests[k].size(), cfg.num_shards);
     for (std::size_t s = 0; s < cfg.num_shards; ++s) {
-      const ShardValues& a = ring[k - 1].shards[s];
-      const ShardValues& b = ring[k].shards[s];
-      EXPECT_LE(a.hits, b.hits) << "snapshot " << k << " shard " << s;
-      EXPECT_LE(a.misses, b.misses) << "snapshot " << k << " shard " << s;
-      EXPECT_LE(a.sideloads, b.sideloads) << "snapshot " << k << " shard " << s;
-      EXPECT_LE(a.delayed_hits, b.delayed_hits)
-          << "snapshot " << k << " shard " << s;
-      EXPECT_LE(a.coalesced, b.coalesced) << "snapshot " << k << " shard " << s;
-      EXPECT_LE(a.lock_acquisitions, b.lock_acquisitions)
-          << "snapshot " << k << " shard " << s;
-      EXPECT_LE(a.trylock_failures, b.trylock_failures)
-          << "snapshot " << k << " shard " << s;
+      const std::vector<obs::Counter> a = obs::counters(harvests[k - 1][s]);
+      const std::vector<obs::Counter> b = obs::counters(harvests[k][s]);
+      for (std::size_t f = 0; f < a.size(); ++f) {
+        if (a[f].gauge) continue;
+        EXPECT_LE(a[f].value, b[f].value)
+            << a[f].key << ", harvest " << k << ", shard " << s;
+      }
     }
   }
 
-  // The final snapshot is the quiesced shards' collect_stats split.
-  const Snapshot& last = ring.back();
-  const std::vector<ShardValues> now = cache->shard_values();
-  ShardValues sum;
+  // The final harvest is the quiesced shards' collect_stats split.
+  const std::vector<ShardCounters>& last = harvests.back();
+  const std::vector<ShardCounters> now = cache->shard_counters();
+  ShardCounters sum;
   for (std::size_t s = 0; s < cfg.num_shards; ++s) {
-    const ShardValues& v = last.shards[s];
-    EXPECT_EQ(v.hits, now[s].hits) << "shard " << s;
-    EXPECT_EQ(v.misses, now[s].misses) << "shard " << s;
-    EXPECT_EQ(v.sideloads, now[s].sideloads) << "shard " << s;
-    EXPECT_EQ(v.delayed_hits, now[s].delayed_hits) << "shard " << s;
-    EXPECT_EQ(v.coalesced, now[s].coalesced) << "shard " << s;
-    EXPECT_EQ(v.lock_acquisitions, now[s].lock_acquisitions) << "shard " << s;
-    EXPECT_EQ(v.trylock_failures, now[s].trylock_failures) << "shard " << s;
-    EXPECT_EQ(v.residency, cache->shard_occupancy(s)) << "shard " << s;
-    EXPECT_EQ(v.mshr_inflight, 0u) << "shard " << s;
-    sum += v;
+    EXPECT_EQ(last[s], now[s]) << "shard " << s;
+    EXPECT_EQ(last[s].residency, cache->shard_occupancy(s)) << "shard " << s;
+    EXPECT_EQ(last[s].fills_inflight, 0u) << "shard " << s;
+    sum += last[s];
   }
-  EXPECT_EQ(sum.hits, res.stats.hits);
-  EXPECT_EQ(sum.misses, res.stats.misses);
-  EXPECT_EQ(sum.sideloads, res.stats.sideloads);
-  EXPECT_EQ(sum.delayed_hits, res.stats.delayed_hits);
-  EXPECT_EQ(sum.lock_acquisitions, res.lock_acquisitions);
-  EXPECT_EQ(sum.trylock_failures, res.backoff_rounds);
-  EXPECT_EQ(last.totals.hits + last.totals.misses + last.totals.delayed_hits,
+  EXPECT_EQ(sum.stats, res.stats);
+  EXPECT_EQ(sum.locks.holds, res.lock_acquisitions);
+  EXPECT_EQ(sum.locks.trylock_failures, res.backoff_rounds);
+  EXPECT_EQ(sum.stats.hits + sum.stats.misses + sum.stats.delayed_hits,
             res.ops);
 }
 

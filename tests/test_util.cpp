@@ -392,6 +392,16 @@ TEST(ParseNumber, WorkloadTextRefusesAttachedText) {
   EXPECT_THROW(load_workload(header), std::runtime_error);
   std::istringstream negative(head + "uniform 4\ntrace 2\n1 -3\n");
   EXPECT_THROW(load_workload(negative), std::runtime_error);
+  // A header line ends after its last field.
+  for (const std::string& text :
+       {std::string("gcworkload v1\nitems 4 blocks 1 maxblock 4 junk\n"
+                    "uniform 4\ntrace 2\n1 3\n"),
+        head + "uniform 4 99\ntrace 2\n1 3\n",
+        head + "uniform 4\ntrace 2 7\n1 3\n"}) {
+    SCOPED_TRACE(text);
+    std::istringstream trailing(text);
+    EXPECT_THROW(load_workload(trailing), std::runtime_error);
+  }
 }
 
 TEST(TextTable, RendersHeadersAndRows) {

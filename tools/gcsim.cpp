@@ -30,7 +30,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -199,13 +198,25 @@ class Args {
   mutable bool checked_ = false;
 };
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::istringstream is(s);
-  std::string tok;
-  while (std::getline(is, tok, ','))
-    if (!tok.empty()) out.push_back(tok);
-  return out;
+/// `--policies` as policy specs. A token with '=' and no ':' continues the
+/// previous spec's parameters, so `iblp:i=16,b=48` is one spec: policy
+/// names never contain '='. An empty token, or parameters with no spec
+/// before them, exit 2.
+std::vector<std::string> split_policies(std::string_view raw) {
+  std::vector<std::string> specs;
+  for (const std::string_view token : split_list(raw)) {
+    const bool params = token.find('=') != std::string_view::npos &&
+                        token.find(':') == std::string_view::npos;
+    if (token.empty() || (params && specs.empty())) {
+      std::cerr << "invalid policy spec for --policies: '" << token << "'\n";
+      std::exit(2);
+    }
+    if (params)
+      specs.back().append(",").append(token);
+    else
+      specs.emplace_back(token);
+  }
+  return specs;
 }
 
 // ---------------------------------------------------------------------------
@@ -461,7 +472,7 @@ int cmd_sweep(const Args& args) {
     return 2;
   }
   sim::SweepSpec spec;
-  spec.policy_specs = split_csv(args.get("policies"));
+  spec.policy_specs = split_policies(args.get("policies"));
   spec.capacities = args.get_sizes("capacities");
   spec.threads = args.get_u64("threads", 0);
   spec.use_fast_path = use_fast_mode(args);
@@ -570,7 +581,6 @@ int cmd_gcached(const Args& args) {
   obs::MonitorConfig mcfg;
   mcfg.interval =
       std::chrono::milliseconds(args.get_u64("mon-interval-ms", 50));
-  mcfg.ring_capacity = static_cast<std::size_t>(args.get_u64("mon-ring", 256));
   mcfg.prometheus_path = args.get("metrics-out", std::string());
   mcfg.jsonl_path = args.get("mon-jsonl", std::string());
   const bool want_mon = args.has("metrics-out") || args.has("mon-jsonl");
@@ -601,7 +611,7 @@ int cmd_gcached(const Args& args) {
   std::optional<obs::Monitor> monitor;
   if (want_mon) {
     monitor.emplace(mcfg);
-    monitor->attach_shards([&cache] { return cache->shard_values(); });
+    monitor->attach_shards([&cache] { return cache->shard_counters(); });
     monitor->start();
     load.monitor = &*monitor;
   }
@@ -619,13 +629,6 @@ int cmd_gcached(const Args& args) {
       std::cerr << "error: " << err << "\n";
       return 1;
     }
-    std::cout << "gcmon: " << monitor->snapshot_count()
-              << " snapshot(s) in ring";
-    if (!monitor->config().prometheus_path.empty())
-      std::cout << ", exposition at " << monitor->config().prometheus_path;
-    if (!monitor->config().jsonl_path.empty())
-      std::cout << ", stream at " << monitor->config().jsonl_path;
-    std::cout << "\n";
   }
 
   TextTable table({"metric", "value"});
@@ -949,6 +952,7 @@ subcommands:
              --capacities N,M,.. [--threads T] [--csv FILE]
              [--mode fast|verify] [--obs DIR] [--progress]
              [--sample-rate R | --sample-size N] [--sample-seed S]
+             a spec keeps its parameters: --policies item-lru,iblp:i=16,b=48
              sampling sweeps a SHARDS-style hash sample of each workload
              (block-consistent; binary inputs stream without materializing)
              and reports rescaled full-trace estimates — see docs/PERF.md
@@ -958,7 +962,7 @@ subcommands:
              [--threads N] [--ops N] [--fill-us F]
              [--arrival closed|poisson] [--rate OPS] [--seed S]
              [--obs DIR] [--metrics-out FILE] [--mon-jsonl FILE]
-             [--mon-interval-ms M] [--mon-ring N] [--perf]
+             [--mon-interval-ms M] [--perf]
              a miss waits --fill-us with its shard unlocked; each client
              thread has one fill register, so up to --threads fills
              overlap in one shard and misses on an in-flight block wait
