@@ -82,8 +82,16 @@ void save_workload(std::ostream& os, const Workload& w) {
 
 Workload load_workload(std::istream& is) {
   std::string line;
-  if (!next_content_line(is, line) || line.rfind("gcworkload v1", 0) != 0)
+  if (!next_content_line(is, line))
     parse_fail("missing 'gcworkload v1' header");
+  {
+    // The version line ends after `v1`, like every header line.
+    std::istringstream ls(line);
+    std::string magic, version, extra;
+    if (!(ls >> magic >> version) || magic != "gcworkload" ||
+        version != "v1" || ls >> extra)
+      parse_fail("missing 'gcworkload v1' header");
+  }
 
   Workload w;
   std::size_t n_items = 0, n_blocks = 0, max_block = 0, trace_len = 0;
@@ -129,8 +137,9 @@ Workload load_workload(std::istream& is) {
     } else if (key == "trace") {
       if (!(read_number(ls, trace_len, "trace length") && ended()))
         parse_fail("malformed 'trace' line");
+      // The declared length is a claim, not a size to allocate up front:
+      // the ids grow the vector as they arrive.
       std::vector<ItemId> acc;
-      acc.reserve(trace_len);
       ItemId it = 0;
       while (acc.size() < trace_len && read_number(is, it, "trace id"))
         acc.push_back(it);

@@ -311,8 +311,6 @@ class ConcurrentCache {
   virtual std::size_t capacity() const = 0;
   /// Shard `s`'s capacity share (see shard_capacity_share).
   virtual std::size_t shard_capacity(std::size_t s) const = 0;
-  /// Shard `s`'s current occupancy (takes the shard lock).
-  virtual std::size_t shard_occupancy(std::size_t s) = 0;
   virtual std::string policy_name() const = 0;
 };
 
@@ -475,12 +473,6 @@ class ShardedCache final : public ConcurrentCache {
   std::size_t shard_capacity(std::size_t s) const override {
     GC_REQUIRE(s < shards_.size(), "shard index out of range");
     return shards_[s]->cache.capacity();
-  }
-
-  std::size_t shard_occupancy(std::size_t s) override {
-    GC_REQUIRE(s < shards_.size(), "shard index out of range");
-    ShardGuard guard(shards_[s]->lock);
-    return shards_[s]->cache.occupancy();
   }
 
   std::string policy_name() const override { return name_; }

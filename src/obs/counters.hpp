@@ -1,14 +1,15 @@
-// The one counter record of the gcached runtime, and the one list of the
-// counters every exporter writes.
+// The one counter record of gcached and the simulator's timelines, and the
+// one list of the counters every exporter writes.
 //
 // A shard's counters are its finalized SimStats (the paper's temporal /
 // spatial hit split, Section 2, and sideload pollution, Section 4.2, with
 // delayed hits), its clients' summed LockCounts, and three fields its
-// snapshot hold reads. `counters()` names each of them once, with the key
-// the JSONL objects use and the HELP text of its Prometheus family
-// (`gcached_shard_<key>`, with `_total` on counters). The gcmon exposition,
-// the gcmon JSONL shard and totals objects and StatsTimeline::write_jsonl
-// all write from it, so a counter cannot be exported under two names.
+// snapshot hold reads; a timeline (obs/timeline.hpp) is one shard with its
+// SimStats and residency. `counters()` names each of them once, with the
+// key the JSONL objects use and the HELP text of its Prometheus family
+// (`gcached_shard_<key>`, with `_total` on counters). gcmon's two writers,
+// `prometheus_text` and `jsonl_line` (obs/gcmon.hpp), write every counter
+// file from it, so a counter cannot be exported under two names.
 #pragma once
 
 #include <cstdint>

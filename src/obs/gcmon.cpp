@@ -132,10 +132,11 @@ void Monitor::export_snapshot(const Snapshot& snap) {
       !write_file_atomic(cfg_.prometheus_path, prometheus_text(snap)))
     failed(cfg_.prometheus_path);
   if (!cfg_.jsonl_path.empty()) {
-    std::ofstream out(cfg_.jsonl_path, std::ios::app);
-    out << jsonl_line(snap) << '\n';
-    out.flush();
-    if (!out.good()) failed(cfg_.jsonl_path);
+    // The stream starts empty, so a rerun never reads as falling counters.
+    if (snap.seq == 0) jsonl_.open(cfg_.jsonl_path, std::ios::trunc);
+    jsonl_ << jsonl_line(snap) << '\n';
+    jsonl_.flush();
+    if (!jsonl_.good()) failed(cfg_.jsonl_path);
   }
 }
 
@@ -161,7 +162,7 @@ void json_object(std::ostringstream& os, const ShardCounters& c) {
 
 }  // namespace
 
-std::string Monitor::prometheus_text(const Snapshot& snap) const {
+std::string prometheus_text(const Snapshot& snap) {
   std::ostringstream os;
   os.setf(std::ios::fixed, std::ios::floatfield);
   os.precision(1);
@@ -199,7 +200,7 @@ std::string Monitor::prometheus_text(const Snapshot& snap) const {
   return os.str();
 }
 
-std::string Monitor::jsonl_line(const Snapshot& snap) const {
+std::string jsonl_line(const Snapshot& snap) {
   std::ostringstream os;
   os.setf(std::ios::fixed, std::ios::floatfield);
   os.precision(3);

@@ -1,38 +1,43 @@
-// gcmon — live runtime monitor for the gcached concurrent runtime.
+// gcmon — the monitor behind every counter file the repo writes.
 //
-// A `Monitor` owns a background snapshot thread that periodically harvests
+// A `Monitor` harvests
 //   * an attached shard source — a callback returning one `ShardCounters`
-//     per shard (obs/counters.hpp); gcached's is
-//     `ConcurrentCache::shard_counters`, which reads each shard's own
-//     counters under one uncounted hold of that shard's lock — and
+//     per shard (obs/counters.hpp) — and
 //   * any registered HdrHistograms (per-load-thread latency tables),
-// into a timestamped `Snapshot` of cumulative counters. Harvests are
-// serialized, so every shard's counters are non-decreasing from one
-// snapshot to the next; the histograms are read with relaxed loads and
-// never block a recording thread (docs/CONCURRENCY.md, "gcmon read
-// discipline").
+// into a timestamped `Snapshot` of cumulative counters. Two sources exist:
+// gcached's `ConcurrentCache::shard_counters`, which reads each shard's own
+// counters under one uncounted hold of that shard's lock and is harvested
+// by the monitor's background thread, and `record_timeline`
+// (obs/timeline.hpp), one shard that is a stepped simulation, harvested
+// once per window without the thread. Harvests are serialized, so every
+// shard's counters are non-decreasing from one snapshot to the next; the
+// histograms are read with relaxed loads and never block a recording
+// thread (docs/CONCURRENCY.md, "gcmon read discipline").
 //
 // Each snapshot can be exported three ways, all optional:
-//   * Prometheus text exposition rewritten atomically (tmp + rename) to a
-//     file on every harvest — scrape by tailing or by file: target;
-//   * one JSON object per harvest appended to a JSONL stream;
+//   * Prometheus text exposition (`prometheus_text`) rewritten atomically
+//     (tmp + rename) to a file on every harvest — scrape by tailing or by
+//     file: target;
+//   * one JSON object per harvest (`jsonl_line`) on a JSONL stream that
+//     the first harvest starts empty;
 //   * a "gcmon_snapshot" span recorded into the installed TraceLog, so
 //     harvest cadence renders on the same Chrome timeline as sweep spans.
 // A failed file export is sticky: `export_error()` names the first path
 // that could not be written, and the tools turn it into a non-zero exit.
 //
 // Lifecycle: attach/register while stopped, `start()`, run traffic,
-// `stop()` (takes one final snapshot so short runs still export). The
-// monitor keeps no history: the exports and `harvest_now()`'s return value
-// are the record, and consecutive snapshots give the exact deltas. The
-// monitor is itself cold-path code — it lives beside the GC_OBS_* sinks in
-// the obs tier and is attached from tools/benches, never from engine
-// internals.
+// `stop()` (takes one final snapshot so short runs still export) — or no
+// thread at all, calling `harvest_now()` at chosen points. The monitor
+// keeps no history: the exports and `harvest_now()`'s return value are the
+// record, and consecutive snapshots give the exact deltas. The monitor is
+// itself cold-path code — it lives beside the GC_OBS_* sinks in the obs
+// tier and is attached from tools/benches, never from engine internals.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -54,7 +59,8 @@ struct MonitorConfig {
   /// Prometheus text exposition target ("" = disabled). Rewritten whole on
   /// every harvest via tmp + rename so scrapers never see a torn file.
   std::string prometheus_path;
-  /// JSONL stream target ("" = disabled). One object appended per harvest.
+  /// JSONL stream target ("" = disabled). The first harvest truncates it;
+  /// every harvest appends one object.
   std::string jsonl_path;
 };
 
@@ -110,12 +116,6 @@ class Monitor {
   /// first file that could not be written (sticky).
   std::string export_error() const;
 
-  /// Prometheus text exposition for `snap` (also what the file exporter
-  /// writes). Exposed for tests and the CI validator.
-  std::string prometheus_text(const Snapshot& snap) const;
-  /// One JSONL line (no trailing newline) for `snap`.
-  std::string jsonl_line(const Snapshot& snap) const;
-
  private:
   void run_loop();
   Snapshot build_snapshot();
@@ -131,6 +131,7 @@ class Monitor {
   std::vector<const HdrHistogram*> histograms_;
   LatencySummary last_latency_;  // persists across histogram deregistration
   std::uint64_t seq_ = 0;
+  std::ofstream jsonl_;  // opened, empty, at the first harvest
   std::string export_error_;
 
   mutable std::mutex run_mu_;  // snapshot-thread lifecycle
@@ -140,6 +141,14 @@ class Monitor {
   std::thread thread_;
   std::chrono::steady_clock::time_point started_;
 };
+
+/// Prometheus text exposition for `snap`: one `gcached_shard_<key>` family
+/// per counter of obs/counters.hpp, one sample per shard, then the latency
+/// and harvest gauges.
+std::string prometheus_text(const Snapshot& snap);
+/// One JSONL line (no trailing newline) for `snap`: seq, wall_ms, uptime_s,
+/// totals, latency and the per-shard array.
+std::string jsonl_line(const Snapshot& snap);
 
 /// Schema check for a Prometheus text exposition: returns "" when `text`
 /// parses (every non-empty line is `# HELP`, `# TYPE`, or a sample

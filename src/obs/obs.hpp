@@ -14,7 +14,7 @@
 // never per-access code: hot regions carry no telemetry, which gclint's
 // `hot-path` rule enforces for obs:: and these macros alike. Windowed
 // timelines (obs/timeline.hpp) need no macro: `record_timeline` steps the
-// verifying engine itself.
+// verifying engine itself and harvests a gcmon Monitor once per window.
 //
 // Macro inventory:
 //   GC_OBS_SPAN(var, name, cat)          RAII trace span for this scope

@@ -1,70 +1,41 @@
 #include "obs/timeline.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 
 #include "core/simulator.hpp"
-#include "obs/counters.hpp"
+#include "util/contracts.hpp"
 
 namespace gcaching::obs {
 
-SimStats StatsTimeline::window_sum() const {
-  SimStats sum;
-  for (const TimelineWindow& w : windows) sum += w.delta;
-  return sum;
-}
-
-namespace {
-
-std::string fmt_rate(double v) {
-  std::ostringstream os;
-  os.precision(6);
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
-void StatsTimeline::write_jsonl(const std::string& path) const {
-  std::ofstream out(path);
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    const TimelineWindow& w = windows[i];
-    out << "{\"capacity\": " << capacity << ", \"window\": " << i
-        << ", \"start\": " << w.start << ", \"length\": " << w.length
-        << ", ";
-    write_json_fields(out, counters(w.delta));
-    out << ", \"miss_rate\": " << fmt_rate(w.miss_rate())
-        << ", \"spatial_hit_share\": " << fmt_rate(w.spatial_hit_share())
-        << ", \"wasted_sideload_share\": "
-        << fmt_rate(w.wasted_sideload_share()) << "}\n";
-  }
-  out.close();
-  if (!out) throw std::runtime_error("cannot write " + path);
-}
-
-StatsTimeline record_timeline(const BlockMap& map, const Trace& trace,
-                              ReplacementPolicy& policy, std::size_t capacity,
-                              std::uint64_t window) {
+std::vector<Snapshot> record_timeline(const BlockMap& map, const Trace& trace,
+                                      ReplacementPolicy& policy,
+                                      std::size_t capacity,
+                                      std::uint64_t window, Monitor& monitor) {
+  // A running monitor would read the simulation from its own thread.
+  GC_REQUIRE(!monitor.running(), "a timeline's monitor must not be running");
   const std::vector<ItemId>& accesses = trace.accesses();
   const std::uint64_t n = accesses.size();
-  StatsTimeline tl;
-  tl.capacity = capacity;
-  tl.window = window != StatsTimeline::kAutoWindow
-                  ? window
-                  : std::max<std::uint64_t>(
-                        1, n / StatsTimeline::kAutoTargetWindows);
+  if (window == kAutoWindow)
+    window = std::max<std::uint64_t>(1, n / kAutoTargetWindows);
   Simulation sim(map, policy, capacity);  // attach() first,
   policy.prepare(trace);                  // then offline knowledge.
-  SimStats last;
-  for (std::uint64_t start = 0; start < n; start += tl.window) {
-    const std::uint64_t end = std::min(n, start + tl.window);
+  monitor.attach_shards([&sim] {
+    ShardCounters run;
+    run.stats = sim.stats();
+    run.residency = sim.cache().occupancy();
+    return std::vector<ShardCounters>{run};
+  });
+  struct Detach {
+    Monitor& monitor;
+    ~Detach() { monitor.attach_shards({}); }
+  } detach{monitor};
+  std::vector<Snapshot> windows;
+  for (std::uint64_t start = 0; start < n; start += window) {
+    const std::uint64_t end = std::min(n, start + window);
     for (std::uint64_t i = start; i < end; ++i) sim.access(accesses[i]);
-    tl.windows.push_back({start, end - start, sim.stats() - last});
-    last = sim.stats();
+    windows.push_back(monitor.harvest_now());
   }
-  return tl;
+  return windows;
 }
 
 }  // namespace gcaching::obs

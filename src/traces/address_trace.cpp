@@ -53,10 +53,11 @@ Workload load_address_trace(std::istream& is,
                             const AddressTraceFormat& fmt) {
   GC_REQUIRE(fmt.item_bytes >= 1 && fmt.block_items >= 1,
              "invalid geometry");
-  // First pass into raw (frame, offset) pairs with first-touch frame
-  // renaming; frames are address-space blocks of block_items items.
+  // Frames are address-space blocks of block_items items, renamed in
+  // first-touch order. A frame's id is fixed at its first touch, so each
+  // access's item id is final the moment it is read.
   std::unordered_map<std::uint64_t, std::uint32_t> frame_of;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> raw;  // (frame, off)
+  Workload w;
 
   std::string line;
   std::size_t line_no = 0;
@@ -88,24 +89,18 @@ Workload load_address_trace(std::istream& is,
     if (frames > kInvalidItem / fmt.block_items - frame_of.size())
       fail(line_no, "record spans more items than an item id can number");
     for (std::uint64_t it = first_item; it <= last_item; ++it) {
-      const std::uint64_t frame = it / fmt.block_items;
       const auto ins = frame_of.emplace(
-          frame, static_cast<std::uint32_t>(frame_of.size()));
-      raw.emplace_back(ins.first->second,
-                       static_cast<std::uint32_t>(it % fmt.block_items));
+          it / fmt.block_items, static_cast<std::uint32_t>(frame_of.size()));
+      w.trace.push(static_cast<ItemId>(
+          std::uint64_t{ins.first->second} * fmt.block_items +
+          it % fmt.block_items));
     }
   }
-  if (raw.empty())
+  if (w.trace.empty())
     throw std::runtime_error("address trace contained no records");
 
-  Workload w;
-  const std::size_t num_blocks = frame_of.size();
-  w.map = make_uniform_blocks(num_blocks * fmt.block_items,
+  w.map = make_uniform_blocks(frame_of.size() * fmt.block_items,
                               fmt.block_items);
-  w.trace.reserve(raw.size());
-  for (const auto& [frame, off] : raw)
-    w.trace.push(static_cast<ItemId>(
-        static_cast<std::size_t>(frame) * fmt.block_items + off));
   std::ostringstream nm;
   nm << "address-trace(items=" << w.map->num_items()
      << ",B=" << fmt.block_items << ",line=" << fmt.item_bytes << "B)";

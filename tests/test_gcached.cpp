@@ -287,7 +287,7 @@ TEST(GcachedOracle, ShardsThatOwnNoBlockConstructAndServe) {
       for (std::size_t s = 0; s < kShards; ++s) {
         if (owns[s]) continue;
         EXPECT_EQ(values[s].stats.accesses, 0u) << "shard " << s;
-        EXPECT_EQ(cache->shard_occupancy(s), 0u) << "shard " << s;
+        EXPECT_EQ(values[s].residency, 0u) << "shard " << s;
       }
     }
   }
@@ -356,7 +356,7 @@ TEST(GcachedDeferredHits, AHitEvictedBeforeItsUpdateIsSkipped) {
   const SimStats stats = cache->collect_stats();
   EXPECT_EQ(stats, expected);
   EXPECT_EQ(stats.hits + stats.misses + stats.delayed_hits, stats.accesses);
-  EXPECT_EQ(cache->shard_occupancy(0), 2u);
+  EXPECT_EQ(cache->shard_counters()[0].residency, 2u);
 }
 
 TEST(GcachedDeferredHits, AContextServesExactlyOneCache) {
@@ -535,7 +535,7 @@ TEST(GcachedLockFreeHits, HitsRacingEvictionsConserve) {
     EXPECT_GT(res.lockfree_hits, 0u);
     EXPECT_GE(res.lock_acquisitions + res.lockfree_hits, res.ops);
     EXPECT_LE(res.lockfree_hits, res.stats.temporal_hits);
-    EXPECT_LE(cache->shard_occupancy(0), cfg.capacity);
+    EXPECT_LE(cache->shard_counters()[0].residency, cfg.capacity);
     const SimStats stats = cache->collect_stats();
     EXPECT_EQ(stats, res.stats);
     obs::ShardCounters sum;
@@ -731,9 +731,10 @@ TEST(GcachedConcurrent, ConservationHoldsOnEverySchedule) {
       EXPECT_LE(res.lockfree_hits, res.stats.hits);
       EXPECT_EQ(res.offered_ops_per_sec, 0.0);  // closed loop reports none
       std::size_t occupancy = 0;
+      const std::vector<obs::ShardCounters> counters = cache->shard_counters();
       for (std::size_t s = 0; s < cache->num_shards(); ++s) {
-        EXPECT_LE(cache->shard_occupancy(s), cache->shard_capacity(s));
-        occupancy += cache->shard_occupancy(s);
+        EXPECT_LE(counters[s].residency, cache->shard_capacity(s));
+        occupancy += counters[s].residency;
       }
       EXPECT_LE(occupancy, cfg.capacity);
     }
@@ -927,9 +928,10 @@ TEST(GcachedMshr, AsyncConservationHoldsOnEverySchedule) {
       }
       EXPECT_LE(res.stats.delayed_hits, coalesced);
       std::size_t occupancy = 0;
+      const std::vector<obs::ShardCounters> counters = cache->shard_counters();
       for (std::size_t s = 0; s < cache->num_shards(); ++s) {
-        EXPECT_LE(cache->shard_occupancy(s), cache->shard_capacity(s));
-        occupancy += cache->shard_occupancy(s);
+        EXPECT_LE(counters[s].residency, cache->shard_capacity(s));
+        occupancy += counters[s].residency;
       }
       EXPECT_LE(occupancy, cfg.capacity);
     }

@@ -169,8 +169,9 @@ TEST(GclintHotRegion, ObsMacrosAndOutsideUseAreLegal) {
   // obs_window, a GC_OBS_ constant that is not invoked) must not trip the
   // token match.
   const std::vector<SourceFile> files = {{"src/sim/driver.cpp", R"cpp(
-const obs::StatsTimeline timeline =
-    obs::record_timeline(map, trace, policy, 64, 0);
+obs::Monitor monitor;
+const std::vector<obs::Snapshot> timeline =
+    obs::record_timeline(map, trace, policy, 64, 0, monitor);
 inline void run_task(std::uint64_t obs_window) {
   GC_OBS_SPAN_ARG(span, "window", std::to_string(obs_window));
 }

@@ -327,6 +327,36 @@ TEST(GcmonMonitor, BackgroundThreadHarvestsAndStopTakesFinalSnapshot) {
   mon.stop();
 }
 
+TEST(GcmonMonitor, JsonlStreamStartsEmptyAtTheFirstHarvest) {
+  // Two monitors on one JSONL path, as two runs of one command line: the
+  // file holds only the second stream, so its seq and counters never fall.
+  const std::string path = ::testing::TempDir() + "gcmon_two_streams.jsonl";
+  std::vector<ShardCounters> shards(1);
+  MonitorConfig cfg;
+  cfg.jsonl_path = path;
+  for (int run = 0; run < 2; ++run) {
+    Monitor mon(cfg);
+    attach_fake(mon, shards);
+    for (std::uint64_t k = 1; k <= 3; ++k) {
+      shards[0].stats.hits = k;
+      mon.harvest_now();
+    }
+    EXPECT_EQ(mon.export_error(), "");
+  }
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);
+  for (std::size_t k = 0; k < lines.size(); ++k) {
+    EXPECT_EQ(lines[k].rfind("{\"seq\": " + std::to_string(k) + ",", 0), 0u)
+        << lines[k];
+    EXPECT_NE(lines[k].find("\"hits\": " + std::to_string(k + 1) + ","),
+              std::string::npos)
+        << lines[k];
+  }
+  std::remove(path.c_str());
+}
+
 // ---- Prometheus / JSONL export ----------------------------------------------
 
 TEST(GcmonExport, PrometheusTextRoundTripsTheValidator) {
@@ -339,7 +369,7 @@ TEST(GcmonExport, PrometheusTextRoundTripsTheValidator) {
   attach_fake(mon, shards);
   mon.add_histogram(&h);
   const Snapshot snap = mon.harvest_now();
-  const std::string text = mon.prometheus_text(snap);
+  const std::string text = obs::prometheus_text(snap);
   EXPECT_EQ(obs::validate_prometheus_text(text), "");
   EXPECT_NE(text.find("gcached_shard_hits_total{shard=\"0\"} 11"),
             std::string::npos);
@@ -380,7 +410,7 @@ TEST(GcmonExport, JsonlLineCarriesTotalsLatencyAndPerShardArrays) {
   Monitor mon;
   attach_fake(mon, shards);
   const Snapshot snap = mon.harvest_now();
-  const std::string line = mon.jsonl_line(snap);
+  const std::string line = obs::jsonl_line(snap);
   EXPECT_NE(line.find("\"seq\": 0"), std::string::npos);
   EXPECT_NE(line.find("\"totals\": {\"accesses\": 0, \"hits\": 4, "),
             std::string::npos);
@@ -678,7 +708,6 @@ TEST(GcmonDifferential, HarvestsAreConsistentPerShardUnderLoad) {
   ShardCounters sum;
   for (std::size_t s = 0; s < cfg.num_shards; ++s) {
     EXPECT_EQ(last[s], now[s]) << "shard " << s;
-    EXPECT_EQ(last[s].residency, cache->shard_occupancy(s)) << "shard " << s;
     EXPECT_EQ(last[s].fills_inflight, 0u) << "shard " << s;
     sum += last[s];
   }

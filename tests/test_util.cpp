@@ -397,10 +397,28 @@ TEST(ParseNumber, WorkloadTextRefusesAttachedText) {
        {std::string("gcworkload v1\nitems 4 blocks 1 maxblock 4 junk\n"
                     "uniform 4\ntrace 2\n1 3\n"),
         head + "uniform 4 99\ntrace 2\n1 3\n",
-        head + "uniform 4\ntrace 2 7\n1 3\n"}) {
+        head + "uniform 4\ntrace 2 7\n1 3\n",
+        "gcworkload v1 junk\n" + head.substr(14) + "uniform 4\ntrace 2\n1 3\n",
+        "gcworkload v12\n" + head.substr(14) + "uniform 4\ntrace 2\n1 3\n"}) {
     SCOPED_TRACE(text);
     std::istringstream trailing(text);
     EXPECT_THROW(load_workload(trailing), std::runtime_error);
+  }
+  // A declared length the ids do not reach fails the same way at every
+  // size: the loader reserves nothing it has not read.
+  for (const std::string& len : {std::string("4000000000"),
+                                 std::string("18446744073709551615")}) {
+    SCOPED_TRACE(len);
+    std::istringstream shorter(head + "uniform 4\ntrace " + len + "\n1 3\n");
+    try {
+      load_workload(shorter);
+      ADD_FAILURE() << "a trace shorter than its declared length loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "trace shorter than declared length"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

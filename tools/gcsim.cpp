@@ -50,6 +50,7 @@
 #include "locality/sample.hpp"
 #include "locality/trace_stats.hpp"
 #include "locality/window_profile.hpp"
+#include "obs/gcmon.hpp"
 #include "obs/obs.hpp"
 #include "obs/timeline.hpp"
 #include "offline/exact_opt.hpp"
@@ -411,23 +412,31 @@ int cmd_simulate(const Args& args) {
     SimStats s;
     if (fast) s = simulate_fast_spec(spec, w, capacity);
     if (sinks) {
-      // A timeline is a stepped verifying run of the fresh policy: its
-      // window sum is the verify-mode row, and in fast mode it must equal
-      // the fast engine's row (a free cross-engine check).
-      const obs::StatsTimeline timeline = obs::record_timeline(
-          *w.map, w.trace, *policy, capacity, obs_window);
-      const SimStats sum = timeline.window_sum();
+      // A timeline is a stepped verifying run of the fresh policy, harvested
+      // into a gcmon Monitor once per window: its last snapshot is the
+      // verify-mode row, and in fast mode it must equal the fast engine's
+      // row (a free cross-engine check).
+      obs::MonitorConfig mcfg;
+      mcfg.jsonl_path = sinks->dir() + "/timeline-" +
+                        sanitize_for_filename(spec) + ".jsonl";
+      obs::Monitor monitor(mcfg);
+      const std::vector<obs::Snapshot> windows = obs::record_timeline(
+          *w.map, w.trace, *policy, capacity, obs_window, monitor);
+      if (const std::string err = monitor.export_error(); !err.empty()) {
+        std::cerr << "error: " << err << "\n";
+        return 1;
+      }
+      const SimStats last =
+          windows.empty() ? SimStats{} : windows.back().totals.stats;
       if (!fast)
-        s = sum;
-      else if (s != sum)
+        s = last;
+      else if (s != last)
         throw std::runtime_error("timeline of " + spec +
                                  " diverged from the fast engine's row");
-      const std::string stem =
-          sinks->dir() + "/timeline-" + sanitize_for_filename(spec);
-      timeline.write_jsonl(stem + ".jsonl");
-      std::cout << "obs: wrote " << stem << ".jsonl ("
-                << timeline.windows.size() << " windows of "
-                << timeline.window << ")\n";
+      std::cout << "obs: wrote " << mcfg.jsonl_path << " ("
+                << windows.size() << " windows of "
+                << (windows.empty() ? 0 : windows[0].totals.stats.accesses)
+                << ")\n";
     } else if (!fast) {
       s = simulate(w, *policy, capacity);
     }
@@ -574,10 +583,10 @@ int cmd_gcached(const Args& args) {
   }
 
   // Live monitoring (gcmon): --metrics-out FILE rewrites a Prometheus text
-  // exposition atomically every --mon-interval-ms; --mon-jsonl FILE appends
-  // one snapshot object per harvest. Works in every build: the monitor
-  // reads each shard's own SimStats. A file that cannot be written fails
-  // the run.
+  // exposition atomically every --mon-interval-ms; --mon-jsonl FILE starts
+  // empty and gains one snapshot object per harvest. Works in every build:
+  // the monitor reads each shard's own SimStats. A file that cannot be
+  // written fails the run.
   obs::MonitorConfig mcfg;
   mcfg.interval =
       std::chrono::milliseconds(args.get_u64("mon-interval-ms", 50));
@@ -968,15 +977,16 @@ subcommands:
              overlap in one shard and misses on an in-flight block wait
              for it as delayed hits
              live monitoring (gcmon): --metrics-out rewrites a Prometheus
-             exposition atomically every M ms, --mon-jsonl appends one
-             snapshot per harvest, --perf captures per-thread hardware
+             exposition atomically every M ms, --mon-jsonl writes one
+             snapshot per harvest (the file starts empty), --perf
+             captures per-thread hardware
              counters — see docs/OBSERVABILITY.md
 
 observability (GCACHING_OBS=ON builds; see docs/OBSERVABILITY.md):
   --obs DIR        write telemetry sinks into DIR: trace.json (Chrome
                    trace-event spans) and (simulate only)
-                   timeline-<policy>.jsonl with one windowed SimStats
-                   delta object per window
+                   timeline-<policy>.jsonl, one cumulative gcmon snapshot
+                   per window (consecutive lines give the deltas)
   --obs-window N   accesses per timeline window (0 = auto, ~256 windows)
   --progress       live sweep progress with ETA on stderr
   profile    measure f(n)/g(n) locality profiles and power-law fits
